@@ -44,8 +44,11 @@ in the evaluation grid bottoms out here):
   keys on each constituent exactly (see
   :func:`repro.cpu.trace.compose_traces`).  Set
   ``REPRO_TRACE_SUPERBLOCK=0`` to disable linking.
-* **Hook-free fast path** — :meth:`run` only takes the slow path (pre-hook
-  fan-out per instruction) when hooks are actually installed.
+* **Hooked loop** — :meth:`run` only leaves the fused tiers when hooks are
+  installed, and then runs one instruction at a time through a loop of its
+  own: each decode entry carries the instruction's specialized hook
+  transfer (:class:`SpecializedHook`, the DSE shadow's entry point) next to
+  its handler, so the hooked path pays one cached dispatch per instruction.
 * **O(1) snapshots** — :meth:`Emulator.snapshot` / :meth:`Emulator.restore`
   fork the complete execution context (registers, flags, memory COW, host
   state) so the attack engines can rewind to a saved point instead of
@@ -130,6 +133,9 @@ _SUPERBLOCK_THRESHOLD = 4
 #: dropped as megamorphic (a dispatcher-style exit will never stabilize).
 _SUPERBLOCK_FANOUT = 8
 
+#: Transfer slot of a decode entry the hooked loop has not specialized yet.
+_UNSPECIALIZED = object()
+
 
 @dataclass
 class JitStats:
@@ -174,6 +180,32 @@ class JitStats:
         """Fraction of compiled-trace instructions emitted natively."""
         total = self.native_steps + self.generic_steps
         return self.native_steps / total if total else 0.0
+
+
+class SpecializedHook:
+    """A pre-hook whose per-instruction work is specialized once per decode.
+
+    ``specialize(instruction)`` returns a *transfer* called as
+    ``transfer(owner, emulator, address)`` right before the instruction
+    executes, or None when the instruction needs no work.  The hooked run
+    loop caches each instruction's transfer next to its decode entry and
+    handler, so the specialization is paid once per decoded instruction
+    and stays warm across runs, rewinds and owners that share
+    ``specialize``.  Calling the hook directly specializes on the fly.
+    """
+
+    __slots__ = ("owner", "specialize")
+
+    def __init__(self, owner: object,
+                 specialize: Callable[[Instruction], Optional[Callable]]) -> None:
+        self.owner = owner
+        self.specialize = specialize
+
+    def __call__(self, emulator: "Emulator", address: int,
+                 instruction: Instruction) -> None:
+        transfer = self.specialize(instruction)
+        if transfer is not None:
+            transfer(self.owner, emulator, address)
 
 
 class EmulatorSnapshot:
@@ -240,7 +272,8 @@ class Emulator:
         self.steps = 0
         self.halted = False
         #: hooks called as ``hook(emulator, address, instruction)`` before
-        #: each instruction executes.
+        #: each instruction executes; read once per :meth:`run` call.  A
+        #: :class:`SpecializedHook` runs its cached per-instruction transfer.
         self.pre_hooks: List[Callable] = []
         self._decode_cache_enabled = (_DECODE_CACHE_DEFAULT
                                       if decode_cache is None else decode_cache)
@@ -256,8 +289,11 @@ class Emulator:
         self.trace_compile_threshold = _TRACE_COMPILE_THRESHOLD
         #: three-tier pipeline counters (builds, promotions, per-tier runs)
         self.jit_stats = JitStats()
-        #: address -> (instruction, length, region, generation, handler)
+        #: address -> (instruction, length, region, generation, handler,
+        #: transfer); the transfer slot belongs to the hooked run loop
         self._decode_cache: Dict[int, tuple] = {}
+        #: the specializer whose transfers the decode entries hold
+        self._hooked_specialize: Optional[Callable] = None
         #: entry address -> compiled superinstruction
         self._trace_cache: Dict[int, Trace] = {}
         #: entry address -> run-loop visit count (see _TRACE_HEAT_THRESHOLD)
@@ -284,8 +320,10 @@ class Emulator:
     def decode_entry(self, address: int) -> tuple:
         """Decode at ``address`` returning the full cache entry tuple.
 
-        The tuple is ``(instruction, length, region, generation, handler)``;
-        used by the trace builder so fusion re-uses cached decodes.
+        The tuple is ``(instruction, length, region, generation, handler,
+        transfer)``; used by the trace builder so fusion re-uses cached
+        decodes.  The transfer slot is the hooked loop's
+        (:meth:`_run_hooked`).
         """
         entry = self._decode_cache.get(address)
         if entry is not None and entry[2].generation == entry[3]:
@@ -305,7 +343,8 @@ class Emulator:
         except DecodeError as exc:
             raise EmulationError(f"undecodable instruction at {address:#x}: {exc}") from exc
         handler = self._dispatch.get(instruction.mnemonic)
-        entry = (instruction, length, region, region.generation, handler)
+        entry = (instruction, length, region, region.generation, handler,
+                 _UNSPECIALIZED)
         if self._decode_cache_enabled:
             self._decode_cache[address] = entry
         return entry
@@ -411,33 +450,6 @@ class Emulator:
         return result
 
     # -- execution ----------------------------------------------------------
-    def step(self) -> None:
-        """Execute a single instruction (or host function)."""
-        if self.halted:
-            return
-        if self.steps >= self.max_steps:
-            raise EmulationError(f"instruction budget exhausted ({self.max_steps})")
-        address = self.state.rip
-        if address == EXIT_ADDRESS:
-            self.halted = True
-            return
-        if is_host_address(address):
-            self._run_host_function(address)
-            self.steps += 1
-            return
-        entry = self._decode_cache.get(address)
-        if entry is None or entry[2].generation != entry[3]:
-            entry = self._fetch_slow(address)
-        instruction, length, _, _, handler = entry
-        if self.pre_hooks:
-            for hook in self.pre_hooks:
-                hook(self, address, instruction)
-        self.state.rip = (address + length) & _MASK64
-        if handler is None:
-            raise EmulationError(f"unimplemented instruction {instruction}")
-        handler(instruction)
-        self.steps += 1
-
     def run(self, max_steps: Optional[int] = None) -> None:
         """Run until halted, hitting :data:`EXIT_ADDRESS`, or out of budget.
 
@@ -450,6 +462,9 @@ class Emulator:
             limit = self.max_steps
         else:
             limit = min(self.max_steps, self.steps + max_steps)
+        if self.pre_hooks:
+            self._run_hooked(limit)
+            return
         state = self.state
         cache_get = self._decode_cache.get
         fetch_slow = self._fetch_slow
@@ -462,12 +477,6 @@ class Emulator:
         heat_get = heat.get
         jit = self.jit_stats
         while not self.halted:
-            if self.pre_hooks:
-                # slow path: step() fans out to hooks with identical semantics
-                if self.steps >= limit:
-                    raise EmulationError(f"instruction budget exhausted ({limit})")
-                self.step()
-                continue
             if self.steps >= limit:
                 raise EmulationError(f"instruction budget exhausted ({limit})")
             address = state.rip
@@ -534,6 +543,66 @@ class Emulator:
             if handler is None:
                 raise EmulationError(f"unimplemented instruction {entry[0]}")
             handler(entry[0])
+            self.steps += 1
+
+    def _run_hooked(self, limit: int) -> None:
+        """The run loop under :attr:`pre_hooks`: one instruction at a time.
+
+        Every executed instruction is seen by every hook, in list order,
+        before it executes.  Plain hooks are called as ``hook(emulator,
+        address, instruction)``; the first :class:`SpecializedHook` runs the
+        transfer cached in the instruction's decode entry next to its
+        handler, so the pair is invalidated with the entry by the region
+        generation check.  Host functions and the exit sentinel are not
+        hooked.
+        """
+        before: List[Callable] = []
+        after: List[Callable] = []
+        owner = specialize = None
+        for hook in self.pre_hooks:
+            if specialize is None and type(hook) is SpecializedHook:
+                owner, specialize = hook.owner, hook.specialize
+            else:
+                (before if specialize is None else after).append(hook)
+        if specialize is not self._hooked_specialize:
+            # the cached transfers belong to another specializer
+            self._decode_cache.clear()
+            self._hooked_specialize = specialize
+        state = self.state
+        cache_get = self._decode_cache.get
+        fetch_slow = self._fetch_slow
+        host_space_end = _HOST_SPACE_END
+        unspecialized = _UNSPECIALIZED
+        while not self.halted:
+            if self.steps >= limit:
+                raise EmulationError(f"instruction budget exhausted ({limit})")
+            address = state.rip
+            if address <= host_space_end:
+                if address == EXIT_ADDRESS:
+                    self.halted = True
+                    return
+                if is_host_address(address):
+                    self._run_host_function(address)
+                    self.steps += 1
+                    continue
+            entry = cache_get(address)
+            if entry is None or entry[2].generation != entry[3]:
+                entry = fetch_slow(address)
+            instruction, length, _, _, handler, transfer = entry
+            if transfer is unspecialized:
+                transfer = None if specialize is None else specialize(instruction)
+                if self._decode_cache_enabled:
+                    self._decode_cache[address] = entry[:5] + (transfer,)
+            for hook in before:
+                hook(self, address, instruction)
+            if transfer is not None:
+                transfer(owner, self, address)
+            for hook in after:
+                hook(self, address, instruction)
+            state.rip = (address + length) & _MASK64
+            if handler is None:
+                raise EmulationError(f"unimplemented instruction {instruction}")
+            handler(instruction)
             self.steps += 1
 
     def _execute_trace(self, trace: Trace) -> None:

@@ -863,7 +863,7 @@ def build_trace(emulator, entry: int, cap: int = TRACE_CAP) -> Optional[Trace]:
             final_rip = address
             break
         try:
-            instruction, length, _, _, handler = emulator.decode_entry(address)
+            instruction, length, _, _, handler, _ = emulator.decode_entry(address)
         except EmulationError:
             final_rip = address
             break

@@ -5,10 +5,10 @@ records every executed instruction with its address and the pre-execution
 register snapshot the analyses need (TDS taint tracking, ROPMEMU flag-leak
 detection, DSE concolic state updates).
 
-Recorders hook in through ``pre_hooks``, which forces the emulator's run
-loop onto the per-instruction path: superinstruction fusion
-(:mod:`repro.cpu.trace`) never skips a hooked instruction, so a recorded
-trace is always the complete architectural sequence regardless of
+Recorders hook in through ``pre_hooks``, which moves the emulator's run
+loop onto its one-instruction-at-a-time hooked loop: superinstruction
+fusion (:mod:`repro.cpu.trace`) never skips a hooked instruction, so a
+recorded trace is always the complete architectural sequence regardless of
 ``REPRO_TRACE_CACHE``.
 """
 

@@ -7,7 +7,6 @@ from repro.evaluation.figure5 import Figure5Bar, run_figure5
 from repro.evaluation.coverage_study import CoverageStudyResult, run_coverage_study
 from repro.evaluation.case_study import CaseStudyResult, run_case_study
 from repro.evaluation.efficacy import EfficacyResult, run_efficacy_study
-from repro.evaluation.grid import run_grid
 from repro.evaluation.reporting import render_table
 
 __all__ = [
@@ -29,3 +28,14 @@ __all__ = [
     "run_grid",
     "render_table",
 ]
+
+
+def __getattr__(name: str):
+    # ``grid`` is the ``python -m repro.evaluation.grid`` entry point: importing
+    # it here eagerly would load it before runpy executes it as ``__main__``
+    # (and warn about it), so it loads on first attribute access instead
+    if name == "run_grid":
+        from repro.evaluation.grid import run_grid
+
+        return run_grid
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -87,6 +87,22 @@ def test_missing_zero_count_guard_is_detected(tmp_path):
     assert "zero-count-guard" in result.stdout
 
 
+def test_missing_shadow_zero_count_guard_is_detected(tmp_path):
+    """The shadow's coverage is its builder table, so the checker sees its
+    shift builder too: without the masked-count-zero early-out a no-op
+    shift would clobber the symbolic flag source and destination."""
+    def plant(copy):
+        path = copy / "repro" / "attacks" / "shadow.py"
+        text = path.read_text()
+        assert "if count == 0:" in text
+        path.write_text(text.replace("if count == 0:", "if count is None:"))
+
+    result = _run_lint_on_copy(tmp_path, plant)
+    assert result.returncode != 0, result.stdout + result.stderr
+    assert "zero-count-guard" in result.stdout
+    assert "'shadow'" in result.stdout
+
+
 def test_incomplete_tier_registration_is_detected(tmp_path):
     """Dropping a mnemonic from a tier's coverage map fails at import.
 

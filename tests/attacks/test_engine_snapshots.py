@@ -24,6 +24,16 @@ from repro.lang import (
 )
 
 
+#: Differentials are bound by deterministic caps (executions, solver
+#: queries); the wall-clock budget never binds, so a slow host explores
+#: exactly what a fast one does.
+_NO_WALL_CLOCK = float("inf")
+
+#: Solver-query cap for explorations that exhaust their path set well
+#: before it, so it only guarantees termination.
+_QUERY_CAP = 200
+
+
 def branchy_program():
     """Nested data-dependent branches over one 8-byte argument."""
     return Program([Function("f", ["x"], [
@@ -62,7 +72,9 @@ def two_function_program():
 def _explore(image, function, backtracking, seed=3, max_executions=60):
     engine = DseEngine(image, function, InputSpec(argument_sizes=[8]),
                        seed=seed, backtracking=backtracking)
-    results, stats = engine.explore(time_budget=60, max_executions=max_executions)
+    results, stats = engine.explore(time_budget=_NO_WALL_CLOCK,
+                                    max_executions=max_executions,
+                                    max_solver_queries=_QUERY_CAP)
     return results, stats
 
 
@@ -107,7 +119,10 @@ def test_backtracking_differential_on_rop_chain():
     def run(backtracking):
         engine = DseEngine(obfuscated, "check", InputSpec(argument_sizes=[1]),
                            seed=1, backtracking=backtracking)
-        return engine.explore(time_budget=30, max_executions=15)
+        # the query cap binds here: this image's unsat queries take ~40 s
+        # uncapped
+        return engine.explore(time_budget=_NO_WALL_CLOCK, max_executions=15,
+                              max_solver_queries=30)
 
     rerun_results, rerun_stats = run(False)
     back_results, back_stats = run(True)
@@ -132,7 +147,8 @@ def test_host_memory_calls_keep_backtracking_sound():
         engine = DseEngine(image, "f",
                            InputSpec(argument_sizes=(), buffer_symbols=2),
                            seed=5, backtracking=backtracking)
-        return engine.explore(time_budget=30, max_executions=30)
+        return engine.explore(time_budget=_NO_WALL_CLOCK, max_executions=30,
+                              max_solver_queries=_QUERY_CAP)
 
     rerun_results, rerun_stats = run(False)
     back_results, back_stats = run(True)
@@ -164,7 +180,8 @@ def test_call_return_address_never_repaired_from_stale_shadow():
     def run(backtracking):
         engine = DseEngine(image, "f", InputSpec(argument_sizes=[8]),
                            seed=5, backtracking=backtracking)
-        return engine.explore(time_budget=30, max_executions=30)
+        return engine.explore(time_budget=_NO_WALL_CLOCK, max_executions=30,
+                              max_solver_queries=_QUERY_CAP)
 
     rerun_results, rerun_stats = run(False)
     back_results, back_stats = run(True)
@@ -188,7 +205,8 @@ def test_backtracking_finds_same_secret():
                 return True
             return False
 
-        engine.explore(time_budget=30, max_executions=80, stop_condition=stop)
+        engine.explore(time_budget=_NO_WALL_CLOCK, max_executions=80,
+                       max_solver_queries=_QUERY_CAP, stop_condition=stop)
         return witness
 
     assert run(False) == run(True) != {}
@@ -222,7 +240,9 @@ def test_snapshot_pool_env_knob_disables_backtracking(monkeypatch):
     image = compile_program(branchy_program())
     engine = DseEngine(image, "f", InputSpec(argument_sizes=[8]), backtracking=True)
     assert not engine.backtracking
-    results, stats = engine.explore(time_budget=30, max_executions=10)
+    results, stats = engine.explore(time_budget=_NO_WALL_CLOCK,
+                                    max_executions=10,
+                                    max_solver_queries=_QUERY_CAP)
     assert stats.snapshots_taken == 0 and stats.branch_restores == 0
     assert len(results) > 1
 
@@ -235,7 +255,9 @@ def test_bounded_pool_still_explores_identically():
     engine = DseEngine(image, "f", InputSpec(argument_sizes=[8]), seed=3,
                        backtracking=True)
     engine._pool.capacity = 1
-    results, stats = engine.explore(time_budget=60, max_executions=60)
+    results, stats = engine.explore(time_budget=_NO_WALL_CLOCK,
+                                    max_executions=60,
+                                    max_solver_queries=_QUERY_CAP)
     assert [_result_key(r) for r in rerun_results] == \
            [_result_key(r) for r in results]
 
@@ -262,7 +284,8 @@ def test_retargeting_clears_branch_snapshot_pool():
     image = compile_program(branchy_program())
     engine = DseEngine(image, "f", InputSpec(argument_sizes=[8]), seed=3,
                        backtracking=True)
-    engine.explore(time_budget=30, max_executions=20)
+    engine.explore(time_budget=_NO_WALL_CLOCK, max_executions=20,
+                   max_solver_queries=_QUERY_CAP)
     assert len(engine._pool) > 0
     engine.function = "f"  # same symbol: nothing dropped
     engine.execute({"arg0": 1})

@@ -10,6 +10,14 @@ from repro.core import RopConfig, rop_obfuscate
 from repro.lang import Assign, BinOp, Const, Function, If, Probe, Program, Return, Var
 from repro.workloads.randomfuns import RandomFunSpec, generate_random_function
 
+#: Differentials are bound by deterministic caps (executions, solver
+#: queries); the wall-clock budget never binds, so a slow host explores
+#: exactly what a fast one does.  The explorations here exhaust their path
+#: sets well inside the query cap, which only guarantees termination.
+_NO_WALL_CLOCK = float("inf")
+_QUERY_CAP = 200
+_CAPS = dict(time_budget=_NO_WALL_CLOCK, max_solver_queries=_QUERY_CAP)
+
 needs_fork = pytest.mark.skipif(not fork_available(),
                                 reason="fork start method required")
 
@@ -53,15 +61,14 @@ def test_frontier_path_set_equals_serial_entry_rewind(workers):
     input_spec = InputSpec(argument_sizes=[1])
 
     serial = DseEngine(image, function, input_spec, seed=5, backtracking=False)
-    serial_results, serial_stats = serial.explore(time_budget=60.0,
-                                                  max_executions=500)
+    serial_results, serial_stats = serial.explore(max_executions=500, **_CAPS)
     assert serial_stats.paths_seen >= 5  # the workload must stay branchy
 
     frontier = FrontierExplorer(image, function, input_spec, seed=5,
                                 workers=workers)
     assert frontier.distributed
-    frontier_results, frontier_stats = frontier.explore(time_budget=60.0,
-                                                        max_executions=500)
+    frontier_results, frontier_stats = frontier.explore(max_executions=500,
+                                                        **_CAPS)
     assert _path_set(frontier_results) == _path_set(serial_results)
     assert frontier_stats.paths_seen == serial_stats.paths_seen
     assert frontier_stats.executions == serial_stats.executions
@@ -74,9 +81,9 @@ def test_frontier_matches_serial_on_rop_chain():
     image, function = _rop_license_image()
     input_spec = InputSpec(argument_sizes=[1])
     serial = DseEngine(image, function, input_spec, seed=3, backtracking=False)
-    serial_results, _ = serial.explore(time_budget=60.0, max_executions=100)
+    serial_results, _ = serial.explore(max_executions=100, **_CAPS)
     frontier = FrontierExplorer(image, function, input_spec, seed=3, workers=2)
-    frontier_results, _ = frontier.explore(time_budget=60.0, max_executions=100)
+    frontier_results, _ = frontier.explore(max_executions=100, **_CAPS)
     assert _path_set(frontier_results) == _path_set(serial_results)
     # both must have recovered the accepting input
     assert any(r.return_value == 1 and not r.faulted for r in serial_results)
@@ -88,10 +95,10 @@ def test_frontier_backtracking_off_still_matches():
     image, function = _branchy_image()
     input_spec = InputSpec(argument_sizes=[1])
     serial = DseEngine(image, function, input_spec, seed=5, backtracking=False)
-    serial_results, _ = serial.explore(time_budget=60.0, max_executions=500)
+    serial_results, _ = serial.explore(max_executions=500, **_CAPS)
     frontier = FrontierExplorer(image, function, input_spec, seed=5, workers=2,
                                 backtracking=False)
-    frontier_results, _ = frontier.explore(time_budget=60.0, max_executions=500)
+    frontier_results, _ = frontier.explore(max_executions=500, **_CAPS)
     assert _path_set(frontier_results) == _path_set(serial_results)
 
 
@@ -100,10 +107,9 @@ def test_workers_1_delegates_to_serial_engine():
     input_spec = InputSpec(argument_sizes=[1])
     frontier = FrontierExplorer(image, function, input_spec, seed=5, workers=1)
     assert not frontier.distributed
-    results, stats = frontier.explore(time_budget=60.0, max_executions=500)
+    results, stats = frontier.explore(max_executions=500, **_CAPS)
     reference = DseEngine(image, function, input_spec, seed=5)
-    ref_results, ref_stats = reference.explore(time_budget=60.0,
-                                               max_executions=500)
+    ref_results, ref_stats = reference.explore(max_executions=500, **_CAPS)
     assert _path_set(results) == _path_set(ref_results)
     assert frontier.executions_by_worker == {0: stats.executions}
 
@@ -113,7 +119,7 @@ def test_frontier_respects_max_executions():
     image, function = _branchy_image()
     frontier = FrontierExplorer(image, function, InputSpec(argument_sizes=[1]),
                                 seed=5, workers=2)
-    _, stats = frontier.explore(time_budget=60.0, max_executions=3)
+    _, stats = frontier.explore(max_executions=3, **_CAPS)
     assert stats.executions <= 3
 
 
@@ -129,13 +135,13 @@ def test_frontier_recovers_worker_death_mid_exploration(monkeypatch,
     image, function = _branchy_image()
     input_spec = InputSpec(argument_sizes=[1])
     serial = DseEngine(image, function, input_spec, seed=5, backtracking=False)
-    serial_results, _ = serial.explore(time_budget=60.0, max_executions=500)
+    serial_results, _ = serial.explore(max_executions=500, **_CAPS)
 
     monkeypatch.setenv("REPRO_FAULT_INJECT", fault)
     frontier = FrontierExplorer(image, function, input_spec, seed=5, workers=2,
                                 backtracking=backtracking)
-    frontier_results, frontier_stats = frontier.explore(time_budget=60.0,
-                                                        max_executions=500)
+    frontier_results, frontier_stats = frontier.explore(max_executions=500,
+                                                        **_CAPS)
     assert frontier.respawns >= 1
     assert _path_set(frontier_results) == _path_set(serial_results)
     assert frontier_stats.executions == len(serial_results)
@@ -152,13 +158,13 @@ def test_frontier_hang_is_killed_by_deadline_and_path_set_preserved(
     image, function = _branchy_image()
     input_spec = InputSpec(argument_sizes=[1])
     serial = DseEngine(image, function, input_spec, seed=5, backtracking=False)
-    serial_results, _ = serial.explore(time_budget=60.0, max_executions=500)
+    serial_results, _ = serial.explore(max_executions=500, **_CAPS)
 
     monkeypatch.setenv("REPRO_FAULT_INJECT", "1:hang")
     monkeypatch.setenv("REPRO_UNIT_TIMEOUT", "2")
     frontier = FrontierExplorer(image, function, input_spec, seed=5, workers=2)
-    frontier_results, frontier_stats = frontier.explore(time_budget=60.0,
-                                                        max_executions=500)
+    frontier_results, frontier_stats = frontier.explore(max_executions=500,
+                                                        **_CAPS)
     assert frontier.timeouts >= 1
     assert frontier.respawns >= 1
     assert _path_set(frontier_results) == _path_set(serial_results)
@@ -177,7 +183,7 @@ def test_frontier_gives_up_after_repeated_deaths_on_one_task(monkeypatch):
     frontier = FrontierExplorer(image, function, InputSpec(argument_sizes=[1]),
                                 seed=5, workers=2)
     with pytest.raises(RuntimeError, match="died|respawn limit"):
-        frontier.explore(time_budget=60.0, max_executions=500)
+        frontier.explore(max_executions=500, **_CAPS)
 
 
 def test_dse_workers_knob(monkeypatch):
@@ -197,7 +203,8 @@ def test_secret_finding_attack_through_frontier(monkeypatch):
     image, function = _rop_license_image()
     outcome = secret_finding_attack(
         image, function, InputSpec(argument_sizes=[1]),
-        AttackBudget(seconds=60.0, max_executions=50), seed=3)
+        AttackBudget(seconds=_NO_WALL_CLOCK, max_executions=50,
+                     max_solver_queries=_QUERY_CAP), seed=3)
     assert outcome.success
     assert outcome.witness is not None
     value = outcome.witness["arg0"]

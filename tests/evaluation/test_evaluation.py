@@ -72,3 +72,21 @@ def test_run_case_study_smoke():
                              budget=AttackBudget(seconds=1.0, max_executions=10))
     assert len(results) == 2
     assert results[1].execution_instructions > results[0].execution_instructions
+
+
+def test_grid_module_runs_without_runtime_warning():
+    """``python -m repro.evaluation.grid`` runs its module as ``__main__``;
+    the package must not have imported it first (runpy warns when it has)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "repro.evaluation.grid", "--help"],
+        env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert "Warning" not in result.stderr
