@@ -1,20 +1,18 @@
 """Microbenchmark: emulator steady-state throughput and fork/snapshot rates.
 
 This is the perf gate for the fast execution core (decode cache, dispatch
-table, trace-fused superinstructions, the exec-compiled trace tier, memory
-fast paths, copy-on-write forking).  It drives a fully ROP-obfuscated
+table, the exec-compiled trace tier, memory fast paths, copy-on-write
+forking).  It drives a fully ROP-obfuscated
 workload (``fasta`` under ``ROP1.00`` — every instruction dispatched through
 ret-terminated chains, the worst case the paper measures in Figure 5) and
 reports:
 
-* **instructions/sec** of the hook-free interpreter loop in five
-  configurations: the default three-tier pipeline with cross-trace
-  superblocks, superblock linking off (``REPRO_TRACE_SUPERBLOCK=0``), the
-  closure tier only (``REPRO_TRACE_COMPILE=0``), single-step dispatch
+* **instructions/sec** of the hook-free interpreter loop in three
+  configurations: the default two-tier pipeline, single-step dispatch
   (``REPRO_TRACE_CACHE=0``) and fully uncached (``REPRO_DECODE_CACHE=0``
   too), plus the JIT pipeline counters of the default run (traces compiled,
-  compiled-trace hit rate, native-coverage share of compiled instructions,
-  superblocks linked and superblock dispatch counts),
+  warm-up and compiled runs, compiled-trace hit rate, native-coverage share
+  of compiled instructions),
 * **forks/sec** of :meth:`repro.memory.Memory.snapshot`-based program
   forking versus the deep ``load_image`` path the attack engines used to
   take per execution,
@@ -64,16 +62,16 @@ RESULT_PATH = REPO_ROOT / "BENCH_emulator.json"
 #: Maximum tolerated interpreter-throughput regression before the gate fails.
 REGRESSION_TOLERANCE = 0.20
 
-#: The decode/trace caches and the compiled tier are the largest wins; flag
-#: runs where the environment has turned any off so the report stays honest.
+#: The decode and trace caches are the largest wins; flag runs where the
+#: environment has turned either off so the report stays honest.
 _CACHE_ENABLED = knobs.enabled("REPRO_DECODE_CACHE")
 _TRACE_ENABLED = knobs.enabled("REPRO_TRACE_CACHE")
-_COMPILE_ENABLED = knobs.enabled("REPRO_TRACE_COMPILE")
-_SUPERBLOCK_ENABLED = knobs.enabled("REPRO_TRACE_SUPERBLOCK")
 
-#: Compiled-tier throughput must stay at least this multiple of the closure
-#: tier on the same machine (the PR 4 tentpole gate).
-COMPILE_SPEEDUP_FLOOR = 1.5
+#: Compiled-trace throughput must stay at least this multiple of
+#: single-step dispatch on the same machine: the product of the earlier
+#: fusion (>= 1.8x over single-step) and compiled (>= 1.5x over fusion)
+#: gates, so dropping the tier between them loosens nothing.
+COMPILE_SPEEDUP_FLOOR = 2.7
 
 #: Sharded grid evaluation must process smoke-shaped cells at least this
 #: multiple of the 1-worker rate when run with 4 workers (the PR 6 tentpole
@@ -112,14 +110,12 @@ def _build_workload():
 
 
 def measure_throughput(pristine, entry, argument, rounds=3, decode_cache=None,
-                       trace_cache=None, trace_compile=None,
-                       trace_superblock=None):
+                       trace_cache=None):
     """Run the workload ``rounds`` times; return best-of instructions/sec.
 
     Each round builds a fresh emulator, so per-round numbers include the
-    warm-up cost of the requested tier (decode, trace fusion and — for the
-    compiled configuration — ``compile()`` of every hot trace plus
-    superblock linking).
+    warm-up cost of the requested tier (decode and — with fusion on —
+    trace recording, warm-up runs and ``compile()`` of every hot trace).
     """
     from repro.cpu.emulator import Emulator
     from repro.cpu.host import EXIT_ADDRESS, HostEnvironment
@@ -132,9 +128,7 @@ def measure_throughput(pristine, entry, argument, rounds=3, decode_cache=None,
         program = pristine.fork()
         emulator = Emulator(program.memory, host=HostEnvironment(),
                             max_steps=5_000_000, decode_cache=decode_cache,
-                            trace_cache=trace_cache,
-                            trace_compile=trace_compile,
-                            trace_superblock=trace_superblock)
+                            trace_cache=trace_cache)
         emulator.state.write_reg(Register.RSP, program.stack_top)
         emulator.state.write_reg(Register.RBP, program.stack_top)
         emulator.state.write_reg(ARG_REGISTERS[0], argument)
@@ -147,7 +141,7 @@ def measure_throughput(pristine, entry, argument, rounds=3, decode_cache=None,
         jit = emulator.jit_stats
         best_ips = max(best_ips, steps / elapsed)
     report = {"instructions": steps, "instructions_per_sec": round(best_ips)}
-    if trace_compile:
+    if trace_cache:
         report["jit"] = {
             "traces_built": jit.traces_built,
             "traces_compiled": jit.traces_compiled,
@@ -158,8 +152,6 @@ def measure_throughput(pristine, entry, argument, rounds=3, decode_cache=None,
             "native_steps": jit.native_steps,
             "generic_steps": jit.generic_steps,
             "native_coverage": round(jit.native_coverage, 4),
-            "superblocks_built": jit.superblocks_built,
-            "superblock_runs": jit.superblock_runs,
         }
     return report
 
@@ -346,24 +338,12 @@ def run_benchmarks():
     """Measure everything and return the report dict."""
     pristine, entry, argument = _build_workload()
     fusion = (_CACHE_ENABLED and _TRACE_ENABLED) or None
-    compiled = (bool(fusion) and _COMPILE_ENABLED) or None
-    superblocks = (bool(compiled) and _SUPERBLOCK_ENABLED) or None
     report = {
         "workload": "clbg/fasta under ROP1.00 (seed=1), hook-free run loop",
         "calibration_sec": round(measure_calibration(), 4),
         "throughput": measure_throughput(pristine, entry, argument,
                                          decode_cache=_CACHE_ENABLED or None,
-                                         trace_cache=fusion,
-                                         trace_compile=compiled,
-                                         trace_superblock=superblocks),
-        "throughput_superblock_off": measure_throughput(
-            pristine, entry, argument, rounds=2,
-            decode_cache=_CACHE_ENABLED or None, trace_cache=fusion,
-            trace_compile=compiled, trace_superblock=False),
-        "throughput_compile_off": measure_throughput(
-            pristine, entry, argument, rounds=2,
-            decode_cache=_CACHE_ENABLED or None, trace_cache=fusion,
-            trace_compile=False),
+                                         trace_cache=fusion),
         "throughput_trace_cache_off": measure_throughput(
             pristine, entry, argument, rounds=2,
             decode_cache=_CACHE_ENABLED or None, trace_cache=False),
@@ -396,7 +376,7 @@ def _load_committed():
 
 
 def _persist(report, committed):
-    payload = {"schema": 6}
+    payload = {"schema": 7}
     # the seed measurement is a fixed historical reference; carry it forward
     if committed and "seed" in committed:
         payload["seed"] = committed["seed"]
@@ -426,9 +406,6 @@ def test_emulator_throughput_and_fork_rate():
     CANDIDATE_PATH.write_text(json.dumps(report, indent=2) + "\n")
 
     ips = report["throughput"]["instructions_per_sec"]
-    superblock_off_ips = \
-        report["throughput_superblock_off"]["instructions_per_sec"]
-    compile_off_ips = report["throughput_compile_off"]["instructions_per_sec"]
     trace_off_ips = report["throughput_trace_cache_off"]["instructions_per_sec"]
     forking = report["forking"]
     snapshots = report["snapshots"]
@@ -436,8 +413,6 @@ def test_emulator_throughput_and_fork_rate():
     jit = report["throughput"].get("jit")
     print()
     print(f"interpreter throughput : {ips:>12,} instructions/sec")
-    print(f"  superblocks off      : {superblock_off_ips:>12,} instructions/sec")
-    print(f"  compiled tier off    : {compile_off_ips:>12,} instructions/sec")
     print(f"  trace cache off      : {trace_off_ips:>12,} instructions/sec")
     print(f"  decode cache off     : "
           f"{report['throughput_decode_cache_off']['instructions_per_sec']:>12,}"
@@ -448,8 +423,6 @@ def test_emulator_throughput_and_fork_rate():
               f"{jit['compiled_hit_rate']:.1%} compiled-trace hit rate, "
               f"{jit['native_coverage']:.1%} native coverage "
               f"({jit['generic_steps']} generic-handler steps)")
-        print(f"  superblocks          : {jit['superblocks_built']} linked, "
-              f"{jit['superblock_runs']:,} superblock dispatches")
     print(f"COW fork rate          : {forking['forks_per_sec']:>12,} forks/sec "
           f"({forking['fork_speedup']}x over deep load_image)")
     print(f"emulator snapshot rate : "
@@ -473,12 +446,11 @@ def test_emulator_throughput_and_fork_rate():
 
     caches_on = _CACHE_ENABLED and _TRACE_ENABLED
     if update or committed is None:
-        if not (caches_on and _COMPILE_ENABLED and _SUPERBLOCK_ENABLED):
+        if not caches_on:
             raise SystemExit(
                 "refusing to (re)write the baseline with REPRO_DECODE_CACHE/"
-                "REPRO_TRACE_CACHE/REPRO_TRACE_COMPILE/REPRO_TRACE_SUPERBLOCK "
-                "disabled: the committed numbers must be the full pipeline "
-                "configuration CI gates against")
+                "REPRO_TRACE_CACHE disabled: the committed numbers must be "
+                "the full pipeline configuration CI gates against")
         payload = _persist(report, committed)
         print(f"baseline updated: {RESULT_PATH}")
         speedups = payload.get("speedup_vs_seed")
@@ -514,46 +486,26 @@ def test_emulator_throughput_and_fork_rate():
               f"{grid['cpu_count']} CPU(s) < {GRID_PARALLEL_WORKERS}")
 
     if caches_on:
-        # same-machine ratio: superinstruction fusion must stay a large
-        # multiplier over single-step dispatch.  Nominally ~2.1-2.7x; gated
-        # at 1.8x because the single-step leg is noisy on shared runners.
-        fusion_speedup = compile_off_ips / max(1, trace_off_ips)
-        assert fusion_speedup >= 1.8, (
-            f"trace fusion only {fusion_speedup:.2f}x over single-step "
-            f"dispatch (expected >= 1.8x)")
-
-    if caches_on and _COMPILE_ENABLED:
-        # the PR 4 tentpole gate: exec-compiled traces must beat the closure
-        # tier by >= 1.5x on the same machine (nominally ~1.7x)
-        compile_speedup = ips / max(1, compile_off_ips)
+        # same-machine ratio: exec-compiled traces must stay a large
+        # multiplier over single-step dispatch (nominally ~3.8x)
+        compile_speedup = ips / max(1, trace_off_ips)
         assert compile_speedup >= COMPILE_SPEEDUP_FLOOR, (
-            f"exec-compiled traces only {compile_speedup:.2f}x over the "
-            f"closure tier (expected >= {COMPILE_SPEEDUP_FLOOR}x)")
+            f"exec-compiled traces only {compile_speedup:.2f}x over "
+            f"single-step dispatch (expected >= {COMPILE_SPEEDUP_FLOOR}x)")
         hit_rate = report["throughput"]["jit"]["compiled_hit_rate"]
         assert hit_rate >= 0.9, (
             f"compiled-trace hit rate only {hit_rate:.1%} on the bench "
             f"workload (expected >= 90%)")
-        # the PR 5 tentpole gates: the widened codegen must keep generic-
-        # handler round-trips marginal, and superblock linking must engage
-        # on the ROP chain workload (its throughput is gated at parity via
-        # the absolute regression gate below, not a ratio — the seam saving
-        # is within shared-runner noise)
+        # the widened codegen must keep generic-handler round-trips marginal
         coverage = report["throughput"]["jit"]["native_coverage"]
         assert coverage >= 0.9, (
             f"native codegen coverage only {coverage:.1%} of compiled "
             f"instructions (expected >= 90%)")
-        if _SUPERBLOCK_ENABLED:
-            jit_stats = report["throughput"]["jit"]
-            assert jit_stats["superblocks_built"] > 0, (
-                "no superblocks linked on the ROP chain workload")
-            assert jit_stats["superblock_runs"] > 0, (
-                "superblock dispatch never engaged on the ROP chain workload")
 
-    if gate and not (caches_on and _COMPILE_ENABLED and _SUPERBLOCK_ENABLED):
-        # the committed baseline is the three-tier configuration; measuring
-        # with a tier disabled is the A/B debugging mode, not a regression
-        print("absolute throughput gate skipped: a cache/compile tier is "
-              "disabled")
+    if gate and not caches_on:
+        # the committed baseline is the two-tier configuration; measuring
+        # with a cache disabled is the A/B debugging mode, not a regression
+        print("absolute throughput gate skipped: a cache tier is disabled")
     elif gate:
         # scale the baseline host's absolute numbers by the ratio of machine
         # speeds, so slow CI runners don't fail without a code regression

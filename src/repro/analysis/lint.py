@@ -58,11 +58,11 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 #: Tier names the checker requires to have registered (a future native
 #: tier appends itself here and to the registrations).
-EXPECTED_TIERS: Sequence[str] = ("handlers", "closures", "codegen", "shadow")
+EXPECTED_TIERS: Sequence[str] = ("handlers", "codegen", "shadow")
 
 #: Modules whose import triggers the tier registrations.
-TIER_MODULES: Sequence[str] = ("repro.cpu.emulator", "repro.cpu.trace",
-                               "repro.cpu.codegen", "repro.attacks.shadow")
+TIER_MODULES: Sequence[str] = ("repro.cpu.emulator", "repro.cpu.codegen",
+                               "repro.attacks.shadow")
 
 #: Layers whose outputs are byte-identity-gated: wall-clock and ambient
 #: RNG need an explicit annotation here.

@@ -402,7 +402,7 @@ class ShadowTracker:
 # Every instruction's shadow update is a closure built once per decoded
 # instruction by the builder registered for its mnemonic, with operands,
 # widths, effective-address arithmetic and masked immediate shift counts
-# already resolved (the ``_fuse_*`` pattern of :mod:`repro.cpu.trace`).  A
+# already resolved (as :mod:`repro.cpu.codegen` folds them into source).  A
 # transfer first runs a cheap *concrete guard*: no register it reads (source
 # or address) has a shadow expression, no byte it reads has a
 # ``memory_exprs`` entry, and the flags or carry it consumes are concrete.

@@ -1,18 +1,17 @@
 """Exec-compiled superinstructions: the trace-to-Python-source JIT tier.
 
-The closure tier (:mod:`repro.cpu.trace`) executes a fused trace as a flat
-list of operand-bound closures — one Python call per instruction.  This
-module takes the *recorded* form of the same trace (:class:`repro.cpu.trace.
+This module takes the *recorded* form of a trace (:class:`repro.cpu.trace.
 TraceStep`) and emits one Python function per trace as source text, compiled
 once with :func:`compile`/``exec`` and cached on the :class:`~repro.cpu.
-trace.Trace` object (so it keys on the same region write generations the
-closure tier keys on — self-modifying and ROP-materialized code invalidates
-both tiers at once).
+trace.Trace` object (so it keys on the trace's region write generation —
+self-modifying and ROP-materialized code invalidates it like a decode-cache
+entry).
 
-What the generated source buys over the closure list:
+What the generated source buys over single-step dispatch:
 
-* **No per-op call.**  The whole trace is one code object; the interpreter
-  never re-enters a Python frame between fused instructions.
+* **No per-instruction dispatch.**  The whole trace is one code object: no
+  address probe, generation check, budget check or handler call between
+  fused instructions.
 * **Registers and flags live in locals.**  The registers a trace touches are
   hoisted into local variables on entry and written back at the single
   shared exit, so the hot ALU/stack ops are ``LOAD_FAST``/``STORE_FAST``
@@ -31,19 +30,19 @@ failed ret guards, mid-trace self-modification — set the executed-step count
 ``ex`` first), so the source stays compact enough that ``compile()`` is a
 once-per-trace cost of well under a millisecond.
 
-Semantics are bit-for-bit those of the closure tier (which in turn mirrors
-single-step dispatch): fused ``ret`` guards, mid-trace self-modification
-checks after every store, and fault repair (``rip`` and ``steps`` exactly as
-single-stepping would have left them) are all emitted inline.  Native
-coverage spans sized (1/2/4/8-byte) ALU and MOV destinations, shifts of any
-width by immediate or count register (with the width-dependent count mask,
-zero-count flag preservation and the defined 1-bit OF), memory-operand
-``cmp``/``test`` and memory-destination read-modify-write ALU.  Ops the
-codegen does not cover natively run through the emulator's own handler with
-the hoisted state flushed before and reloaded after the call, so coverage
-here is a pure optimization — any recorded trace compiles, though
+Semantics are bit-for-bit those of single-step dispatch: fused ``ret``
+guards, mid-trace self-modification checks after every store, and fault
+repair (``rip`` and ``steps`` exactly as single-stepping would have left
+them) are all emitted inline.  Native coverage spans sized (1/2/4/8-byte)
+ALU and MOV destinations, shifts of any width by immediate or count
+register (with the width-dependent count mask, zero-count flag
+preservation and the defined 1-bit OF), memory-operand ``cmp``/``test``
+and memory-destination read-modify-write ALU.  Ops the codegen does not
+cover natively run through the emulator's own handler with the hoisted
+state flushed before and reloaded after the call, so coverage here is a
+pure optimization — any recorded trace compiles, though
 :func:`compile_trace` declines traces that would mostly round-trip through
-handlers (the closure tier serves those better).
+handlers (single-step warm-up serves those better).
 
 The generated function is self-contained: it advances ``emulator.steps``,
 installs the final ``rip`` and re-raises faults as
@@ -58,8 +57,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.cpu import semantics as _semantics
 from repro.cpu.state import BIT_WIDTHS, EmulationError, SIGN_BITS, SIZE_MASKS
-from repro.cpu.trace import _writes_memory
-from repro.isa.instructions import Mnemonic
+from repro.isa.instructions import Instruction, Mnemonic
 from repro.isa.operands import Imm, Mem, Reg
 from repro.isa.registers import Register
 from repro.memory import MemoryError_
@@ -107,6 +105,22 @@ _FLAG_LOADS = ["cf = _S.cf", "zf = _S.zf", "sf = _S.sf", "of = _S.of"]
 _FLAG_STORES = ["_S.cf = cf", "_S.zf = zf", "_S.sf = sf", "_S.of = of"]
 
 
+def _writes_memory(instruction: Instruction) -> bool:
+    """Whether the instruction can store to memory (and so needs the
+    mid-trace self-modification check after it)."""
+    mnemonic = instruction.mnemonic
+    if mnemonic in (Mnemonic.PUSH, Mnemonic.CALL):
+        return True
+    if mnemonic in (Mnemonic.CMP, Mnemonic.TEST, Mnemonic.JMP, Mnemonic.JCC):
+        return False
+    operands = instruction.operands
+    if operands and isinstance(operands[0], Mem):
+        return True
+    if mnemonic is Mnemonic.XCHG and any(isinstance(op, Mem) for op in operands):
+        return True
+    return False
+
+
 def _signed64(value: int) -> int:
     """to_signed(value, 8) folded at compile time."""
     value &= _M
@@ -137,7 +151,8 @@ class _Codegen:
         self.lines.append("            " + line)
 
     def ea(self, operand: Mem) -> str:
-        """Effective-address expression (mirrors ``trace._ea_factory``)."""
+        """Effective-address expression (mirrors
+        :meth:`repro.cpu.emulator.Emulator.effective_address`)."""
         base, index, scale, disp = (operand.base, operand.index,
                                     operand.scale, operand.disp)
         if index is None:
@@ -884,13 +899,13 @@ def compile_trace(emulator, trace) -> Optional[object]:
 
     Declines when the generated code would mostly round-trip through generic
     handler calls (the flush/reload overhead then outweighs the saved
-    dispatch, so the closure tier stays the better fit).
+    dispatch, so single-step warm-up stays the better fit).
     """
     generator = _Codegen(trace, emulator)
     try:
         source = generator.source()
     # lint: allow-broad-except — any failure to *generate* source is a
-    # decline, not an error: the trace simply stays on the closure tier,
+    # decline, not an error: the trace keeps its single-step warm-up path,
     # which is always correct.  KeyboardInterrupt/SystemExit still pass.
     except Exception:
         return None
@@ -909,7 +924,7 @@ def compile_trace(emulator, trace) -> Optional[object]:
         "_UQ": _UNPACK_QWORD,
         "_EE": EmulationError,
         "_ME": MemoryError_,
-        "_PST": tuple(trace.posts),
+        "_PST": tuple(step.post for step in trace.steps),
     }
     for register in generator.hoisted:
         namespace[f"_K_{register.name}"] = register
@@ -917,7 +932,7 @@ def compile_trace(emulator, trace) -> Optional[object]:
     try:
         code = compile(source, f"<trace@{trace.entry:#x}>", "exec")
         exec(code, namespace)
-    except SyntaxError:  # codegen bug: fall back to the closure tier
+    except SyntaxError:  # codegen bug: keep the single-step warm-up path
         return None
     stats = emulator.jit_stats
     stats.native_steps += generator.native_steps

@@ -18,32 +18,19 @@ in the evaluation grid bottoms out here):
   methods bound into a ``Mnemonic -> handler`` table at construction, and
   the cached decode entry memoizes the handler, so steady-state dispatch is
   one dict probe instead of a ~40-branch ``if`` chain.
-* **Trace cache** — hot addresses are fused into superinstructions: straight
-  -line runs (and ret-chains with concrete stack targets) compile into flat
-  lists of operand-bound closures executed as one unit, skipping the whole
-  per-instruction dispatch (see :mod:`repro.cpu.trace`).  Traces key on the
-  code region's write generation like the decode cache and fall back to
-  single-step whenever hooks are installed or the step budget is nearly
-  exhausted.  Set ``REPRO_TRACE_CACHE=0`` to disable fusion.
-* **Exec-compiled traces** — a trace that stays hot past the closure-tier
-  warm-up is spilled to generated Python source and ``compile``/``exec``'d
-  into one function per trace (see :mod:`repro.cpu.codegen`): registers and
-  flags hoisted into locals, operands and effective addresses constant-
-  folded, ret guards and mid-trace SMC checks inline.  Execution is thus
-  three-tiered — single-step -> closure trace -> compiled trace — with each
-  tier the exact-semantics fallback of the next.  Set
-  ``REPRO_TRACE_COMPILE=0`` to stop at the closure tier;
-  :attr:`Emulator.jit_stats` counts per-tier activity.
-* **Cross-trace superblocks** — a compiled trace whose exit keeps landing
-  on another compiled trace's entry (the guarded-ret/ROP-chain shape, or a
-  trace capped at ``TRACE_CAP`` falling through) is linked with it into a
-  superblock: the constituent compiled functions dispatch tail-to-head
-  without returning to the run loop, with each seam re-checking the next
-  constituent's entry address and region write generation — so the
-  effective fused length grows past ``TRACE_CAP`` while SMC invalidation
-  keys on each constituent exactly (see
-  :func:`repro.cpu.trace.compose_traces`).  Set
-  ``REPRO_TRACE_SUPERBLOCK=0`` to disable linking.
+* **Exec-compiled traces** — hot addresses are recorded as traces:
+  straight-line runs and ret-chains with concrete stack targets (see
+  :mod:`repro.cpu.trace`).  After a short warm-up, each trace is emitted
+  as Python source and ``compile``/``exec``'d into one function (see
+  :mod:`repro.cpu.codegen`), which runs the whole trace without
+  per-instruction dispatch.  Registers and flags are hoisted into locals,
+  operands and effective addresses are constant-folded, and ret guards and
+  mid-trace SMC checks are inline.  Execution is thus two-tiered —
+  single-step -> compiled trace — with single-step the exact-semantics
+  fallback.  Traces key on the code region's write generation like the
+  decode cache and fall back to single-step whenever hooks are installed or
+  the step budget is nearly exhausted.  Set ``REPRO_TRACE_CACHE=0`` to
+  disable fusion; :attr:`Emulator.jit_stats` counts per-tier activity.
 * **Hooked loop** — :meth:`run` only leaves the fused tiers when hooks are
   installed, and then runs one instruction at a time through a loop of its
   own: each decode entry carries the instruction's specialized hook
@@ -74,12 +61,7 @@ from repro.cpu.state import (
 )
 from repro.cpu import semantics as _semantics
 from repro.cpu.codegen import compile_trace
-from repro.cpu.trace import (
-    SUPERBLOCK_CAP as _SUPERBLOCK_CAP,
-    Trace,
-    build_trace,
-    compose_traces,
-)
+from repro.cpu.trace import Trace, build_trace
 from repro.isa.encoding import DecodeError, decode_instruction
 from repro.isa.instructions import Instruction, Mnemonic
 from repro.isa.operands import Imm, Mem, Reg
@@ -106,32 +88,14 @@ _DECODE_CACHE_DEFAULT = knobs.enabled("REPRO_DECODE_CACHE")
 #: fusion globally (debugging aid and the A/B lever the benchmark uses).
 _TRACE_CACHE_DEFAULT = knobs.enabled("REPRO_TRACE_CACHE")
 
-#: Source-compilation default; ``REPRO_TRACE_COMPILE=0`` stops promotion at
-#: the closure tier (the A/B lever for the compiled tier specifically).
-_TRACE_COMPILE_DEFAULT = knobs.enabled("REPRO_TRACE_COMPILE")
-
-#: Cross-trace superblock default; ``REPRO_TRACE_SUPERBLOCK=0`` keeps
-#: compiled traces independent (no tail-to-head fusion through guarded
-#: rets), the A/B lever for the superblock machinery specifically.
-_TRACE_SUPERBLOCK_DEFAULT = knobs.enabled("REPRO_TRACE_SUPERBLOCK")
-
 #: Number of run-loop visits to an address before it is fused into a trace.
 #: One free visit keeps cold straight-through code out of the compiler.
 _TRACE_HEAT_THRESHOLD = 2
 
-#: Closure-tier executions of a trace before it is promoted to the
-#: exec-compiled tier.  Two warm-up runs keep one-shot traces (and the
-#: attack engines' short-lived explorations) away from ``compile()``.
+#: Warm-up runs of a trace before it is compiled.  Two warm-up runs keep
+#: one-shot traces (and the attack engines' short-lived explorations) away
+#: from ``compile()``.
 _TRACE_COMPILE_THRESHOLD = 2
-
-#: Observed tail-to-head transitions from one compiled trace's exit onto
-#: another compiled trace's entry before the pair is fused into a
-#: superblock.  A few repeats filter data-dependent one-off successions.
-_SUPERBLOCK_THRESHOLD = 4
-
-#: Distinct exit addresses tracked per watched trace before the watch is
-#: dropped as megamorphic (a dispatcher-style exit will never stabilize).
-_SUPERBLOCK_FANOUT = 8
 
 #: Transfer slot of a decode entry the hooked loop has not specialized yet.
 _UNSPECIALIZED = object()
@@ -139,24 +103,25 @@ _UNSPECIALIZED = object()
 
 @dataclass
 class JitStats:
-    """Per-emulator counters of the three-tier execution pipeline.
+    """Per-emulator counters of the two-tier execution pipeline.
 
     Attributes:
-        traces_built: traces recorded and closure-compiled (tier 2 entries).
-        traces_compiled: traces promoted to exec-compiled source (tier 3).
+        traces_built: traces recorded.
+        traces_compiled: traces promoted to exec-compiled source.
         compile_declined: promotions declined by the codegen (the trace
-            stays on the closure tier for good).
+            keeps its warm-up path until its code region changes).
         compiled_runs: fused executions served by compiled functions.
-        closure_runs: fused executions served by the closure lists.
+        closure_runs: warm-up runs of uncompiled traces (single-stepped
+            along the recorded path); the end-to-end benchmark reports them
+            under this name.
         native_steps: instructions emitted as native source across all
             compiled traces (static count at compile time).
         generic_steps: instructions compiled as generic-handler round-trips
             (flush/reload around the emulator's own handler) across all
             compiled traces.
-        superblocks_built: cross-trace superblocks compiled (tail-to-head
-            fusions of hot compiled traces through guarded rets).
-        superblock_runs: fused executions served by superblock functions
-            (also counted in ``compiled_runs``).
+        superblock_runs: always 0: there are no cross-trace superblocks
+            (their end-to-end gain was within noise).  Kept because the
+            end-to-end benchmark reads and reports it.
     """
 
     traces_built: int = 0
@@ -166,7 +131,6 @@ class JitStats:
     closure_runs: int = 0
     native_steps: int = 0
     generic_steps: int = 0
-    superblocks_built: int = 0
     superblock_runs: int = 0
 
     @property
@@ -249,21 +213,12 @@ class Emulator:
             (defaults to the ``REPRO_DECODE_CACHE`` environment knob).
         trace_cache: override the superinstruction-fusion toggle for this
             instance (defaults to the ``REPRO_TRACE_CACHE`` environment knob).
-        trace_compile: override the exec-compiled-tier toggle for this
-            instance (defaults to the ``REPRO_TRACE_COMPILE`` environment
-            knob; has no effect while trace fusion itself is disabled).
-        trace_superblock: override the cross-trace-superblock toggle for
-            this instance (defaults to the ``REPRO_TRACE_SUPERBLOCK``
-            environment knob; has no effect while the exec-compiled tier is
-            disabled).
     """
 
     def __init__(self, memory: Memory, host: Optional[HostEnvironment] = None,
                  max_steps: int = 2_000_000,
                  decode_cache: Optional[bool] = None,
-                 trace_cache: Optional[bool] = None,
-                 trace_compile: Optional[bool] = None,
-                 trace_superblock: Optional[bool] = None) -> None:
+                 trace_cache: Optional[bool] = None) -> None:
         self.memory = memory
         self.state = CpuState()
         self.host = host or HostEnvironment()
@@ -279,22 +234,17 @@ class Emulator:
                                       if decode_cache is None else decode_cache)
         self._trace_cache_enabled = (_TRACE_CACHE_DEFAULT
                                      if trace_cache is None else trace_cache)
-        self._trace_compile_enabled = self._trace_cache_enabled and (
-            _TRACE_COMPILE_DEFAULT if trace_compile is None else trace_compile)
-        self._trace_superblock_enabled = self._trace_compile_enabled and (
-            _TRACE_SUPERBLOCK_DEFAULT if trace_superblock is None
-            else trace_superblock)
-        #: closure-tier runs before a trace is promoted to compiled source;
+        #: warm-up runs before a trace is promoted to compiled source;
         #: instance-tunable so tests can force immediate promotion
         self.trace_compile_threshold = _TRACE_COMPILE_THRESHOLD
-        #: three-tier pipeline counters (builds, promotions, per-tier runs)
+        #: two-tier pipeline counters (builds, promotions, per-tier runs)
         self.jit_stats = JitStats()
         #: address -> (instruction, length, region, generation, handler,
         #: transfer); the transfer slot belongs to the hooked run loop
         self._decode_cache: Dict[int, tuple] = {}
         #: the specializer whose transfers the decode entries hold
         self._hooked_specialize: Optional[Callable] = None
-        #: entry address -> compiled superinstruction
+        #: entry address -> recorded (and, once hot, compiled) trace
         self._trace_cache: Dict[int, Trace] = {}
         #: entry address -> run-loop visit count (see _TRACE_HEAT_THRESHOLD)
         self._trace_heat: Dict[int, int] = {}
@@ -470,7 +420,6 @@ class Emulator:
         fetch_slow = self._fetch_slow
         host_space_end = _HOST_SPACE_END
         fuse = self._trace_cache_enabled
-        superblocks = self._trace_superblock_enabled
         traces = self._trace_cache
         trace_get = traces.get
         heat = self._trace_heat
@@ -511,13 +460,6 @@ class Emulator:
                             # directly, skipping the promotion bookkeeping
                             jit.compiled_runs += 1
                             compiled()
-                            if superblocks:
-                                if trace.parts:
-                                    jit.superblock_runs += 1
-                                    if trace.sb_stale:
-                                        self._superblock_demote(trace)
-                                if trace.sb_watch:
-                                    self._superblock_note(trace, state.rip)
                         else:
                             self._execute_trace(trace)
                         continue
@@ -606,27 +548,28 @@ class Emulator:
             self.steps += 1
 
     def _execute_trace(self, trace: Trace) -> None:
-        """Execute one fused superinstruction through the fastest ready tier.
+        """Promote or warm up a trace that has no compiled function yet.
 
-        A trace starts on the closure tier; once it has run
-        :attr:`trace_compile_threshold` times it is promoted to an
-        exec-compiled function (:func:`repro.cpu.codegen.compile_trace`),
-        which handles its own step accounting, ``rip`` installation and
-        fault repair.  The caller has already verified the region generation
-        and that the remaining step budget covers the full trace.  On the
-        closure tier, a False-returning op (failed ret guard, mid-trace
-        self-modification) ends the fused run with the architectural state
-        exactly as single-stepping would have left it; a faulting op repairs
-        ``rip``/``steps`` to match single-step semantics before the error
-        propagates.
+        A trace's first :attr:`trace_compile_threshold` dispatches are
+        warm-up runs; the next one compiles it
+        (:func:`repro.cpu.codegen.compile_trace`) and runs the compiled
+        function, which handles its own step accounting, ``rip``
+        installation and fault repair.  A trace the codegen declines keeps
+        warming up until its code region changes.  The caller has already
+        verified the region generation and that the remaining step budget
+        covers the full trace.
+
+        A warm-up run is the run loop's single-step body (decode cache,
+        generation check, handler) along the recorded addresses.  It stops
+        as soon as ``rip`` leaves that path (a failed ret guard) or a store
+        rewrote the trace's code region, and the run loop carries on from
+        the actual ``rip``.  The interior addresses are thus never counted
+        as run-loop visits, so warm-up records no traces the compiled
+        function would not.  Halting ends the path too: ``hlt`` is always
+        a trace's last step.
         """
         stats = self.jit_stats
-        compiled = trace.compiled
-        if compiled is not None:
-            stats.compiled_runs += 1
-            compiled()
-            return
-        if self._trace_compile_enabled and not trace.compile_failed:
+        if not trace.compile_failed:
             trace.runs += 1
             if trace.runs > self.trace_compile_threshold:
                 compiled = compile_trace(self, trace)
@@ -635,136 +578,30 @@ class Emulator:
                     stats.compile_declined += 1
                 else:
                     trace.compiled = compiled
-                    # the closure list can never run again (invalidation
-                    # rebuilds the whole trace); free it so long-lived
+                    # the recorded steps are never read again (invalidation
+                    # rebuilds the whole trace); free them so long-lived
                     # emulators keep one form per trace, not two
-                    trace.ops = []
-                    trace.posts = []
-                    if self._trace_superblock_enabled:
-                        # anything but a halt exit can seam into a
-                        # successor: start watching this trace's exits
-                        trace.sb_tail = trace.steps[-1].kind != "hlt"
-                        trace.sb_watch = trace.sb_tail
                     trace.steps = []
                     stats.traces_compiled += 1
                     stats.compiled_runs += 1
                     compiled()
-                    if self._trace_superblock_enabled and trace.sb_watch:
-                        self._superblock_note(trace, self.state.rip)
                     return
         stats.closure_runs += 1
-        executed = 0
-        try:
-            for op in trace.ops:
-                executed += 1
-                if not op():
-                    self.steps += executed
-                    return
-        except MemoryError_ as exc:
-            self.steps += executed - 1
-            self.state.rip = trace.posts[executed - 1]
-            raise EmulationError(str(exc)) from exc
-        except EmulationError:
-            self.steps += executed - 1
-            self.state.rip = trace.posts[executed - 1]
-            raise
-        self.steps += executed
-        if trace.final_rip is not None:
-            self.state.rip = trace.final_rip
-
-    def _superblock_demote(self, trace: Trace) -> None:
-        """Drop a composite whose interior seam went permanently stale.
-
-        A seam guard failing its *generation* check means that
-        constituent's code was rewritten, so the composite is degraded to
-        head-only dispatch for good.  Reinstall the head constituent over
-        the cache slot and re-arm its watch, so the run loop re-dispatches
-        the live per-entry traces and the head re-learns the (rebuilt)
-        chain, instead of running a dead seam forever.
-        """
-        head = trace.parts[0]
-        head.sb_watch = head.sb_tail
-        head.sb_counts = None
-        self._trace_cache[trace.entry] = head
-        trace.sb_watch = False
-        trace.sb_counts = None
-
-    def _superblock_note(self, trace: Trace, exit_rip: int) -> None:
-        """Track a compiled trace's exits; link hot tail-to-head chains.
-
-        Called after each run of a watched compiled trace with the address
-        execution continued at.  Once the same exit has repeatedly landed
-        on another hot compiled trace's entry, the chain is linked into a
-        superblock (:func:`repro.cpu.trace.compose_traces`) installed over
-        this trace's cache slot — subsequent runs dispatch the whole chain
-        seam-to-seam without returning to the run loop.  Superblocks are
-        themselves watched, so chains keep growing until
-        :data:`~repro.cpu.trace.SUPERBLOCK_CAP` or an unlinkable tail.
-        """
-        if exit_rip <= _HOST_SPACE_END:
-            # exits into the host/exit range can never link
-            trace.sb_watch = False
-            trace.sb_counts = None
-            return
-        counts = trace.sb_counts
-        if counts is None:
-            counts = trace.sb_counts = {}
-        count = counts.get(exit_rip, 0) + 1
-        if count < _SUPERBLOCK_THRESHOLD:
-            if exit_rip not in counts and len(counts) >= _SUPERBLOCK_FANOUT:
-                # megamorphic exit: stop paying the tracking cost
-                trace.sb_watch = False
-                trace.sb_counts = None
+        state = self.state
+        cache_get = self._decode_cache.get
+        region, generation = trace.region, trace.generation
+        for step in trace.steps:
+            address = step.address
+            if state.rip != address:
                 return
-            counts[exit_rip] = count
-            return
-        successor = self._trace_cache.get(exit_rip)
-        if successor is None or successor.compiled is None:
-            if successor is not None and successor.compile_failed:
-                # the successor lives on the closure tier for good; a seam
-                # can only dispatch compiled functions
-                trace.sb_watch = False
-                trace.sb_counts = None
-            else:
-                # not hot enough yet: retry once the successor is
-                # compiled, but only a bounded number of times — an exit
-                # that never yields a compiled trace must not keep the
-                # watch (and its per-dispatch bookkeeping) alive forever.
-                # The None key can never collide with an exit address.
-                deferrals = counts.get(None, 0) + 1
-                if deferrals >= _SUPERBLOCK_FANOUT:
-                    trace.sb_watch = False
-                    trace.sb_counts = None
-                else:
-                    counts[None] = deferrals
-                    counts[exit_rip] = 0
-            return
-        if trace.length + successor.length > _SUPERBLOCK_CAP:
-            trace.sb_watch = False
-            trace.sb_counts = None
-            return
-        # link greedily: after the observed seam, follow each successor's
-        # static fall-through (a capped trace's final_rip landing on the
-        # next compiled trace) so a whole ROP chain links in one step
-        parts = [trace, successor]
-        total = trace.length + successor.length
-        current = successor
-        while True:
-            tail = current.parts[-1] if current.parts else current
-            if tail.final_rip is None:
-                break
-            nxt = self._trace_cache.get(tail.final_rip)
-            if nxt is None or nxt.compiled is None \
-                    or total + nxt.length > _SUPERBLOCK_CAP:
-                break
-            parts.append(nxt)
-            total += nxt.length
-            current = nxt
-        fused = compose_traces(self, parts)
-        self._trace_cache[trace.entry] = fused
-        trace.sb_watch = False
-        trace.sb_counts = None
-        self.jit_stats.superblocks_built += 1
+            entry = cache_get(address)
+            if entry is None or entry[2].generation != entry[3]:
+                entry = self._fetch_slow(address)
+            state.rip = (address + entry[1]) & _MASK64
+            entry[4](entry[0])
+            self.steps += 1
+            if region.generation != generation:
+                return
 
     # -- snapshots ----------------------------------------------------------
     def snapshot(self) -> EmulatorSnapshot:
@@ -796,8 +633,8 @@ class Emulator:
         self.halted = snap.halted
         if self.memory is snap.source_memory \
                 and self.memory.restore_from(snap.memory):
-            # keep the CpuState (and its regs dict) identity: compiled trace
-            # closures bind them directly
+            # keep the CpuState (and its regs dict) identity: compiled
+            # traces bind them directly
             self.state.restore_from(snap.state)
             return
         self.state = snap.state.fork()

@@ -1,9 +1,8 @@
 """Declarative per-mnemonic semantic contracts shared by every tier.
 
-The emulator executes the same 35-mnemonic ISA through up to four
+The emulator executes the same 35-mnemonic ISA through three
 independently implemented tiers — the single-step handler dispatch
-(:mod:`repro.cpu.emulator`), the closure-tier trace fusers
-(:mod:`repro.cpu.trace`), the exec-compiled source emitters
+(:mod:`repro.cpu.emulator`), the exec-compiled source emitters
 (:mod:`repro.cpu.codegen`) and the DSE symbolic mirror
 (:mod:`repro.attacks.shadow`).  PR 5 demonstrated the failure mode of that
 redundancy: the x86 shift-flag corner cases drifted between tiers and were

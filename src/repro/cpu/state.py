@@ -159,7 +159,7 @@ class CpuState:
         """Overwrite this state with ``other``'s values, in place.
 
         Keeps the :class:`CpuState` object and its ``regs`` dict identities
-        intact, which compiled trace closures (:mod:`repro.cpu.trace`) and
+        intact, which compiled traces (:mod:`repro.cpu.codegen`) and
         other hot-loop consumers bind directly — the CPU half of the
         emulator's in-place snapshot restore.
         """

@@ -67,11 +67,7 @@ def _register(name: str, kind: str, default: Optional[str], scope: str,
 _register("REPRO_DECODE_CACHE", "flag", "1", "src",
           "0 disables the per-address decode cache")
 _register("REPRO_TRACE_CACHE", "flag", "1", "src",
-          "0 disables closure-trace fusion (single-step dispatch)")
-_register("REPRO_TRACE_COMPILE", "flag", "1", "src",
-          "0 disables the exec-compiled trace tier")
-_register("REPRO_TRACE_SUPERBLOCK", "flag", "1", "src",
-          "0 disables cross-trace superblock linking")
+          "0 disables trace fusion (single-step dispatch)")
 
 # -- attack engines (repro.attacks) -------------------------------------------
 _register("REPRO_SNAPSHOT_POOL", "int", "32", "src",

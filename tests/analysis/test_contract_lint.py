@@ -65,20 +65,20 @@ def test_missing_zero_count_guard_is_detected(tmp_path):
     """Reintroducing the PR 5 shift bug in one tier fails the checker.
 
     x86 semantics: a shift whose masked count is zero modifies neither the
-    destination nor any flag.  The closure fuser encodes that as an early
-    ``return _NOOP``; delete it and the fused shift silently clobbers
-    flags on zero counts again — exactly the historical divergence the
-    dynamic differential tests only catch when a trace happens to contain
-    a zero-count shift.  The checker must catch it statically.
+    destination nor any flag.  The codegen's immediate-count shift emitter
+    encodes that as an early ``return True`` that emits nothing; delete it
+    and the compiled shift silently clobbers flags on zero counts again —
+    exactly the historical divergence the dynamic differential tests only
+    catch when a trace happens to contain a zero-count shift.  The checker
+    must catch it statically.
     """
     def plant(copy):
-        path = copy / "repro" / "cpu" / "trace.py"
+        path = copy / "repro" / "cpu" / "codegen.py"
         text = path.read_text()
-        guard = ("    if amount == 0:\n"
-                 "        # x86: a masked count of zero modifies neither "
-                 "flags nor the\n"
-                 "        # destination — the whole instruction folds away\n"
-                 "        return _NOOP\n")
+        guard = ("            if amount == 0:\n"
+                 "                # masked zero count: the whole instruction "
+                 "folds away\n"
+                 "                return True\n")
         assert text.count(guard) == 1
         path.write_text(text.replace(guard, ""))
 
@@ -111,9 +111,9 @@ def test_incomplete_tier_registration_is_detected(tmp_path):
     is an import-time error the checker reports rather than swallows.
     """
     def plant(copy):
-        path = copy / "repro" / "cpu" / "trace.py"
+        path = copy / "repro" / "cpu" / "codegen.py"
         text = path.read_text()
-        entry = "        Mnemonic.NEG: \"_fuse_neg\",\n"
+        entry = "        Mnemonic.NEG: \"_op_neg\",\n"
         assert text.count(entry) == 1
         path.write_text(text.replace(entry, ""))
 

@@ -1,12 +1,11 @@
-"""Differential tests for the three execution tiers.
+"""Differential tests for the two execution tiers.
 
 Every behaviour here is asserted as *equality between tiers*: single-step
-dispatch (the reference semantics), the closure-trace tier
-(``trace_compile=False``) and the exec-compiled tier (``trace_compile=True``
-with promotion forced).  The property-based test drives randomly generated
+dispatch (the reference semantics) and the exec-compiled tier (with
+promotion forced).  The property-based test drives randomly generated
 instruction sequences — including sub-width operands, flag consumers and
 memory traffic that exercises both the native codegen emitters and the
-generic handler fallback — through all three tiers and requires identical
+generic handler fallback — through both tiers and requires identical
 registers, flags, memory, step counts and fault outcomes.
 """
 
@@ -15,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.binary import BinaryImage, load_image
 from repro.cpu import Emulator, TraceRecorder
+from repro.cpu.codegen import compile_trace
 from repro.cpu.host import EXIT_ADDRESS
 from repro.cpu.state import EmulationError
 from repro.isa import Imm, Mem, Reg, assemble
@@ -58,8 +58,7 @@ def start_call(emulator, program, seeds=()):
 
 _TIERS = {
     "single": dict(trace_cache=False),
-    "closure": dict(trace_cache=True, trace_compile=False),
-    "compiled": dict(trace_cache=True, trace_compile=True),
+    "compiled": dict(trace_cache=True),
 }
 
 
@@ -68,7 +67,7 @@ def run_tier(body, seeds, tier, data=bytes(_BLOB_SIZE), rounds=3,
     """Run ``body`` ``rounds`` times on one tier; return per-round outcomes."""
     program = build_program(body, data=data)
     emulator = Emulator(program.memory, max_steps=max_steps, **_TIERS[tier])
-    emulator.trace_compile_threshold = 0  # promote on the second fused run
+    emulator.trace_compile_threshold = 0  # compile on the first fused run
     outcomes = []
     for index in range(rounds):
         start_call(emulator, program, seeds)
@@ -90,9 +89,7 @@ def run_tier(body, seeds, tier, data=bytes(_BLOB_SIZE), rounds=3,
 
 def assert_tiers_agree(body, seeds, data=bytes(_BLOB_SIZE), rounds=3):
     single = run_tier(body, seeds, "single", data=data, rounds=rounds)
-    closure = run_tier(body, seeds, "closure", data=data, rounds=rounds)
     compiled = run_tier(body, seeds, "compiled", data=data, rounds=rounds)
-    assert single == closure
     assert single == compiled
 
 
@@ -262,41 +259,129 @@ _LOOP_BODY = [
 ]
 
 
-def test_promotion_counters_and_cached_functions():
-    """Closure warm-up runs precede promotion; compiled runs dominate after."""
+def test_promotion_counters_and_cached_functions(monkeypatch):
+    """Each trace's first ``trace_compile_threshold`` dispatches are warm-up
+    runs, the next one compiles it, and compiled runs dominate after."""
+    import repro.cpu.emulator as emulator_module
+
+    runs_at_compile = []
+
+    def spy(emulator, trace):
+        runs_at_compile.append(trace.runs)
+        return compile_trace(emulator, trace)
+
+    monkeypatch.setattr(emulator_module, "compile_trace", spy)
     program = build_program(_LOOP_BODY)
-    emulator = Emulator(program.memory, trace_cache=True, trace_compile=True)
+    emulator = Emulator(program.memory, trace_cache=True)
+    threshold = emulator.trace_compile_threshold
+    assert threshold == 2
     for _ in range(8):
         start_call(emulator, program, [(Register.RDI, 50)])
         emulator.run()
     stats = emulator.jit_stats
-    assert stats.traces_built > 0
-    assert stats.traces_compiled > 0
-    assert stats.closure_runs > 0, "warm-up tier should have served first"
+    traces = list(emulator._trace_cache.values())
+    assert stats.traces_built == len(traces) > 0
+    assert stats.traces_compiled == len(runs_at_compile) > 0
+    assert stats.compile_declined == 0
+    # every compile came on the dispatch right after exactly ``threshold``
+    # warm-up runs, and no trace warmed up more than that
+    assert runs_at_compile == [threshold + 1] * len(runs_at_compile)
+    assert stats.closure_runs == sum(min(trace.runs, threshold)
+                                     for trace in traces) > 0
     assert stats.compiled_runs > stats.closure_runs
     assert 0.0 < stats.compiled_hit_rate < 1.0
-    assert any(trace.compiled is not None
-               for trace in emulator._trace_cache.values())
+    assert stats.superblock_runs == 0
+    assert any(trace.compiled is not None for trace in traces)
 
 
-def test_trace_compile_toggle_stays_on_closures():
-    program = build_program(_LOOP_BODY)
-    emulator = Emulator(program.memory, trace_cache=True, trace_compile=False)
-    emulator.trace_compile_threshold = 0
-    for _ in range(6):
-        start_call(emulator, program, [(Register.RDI, 50)])
-        emulator.run()
-    assert emulator.jit_stats.traces_compiled == 0
-    assert emulator.jit_stats.compiled_runs == 0
-    assert all(trace.compiled is None
-               for trace in emulator._trace_cache.values())
+def _gadget_image(*gadgets):
+    """A text section holding each gadget body back to back; returns the
+    loaded program and the gadget addresses."""
+    image = BinaryImage()
+    addresses = []
+    for body in gadgets:
+        code, _ = assemble(body, base_address=image.text.end)
+        addresses.append(image.text.append(code))
+    return load_image(image), addresses
+
+
+def _run_chain(emulator, program, chain, rax=0):
+    """Run a ROP chain (first slot is the entry gadget) to completion."""
+    emulator.halted = False
+    rsp = program.stack_top - 0x1000
+    for offset, value in enumerate(chain):
+        emulator.memory.write_int(rsp + 8 * offset, value, 8)
+    emulator.state.write_reg(Register.RSP, rsp + 8)
+    emulator.state.write_reg(Register.RAX, rax)
+    emulator.state.rip = chain[0]
+    emulator.run()
+    return (dict(emulator.state.regs), emulator.state.flags_tuple(),
+            emulator.state.rip, emulator.steps)
+
+
+def test_warm_up_leaves_the_recorded_path_on_a_rewritten_ret():
+    """A ret popping a rewritten target ends a warm-up run mid-trace, with
+    the state single-step would leave, and warm-up never heats interior
+    addresses."""
+    program, (g1, g2, g3) = _gadget_image(
+        [make("pop", Reg(Register.RDI)), make("ret")],
+        [make("add", Reg(Register.RDI), Imm(1)),
+         make("mov", Reg(Register.RAX), Reg(Register.RDI)), make("ret")],
+        [make("add", Reg(Register.RDI), Imm(2)),
+         make("mov", Reg(Register.RAX), Reg(Register.RDI)), make("ret")])
+    chains = [[g1, 41, g2, EXIT_ADDRESS]] * 2 + [[g1, 10, g3, EXIT_ADDRESS]]
+    single = Emulator(load_image(program.image).memory, trace_cache=False)
+    expected = [_run_chain(single, program, chain) for chain in chains]
+
+    emulator = Emulator(program.memory, trace_cache=True)
+    actual = [_run_chain(emulator, program, chain) for chain in chains]
+    assert actual == expected
+    assert expected[-1][0][Register.RAX] == 12
+    # g1's trace (pop, ret -> g2, add, mov, ret) was recorded on the second
+    # run and warmed up on the second and third; the third left it at the
+    # guarded ret
+    trace = emulator._trace_cache[g1]
+    assert trace.compiled is None and trace.runs == 2
+    assert [step.kind for step in trace.steps] == [
+        "op", "ret_guard", "op", "op", "ret_final"]
+    stats = emulator.jit_stats
+    assert (stats.traces_built, stats.closure_runs,
+            stats.traces_compiled) == (1, 2, 0)
+    # g2 sits inside g1's trace: only the first, single-stepped run visited
+    # it from the run loop
+    assert g2 not in emulator._trace_cache
+    assert emulator._trace_heat[g2] == 1
+
+
+def test_bench_workload_jit_counters_are_pinned():
+    """fasta under ROP1.00 (seed 1), the emulator bench workload: warm-up
+    heats no interior address, so the JIT records and compiles exactly the
+    traces it always has."""
+    from repro.obfuscation.configs import apply_configuration, ropk
+    from repro.workloads.clbg import build_clbg_program
+
+    source, entry, argument, names = build_clbg_program("fasta")
+    image = apply_configuration(source, names, ropk(1.00), seed=1)
+    program = load_image(image)
+    emulator = Emulator(program.memory, max_steps=5_000_000,
+                        trace_cache=True)
+    emulator.state.write_reg(Register.RSP, program.stack_top)
+    emulator.state.write_reg(Register.RBP, program.stack_top)
+    emulator.state.write_reg(Register.RDI, argument)
+    emulator.push(EXIT_ADDRESS)
+    emulator.state.rip = image.function(entry).address
+    emulator.run()
+    stats = emulator.jit_stats
+    assert emulator.steps == 1_121_460
+    assert (stats.traces_built, stats.traces_compiled,
+            stats.compile_declined, stats.closure_runs) == (38, 28, 0, 66)
 
 
 def test_compiled_trace_invalidated_by_self_modification():
     """Patching code under a compiled trace recompiles from the new bytes."""
     program = build_program(_LOOP_BODY)
     address = program.image.function("f").address
-    emulator = Emulator(program.memory, trace_cache=True, trace_compile=True)
+    emulator = Emulator(program.memory, trace_cache=True)
     emulator.trace_compile_threshold = 0
     for _ in range(4):
         start_call(emulator, program, [(Register.RDI, 5)])
@@ -351,7 +436,7 @@ def test_mid_trace_self_modification_under_compiled_tier():
     image.add_function("f", address, len(code))
     program = load_image(image)
 
-    emulator = Emulator(program.memory, trace_cache=True, trace_compile=True)
+    emulator = Emulator(program.memory, trace_cache=True)
     emulator.trace_compile_threshold = 0
     for value in (5, 9, 13, 21, 33):
         emulator.halted = False
@@ -379,7 +464,7 @@ def test_compiled_ret_guard_follows_rewritten_chain():
                            make("ret")], base_address=image.text.end)
     g3 = image.text.append(gadget3)
     program = load_image(image)
-    emulator = Emulator(program.memory, trace_cache=True, trace_compile=True)
+    emulator = Emulator(program.memory, trace_cache=True)
     emulator.trace_compile_threshold = 0
 
     def run_chain(chain):
@@ -401,7 +486,7 @@ def test_compiled_ret_guard_follows_rewritten_chain():
 def test_hooks_bypass_compiled_traces_entirely():
     """With hot compiled traces cached, a hook still sees every instruction."""
     program = build_program(_LOOP_BODY)
-    emulator = Emulator(program.memory, trace_cache=True, trace_compile=True)
+    emulator = Emulator(program.memory, trace_cache=True)
     emulator.trace_compile_threshold = 0
     for _ in range(4):
         start_call(emulator, program, [(Register.RDI, 10)])
@@ -424,8 +509,7 @@ def test_hooks_bypass_compiled_traces_entirely():
 def test_budget_exact_with_compiled_traces():
     program = build_program(["spin", make("jmp", Label("spin")), "end",
                              make("ret")])
-    emulator = Emulator(program.memory, max_steps=10_000, trace_cache=True,
-                        trace_compile=True)
+    emulator = Emulator(program.memory, max_steps=10_000, trace_cache=True)
     emulator.trace_compile_threshold = 0
     start_call(emulator, program)
     with pytest.raises(EmulationError):
@@ -550,7 +634,7 @@ def test_sized_and_mem_alu_native_coverage_counted():
         make("ret"),
     ]
     program = build_program(body)
-    emulator = Emulator(program.memory, trace_cache=True, trace_compile=True)
+    emulator = Emulator(program.memory, trace_cache=True)
     emulator.trace_compile_threshold = 0
     for _ in range(4):
         start_call(emulator, program, [(Register.RCX, 3)])

@@ -1,14 +1,14 @@
-"""Cross-trace superblock tests.
+"""Long hot-path tests for the compiled-trace tier.
 
-Superblocks link hot compiled traces tail-to-head (through guarded rets,
-immediate branches, and the fall-through of traces capped at ``TRACE_CAP``)
-into one dispatch unit whose seams re-check exactly what the run loop would
-have checked, letting the effective fused length grow past ``TRACE_CAP``.
-These tests assert the linking actually engages on chain shapes, that every
-differential outcome (registers, flags, steps, memory) matches single-step
-and superblock-off execution, and that the per-constituent generation keys
-invalidate superblocks exactly like ordinary traces under self-modifying
-code and rewritten ret chains.
+A hot path longer than ``TRACE_CAP`` — a ROP chain of many gadgets, a loop
+left through its conditional branch — runs as a *superblock*: a sequence of
+consecutive compiled traces, each ending at the cap, at a ``ret`` guard that
+fails, or at a conditional branch, with the run loop dispatching the next
+one from the actual ``rip``.  These tests assert that such paths do run
+compiled, that every outcome (registers, flags, steps, memory) matches
+single-step execution, that the step budget stays exact inside them, that
+hooks still see every instruction, and that the per-trace generation keys
+invalidate them under self-modifying code and rewritten ret chains.
 """
 
 import pytest
@@ -57,10 +57,7 @@ def _emulator(program, **kwargs):
 
 _MODES = {
     "single": dict(trace_cache=False),
-    "sb_off": dict(trace_cache=True, trace_compile=True,
-                   trace_superblock=False),
-    "sb_on": dict(trace_cache=True, trace_compile=True,
-                  trace_superblock=True),
+    "compiled": dict(trace_cache=True),
 }
 
 
@@ -74,31 +71,30 @@ def test_superblocks_fuse_past_trace_cap_and_agree():
         emulator = _emulator(fresh, **kwargs)
         outcomes[mode] = [_run_chain(emulator, fresh, chain)
                          for _ in range(25)]
-        if mode == "sb_on":
+        if mode == "compiled":
             stats = emulator.jit_stats
-            assert stats.superblocks_built > 0
-            assert stats.superblock_runs > 0
-            assert any(trace.parts and trace.length > TRACE_CAP
-                       for trace in emulator._trace_cache.values())
-        if mode == "sb_off":
-            assert emulator.jit_stats.superblocks_built == 0
-            assert emulator.jit_stats.superblock_runs == 0
-    assert outcomes["single"] == outcomes["sb_off"]
-    assert outcomes["single"] == outcomes["sb_on"]
+            assert stats.traces_compiled > 0
+            assert stats.compiled_runs > 0
+            assert stats.superblock_runs == 0
+            traces = emulator._trace_cache.values()
+            # the chain is split at the cap into consecutive compiled traces
+            assert any(trace.length == TRACE_CAP and trace.compiled
+                       for trace in traces)
+            assert all(trace.length <= TRACE_CAP for trace in traces)
+    assert outcomes["single"] == outcomes["compiled"]
 
 
 def test_superblock_ret_guard_follows_rewritten_chain():
-    """A rewritten chain slot must divert out of a fused superblock."""
+    """A rewritten chain slot must divert out of the compiled chain."""
     program, gadgets = _chain_program()
-    emulator = _emulator(program, trace_cache=True, trace_compile=True,
-                         trace_superblock=True)
+    emulator = _emulator(program, trace_cache=True)
     chain = gadgets + [EXIT_ADDRESS]
     reference = None
     for _ in range(25):
         reference = _run_chain(emulator, program, chain)
-    assert emulator.jit_stats.superblocks_built > 0
+    assert emulator._trace_cache[gadgets[0]].compiled is not None
 
-    # divert the chain at a slot in the middle of the fused region: drop
+    # divert the chain at a slot in the middle of the head trace: drop
     # every gadget past the first five
     short_chain = gadgets[:5] + [EXIT_ADDRESS]
     single = _emulator(load_image(program.image), trace_cache=False)
@@ -109,14 +105,13 @@ def test_superblock_ret_guard_follows_rewritten_chain():
 
 
 def test_superblock_invalidated_by_self_modification():
-    """Patching a gadget under a fused superblock takes effect at once."""
+    """Patching a gadget under a compiled chain takes effect at once."""
     program, gadgets = _chain_program(gadget_count=30)
-    emulator = _emulator(program, trace_cache=True, trace_compile=True,
-                         trace_superblock=True)
+    emulator = _emulator(program, trace_cache=True)
     chain = gadgets + [EXIT_ADDRESS]
     for _ in range(25):
         baseline = _run_chain(emulator, program, chain)
-    assert emulator.jit_stats.superblocks_built > 0
+    assert emulator._trace_cache[gadgets[0]].compiled is not None
 
     # rewrite gadget 10's add immediate (add rax, 11 -> add rax, 100)
     patched, _ = assemble([make("add", Reg(Register.RAX), Imm(100)),
@@ -133,53 +128,15 @@ def test_superblock_invalidated_by_self_modification():
     assert actual[:2] != baseline[:2]
 
 
-def test_superblock_demotes_when_interior_seam_goes_stale():
-    """Rewriting one constituent's (separate) region must not wedge the
-    composite into head-only dispatch: it demotes, then re-links the
-    rebuilt chain."""
-    image = BinaryImage()
-    g1, _ = assemble([make("add", Reg(Register.RAX), Imm(1)), make("ret")],
-                     base_address=image.text.address)
-    a1 = image.text.append(g1)
-    # the second gadget lives in the DATA region, so rewriting it bumps
-    # only that region's generation: the composite head's region stays
-    # fresh and the run loop keeps dispatching the (degraded) composite
-    g2, _ = assemble([make("add", Reg(Register.RAX), Imm(2)), make("ret")],
-                     base_address=image.data.address)
-    a2 = image.data.append(g2)
-    program = load_image(image)
-    emulator = _emulator(program, trace_cache=True, trace_compile=True,
-                         trace_superblock=True)
-    chain = [a1, a2, EXIT_ADDRESS]
-    for _ in range(25):
-        assert _run_chain(emulator, program, chain, rax=0)[0] == 3
-    built_before = emulator.jit_stats.superblocks_built
-    assert built_before > 0
-    assert emulator._trace_cache[a1].parts, "chain should have linked"
-
-    patched, _ = assemble([make("add", Reg(Register.RAX), Imm(50)),
-                           make("ret")], base_address=a2)
-    program.memory.write(a2, patched)
-    for _ in range(30):
-        assert _run_chain(emulator, program, chain, rax=0)[0] == 51
-    # the stale composite was demoted and the live chain re-linked: no
-    # cached superblock may carry a stale constituent
-    after = emulator._trace_cache[a1]
-    if after.parts:
-        assert emulator.jit_stats.superblocks_built > built_before
-        assert all(part.generation == part.region.generation
-                   for part in after.parts)
-
-
 def test_superblock_budget_stays_exact():
     program, gadgets = _chain_program()
     chain = gadgets + [EXIT_ADDRESS]
-    emulator = _emulator(program, max_steps=10_000, trace_cache=True,
-                         trace_compile=True, trace_superblock=True)
+    emulator = _emulator(program, max_steps=10_000, trace_cache=True)
     for _ in range(25):
         _run_chain(emulator, program, chain)
-    assert emulator.jit_stats.superblocks_built > 0
-    # a budget landing mid-superblock must stop at exactly that step
+    assert emulator.jit_stats.traces_compiled > 0
+    # a budget landing past the first capped trace must stop at exactly
+    # that step
     steps_before = emulator.steps
     emulator.halted = False
     rsp = program.stack_top - 0x1000
@@ -193,7 +150,7 @@ def test_superblock_budget_stays_exact():
 
 
 def test_jcc_seam_superblock_exits_on_the_other_side():
-    """A conditional-branch seam guards the non-linked side correctly."""
+    """A hot loop's conditional branch leaves on its cold side correctly."""
     image = BinaryImage()
     body = [
         "head",
@@ -228,34 +185,21 @@ def test_jcc_seam_superblock_exits_on_the_other_side():
         # runs exercise the guard exit on the other side
         results[mode] = [call(emulator, bound)
                         for bound in [200] * 20 + [1, 2, 3, 0]]
-    assert results["single"] == results["sb_off"]
-    assert results["single"] == results["sb_on"]
-
-
-def test_superblock_toggle_off_keeps_traces_independent():
-    program, gadgets = _chain_program()
-    chain = gadgets + [EXIT_ADDRESS]
-    emulator = _emulator(program, trace_cache=True, trace_compile=True,
-                         trace_superblock=False)
-    for _ in range(25):
-        _run_chain(emulator, program, chain)
-    stats = emulator.jit_stats
-    assert stats.traces_compiled > 0
-    assert stats.superblocks_built == 0
-    assert all(not trace.parts for trace in emulator._trace_cache.values())
+        if mode == "compiled":
+            assert emulator.jit_stats.traces_compiled > 0
+    assert results["single"] == results["compiled"]
 
 
 def test_hooks_bypass_superblocks():
-    """Hooks force single-step even with fused superblocks cached."""
+    """Hooks force single-step even with a compiled chain cached."""
     from repro.cpu import TraceRecorder
 
     program, gadgets = _chain_program(gadget_count=30)
     chain = gadgets + [EXIT_ADDRESS]
-    emulator = _emulator(program, trace_cache=True, trace_compile=True,
-                         trace_superblock=True)
+    emulator = _emulator(program, trace_cache=True)
     for _ in range(25):
         _run_chain(emulator, program, chain)
-    assert emulator.jit_stats.superblocks_built > 0
+    assert emulator.jit_stats.traces_compiled > 0
 
     recorder = TraceRecorder().attach(emulator)
     steps_before = emulator.steps
