@@ -11,9 +11,10 @@ equal to the serial :meth:`repro.attacks.dse.DseEngine.explore` loop's:
   RNG.  Branch negation, solving and dedup all happen here, exactly as in
   the serial loop; workers never expand paths on their own.
 * **Workers** each own a full :class:`~repro.attacks.dse.DseEngine` (built
-  after fork, so the binary image is inherited, not pickled) and do only
-  the expensive part: claim a pending ``(assignment, resume_key)`` from the
-  shared task queue, execute it concretely under the shadow tracker on
+  on the worker's first task from a factory registered before the pool
+  forks, so the binary image is inherited, not pickled) and do only the
+  expensive part: claim a pending ``(assignment, resume_key)`` from the
+  pool's task queue, execute it concretely under the shadow tracker on
   their private rewound emulator, and stream the
   :class:`~repro.attacks.dse.ExecutionResult` back.
 
@@ -32,100 +33,83 @@ inputs of the RandomFuns suite), an exhaustive frontier run explores
 *exactly* the serial explorer's path set in any execution order — the
 differential property ``tests/attacks/test_frontier.py`` asserts.
 
-Fault tolerance: workers announce each claimed task before executing it, so
-when a worker dies — crash, OOM-kill, or even a *clean* premature exit —
-the coordinator returns its claimed branch decision to the frontier,
-respawns the worker slot and reassigns the work.  A worker that *hangs*
-rather than dies is caught the same way: the coordinator times each
-observed claim against the ``REPRO_UNIT_TIMEOUT`` deadline (the claim-cell
-protocol shared with :mod:`repro.evaluation.parallel`), kills the stuck
-worker and requeues its decision.  Because the path set is determined
-entirely by coordinator-owned state (frontier, dedupe sets, solver), a
-recovered exploration still equals the serial explorer's — the
-fault-injection differential tests (``REPRO_FAULT_INJECT``, see
-:mod:`repro.faults`) kill and hang workers mid-exploration and assert
-exactly that.
+Supervision comes from :class:`repro.evaluation.parallel.WorkerPool`: the
+explorer is a client of its :meth:`~repro.evaluation.parallel.WorkerPool.submit`
+/ :meth:`~repro.evaluation.parallel.WorkerPool.pump` API, like the grid's
+``map`` and the attack service.  Each dispatched decision is a
+:class:`_FrontierTask` unit; the pool's claim-cell protocol turns a worker
+that dies — crash, OOM-kill, or even a *clean* premature exit — or hangs
+past the ``REPRO_UNIT_TIMEOUT`` deadline into an event, and the coordinator
+returns the lost decision to the frontier (under a fresh dispatch id,
+attempt-capped by ``REPRO_UNIT_RETRIES``) while the pool respawns the slot.
+Because the path set is determined entirely by coordinator-owned state
+(frontier, dedupe sets, solver), a recovered exploration still equals the
+serial explorer's — the fault-injection differential tests
+(``REPRO_FAULT_INJECT``, see :mod:`repro.faults`) kill and hang workers
+mid-exploration and assert exactly that.
 
-``workers <= 1`` — or a platform without the fork start method — delegates
-to the serial engine outright.
+``workers <= 1`` — or a pool that cannot run in parallel (no fork start
+method, or a coordinator that is itself a daemonic pool worker, which may
+not fork) — delegates to the serial engine outright.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
-import queue as queue_module
 import random
 import sys
 import time
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.attacks.dse import DseEngine, ExecutionResult, InputSpec
 from repro.attacks.engine import EngineStats, sharded_pool_capacity
 from repro.attacks.solver.solver import ConstraintSolver
 from repro.binary.image import BinaryImage
-from repro.faults import (inject_fault, parse_fault_spec, unit_retries,
-                          unit_timeout)
-
-#: Seconds between liveness checks while waiting on worker results.
-_POLL_SECONDS = 0.5
-
-
-def fork_available() -> bool:
-    """Whether the fork start method (required by the worker pool) exists."""
-    return "fork" in multiprocessing.get_all_start_methods()
-
+from repro.evaluation.parallel import (WorkerPool, fork_available,
+                                       register_unit_executor)
+from repro.faults import unit_retries, unit_timeout
 
 _STAT_FIELDS = tuple(field.name for field in dataclasses.fields(EngineStats)
                      if field.name != "elapsed")
 
+#: explorer token -> worker engine factory.  The coordinator registers its
+#: factory before its pool forks, so every worker (respawned replacements
+#: included) inherits it.
+_ENGINE_FACTORIES: Dict[int, Callable[[], DseEngine]] = {}
 
-def _worker_main(worker_index: int, engine_factory: Callable[[], DseEngine],
-                 task_queue, result_queue, claim_cell) -> None:
-    """Worker loop: execute claimed tasks until the ``None`` sentinel.
+#: explorer token -> this worker's engine, built on its first task
+#: (populated inside pool workers only).
+_WORKER_ENGINES: Dict[int, DseEngine] = {}
 
-    Every claimed task is announced in ``claim_cell`` — a shared int the
-    coordinator reads to return a dead worker's branch decision to the
-    frontier.  The claim must NOT travel through the result queue: queue
-    puts are flushed by a background feeder thread, so a worker dying right
-    after claiming (SIGKILL, OOM) would lose the in-flight claim message and
-    strand the decision forever; the shared-memory write is synchronous and
-    survives any death.  Results carry the engine's per-execution stat
-    deltas so the coordinator can aggregate instructions/restores without a
-    second message exchange.  Deep shadow-expression DAGs can out-recurse
-    pickle's default limit, so it is raised before any result is serialized.
-    Interrupts (``KeyboardInterrupt``/``SystemExit``) re-raise instead of
-    being reported as task errors: the coordinator treats the dying worker
-    like any other premature exit.
-    """
+
+@dataclass(frozen=True)
+class _FrontierTask:
+    """One pending branch decision, dispatched to a pool worker."""
+
+    explorer: int
+    assignment: Dict[str, int]
+    resume_key: Optional[Tuple]
+
+
+def _execute_frontier_task(task: _FrontierTask) -> Tuple[ExecutionResult, dict]:
+    """Execute one decision on this worker's engine; return the result and
+    the engine's stat delta, so the coordinator aggregates instructions and
+    restores without a second message exchange.  Deep shadow-expression DAGs
+    can out-recurse pickle's default limit, so it is raised before the
+    result is serialized."""
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
-    fault_spec = parse_fault_spec()
-    engine = engine_factory()
-    while True:
-        task = task_queue.get()
-        if task is None:
-            break
-        task_id, assignment, resume_key = task
-        claim_cell.value = task_id
-        before = {name: getattr(engine.stats, name) for name in _STAT_FIELDS}
-        try:
-            inject_fault(task_id, 0, fault_spec)
-            result = engine.execute(assignment, resume_key=resume_key)
-            delta = {name: getattr(engine.stats, name) - before[name]
-                     for name in _STAT_FIELDS}
-            result_queue.put((worker_index, "ok", (task_id, result), delta))
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        # lint: allow-broad-except — worker blast containment: any
-        # failure becomes an error event for the coordinator (KeyboardInterrupt/
-        # SystemExit re-raised above)
-        except BaseException as exc:  # surface, don't hang the coordinator
-            result_queue.put((worker_index, "error",
-                              (task_id, f"{type(exc).__name__}: {exc}"),
-                              None))
-        # cleared only after the result is queued: a death in between leaves
-        # a stale claim, which the drain-first recovery ignores
-        claim_cell.value = -1
+    engine = _WORKER_ENGINES.get(task.explorer)
+    if engine is None:
+        engine = _ENGINE_FACTORIES[task.explorer]()
+        _WORKER_ENGINES[task.explorer] = engine
+    before = {name: getattr(engine.stats, name) for name in _STAT_FIELDS}
+    result = engine.execute(task.assignment, resume_key=task.resume_key)
+    return result, {name: getattr(engine.stats, name) - before[name]
+                    for name in _STAT_FIELDS}
+
+
+register_unit_executor(_FrontierTask, _execute_frontier_task)
 
 
 class FrontierExplorer:
@@ -165,7 +149,8 @@ class FrontierExplorer:
         #: worker index -> concrete executions it performed (serial
         #: delegation reports everything under worker 0).
         self.executions_by_worker: Dict[int, int] = {}
-        #: replacement workers forked after a premature worker exit.
+        #: replacement workers forked after a premature worker exit or a
+        #: deadline kill (the pool's ``stats.respawns``).
         self.respawns = 0
         #: claimed decisions whose ``REPRO_UNIT_TIMEOUT`` deadline expired.
         self.timeouts = 0
@@ -205,16 +190,29 @@ class FrontierExplorer:
             self.stats = stats
             self.executions_by_worker = {0: stats.executions}
             return results, stats
-        return self._explore_distributed(time_budget, max_executions,
-                                         stop_condition, max_solver_queries)
+        pool = WorkerPool(self.workers,
+                          snapshot_share=self.worker_pool_capacity)
+        token = id(self)
+        _ENGINE_FACTORIES[token] = \
+            lambda: self._make_engine(self.worker_pool_capacity)
+        try:
+            with pool:
+                return self._explore_distributed(
+                    pool, token, time_budget, max_executions, stop_condition,
+                    max_solver_queries)
+        finally:
+            del _ENGINE_FACTORIES[token]
+            self.respawns = pool.stats.respawns
+            self.timeouts = pool.stats.timeouts
 
-    def _explore_distributed(self, time_budget, max_executions,
-                             stop_condition, max_solver_queries):
+    def _explore_distributed(self, pool: WorkerPool, token: int, time_budget,
+                             max_executions, stop_condition,
+                             max_solver_queries):
         start = time.monotonic()  # lint: allow-wallclock — wall-clock attack budget, reported not row-keyed
         stats = self.stats
         initial = {name: 0 for name in self.symbols}
         # pending entries are (priority, assignment, resume_key, attempt);
-        # attempt counts how often a worker died holding this decision
+        # attempt counts how often a worker died or hung holding it
         pending: List[Tuple[int, Dict[str, int], Optional[Tuple], int]] = \
             [(0, initial, None, 0)]
         seen_inputs: Set[Tuple] = {tuple(sorted(initial.items()))}
@@ -222,235 +220,98 @@ class FrontierExplorer:
         results: List[ExecutionResult] = []
         path_signatures: Set[Tuple] = set()
         self.executions_by_worker = {index: 0 for index in range(self.workers)}
-        self.respawns = 0
-        self.timeouts = 0
         retries = unit_retries()
         deadline = unit_timeout()
-        respawn_limit = max(8, self.workers * (retries + 2))
-
-        context = multiprocessing.get_context("fork")
-        task_queue = context.Queue()
-        result_queue = context.Queue()
-        #: per-slot shared claim cells (-1 = idle); see :func:`_worker_main`
-        claim_cells = [context.Value("q", -1, lock=False)
-                       for _ in range(self.workers)]
-        factory = lambda: self._make_engine(self.worker_pool_capacity)  # noqa: E731
-
-        def spawn(index: int):
-            claim_cells[index].value = -1
-            process = context.Process(
-                target=_worker_main,
-                args=(index, factory, task_queue, result_queue,
-                      claim_cells[index]),
-                daemon=True)
-            process.start()
-            return process
-
-        processes: Dict[int, object] = {index: spawn(index)
-                                        for index in range(self.workers)}
-        #: dispatched-but-unresolved tasks, by task id
+        respawn_limit = pool.respawn_limit(retries)
+        #: dispatched-but-unresolved decisions, by pool dispatch id
         inflight: Dict[int, Tuple[int, Dict[str, int], Optional[Tuple], int]] = {}
-        #: results drained off the queue, waiting for frontier expansion
-        arrived: List[Tuple[int, ExecutionResult, dict]] = []
-        next_task_id = 0
         stopped = False
-        #: slot -> (claimed task id, first observed) — the coordinator's
-        #: view of the shared claim cells; deadlines run from observation
-        observed: Dict[int, Optional[Tuple[int, float]]] = {
-            slot: None for slot in range(self.workers)}
 
-        def handle(message) -> None:
-            worker_index, kind, payload, delta = message
-            task_id, body = payload
-            if task_id not in inflight:
-                return  # stale duplicate drained around a worker death
-            del inflight[task_id]
-            if kind == "error":
-                raise RuntimeError(
-                    f"frontier worker {worker_index} failed: {body}")
-            arrived.append((worker_index, body, delta))
+        while True:
+            # dispatch while there is pending work, free workers and budget
+            while (pending and not stopped
+                   and len(inflight) < self.workers
+                   and stats.executions + len(inflight) < max_executions
+                   and time.monotonic() - start <= time_budget):  # lint: allow-wallclock — wall-clock attack budget, reported not row-keyed
+                entry = pending.pop(self._pick(pending))
+                inflight[pool.submit(_FrontierTask(token, entry[1],
+                                                   entry[2]))] = entry
+            if not inflight:
+                break
 
-        def drain() -> None:
-            while True:
-                try:
-                    handle(result_queue.get_nowait())
-                except queue_module.Empty:
-                    break
+            for event in pool.pump(deadline=deadline):
+                entry = inflight.pop(event.dispatch_id)
+                if event.kind == "result" and event.status == "error":
+                    raise RuntimeError(f"frontier worker {event.worker} "
+                                       f"failed: {event.payload}")
+                if event.kind != "result":
+                    # a death or deadline kill: the decision goes back to
+                    # the frontier (attempt-capped) and is reassigned under
+                    # a fresh dispatch id — path set stays identical to serial
+                    priority, assignment, resume_key, attempt = entry
+                    if attempt >= retries:
+                        raise RuntimeError(
+                            f"frontier worker lost one branch decision "
+                            f"{attempt + 1} times ({event.payload})")
+                    pending.append((priority, assignment, resume_key,
+                                    attempt + 1))
+                    continue
 
-        def poll_claims() -> None:
-            now = time.monotonic()  # lint: allow-wallclock — worker-liveness deadline, not row content
-            for slot, cell in enumerate(claim_cells):
-                value = cell.value
-                if value < 0:
-                    observed[slot] = None
-                elif observed[slot] is None or observed[slot][0] != value:
-                    observed[slot] = (value, now)
+                result, delta = event.payload
+                results.append(result)
+                self.executions_by_worker[event.worker] += 1
+                for name, value in delta.items():
+                    setattr(stats, name, getattr(stats, name) + value)
 
-        def requeue(task_id: int, failure: str) -> None:
-            """Return a lost claimed decision to the frontier (attempt-capped)."""
-            if task_id not in inflight:
-                return  # its result raced the fault and won
-            priority, assignment, resume_key, attempt = inflight.pop(task_id)
-            if attempt >= retries:
-                raise RuntimeError(
-                    f"frontier worker {failure} {attempt + 1} times on one "
-                    f"branch decision")
-            # the decision goes back to the frontier and is reassigned
-            # (under a fresh task id) — path set stays identical to serial
-            pending.append((priority, assignment, resume_key, attempt + 1))
+                signature = tuple(
+                    (address, constraint.expected)
+                    for address, constraint in zip(result.branch_addresses,
+                                                   result.constraints))
+                if signature not in path_signatures:
+                    path_signatures.add(signature)
+                    stats.paths_seen += 1
 
-        def respawn(slot: int) -> None:
-            self.respawns += 1
-            if self.respawns > respawn_limit:
+                if stopped:
+                    continue  # draining in-flight results after a stop
+                if stop_condition is not None and stop_condition(result):
+                    stopped = True
+                    continue
+
+                # generational expansion — identical to the serial loop;
+                # the shared dedupe sets live here, so no two workers
+                # ever chase the same negated decision
+                for position, constraint in enumerate(result.constraints):
+                    if max_solver_queries is not None \
+                            and stats.solver_queries >= max_solver_queries:
+                        break
+                    if time.monotonic() - start > time_budget:  # lint: allow-wallclock — wall-clock attack budget, reported not row-keyed
+                        break
+                    decision_key = (
+                        signature[:position],
+                        result.branch_addresses[position],
+                        not constraint.expected,
+                    )
+                    if decision_key in seen_decisions:
+                        continue
+                    seen_decisions.add(decision_key)
+                    prefix = result.constraints[:position] \
+                        + [constraint.negated()]
+                    stats.solver_queries += 1
+                    solution = self.solver.solve(
+                        prefix, seed_assignment=result.assignment)
+                    if solution is None:
+                        continue
+                    key = tuple(sorted(solution.items()))
+                    if key in seen_inputs:
+                        continue
+                    seen_inputs.add(key)
+                    pending.append((result.branch_addresses[position],
+                                    solution,
+                                    result.decision_keys[:position], 0))
+            if pool.stats.respawns > respawn_limit:
                 raise RuntimeError(
                     f"frontier worker respawn limit exceeded "
-                    f"({self.respawns} respawns)")
-            observed[slot] = None
-            processes[slot] = spawn(slot)
-
-        def recover_dead_workers() -> None:
-            dead = [slot for slot, process in processes.items()
-                    if not process.is_alive()]
-            if not dead:
-                return
-            # drain buffered messages first: a result that raced the death
-            # must win over re-enqueueing its decision
-            drain()
-            for slot in dead:
-                exitcode = processes[slot].exitcode
-                claimed = claim_cells[slot].value
-                if claimed >= 0:
-                    requeue(claimed,
-                            f"died (last exit code {exitcode})")
-                respawn(slot)
-
-        def enforce_deadlines() -> None:
-            """Kill workers whose claimed decision outlived the deadline.
-
-            Same protocol as the grid pool's supervisor: deadlines run from
-            when the coordinator first *observed* the claim, the stuck
-            worker is killed, buffered results are drained first (a result
-            that raced the kill wins over a retry), and the decision goes
-            back to the frontier under the attempt cap.
-            """
-            if deadline is None:
-                return
-            now = time.monotonic()  # lint: allow-wallclock — worker-liveness deadline, not row content
-            for slot, claim in list(observed.items()):
-                if claim is None or claim[0] not in inflight \
-                        or now - claim[1] <= deadline:
-                    continue
-                process = processes[slot]
-                if process.is_alive():
-                    process.kill()
-                    process.join(timeout=5.0)
-                self.timeouts += 1
-                drain()
-                requeue(claim[0],
-                        f"exceeded the {deadline:g}s unit deadline")
-                respawn(slot)
-
-        try:
-            while True:
-                # dispatch while there is pending work, free workers and budget
-                while (pending and not stopped
-                       and len(inflight) < self.workers
-                       and stats.executions + len(inflight) < max_executions
-                       and time.monotonic() - start <= time_budget):  # lint: allow-wallclock — wall-clock attack budget, reported not row-keyed
-                    index = self._pick(pending)
-                    entry = pending.pop(index)
-                    inflight[next_task_id] = entry
-                    task_queue.put((next_task_id, entry[1], entry[2]))
-                    next_task_id += 1
-                if not inflight and not arrived:
-                    break
-
-                poll_claims()
-                try:
-                    handle(result_queue.get(timeout=_POLL_SECONDS))
-                except queue_module.Empty:
-                    recover_dead_workers()
-                    enforce_deadlines()
-
-                while arrived:
-                    worker_index, result, delta = arrived.pop(0)
-                    results.append(result)
-                    self.executions_by_worker[worker_index] += 1
-                    for name, value in delta.items():
-                        setattr(stats, name, getattr(stats, name) + value)
-
-                    signature = tuple(
-                        (address, constraint.expected)
-                        for address, constraint in zip(result.branch_addresses,
-                                                       result.constraints))
-                    if signature not in path_signatures:
-                        path_signatures.add(signature)
-                        stats.paths_seen += 1
-
-                    if stopped:
-                        continue  # draining in-flight results after a stop
-                    if stop_condition is not None and stop_condition(result):
-                        stopped = True
-                        continue
-
-                    # generational expansion — identical to the serial loop;
-                    # the shared dedupe sets live here, so no two workers
-                    # ever chase the same negated decision
-                    for position, constraint in enumerate(result.constraints):
-                        if max_solver_queries is not None \
-                                and stats.solver_queries >= max_solver_queries:
-                            break
-                        if time.monotonic() - start > time_budget:  # lint: allow-wallclock — wall-clock attack budget, reported not row-keyed
-                            break
-                        decision_key = (
-                            signature[:position],
-                            result.branch_addresses[position],
-                            not constraint.expected,
-                        )
-                        if decision_key in seen_decisions:
-                            continue
-                        seen_decisions.add(decision_key)
-                        prefix = result.constraints[:position] \
-                            + [constraint.negated()]
-                        stats.solver_queries += 1
-                        solution = self.solver.solve(
-                            prefix, seed_assignment=result.assignment)
-                        if solution is None:
-                            continue
-                        key = tuple(sorted(solution.items()))
-                        if key in seen_inputs:
-                            continue
-                        seen_inputs.add(key)
-                        pending.append((result.branch_addresses[position],
-                                        solution,
-                                        result.decision_keys[:position], 0))
-        # lint: allow-broad-except — error-path cleanup that re-raises:
-        # workers are terminated so a failed exploration cannot hang the join
-        except BaseException:
-            # error path: terminate instead of the sentinel handshake, so a
-            # failed exploration doesn't block up to 10 s per process
-            for process in processes.values():
-                if process.is_alive():
-                    process.terminate()
-            for process in processes.values():
-                process.join(timeout=2.0)
-                if process.is_alive():
-                    process.kill()
-                    process.join(timeout=2.0)
-            task_queue.cancel_join_thread()
-            result_queue.cancel_join_thread()
-            raise
-        else:
-            for _ in processes:
-                try:
-                    task_queue.put(None)
-                except (OSError, ValueError):
-                    break
-            for process in processes.values():
-                process.join(timeout=5.0)
-                if process.is_alive():
-                    process.terminate()
-                    process.join(timeout=5.0)
+                    f"({pool.stats.respawns} respawns)")
 
         stats.elapsed = time.monotonic() - start  # lint: allow-wallclock — elapsed-time stat, excluded from byte-identity
         return results, stats

@@ -51,7 +51,7 @@ import json
 import platform
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro import knobs
 from repro.attacks import AttackBudget
@@ -60,6 +60,7 @@ from repro.evaluation.configurations import TABLE2_CONFIGURATIONS, nvm
 from repro.evaluation.figure5 import run_figure5
 from repro.evaluation.table2 import run_table2
 from repro.evaluation.table3 import run_table3
+from repro.ledger import Ledger
 from repro.workloads.randomfuns import generate_table2_suite
 
 #: Per-slice grid parameters.  ``None`` means "everything the generator
@@ -135,110 +136,50 @@ def _slice_budget(params: Dict) -> AttackBudget:
         max_solver_queries=params.get("attack_solver_queries"))
 
 
-class Checkpoint:
+class Checkpoint(Ledger):
     """Incremental unit-result ledger enabling ``--resume`` of a killed run.
 
     Each completed unit appends one JSON line ``{"fingerprint", "part",
     "result"}`` to ``checkpoint.jsonl`` in the output directory as soon as
-    it arrives (flushed per line), so a run killed at *any* point leaves a
-    usable ledger behind.  Quarantined units are never recorded — a resumed
-    run retries them.  Fingerprints hash every unit parameter
+    it arrives, so a run killed at *any* point leaves a usable ledger behind
+    (:class:`repro.ledger.Ledger` repairs torn lines).  A fresh ledger opens
+    with a meta line recording the run axes (slice, seed), so ``--resume``
+    can detect an axis mismatch instead of silently matching nothing.
+    Quarantined units are never recorded — a resumed run retries them.
+    Fingerprints hash every unit parameter
     (:func:`repro.evaluation.parallel.unit_fingerprint`), so a checkpoint
     from a different slice/seed simply matches nothing instead of leaking
     stale rows into the wrong run.
     """
 
     FILENAME = "checkpoint.jsonl"
-
-    def __init__(self, out_dir: Path, meta: Optional[Dict] = None) -> None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        self.path = out_dir / self.FILENAME
-        # a previous run killed mid-write may have left a torn final line
-        # with no newline; appending straight after it would corrupt the
-        # first new record too, so start on a fresh line
-        torn = False
-        empty = True
-        if self.path.exists():
-            with self.path.open("rb") as existing:
-                existing.seek(0, 2)
-                if existing.tell() > 0:
-                    empty = False
-                    existing.seek(-1, 2)
-                    torn = existing.read(1) != b"\n"
-        self._file = self.path.open("a", encoding="utf-8")
-        if torn:
-            self._file.write("\n")
-        # a fresh ledger opens with a meta line recording the run axes
-        # (slice, seed), so --resume can detect an axis mismatch instead of
-        # silently matching nothing; appending to an existing ledger keeps
-        # its original meta line
-        if meta is not None and empty:
-            self._file.write(json.dumps({"meta": meta}) + "\n")
-            self._file.flush()
+    PAYLOAD = "result"
 
     def record(self, fingerprint: str, part: str, result: dict) -> None:
-        self._file.write(json.dumps({"fingerprint": fingerprint,
-                                     "part": part, "result": result}) + "\n")
-        self._file.flush()
+        self.append(fingerprint, part=part, result=result)
 
-    def close(self) -> None:
-        self._file.close()
+    @classmethod
+    def load_with_meta(cls, directory) -> Tuple[Dict[str, dict],
+                                                 Optional[Dict]]:
+        """``(fingerprint -> {"part", "result"}, meta)`` in one read.
 
-    def __enter__(self) -> "Checkpoint":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        ``meta`` is ``None`` for a missing file or a pre-meta (legacy)
+        ledger — those resume on fingerprints alone, exactly as before.
+        """
+        entries, meta = cls.read(directory)
+        return ({fingerprint: {"part": entry.get("part", ""),
+                               "result": entry["result"]}
+                 for fingerprint, entry in entries.items()}, meta)
 
     @classmethod
     def load(cls, directory) -> Dict[str, dict]:
-        """``fingerprint -> {"part", "result"}`` from a previous ledger.
-
-        Tolerates a missing file (nothing to resume) and a torn final line
-        (the driver may have been killed mid-write) — both just yield fewer
-        resumable units, never an error.
-        """
-        path = Path(directory) / cls.FILENAME
-        entries: Dict[str, dict] = {}
-        if not path.exists():
-            return entries
-        for line in path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(entry, dict) and "fingerprint" in entry \
-                    and "result" in entry:
-                entries[entry["fingerprint"]] = {
-                    "part": entry.get("part", ""),
-                    "result": entry["result"]}
-        return entries
+        """``fingerprint -> {"part", "result"}`` from a previous ledger."""
+        return cls.load_with_meta(directory)[0]
 
     @classmethod
     def load_meta(cls, directory) -> Optional[Dict]:
-        """The run-axis meta record of a previous ledger, if one was written.
-
-        Returns ``None`` for a missing file or a pre-meta (legacy) ledger —
-        those resume on fingerprints alone, exactly as before.
-        """
-        path = Path(directory) / cls.FILENAME
-        if not path.exists():
-            return None
-        for line in path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(entry, dict) and isinstance(entry.get("meta"), dict):
-                return entry["meta"]
-        return None
+        """The run-axis meta record of a previous ledger, if one was written."""
+        return cls.load_with_meta(directory)[1]
 
 
 def load_resume(resume_dir: Path, run_axes: Dict) -> tuple:
@@ -251,8 +192,7 @@ def load_resume(resume_dir: Path, run_axes: Dict) -> tuple:
     ledgers without a meta line resume on fingerprints alone, as before.
     """
     messages: List[str] = []
-    completed = Checkpoint.load(resume_dir)
-    recorded = Checkpoint.load_meta(resume_dir)
+    completed, recorded = Checkpoint.load_with_meta(resume_dir)
     if recorded is not None and recorded != run_axes:
         described = ", ".join(f"{key}={value}" for key, value
                               in sorted(recorded.items()))

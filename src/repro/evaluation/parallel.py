@@ -44,8 +44,14 @@ performs one supervision round (claim polling, deadline kills, death
 detection, slot respawns) and returns :class:`PoolEvent` records.  ``map``
 is a client of that API; the long-lived attack service
 (:mod:`repro.service`) is another, with its own retry/backoff and terminal
-states layered on the same events.  Units beyond the three grid dataclasses
-plug in through :func:`register_unit_executor`.
+states layered on the same events; the distributed DSE frontier
+(:mod:`repro.attacks.frontier`) is a third, returning a lost branch decision
+to its frontier instead of retrying it in place.  Units beyond the three
+grid dataclasses plug in through :func:`register_unit_executor`.
+
+Nested pools run inline: pool workers are daemonic processes, which may not
+fork children, so a pool (or a frontier) built inside a worker is never
+parallel — :func:`fork_available` is the one place that decides.
 """
 
 from __future__ import annotations
@@ -76,13 +82,17 @@ def grid_workers() -> int:
 
 
 def fork_available() -> bool:
-    """Whether the platform supports the fork start method the pool needs.
+    """Whether this process can fork the workers a parallel pool needs.
 
     Fork lets workers inherit compiled programs and images without pickling
     them; platforms without it (Windows, some macOS configurations) fall
-    back to in-process execution.
+    back to in-process execution.  So does a daemonic process — a pool
+    worker itself — because daemonic processes may not have children:
+    nested pools (a DSE frontier inside a grid or service worker) run
+    inline.
     """
-    return "fork" in multiprocessing.get_all_start_methods()
+    return ("fork" in multiprocessing.get_all_start_methods()
+            and not multiprocessing.current_process().daemon)
 
 
 # -- work units ---------------------------------------------------------------
@@ -449,8 +459,8 @@ class WorkerPool:
     across calls (and hence across the three grid parts), so benchmark
     programs, preloaded images and reachable-probe samples cached inside a
     worker keep paying off for later units.  ``workers <= 1`` — or a
-    platform without the fork start method — degrades to in-process
-    execution with identical results.
+    process that cannot fork workers (:func:`fork_available`) — degrades to
+    in-process execution with identical results.
     """
 
     def __init__(self, workers: int,
@@ -479,6 +489,14 @@ class WorkerPool:
     @property
     def parallel(self) -> bool:
         return self.workers > 1 and fork_available()
+
+    def respawn_limit(self, retries: int) -> int:
+        """Respawns a supervising client tolerates before aborting.
+
+        A worker that keeps dying before even claiming a unit (e.g. a crash
+        in the fork prologue) must not respawn forever.
+        """
+        return max(8, self.workers * (retries + 2))
 
     def _spawn(self, worker_index: int):
         context = multiprocessing.get_context("fork")
@@ -661,9 +679,7 @@ class WorkerPool:
         # lint: allow-broad-except — error-path cleanup that re-raises:
         # the pool is aborted so a failed run cannot hang close()
         except BaseException:
-            # error path: terminate instead of the sentinel handshake, so a
-            # failed run does not block up to 10 s per process in close()
-            self._abort()
+            self.abort()
             raise
 
     def _map_inline(self, units: Sequence[GridUnit], base: int,
@@ -704,9 +720,7 @@ class WorkerPool:
                         ) -> Tuple[List[dict], List[int]]:
         retries = unit_retries()
         deadline = unit_timeout()
-        # a worker that keeps dying before even claiming a unit (e.g. a
-        # crash in the fork prologue) must not respawn forever
-        respawn_limit = max(8, self.workers * (retries + 2))
+        respawn_limit = self.respawn_limit(retries)
         respawns_before = self.stats.respawns
         results: List[Optional[dict]] = [None] * len(units)
         worker_ids: List[int] = [0] * len(units)
@@ -758,13 +772,9 @@ class WorkerPool:
         """Tear the pool down immediately, skipping the sentinel handshake.
 
         The close() handshake waits on workers draining the task queue; a
-        pool being abandoned *because* its workers keep dying (the service's
-        circuit breaker) must not wait on them.
+        pool being abandoned on an error path, or *because* its workers keep
+        dying (the service's circuit breaker), must not wait on them.
         """
-        self._abort()
-
-    def _abort(self) -> None:
-        """Tear the pool down immediately (error path: no sentinels)."""
         for process in self._processes:
             if process.is_alive():
                 process.terminate()
@@ -776,12 +786,7 @@ class WorkerPool:
         for queue in (self._task_queue, self._result_queue):
             if queue is not None:
                 queue.cancel_join_thread()
-        self._processes = []
-        self._task_queue = None
-        self._result_queue = None
-        self._claim_cells = []
-        self._outstanding = set()
-        self._observed = {}
+        self._reset()
 
     def close(self) -> None:
         """Stop the workers; safe to call twice."""
@@ -797,6 +802,9 @@ class WorkerPool:
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=5.0)
+        self._reset()
+
+    def _reset(self) -> None:
         self._processes = []
         self._task_queue = None
         self._result_queue = None
@@ -807,8 +815,12 @@ class WorkerPool:
     def __enter__(self) -> "WorkerPool":
         return self
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    def __exit__(self, exc_type, *exc_info) -> None:
+        # an exception unwinding through the pool takes the error path
+        if exc_type is None:
+            self.close()
+        else:
+            self.abort()
 
 
 # -- deterministic merges -----------------------------------------------------

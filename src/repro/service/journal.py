@@ -1,13 +1,13 @@
 """Crash-safe request journal of the long-lived attack service.
 
-``service.jsonl`` mirrors the grid's ``checkpoint.jsonl`` discipline
-(:class:`repro.evaluation.grid.Checkpoint`): one flushed JSON line
-``{"fingerprint", "row"}`` per request the moment it reaches a *recorded*
-terminal state, so a service killed at any point — including mid-write —
-leaves a usable ledger behind.  On restart the journal is loaded, completed
-requests re-emit their recorded rows verbatim instead of re-running, and a
-torn final line (the tell of a mid-write kill) is repaired by starting the
-next record on a fresh line.
+``service.jsonl`` is a :class:`repro.ledger.Ledger`, the same discipline as
+the grid's ``checkpoint.jsonl``: one flushed JSON line ``{"fingerprint",
+"row"}`` per request the moment it reaches a *recorded* terminal state, so
+a service killed at any point — including mid-write — leaves a usable
+ledger behind.  On restart the journal is loaded, completed requests
+re-emit their recorded rows verbatim instead of re-running, and a torn
+final line (the tell of a mid-write kill) is repaired by starting the next
+record on a fresh line.
 
 Only ``done`` rows are journaled.  ``quarantined`` mirrors the grid
 checkpoint's semantics — the fault may have been transient, so a restarted
@@ -19,69 +19,22 @@ now has room for.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Dict
 
+from repro.ledger import Ledger
 
-class Journal:
+
+class Journal(Ledger):
     """Append-only fingerprint-keyed ledger of terminal request rows."""
 
     FILENAME = "service.jsonl"
-
-    def __init__(self, directory: Path) -> None:
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        self.path = directory / self.FILENAME
-        # a previous service killed mid-write may have left a torn final
-        # line with no newline; appending straight after it would corrupt
-        # the first new record too, so start on a fresh line
-        torn = False
-        if self.path.exists():
-            with self.path.open("rb") as existing:
-                existing.seek(0, 2)
-                if existing.tell() > 0:
-                    existing.seek(-1, 2)
-                    torn = existing.read(1) != b"\n"
-        self._file = self.path.open("a", encoding="utf-8")
-        if torn:
-            self._file.write("\n")
+    PAYLOAD = "row"
 
     def record(self, fingerprint: str, row: dict) -> None:
-        self._file.write(json.dumps({"fingerprint": fingerprint,
-                                     "row": row}) + "\n")
-        self._file.flush()
-
-    def close(self) -> None:
-        self._file.close()
-
-    def __enter__(self) -> "Journal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        self.append(fingerprint, row=row)
 
     @classmethod
     def load(cls, directory) -> Dict[str, dict]:
-        """``fingerprint -> row`` from a previous service's ledger.
-
-        Tolerates a missing file (nothing to resume) and corrupt/torn lines
-        (the service may have been killed mid-write) — both just yield
-        fewer resumable requests, never an error.
-        """
-        path = Path(directory) / cls.FILENAME
-        entries: Dict[str, dict] = {}
-        if not path.exists():
-            return entries
-        for line in path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(entry, dict) and "fingerprint" in entry \
-                    and "row" in entry:
-                entries[entry["fingerprint"]] = entry["row"]
-        return entries
+        """``fingerprint -> row`` from a previous service's ledger."""
+        return {fingerprint: entry["row"]
+                for fingerprint, entry in cls.read(directory)[0].items()}

@@ -1,12 +1,15 @@
 """Distributed DSE snapshot frontier: path-set identity and wiring."""
 
+import multiprocessing
+
 import pytest
 
 from repro.attacks.dse import DseEngine, InputSpec
-from repro.attacks.frontier import FrontierExplorer, fork_available
+from repro.attacks.frontier import FrontierExplorer
 from repro.attacks.goals import AttackBudget, dse_workers, secret_finding_attack
 from repro.compiler import compile_program
 from repro.core import RopConfig, rop_obfuscate
+from repro.evaluation.parallel import fork_available
 from repro.lang import Assign, BinOp, Const, Function, If, Probe, Program, Return, Var
 from repro.workloads.randomfuns import RandomFunSpec, generate_random_function
 
@@ -184,6 +187,20 @@ def test_frontier_gives_up_after_repeated_deaths_on_one_task(monkeypatch):
                                 seed=5, workers=2)
     with pytest.raises(RuntimeError, match="died|respawn limit"):
         frontier.explore(max_executions=500, **_CAPS)
+
+
+@needs_fork
+def test_frontier_worker_raise_aborts_and_leaves_no_workers(monkeypatch):
+    """A worker whose execution *raises* (rather than dies or hangs) is not
+    a lost decision to requeue: the exploration aborts with the worker's
+    error, and the pool is torn down with no worker left alive."""
+    image, function = _branchy_image()
+    monkeypatch.setenv("REPRO_FAULT_INJECT", "1:raise")
+    frontier = FrontierExplorer(image, function, InputSpec(argument_sizes=[1]),
+                                seed=5, workers=2)
+    with pytest.raises(RuntimeError, match="frontier worker .* failed"):
+        frontier.explore(max_executions=500, **_CAPS)
+    assert multiprocessing.active_children() == []
 
 
 def test_dse_workers_knob(monkeypatch):
