@@ -7,10 +7,10 @@ workload (``fasta`` under ``ROP1.00`` — every instruction dispatched through
 ret-terminated chains, the worst case the paper measures in Figure 5) and
 reports:
 
-* **instructions/sec** of the hook-free interpreter loop in three
-  configurations: the default two-tier pipeline, single-step dispatch
-  (``REPRO_TRACE_CACHE=0``) and fully uncached (``REPRO_DECODE_CACHE=0``
-  too), plus the JIT pipeline counters of the default run (traces compiled,
+* **instructions/sec** of the hook-free interpreter loop in two
+  configurations: the default two-tier pipeline and single-step dispatch
+  (``REPRO_TRACE_CACHE=0``), plus the JIT pipeline counters of the default
+  run (traces compiled,
   warm-up and compiled runs, compiled-trace hit rate, native-coverage share
   of compiled instructions),
 * **forks/sec** of :meth:`repro.memory.Memory.snapshot`-based program
@@ -62,9 +62,8 @@ RESULT_PATH = REPO_ROOT / "BENCH_emulator.json"
 #: Maximum tolerated interpreter-throughput regression before the gate fails.
 REGRESSION_TOLERANCE = 0.20
 
-#: The decode and trace caches are the largest wins; flag runs where the
-#: environment has turned either off so the report stays honest.
-_CACHE_ENABLED = knobs.enabled("REPRO_DECODE_CACHE")
+#: The trace cache is the largest win; flag runs where the environment has
+#: turned it off so the report stays honest.
 _TRACE_ENABLED = knobs.enabled("REPRO_TRACE_CACHE")
 
 #: Compiled-trace throughput must stay at least this multiple of
@@ -109,8 +108,7 @@ def _build_workload():
     return load_image(image), entry, argument
 
 
-def measure_throughput(pristine, entry, argument, rounds=3, decode_cache=None,
-                       trace_cache=None):
+def measure_throughput(pristine, entry, argument, rounds=3, trace_cache=None):
     """Run the workload ``rounds`` times; return best-of instructions/sec.
 
     Each round builds a fresh emulator, so per-round numbers include the
@@ -127,8 +125,7 @@ def measure_throughput(pristine, entry, argument, rounds=3, decode_cache=None,
     for _ in range(rounds):
         program = pristine.fork()
         emulator = Emulator(program.memory, host=HostEnvironment(),
-                            max_steps=5_000_000, decode_cache=decode_cache,
-                            trace_cache=trace_cache)
+                            max_steps=5_000_000, trace_cache=trace_cache)
         emulator.state.write_reg(Register.RSP, program.stack_top)
         emulator.state.write_reg(Register.RBP, program.stack_top)
         emulator.state.write_reg(ARG_REGISTERS[0], argument)
@@ -302,7 +299,8 @@ def measure_grid_parallel(workers=GRID_PARALLEL_WORKERS, cell_seeds=8):
     """
     from repro.attacks import AttackBudget
     from repro.evaluation.configurations import ropk
-    from repro.evaluation.parallel import WorkerPool, fork_available, table2_units
+    from repro.evaluation.parallel import WorkerPool, fork_available
+    from repro.evaluation.table2 import table2_units
     from repro.workloads.randomfuns import RandomFunSpec
 
     specs = [RandomFunSpec(structure="if(bb4,bb4)", input_size=1, seed=s)
@@ -337,19 +335,14 @@ def measure_grid_parallel(workers=GRID_PARALLEL_WORKERS, cell_seeds=8):
 def run_benchmarks():
     """Measure everything and return the report dict."""
     pristine, entry, argument = _build_workload()
-    fusion = (_CACHE_ENABLED and _TRACE_ENABLED) or None
+    fusion = _TRACE_ENABLED or None
     report = {
         "workload": "clbg/fasta under ROP1.00 (seed=1), hook-free run loop",
         "calibration_sec": round(measure_calibration(), 4),
         "throughput": measure_throughput(pristine, entry, argument,
-                                         decode_cache=_CACHE_ENABLED or None,
                                          trace_cache=fusion),
         "throughput_trace_cache_off": measure_throughput(
-            pristine, entry, argument, rounds=2,
-            decode_cache=_CACHE_ENABLED or None, trace_cache=False),
-        "throughput_decode_cache_off": measure_throughput(
-            pristine, entry, argument, rounds=1, decode_cache=False,
-            trace_cache=False),
+            pristine, entry, argument, rounds=2, trace_cache=False),
         "forking": measure_fork_rate(pristine, pristine.image),
         "snapshots": measure_snapshot_rate(pristine, entry, argument),
         "engines": measure_engine_rates(),
@@ -414,9 +407,6 @@ def test_emulator_throughput_and_fork_rate():
     print()
     print(f"interpreter throughput : {ips:>12,} instructions/sec")
     print(f"  trace cache off      : {trace_off_ips:>12,} instructions/sec")
-    print(f"  decode cache off     : "
-          f"{report['throughput_decode_cache_off']['instructions_per_sec']:>12,}"
-          " instructions/sec")
     if jit:
         print(f"  JIT pipeline         : {jit['traces_compiled']}/"
               f"{jit['traces_built']} traces compiled, "
@@ -444,11 +434,11 @@ def test_emulator_throughput_and_fork_rate():
         print(f"grid sharding          : {grid['serial_cells_per_sec']} "
               f"cells/sec serial (fork unavailable, parallel leg skipped)")
 
-    caches_on = _CACHE_ENABLED and _TRACE_ENABLED
+    caches_on = _TRACE_ENABLED
     if update or committed is None:
         if not caches_on:
             raise SystemExit(
-                "refusing to (re)write the baseline with REPRO_DECODE_CACHE/"
+                "refusing to (re)write the baseline with "
                 "REPRO_TRACE_CACHE disabled: the committed numbers must be "
                 "the full pipeline configuration CI gates against")
         payload = _persist(report, committed)

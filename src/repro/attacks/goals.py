@@ -33,7 +33,8 @@ class AttackBudget:
 
     The paper uses 1-hour wall-clock budgets on a Xeon server; the
     reproduction defaults are seconds-scale so the full grid runs on a laptop
-    (see EXPERIMENTS.md for the scaling discussion).
+    (see the ``REPRO_FULL_SCALE`` row of ``benchmarks/README.md``
+    for the scaling discussion).
     """
 
     seconds: float = 5.0

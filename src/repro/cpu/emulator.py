@@ -13,7 +13,7 @@ in the evaluation grid bottoms out here):
   address, keyed on the owning region's write ``generation``.  Stores into a
   region bump its generation (see :class:`repro.memory.Region`), so
   self-modifying code and ROP-materialized instructions invalidate their
-  cache entries naturally.  Set ``REPRO_DECODE_CACHE=0`` to disable it.
+  cache entries naturally.
 * **Dispatch table** — instruction semantics live in per-mnemonic handler
   methods bound into a ``Mnemonic -> handler`` table at construction, and
   the cached decode entry memoizes the handler, so steady-state dispatch is
@@ -79,10 +79,6 @@ _MASK64 = (1 << 64) - 1
 #: low address.  The run loop compares against this once per step instead of
 #: calling :func:`is_host_address` per instruction.
 _HOST_SPACE_END = HOST_FUNCTION_LIMIT
-
-#: Decode caching default; ``REPRO_DECODE_CACHE=0`` disables it globally
-#: (useful for benchmarking the cache itself and as a bisection aid).
-_DECODE_CACHE_DEFAULT = knobs.enabled("REPRO_DECODE_CACHE")
 
 #: Trace fusion default; ``REPRO_TRACE_CACHE=0`` disables superinstruction
 #: fusion globally (debugging aid and the A/B lever the benchmark uses).
@@ -209,15 +205,12 @@ class Emulator:
         host: host runtime environment; a fresh one is created if omitted.
         max_steps: hard cap on executed instructions (guards against runaway
             obfuscated code and is also the knob attack budgets use).
-        decode_cache: override the decode-cache toggle for this instance
-            (defaults to the ``REPRO_DECODE_CACHE`` environment knob).
         trace_cache: override the superinstruction-fusion toggle for this
             instance (defaults to the ``REPRO_TRACE_CACHE`` environment knob).
     """
 
     def __init__(self, memory: Memory, host: Optional[HostEnvironment] = None,
                  max_steps: int = 2_000_000,
-                 decode_cache: Optional[bool] = None,
                  trace_cache: Optional[bool] = None) -> None:
         self.memory = memory
         self.state = CpuState()
@@ -230,8 +223,6 @@ class Emulator:
         #: each instruction executes; read once per :meth:`run` call.  A
         #: :class:`SpecializedHook` runs its cached per-instruction transfer.
         self.pre_hooks: List[Callable] = []
-        self._decode_cache_enabled = (_DECODE_CACHE_DEFAULT
-                                      if decode_cache is None else decode_cache)
         self._trace_cache_enabled = (_TRACE_CACHE_DEFAULT
                                      if trace_cache is None else trace_cache)
         #: warm-up runs before a trace is promoted to compiled source;
@@ -295,8 +286,7 @@ class Emulator:
         handler = self._dispatch.get(instruction.mnemonic)
         entry = (instruction, length, region, region.generation, handler,
                  _UNSPECIALIZED)
-        if self._decode_cache_enabled:
-            self._decode_cache[address] = entry
+        self._decode_cache[address] = entry
         return entry
 
     # -- operand access -----------------------------------------------------
@@ -533,8 +523,7 @@ class Emulator:
             instruction, length, _, _, handler, transfer = entry
             if transfer is unspecialized:
                 transfer = None if specialize is None else specialize(instruction)
-                if self._decode_cache_enabled:
-                    self._decode_cache[address] = entry[:5] + (transfer,)
+                self._decode_cache[address] = entry[:5] + (transfer,)
             for hook in before:
                 hook(self, address, instruction)
             if transfer is not None:

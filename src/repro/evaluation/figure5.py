@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.attacks.engine import preloaded_fork
 from repro.compiler import compile_program
 from repro.cpu import call_function
-from repro.evaluation.configurations import ROPK_SWEEP, apply_configuration, nvm, ropk
+from repro.evaluation.configurations import (ROPK_SWEEP, ObfuscationConfig,
+                                             apply_configuration, nvm, ropk)
+from repro.evaluation.parallel import register_unit_executor
 from repro.workloads.clbg import CLBG_BENCHMARKS, build_clbg_program
 
 #: Maximum emulated instructions per benchmark run.
@@ -38,6 +41,37 @@ class Figure5Bar:
         """The Figure 5 metric: ROPk relative to 2VM-IMPlast."""
         return self.rop_instructions / max(1, self.baseline_instructions)
 
+    def as_row(self) -> dict:
+        """The JSON row of the grid artifact (fields plus both slowdowns)."""
+        return {**dataclasses.asdict(self),
+                "slowdown_vs_native": self.slowdown_vs_native,
+                "slowdown_vs_baseline": self.slowdown_vs_baseline}
+
+
+@dataclass(frozen=True)
+class Figure5Unit:
+    """One Figure 5 bar: benchmark ``benchmark`` at ROP fraction ``k``."""
+
+    benchmark: str
+    k: float
+    baseline: ObfuscationConfig
+    seed: int
+
+    def identity(self) -> dict:
+        return {"part": "figure5", "benchmark": self.benchmark, "k": self.k}
+
+
+def figure5_units(benchmarks: Optional[Sequence[str]],
+                  k_values: Optional[Sequence[float]],
+                  baseline, seed: int) -> List[Figure5Unit]:
+    """Decompose a Figure 5 sweep (benchmark-outer, k-inner)."""
+    benchmarks = list(benchmarks or sorted(CLBG_BENCHMARKS))
+    k_values = list(k_values if k_values is not None
+                    else [k for k in ROPK_SWEEP if k > 0])
+    baseline = baseline or nvm(2, "last")
+    return [Figure5Unit(benchmark=name, k=k, baseline=baseline, seed=seed)
+            for name in benchmarks for k in k_values]
+
 
 def _run(image, entry: str, argument: int) -> int:
     """Measure one execution against a COW fork of the preloaded ``image``.
@@ -59,6 +93,44 @@ def _run(image, entry: str, argument: int) -> int:
         return _RUN_BUDGET
 
 
+#: benchmark-level measurements shared by several bars:
+#: (benchmark, baseline, seed) -> (program, entry, argument, targets,
+#: native_steps, baseline_steps).  Process-local; the cached values are
+#: deterministic, so independent pool workers agree with each other.
+_MEASUREMENTS: Dict[Tuple, Tuple] = {}
+
+
+def _benchmark_measurements(unit: Figure5Unit) -> Tuple:
+    key = (unit.benchmark, unit.baseline, unit.seed)
+    cached = _MEASUREMENTS.get(key)
+    if cached is None:
+        program, entry, argument, targets = build_clbg_program(unit.benchmark)
+        native_steps = _run(compile_program(program), entry, argument)
+        baseline_image = apply_configuration(program, targets, unit.baseline,
+                                             seed=unit.seed)
+        baseline_steps = _run(baseline_image, entry, argument)
+        cached = (program, entry, argument, targets, native_steps,
+                  baseline_steps)
+        _MEASUREMENTS[key] = cached
+    return cached
+
+
+def execute_figure5(unit: Figure5Unit) -> Figure5Bar:
+    """Measure one bar: the ROPk run against the cached native/baseline."""
+    program, entry, argument, targets, native_steps, baseline_steps = \
+        _benchmark_measurements(unit)
+    rop_image = apply_configuration(program, targets, ropk(unit.k),
+                                    seed=unit.seed)
+    return Figure5Bar(benchmark=unit.benchmark, k=unit.k,
+                      native_instructions=native_steps,
+                      rop_instructions=_run(rop_image, entry, argument),
+                      baseline_instructions=baseline_steps)
+
+
+register_unit_executor(Figure5Unit,
+                       lambda unit: execute_figure5(unit).as_row())
+
+
 def run_figure5(benchmarks: Optional[Sequence[str]] = None,
                 k_values: Optional[Sequence[float]] = None,
                 baseline=None, seed: int = 1) -> List[Figure5Bar]:
@@ -68,24 +140,5 @@ def run_figure5(benchmarks: Optional[Sequence[str]] = None,
     benchmark runs may pass a single-layer VM baseline to keep emulation time
     bounded (see benchmarks/conftest.py).
     """
-    benchmarks = list(benchmarks or sorted(CLBG_BENCHMARKS))
-    k_values = list(k_values if k_values is not None else [k for k in ROPK_SWEEP if k > 0])
-    baseline_config = baseline or nvm(2, "last")
-    bars: List[Figure5Bar] = []
-    for name in benchmarks:
-        program, entry, argument, targets = build_clbg_program(name)
-        native_image = compile_program(program)
-        native_steps = _run(native_image, entry, argument)
-        baseline_image = apply_configuration(program, targets, baseline_config, seed=seed)
-        baseline_steps = _run(baseline_image, entry, argument)
-        for k in k_values:
-            rop_image = apply_configuration(program, targets, ropk(k), seed=seed)
-            rop_steps = _run(rop_image, entry, argument)
-            bars.append(Figure5Bar(
-                benchmark=name,
-                k=k,
-                native_instructions=native_steps,
-                rop_instructions=rop_steps,
-                baseline_instructions=baseline_steps,
-            ))
-    return bars
+    return [execute_figure5(unit)
+            for unit in figure5_units(benchmarks, k_values, baseline, seed)]

@@ -46,7 +46,6 @@ checkpointed, so a resumed run retries them.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import platform
 import time
@@ -57,9 +56,9 @@ from repro import knobs
 from repro.attacks import AttackBudget
 from repro.evaluation import parallel
 from repro.evaluation.configurations import TABLE2_CONFIGURATIONS, nvm
-from repro.evaluation.figure5 import run_figure5
-from repro.evaluation.table2 import run_table2
-from repro.evaluation.table3 import run_table3
+from repro.evaluation.figure5 import figure5_units
+from repro.evaluation.table2 import merge_table2, table2_units
+from repro.evaluation.table3 import table3_units
 from repro.ledger import Ledger
 from repro.workloads.randomfuns import generate_table2_suite
 
@@ -247,6 +246,19 @@ def _run_units(pool: parallel.WorkerPool, units, part: str,
     return rows, worker_ids
 
 
+def executions_by_worker(worker_ids, cells) -> Dict[str, int]:
+    """Per-worker concrete-execution totals for the summary's attack_engine.
+
+    Resumed cells (worker id ``None``, executed by a previous run) and
+    quarantined cells (no counters) are skipped.
+    """
+    totals: Dict[str, int] = {}
+    for worker, cell in zip(worker_ids, cells):
+        if worker is not None and cell.get("status") != "failed":
+            totals[str(worker)] = totals.get(str(worker), 0) + cell["executions"]
+    return totals
+
+
 def run_grid(slice_name: str = "reduced", seed: int = 1,
              parts: Optional[List[str]] = None,
              workers: Optional[int] = None,
@@ -260,107 +272,61 @@ def run_grid(slice_name: str = "reduced", seed: int = 1,
     ``parts`` restricts the run to a subset of ``("figure5", "table2",
     "table3")``; rows are plain dicts ready for JSON serialization.
 
-    ``workers`` > 1 shards each grid into work units dispatched across a
-    fork-based worker pool (``repro.evaluation.parallel``); it defaults to
-    the ``REPRO_GRID_WORKERS`` environment knob.  Rows are identical to a
-    serial run at the same seed (wall-clock fields aside).  Pass ``pool`` to
-    reuse one persistent pool across several calls (the CLI does this so
-    worker-local caches survive across the three parts); ``meta``, when
-    given, collects side-channel statistics (``executions_by_worker``,
-    ``faults``).
+    Every part is decomposed into work units dispatched through a
+    :class:`~repro.evaluation.parallel.WorkerPool` of ``workers`` (default:
+    the ``REPRO_GRID_WORKERS`` knob); at one worker the pool runs the units
+    inline.  Rows are identical at any worker count and the same seed
+    (wall-clock fields aside).  Pass ``pool`` to reuse one persistent pool
+    across several calls (the CLI does this so worker-local caches survive
+    across the three parts); ``meta``, when given, collects side-channel
+    statistics (``executions_by_worker``, ``faults``).
 
     ``checkpoint`` streams each completed unit to disk as it arrives and
     ``completed`` (a loaded :meth:`Checkpoint.load` mapping) skips units a
-    previous run already finished; either one routes execution through the
-    per-unit path even at ``workers=1`` (the in-process pool fallback,
-    which produces the same rows as the serial drivers).  Units that
-    exhaust their retries surface as quarantined ``{"status": "failed"}``
-    rows instead of raising.
+    previous run already finished.  Units that exhaust their retries
+    surface as quarantined ``{"status": "failed"}`` rows instead of
+    raising.
     """
     params = SLICES[slice_name]
     parts = list(parts or ("figure5", "table2", "table3"))
-    if workers is None:
-        workers = pool.workers if pool is not None else parallel.grid_workers()
-    results: Dict[str, List[dict]] = {}
-
-    needs_units = checkpoint is not None or completed is not None
     own_pool: Optional[parallel.WorkerPool] = None
-    if pool is None and (workers > 1 or needs_units):
-        pool = own_pool = parallel.WorkerPool(workers)
-    use_units = pool is not None and (pool.parallel or needs_units)
+    if pool is None:
+        pool = own_pool = parallel.WorkerPool(
+            parallel.grid_workers() if workers is None else workers)
+    results: Dict[str, List[dict]] = {}
 
     try:
         if "figure5" in parts:
-            if use_units:
-                units = parallel.figure5_units(
-                    benchmarks=params["clbg_benchmarks"],
-                    k_values=params["k_values"],
-                    baseline=params["vm_baseline"], seed=seed)
-                results["figure5"], _ = _run_units(pool, units, "figure5",
-                                                   completed, checkpoint)
-            else:
-                bars = run_figure5(benchmarks=params["clbg_benchmarks"],
-                                   k_values=params["k_values"],
-                                   baseline=params["vm_baseline"], seed=seed)
-                results["figure5"] = [
-                    {**dataclasses.asdict(bar),
-                     "slowdown_vs_native": bar.slowdown_vs_native,
-                     "slowdown_vs_baseline": bar.slowdown_vs_baseline}
-                    for bar in bars
-                ]
+            units = figure5_units(benchmarks=params["clbg_benchmarks"],
+                                  k_values=params["k_values"],
+                                  baseline=params["vm_baseline"], seed=seed)
+            results["figure5"], _ = _run_units(pool, units, "figure5",
+                                               completed, checkpoint)
 
         if "table2" in parts:
             specs = generate_table2_suite(point_test=True, seeds=params["seeds"],
                                           input_sizes=params["input_sizes"],
                                           structures=params["structures"])
-            budget = _slice_budget(params)
-            configurations = _configurations(params["configurations"])
-            if use_units:
-                units = parallel.table2_units(
-                    configurations, specs, budget,
-                    include_coverage=params["include_coverage"], seed=seed)
-                cells, worker_ids = _run_units(pool, units, "table2",
-                                               completed, checkpoint)
-                quarantined = [cell for cell in cells
-                               if cell.get("status") == "failed"]
-                results["table2"] = \
-                    parallel.merge_table2(units, cells) + quarantined
-                if meta is not None:
-                    # attribute only this run's work: resumed cells (worker
-                    # id None) were executed by the previous run
-                    executed = [(worker, cell) for worker, cell
-                                in zip(worker_ids, cells) if worker is not None]
-                    meta["executions_by_worker"] = \
-                        parallel.executions_by_worker(
-                            [worker for worker, _ in executed],
-                            [cell for _, cell in executed])
-            else:
-                rows = run_table2(configurations=configurations,
-                                  specs=specs, budget=budget,
-                                  include_coverage=params["include_coverage"],
-                                  seed=seed)
-                results["table2"] = [dataclasses.asdict(row) for row in rows]
-                if meta is not None:
-                    meta["executions_by_worker"] = {
-                        "0": sum(row["executions"] for row in results["table2"])}
+            units = table2_units(_configurations(params["configurations"]),
+                                 specs, _slice_budget(params),
+                                 include_coverage=params["include_coverage"],
+                                 seed=seed)
+            cells, worker_ids = _run_units(pool, units, "table2",
+                                           completed, checkpoint)
+            quarantined = [cell for cell in cells
+                           if cell.get("status") == "failed"]
+            results["table2"] = merge_table2(units, cells) + quarantined
+            if meta is not None:
+                meta["executions_by_worker"] = executions_by_worker(
+                    worker_ids, cells)
 
         if "table3" in parts:
-            if use_units:
-                units = parallel.table3_units(
-                    benchmarks=params["clbg_benchmarks"],
-                    k_values=params["k_values"], seed=seed)
-                results["table3"], _ = _run_units(pool, units, "table3",
-                                                  completed, checkpoint)
-            else:
-                rows3 = run_table3(benchmarks=params["clbg_benchmarks"],
-                                   k_values=params["k_values"], seed=seed)
-                results["table3"] = [
-                    {**dataclasses.asdict(row),
-                     "gadgets_per_point": row.gadgets_per_point}
-                    for row in rows3
-                ]
+            units = table3_units(benchmarks=params["clbg_benchmarks"],
+                                 k_values=params["k_values"], seed=seed)
+            results["table3"], _ = _run_units(pool, units, "table3",
+                                              completed, checkpoint)
     finally:
-        if meta is not None and pool is not None:
+        if meta is not None:
             meta["faults"] = pool.stats.as_dict()
         if own_pool is not None:
             own_pool.close()

@@ -1,53 +1,56 @@
-"""Multiprocessing execution layer for the evaluation grids.
+"""Supervised worker pool shared by the grid, the service and the frontier.
 
-The three evaluation grids (Figure 5 overhead bars, Table II attack cells,
-Table III gadget statistics) decompose into independent work units — one
-Figure 5 bar, one Table II ``(configuration, spec)`` cell, one Table III
-``(benchmark, k)`` cell.  This module defines those units, a persistent
-fork-based :class:`WorkerPool` that dispatches them with dynamic load
-balancing, and merge helpers that reassemble the streamed unit results into
-exactly the rows the serial drivers produce.
+Work arrives as *units*: any object whose type registered an executor via
+:func:`register_unit_executor`.  The evaluation grid's units are one
+Figure 5 bar, one Table II ``(configuration, spec)`` cell and one Table III
+``(benchmark, k)`` cell, each defined next to its row type
+(:mod:`repro.evaluation.figure5`, :mod:`~repro.evaluation.table2`,
+:mod:`~repro.evaluation.table3`); the attack service submits requests and
+the distributed DSE frontier submits branch decisions.
+
+:class:`WorkerPool` runs them through one incremental API: ``submit``
+enqueues one unit under a pool-lifetime dispatch id, ``pump`` performs one
+supervision round and returns :class:`PoolEvent` records, and ``map`` is a
+client of those two that returns results in unit order.  The long-lived
+attack service (:mod:`repro.service`) is another client, with its own
+retry/backoff and terminal states layered on the same events; the
+distributed DSE frontier (:mod:`repro.attacks.frontier`) is a third,
+returning a lost branch decision to its frontier instead of retrying it in
+place.
+
+One pool, two modes.  A *parallel* pool (``workers > 1`` and
+:func:`fork_available`) forks persistent workers lazily on the first
+``submit`` and keeps them across calls, so worker-local caches (benchmark
+measurements, preloaded images, reachable-probe samples) keep paying off;
+units are claimed dynamically, so cheap and expensive cells balance.  A
+pool at one worker — or one that cannot fork — runs *inline*: ``pump``
+executes the oldest queued unit in-process and returns the same events,
+without sleeping or polling.  Serial execution is therefore the pool at
+one worker, not a second driver beside it.
 
 Determinism: every unit measures in deterministic quantities (instruction
 counts, execution counts bounded by deterministic caps, gadget statistics),
-so a parallel run merges to *row-identical* JSON against a serial run at the
-same seed — the property ``tests/evaluation/test_parallel_grid.py`` asserts.
-The only nondeterministic fields are wall-clock times (``average_time``),
-which are nondeterministic in serial runs too.
-
-Worker-local caches keep shared preparation work amortized: a worker
-computing several Figure 5 bars of one benchmark measures the native and
-baseline runs once; a worker attacking several Table II configurations of
-one spec samples the reachable probe set once.  Because those cached values
-are themselves deterministic, two workers recomputing them independently
-agree with the serial run.
+so a parallel run merges to *row-identical* JSON against an inline run at
+the same seed — the property ``tests/evaluation/test_parallel_grid.py``
+asserts against recorded golden rows.  The only nondeterministic fields
+are wall-clock times (``average_time``).
 
 Memory bounding: ``REPRO_SNAPSHOT_POOL`` is a *global* mid-path snapshot
 budget; each worker gets its share via
 :func:`repro.attacks.engine.sharded_pool_capacity` (exported to the worker
 through its environment before any engine is built).
 
-Fault tolerance: :meth:`WorkerPool.map` supervises its workers.  A unit
-whose worker raises, exceeds the ``REPRO_UNIT_TIMEOUT`` deadline or dies —
+Fault tolerance: :meth:`WorkerPool.map` supervises its units.  A unit that
+raises, exceeds the ``REPRO_UNIT_TIMEOUT`` deadline or loses its worker —
 any premature exit counts, including a *clean* exit code 0 mid-unit — is
-retried up to ``REPRO_UNIT_RETRIES`` times on a respawned worker, and when
-retries exhaust, the unit is **quarantined**: its slot in the results
-becomes a ``{"status": "failed", "error": ...}`` row and the run continues
-instead of aborting a CPU-hours grid.  :class:`FaultStats` counts the
-recoveries; every path is provoked deliberately by the deterministic
-fault-injection harness (:mod:`repro.faults`, ``REPRO_FAULT_INJECT``).
-
-The supervision core is exposed below :meth:`WorkerPool.map` as an
-incremental :meth:`WorkerPool.submit` / :meth:`WorkerPool.pump` event API:
-``submit`` enqueues one unit under a pool-lifetime dispatch id, ``pump``
-performs one supervision round (claim polling, deadline kills, death
-detection, slot respawns) and returns :class:`PoolEvent` records.  ``map``
-is a client of that API; the long-lived attack service
-(:mod:`repro.service`) is another, with its own retry/backoff and terminal
-states layered on the same events; the distributed DSE frontier
-(:mod:`repro.attacks.frontier`) is a third, returning a lost branch decision
-to its frontier instead of retrying it in place.  Units beyond the three
-grid dataclasses plug in through :func:`register_unit_executor`.
+retried up to ``REPRO_UNIT_RETRIES`` times (on a respawned worker when one
+died), and when retries exhaust, the unit is **quarantined**: its slot in
+the results becomes a ``{"status": "failed", "error": ...}`` row and the
+run continues instead of aborting a CPU-hours grid.  :class:`FaultStats`
+counts the recoveries; every path is provoked deliberately by the
+deterministic fault-injection harness (:mod:`repro.faults`,
+``REPRO_FAULT_INJECT``).  Inline pools honour only ``raise`` and ``slow``
+faults, which cannot take down the process running them.
 
 Nested pools run inline: pool workers are daemonic processes, which may not
 fork children, so a pool (or a frontier) built inside a worker is never
@@ -67,10 +70,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import knobs
-from repro.attacks import AttackBudget
-from repro.evaluation.configurations import ObfuscationConfig
 from repro.faults import inject_fault, parse_fault_spec, unit_retries, unit_timeout
-from repro.workloads.randomfuns import RandomFunSpec
 
 #: Seconds between liveness checks while waiting on worker results.
 _POLL_SECONDS = 1.0
@@ -95,94 +95,9 @@ def fork_available() -> bool:
             and not multiprocessing.current_process().daemon)
 
 
-# -- work units ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Figure5Unit:
-    """One Figure 5 bar: benchmark ``benchmark`` at ROP fraction ``k``."""
-
-    benchmark: str
-    k: float
-    baseline: ObfuscationConfig
-    seed: int
-
-
-@dataclass(frozen=True)
-class Table2Unit:
-    """One Table II cell: attack one generated function under one config."""
-
-    configuration: ObfuscationConfig
-    spec: RandomFunSpec
-    budget: AttackBudget
-    include_coverage: bool
-    seed: int
-
-
-@dataclass(frozen=True)
-class Table3Unit:
-    """One Table III cell: gadget statistics of one benchmark at one ``k``."""
-
-    benchmark: str
-    k: float
-    seed: int
-
-
-GridUnit = object  # any of the three unit dataclasses
-
-
-def figure5_units(benchmarks: Optional[Sequence[str]],
-                  k_values: Optional[Sequence[float]],
-                  baseline, seed: int) -> List[Figure5Unit]:
-    """Decompose a Figure 5 sweep, resolving the serial driver's defaults."""
-    from repro.evaluation.configurations import nvm, ROPK_SWEEP
-    from repro.workloads.clbg import CLBG_BENCHMARKS
-
-    benchmarks = list(benchmarks or sorted(CLBG_BENCHMARKS))
-    k_values = list(k_values if k_values is not None
-                    else [k for k in ROPK_SWEEP if k > 0])
-    baseline = baseline or nvm(2, "last")
-    return [Figure5Unit(benchmark=name, k=k, baseline=baseline, seed=seed)
-            for name in benchmarks for k in k_values]
-
-
-def table2_units(configurations, specs, budget: AttackBudget,
-                 include_coverage: bool, seed: int) -> List[Table2Unit]:
-    """Decompose a Table II grid in the serial config-outer/spec-inner order."""
-    return [Table2Unit(configuration=configuration, spec=spec, budget=budget,
-                       include_coverage=include_coverage, seed=seed)
-            for configuration in configurations for spec in specs]
-
-
-def table3_units(benchmarks: Optional[Sequence[str]],
-                 k_values: Optional[Sequence[float]],
-                 seed: int) -> List[Table3Unit]:
-    """Decompose a Table III sweep, resolving the serial driver's defaults."""
-    from repro.evaluation.configurations import ROPK_SWEEP
-    from repro.workloads.clbg import CLBG_BENCHMARKS
-
-    benchmarks = list(benchmarks or sorted(CLBG_BENCHMARKS))
-    k_values = list(k_values if k_values is not None else ROPK_SWEEP)
-    return [Table3Unit(benchmark=name, k=k, seed=seed)
-            for name in benchmarks for k in k_values]
-
-
 # -- unit identity, fingerprints and quarantine rows --------------------------
 
-def unit_identity(unit: GridUnit) -> Dict[str, object]:
-    """Human-readable identity fields of a unit (embedded in failure rows)."""
-    if isinstance(unit, Figure5Unit):
-        return {"part": "figure5", "benchmark": unit.benchmark, "k": unit.k}
-    if isinstance(unit, Table2Unit):
-        return {"part": "table2", "configuration": unit.configuration.name,
-                "structure": unit.spec.structure,
-                "input_size": unit.spec.input_size,
-                "spec_seed": unit.spec.seed}
-    if isinstance(unit, Table3Unit):
-        return {"part": "table3", "benchmark": unit.benchmark, "k": unit.k}
-    return {"part": "unknown", "unit": type(unit).__name__}
-
-
-def unit_fingerprint(unit: GridUnit) -> str:
+def unit_fingerprint(unit: object) -> str:
     """Deterministic cross-run identity of a unit — the checkpoint key.
 
     Hashes every field of the unit (configuration, spec, budget, seed via
@@ -200,9 +115,16 @@ def unit_fingerprint(unit: GridUnit) -> str:
     return f"{type(unit).__name__}:{digest}"
 
 
-def quarantine_row(unit: GridUnit, error: str) -> dict:
-    """The artifact row recorded for a unit whose retries exhausted."""
-    return {"status": "failed", "error": error, **unit_identity(unit)}
+def quarantine_row(unit: object, error: str) -> dict:
+    """The artifact row recorded for a unit whose retries exhausted.
+
+    It carries the unit's human-readable ``identity()`` fields when the
+    unit type defines them (the grid units do).
+    """
+    identity = getattr(unit, "identity", None)
+    fields = (identity() if identity is not None
+              else {"part": "unknown", "unit": type(unit).__name__})
+    return {"status": "failed", "error": error, **fields}
 
 
 @dataclass
@@ -246,164 +168,52 @@ class PoolEvent:
     exitcode: Optional[int] = None
 
 
-# -- unit execution (runs inside a worker) ------------------------------------
+# -- unit execution -----------------------------------------------------------
 
-#: benchmark-level measurements shared by several Figure 5 bars:
-#: (benchmark, baseline, seed) -> (program, entry, argument, targets,
-#: native_steps, baseline_steps).  Worker-local; the cached values are
-#: deterministic, so independent workers agree with each other and with the
-#: serial driver.
-_FIGURE5_CACHE: Dict[Tuple, Tuple] = {}
-
-#: spec-level reachable-probe samples shared by several Table II cells
-#: (the reachable set is a property of the *native* function).
-_REACHABLE_CACHE: Dict[Tuple, set] = {}
-
-#: benchmark-level compiled images shared by several Table III cells.
-_TABLE3_CACHE: Dict[str, Tuple] = {}
-
-
-def _figure5_measurements(unit: Figure5Unit) -> Tuple:
-    from repro.compiler import compile_program
-    from repro.evaluation.configurations import apply_configuration
-    from repro.evaluation.figure5 import _run
-    from repro.workloads.clbg import build_clbg_program
-
-    key = (unit.benchmark, unit.baseline, unit.seed)
-    cached = _FIGURE5_CACHE.get(key)
-    if cached is None:
-        program, entry, argument, targets = build_clbg_program(unit.benchmark)
-        native_steps = _run(compile_program(program), entry, argument)
-        baseline_image = apply_configuration(program, targets, unit.baseline,
-                                             seed=unit.seed)
-        baseline_steps = _run(baseline_image, entry, argument)
-        cached = (program, entry, argument, targets, native_steps, baseline_steps)
-        _FIGURE5_CACHE[key] = cached
-    return cached
-
-
-def _execute_figure5(unit: Figure5Unit) -> dict:
-    from repro.evaluation.configurations import apply_configuration, ropk
-    from repro.evaluation.figure5 import Figure5Bar, _run
-
-    program, entry, argument, targets, native_steps, baseline_steps = \
-        _figure5_measurements(unit)
-    rop_image = apply_configuration(program, targets, ropk(unit.k),
-                                    seed=unit.seed)
-    bar = Figure5Bar(benchmark=unit.benchmark, k=unit.k,
-                     native_instructions=native_steps,
-                     rop_instructions=_run(rop_image, entry, argument),
-                     baseline_instructions=baseline_steps)
-    return {**dataclasses.asdict(bar),
-            "slowdown_vs_native": bar.slowdown_vs_native,
-            "slowdown_vs_baseline": bar.slowdown_vs_baseline}
-
-
-def _execute_table2(unit: Table2Unit) -> dict:
-    from repro.attacks import coverage_attack, secret_finding_attack
-    from repro.attacks.dse import InputSpec
-    from repro.evaluation.configurations import apply_configuration
-    from repro.evaluation.table2 import _reachable_probes
-    from repro.workloads.randomfuns import generate_random_function
-
-    spec = unit.spec
-    secret_spec = RandomFunSpec(structure=spec.structure,
-                                input_size=spec.input_size, seed=spec.seed,
-                                point_test=True,
-                                loop_iterations=spec.loop_iterations)
-    program, _, _ = generate_random_function(secret_spec)
-    image = apply_configuration(program, [secret_spec.name],
-                                unit.configuration, seed=unit.seed)
-    input_spec = InputSpec(argument_sizes=[spec.input_size])
-    outcome = secret_finding_attack(image, secret_spec.name, input_spec,
-                                    unit.budget, seed=unit.seed)
-    cell = {
-        "configuration": unit.configuration.name,
-        "secret_found": outcome.success,
-        "time_to_success": outcome.time_to_success,
-        "coverage_full": False,
-        "executions": outcome.executions,
-        "instructions": outcome.instructions,
-        "branch_restores": outcome.branch_restores,
-    }
-
-    if unit.include_coverage:
-        coverage_spec = RandomFunSpec(structure=spec.structure,
-                                      input_size=spec.input_size,
-                                      seed=spec.seed, point_test=False,
-                                      loop_iterations=spec.loop_iterations)
-        cov_program, _, probe_count = generate_random_function(coverage_spec)
-        cov_image = apply_configuration(cov_program, [coverage_spec.name],
-                                        unit.configuration, seed=unit.seed)
-        spec_key = (spec.structure, spec.input_size, spec.seed,
-                    spec.loop_iterations)
-        reachable = _REACHABLE_CACHE.get(spec_key)
-        if reachable is None:
-            reachable = _reachable_probes(cov_program, coverage_spec,
-                                          probe_count)
-            _REACHABLE_CACHE[spec_key] = reachable
-        cov_outcome = coverage_attack(cov_image, coverage_spec.name,
-                                      reachable, input_spec, unit.budget,
-                                      seed=unit.seed)
-        cell["coverage_full"] = cov_outcome.success
-        cell["executions"] += cov_outcome.executions
-        cell["instructions"] += cov_outcome.instructions
-        cell["branch_restores"] += cov_outcome.branch_restores
-    return cell
-
-
-def _execute_table3(unit: Table3Unit) -> dict:
-    from repro.compiler import compile_program
-    from repro.core import RopConfig, rop_obfuscate
-    from repro.evaluation.table3 import Table3Row
-    from repro.workloads.clbg import build_clbg_program
-
-    cached = _TABLE3_CACHE.get(unit.benchmark)
-    if cached is None:
-        program, _, _, targets = build_clbg_program(unit.benchmark)
-        cached = (compile_program(program), targets)
-        _TABLE3_CACHE[unit.benchmark] = cached
-    image, targets = cached
-    _, report = rop_obfuscate(image, targets,
-                              RopConfig.ropk(unit.k, seed=unit.seed))
-    totals = report.totals()
-    row = Table3Row(benchmark=unit.benchmark, k=unit.k,
-                    program_points=int(totals["program_points"]),
-                    total_gadgets=int(totals["total_gadgets"]),
-                    unique_gadgets=int(totals["unique_gadgets"]))
-    return {**dataclasses.asdict(row), "gadgets_per_point": row.gadgets_per_point}
-
-
-#: Extension point for unit types beyond the three grid dataclasses —
-#: populated via :func:`register_unit_executor` in the parent process
-#: *before* the pool forks, so workers inherit the registry.
-_UNIT_EXECUTORS: Dict[type, Callable[[object], dict]] = {}
+#: unit type -> executor, populated via :func:`register_unit_executor` in
+#: the parent process *before* the pool forks, so workers inherit it.
+_UNIT_EXECUTORS: Dict[type, Callable[[object], object]] = {}
 
 
 def register_unit_executor(unit_type: type,
-                           executor: Callable[[object], dict]) -> None:
-    """Register the executor for a custom unit type (idempotent).
+                           executor: Callable[[object], object]) -> None:
+    """Register the executor for a unit type (idempotent).
 
-    The service layer registers its :class:`~repro.service.AttackRequest`
-    here at import time; because workers are forked from the parent, any
-    registration made before the first dispatch is visible inside every
-    worker (and every respawned replacement).
+    The grid parts, the service's :class:`~repro.service.AttackRequest` and
+    the frontier's decisions register here at import time; because workers
+    are forked from the parent, any registration made before the first
+    dispatch is visible inside every worker (and every respawned
+    replacement).
     """
     _UNIT_EXECUTORS[unit_type] = executor
 
 
-def execute_unit(unit: GridUnit) -> dict:
-    """Execute one work unit; dispatch point shared by serial and workers."""
-    if isinstance(unit, Figure5Unit):
-        return _execute_figure5(unit)
-    if isinstance(unit, Table2Unit):
-        return _execute_table2(unit)
-    if isinstance(unit, Table3Unit):
-        return _execute_table3(unit)
+def execute_unit(unit: object) -> object:
+    """Execute one work unit through its registered executor."""
     executor = _UNIT_EXECUTORS.get(type(unit))
-    if executor is not None:
-        return executor(unit)
-    raise TypeError(f"unknown work unit {type(unit).__name__}")
+    if executor is None:
+        raise TypeError(f"unknown work unit {type(unit).__name__}")
+    return executor(unit)
+
+
+def _run_unit(dispatch_id: int, attempt: int, unit: object, fault_spec,
+              inline: bool = False) -> Tuple[str, object]:
+    """Fire any injected fault, then execute; ``(status, payload)``.
+
+    Shared by the forked workers and the inline pool: any failure becomes
+    an ``("error", message)`` outcome for the supervising client.
+    Interrupts (``KeyboardInterrupt``/``SystemExit``) propagate instead: a
+    dying worker is supervised like any other premature exit, and a Ctrl-C
+    reaches the driver's own handler.
+    """
+    try:
+        inject_fault(dispatch_id, attempt, fault_spec, inline=inline)
+        return "ok", execute_unit(unit)
+    # lint: allow-broad-except — unit blast containment: any failure
+    # (EmulationError and injected faults included) becomes an error event
+    # for the supervising client instead of killing a grid or the service
+    except Exception as exc:
+        return "error", f"{type(exc).__name__}: {exc}"
 
 
 # -- the worker pool ----------------------------------------------------------
@@ -422,10 +232,7 @@ def _worker_main(worker_index: int, snapshot_share: int, task_queue,
     result queue: queue puts are flushed by a background feeder thread, so
     a worker dying right after claiming (SIGKILL, OOM) would lose the
     in-flight claim message and strand the unit forever; the shared-memory
-    write is synchronous and survives any death.  Interrupts
-    (``KeyboardInterrupt``/``SystemExit``) re-raise instead of being
-    reported as unit errors: the supervisor treats the dying worker like any
-    other premature exit, and a Ctrl-C reaches the driver's own handler.
+    write is synchronous and survives any death.
     """
     os.environ["REPRO_SNAPSHOT_POOL"] = str(snapshot_share)
     fault_spec = parse_fault_spec()
@@ -435,32 +242,23 @@ def _worker_main(worker_index: int, snapshot_share: int, task_queue,
             break
         dispatch_id, attempt, unit = task
         claim_cell.value = dispatch_id
-        try:
-            inject_fault(dispatch_id, attempt, fault_spec)
-            result_queue.put((worker_index, dispatch_id, "ok",
-                              execute_unit(unit)))
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        # lint: allow-broad-except — worker blast containment: any
-        # failure becomes an error event for the supervisor (KeyboardInterrupt/
-        # SystemExit re-raised above)
-        except BaseException as exc:  # surface, don't hang the parent
-            result_queue.put((worker_index, dispatch_id, "error",
-                              f"{type(exc).__name__}: {exc}"))
+        result_queue.put((worker_index, dispatch_id,
+                          *_run_unit(dispatch_id, attempt, unit, fault_spec)))
         # cleared only after the result is queued: a death in between leaves
         # a stale claim, which the supervisor's drain-first recovery ignores
         claim_cell.value = -1
 
 
 class WorkerPool:
-    """Persistent pool of forked grid workers with dynamic load balancing.
+    """Persistent pool of forked workers with dynamic load balancing.
 
-    Workers are spawned lazily on the first :meth:`map` call and stay alive
+    Workers are spawned lazily on the first :meth:`submit` and stay alive
     across calls (and hence across the three grid parts), so benchmark
     programs, preloaded images and reachable-probe samples cached inside a
     worker keep paying off for later units.  ``workers <= 1`` — or a
-    process that cannot fork workers (:func:`fork_available`) — degrades to
-    in-process execution with identical results.
+    process that cannot fork workers (:func:`fork_available`) — is the
+    inline mode of the same API: units run in-process, oldest first, one
+    per :meth:`pump`, with identical results.
     """
 
     def __init__(self, workers: int,
@@ -472,6 +270,8 @@ class WorkerPool:
                                if snapshot_share is None else snapshot_share)
         self.stats = FaultStats()
         self._processes: List = []
+        #: pending ``(dispatch id, attempt, unit)`` tasks: a fork-context
+        #: queue the workers claim from, or the inline FIFO :meth:`pump` runs
         self._task_queue = None
         self._result_queue = None
         #: per-slot shared claim cells (-1 = idle); see :func:`_worker_main`
@@ -509,7 +309,10 @@ class WorkerPool:
         return process
 
     def _ensure_started(self) -> None:
-        if self._processes:
+        if self._task_queue is not None:
+            return
+        if not self.parallel:
+            self._task_queue = queue_module.SimpleQueue()
             return
         context = multiprocessing.get_context("fork")
         self._task_queue = context.Queue()
@@ -529,7 +332,7 @@ class WorkerPool:
 
     # -- incremental supervision API ------------------------------------------
 
-    def submit(self, unit: GridUnit, dispatch_id: Optional[int] = None,
+    def submit(self, unit: object, dispatch_id: Optional[int] = None,
                attempt: int = 0) -> int:
         """Enqueue one unit; return its pool-lifetime dispatch id.
 
@@ -537,12 +340,8 @@ class WorkerPool:
         sequence; a retry re-submits under the unit's *original* id with a
         bumped ``attempt``, preserving the fault-injection index semantics
         (a ``count``-limited directive stops sabotaging once ``attempt``
-        reaches its count).  Parallel pools only — inline execution has no
-        queue to supervise.
+        reaches its count).
         """
-        if not self.parallel:
-            raise RuntimeError("submit() requires a parallel pool "
-                               "(workers > 1 with fork available)")
         if dispatch_id is None:
             dispatch_id = self._units_dispatched
             self._units_dispatched += 1
@@ -564,7 +363,22 @@ class WorkerPool:
         drained while recovering a kill or a death win over the synthetic
         deadline/death event — the unit finished, so it is reported
         finished.
+
+        An inline pool instead runs the oldest queued unit in-process and
+        returns its ``result`` event (``[]`` when nothing is queued); it
+        never waits, so ``timeout`` and ``deadline`` do not apply.
         """
+        self._ensure_started()
+        if not self.parallel:
+            try:
+                dispatch_id, attempt, unit = self._task_queue.get_nowait()
+            except queue_module.Empty:
+                return []
+            self._outstanding.discard(dispatch_id)
+            status, payload = _run_unit(dispatch_id, attempt, unit,
+                                        parse_fault_spec(), inline=True)
+            return [PoolEvent(kind="result", dispatch_id=dispatch_id,
+                              status=status, payload=payload, worker=0)]
         events: List[PoolEvent] = []
 
         def handle(message) -> None:
@@ -583,7 +397,6 @@ class WorkerPool:
                 except queue_module.Empty:
                     return
 
-        self._ensure_started()
         now = time.monotonic()  # lint: allow-wallclock — worker-liveness deadline, not row content
         for slot, cell in enumerate(self._claim_cells):
             value = cell.value
@@ -650,7 +463,7 @@ class WorkerPool:
             self._respawn(slot)
         return events
 
-    def map(self, units: Sequence[GridUnit],
+    def map(self, units: Sequence[object],
             on_result: Optional[Callable] = None,
             ) -> Tuple[List[dict], List[int]]:
         """Execute every unit; return ``(results, worker_ids)`` unit-ordered.
@@ -667,105 +480,54 @@ class WorkerPool:
         ``(index, unit, payload)`` as each unit resolves (completion order)
         — the grid driver streams completed units to its checkpoint with it.
         """
-        if not units:
-            return [], []
-        base = self._units_dispatched
-        self._units_dispatched += len(units)
-        if not self.parallel:
-            return self._map_inline(units, base, on_result)
-        self._ensure_started()
-        try:
-            return self._map_supervised(units, base, on_result)
-        # lint: allow-broad-except — error-path cleanup that re-raises:
-        # the pool is aborted so a failed run cannot hang close()
-        except BaseException:
-            self.abort()
-            raise
-
-    def _map_inline(self, units: Sequence[GridUnit], base: int,
-                    on_result: Optional[Callable]) -> Tuple[List[dict], List[int]]:
-        """In-process execution (serial fallback) with the same quarantine
-        semantics; only ``raise`` faults are injectable here."""
-        retries = unit_retries()
-        fault_spec = parse_fault_spec()
-        results: List[dict] = []
-        for index, unit in enumerate(units):
-            attempt = 0
-            while True:
-                try:
-                    inject_fault(base + index, attempt, fault_spec,
-                                 inline=True)
-                    payload = execute_unit(unit)
-                    break
-                # lint: allow-broad-except — the inline pool mirrors the
-                # forked workers' blast containment: *any* unit failure
-                # (including EmulationError) is retried then quarantined as
-                # a row, never allowed to kill the whole grid.
-                except Exception as exc:
-                    if attempt < retries:
-                        attempt += 1
-                        self.stats.retries += 1
-                        continue
-                    payload = quarantine_row(unit,
-                                             f"{type(exc).__name__}: {exc}")
-                    self.stats.failed_units += 1
-                    break
-            results.append(payload)
-            if on_result is not None:
-                on_result(index, unit, payload)
-        return results, [0] * len(units)
-
-    def _map_supervised(self, units: Sequence[GridUnit], base: int,
-                        on_result: Optional[Callable],
-                        ) -> Tuple[List[dict], List[int]]:
         retries = unit_retries()
         deadline = unit_timeout()
         respawn_limit = self.respawn_limit(retries)
         respawns_before = self.stats.respawns
         results: List[Optional[dict]] = [None] * len(units)
         worker_ids: List[int] = [0] * len(units)
-        attempts: Dict[int, int] = {}
-        index_of: Dict[int, int] = {}
-        for index, unit in enumerate(units):
-            dispatch_id = self.submit(unit, dispatch_id=base + index)
-            index_of[dispatch_id] = index
-            attempts[dispatch_id] = 0
-        unresolved = set(index_of)
+        attempts = [0] * len(units)
+        base = self._units_dispatched
+        self._units_dispatched += len(units)
+        unresolved = set(range(len(units)))
 
-        def resolve(dispatch_id: int, payload: dict, worker: int) -> None:
-            index = index_of[dispatch_id]
+        def resolve(index: int, payload: dict, worker: int) -> None:
             results[index] = payload
             worker_ids[index] = worker
-            unresolved.discard(dispatch_id)
+            unresolved.discard(index)
             if on_result is not None:
                 on_result(index, units[index], payload)
 
-        def fail(dispatch_id: int, worker: int, error: str) -> None:
-            if attempts[dispatch_id] < retries:
-                attempts[dispatch_id] += 1
-                self.stats.retries += 1
-                self.submit(units[index_of[dispatch_id]],
-                            dispatch_id=dispatch_id,
-                            attempt=attempts[dispatch_id])
-            else:
-                self.stats.failed_units += 1
-                resolve(dispatch_id,
-                        quarantine_row(units[index_of[dispatch_id]], error),
-                        worker)
-
-        while unresolved:
-            for event in self.pump(deadline=deadline):
-                if event.dispatch_id not in unresolved:
-                    continue
-                if event.kind == "result" and event.status == "ok":
-                    resolve(event.dispatch_id, event.payload, event.worker)
-                else:
-                    fail(event.dispatch_id, event.worker, event.payload)
-            if self.stats.respawns - respawns_before > respawn_limit:
-                raise RuntimeError(
-                    f"grid worker respawn limit exceeded "
-                    f"({self.stats.respawns - respawns_before} respawns "
-                    f"with {len(unresolved)} unit(s) unresolved)")
+        try:
+            for index, unit in enumerate(units):
+                self.submit(unit, dispatch_id=base + index)
+            while unresolved:
+                for event in self.pump(deadline=deadline):
+                    index = event.dispatch_id - base
+                    if index not in unresolved:
+                        continue
+                    if event.kind == "result" and event.status == "ok":
+                        resolve(index, event.payload, event.worker)
+                    elif attempts[index] < retries:
+                        attempts[index] += 1
+                        self.stats.retries += 1
+                        self.submit(units[index], dispatch_id=event.dispatch_id,
+                                    attempt=attempts[index])
+                    else:
+                        self.stats.failed_units += 1
+                        resolve(index,
+                                quarantine_row(units[index], event.payload),
+                                event.worker)
+                if self.stats.respawns - respawns_before > respawn_limit:
+                    raise RuntimeError(
+                        f"grid worker respawn limit exceeded "
+                        f"({self.stats.respawns - respawns_before} respawns "
+                        f"with {len(unresolved)} unit(s) unresolved)")
+        # lint: allow-broad-except — error-path cleanup that re-raises:
+        # the pool is aborted so a failed run cannot hang close()
+        except BaseException:
+            self.abort()
+            raise
         return results, worker_ids
 
     def abort(self) -> None:
@@ -783,15 +545,13 @@ class WorkerPool:
             if process.is_alive():
                 process.kill()
                 process.join(timeout=2.0)
-        for queue in (self._task_queue, self._result_queue):
-            if queue is not None:
-                queue.cancel_join_thread()
+        if self._processes:  # an inline FIFO has no feeder thread to cancel
+            self._task_queue.cancel_join_thread()
+            self._result_queue.cancel_join_thread()
         self._reset()
 
     def close(self) -> None:
         """Stop the workers; safe to call twice."""
-        if not self._processes:
-            return
         for _ in self._processes:
             try:
                 self._task_queue.put(None)
@@ -821,62 +581,3 @@ class WorkerPool:
             self.close()
         else:
             self.abort()
-
-
-# -- deterministic merges -----------------------------------------------------
-
-def merge_table2(units: Sequence[Table2Unit],
-                 cells: Sequence[dict]) -> List[dict]:
-    """Reassemble Table II rows from per-cell results.
-
-    ``units`` must be in the serial config-outer/spec-inner order (what
-    :func:`table2_units` produces); accumulating cells in that order makes
-    each output row identical to the serial driver's — including
-    ``average_time``, which averages time-to-success over successful cells
-    in spec order.
-
-    Quarantined cells (``{"status": "failed", ...}``) are excluded from the
-    aggregation entirely — they were never measured, so they count toward
-    neither ``functions`` nor any attack counter; the grid driver appends
-    them to the artifact as their own rows.
-    """
-    rows: List[dict] = []
-    by_config: Dict[str, dict] = {}
-    spec_counts: Dict[str, int] = {}
-    for unit, cell in zip(units, cells):
-        if cell.get("status") == "failed":
-            continue
-        name = unit.configuration.name
-        spec_counts[name] = spec_counts.get(name, 0) + 1
-        row = by_config.get(name)
-        if row is None:
-            row = {"configuration": name, "secrets_found": 0, "functions": 0,
-                   "average_time": 0.0, "full_coverage": 0, "executions": 0,
-                   "instructions": 0, "branch_restores": 0, "_times": []}
-            by_config[name] = row
-            rows.append(row)
-        if cell["secret_found"]:
-            row["secrets_found"] += 1
-            row["_times"].append(cell["time_to_success"])
-        if cell["coverage_full"]:
-            row["full_coverage"] += 1
-        row["executions"] += cell["executions"]
-        row["instructions"] += cell["instructions"]
-        row["branch_restores"] += cell["branch_restores"]
-    for row in rows:
-        times = row.pop("_times")
-        row["functions"] = spec_counts[row["configuration"]]
-        row["average_time"] = sum(times) / len(times) if times else 0.0
-    return rows
-
-
-def executions_by_worker(worker_ids: Sequence[int],
-                         cells: Sequence[dict]) -> Dict[str, int]:
-    """Per-worker concrete-execution totals for the summary's attack_engine."""
-    totals: Dict[str, int] = {}
-    for worker_index, cell in zip(worker_ids, cells):
-        if cell.get("status") == "failed":
-            continue  # quarantined cells carry no execution counters
-        key = str(worker_index)
-        totals[key] = totals.get(key, 0) + cell["executions"]
-    return totals

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.attacks import AttackBudget, coverage_attack, secret_finding_attack
 from repro.attacks.dse import InputSpec
@@ -12,6 +12,7 @@ from repro.evaluation.configurations import (
     TABLE2_CONFIGURATIONS,
     apply_configuration,
 )
+from repro.evaluation.parallel import register_unit_executor
 from repro.workloads.randomfuns import RandomFunSpec, generate_random_function, generate_table2_suite
 
 
@@ -45,80 +46,150 @@ class Table2Row:
                 f"{self.average_time:.2f}s", f"{self.full_coverage}/{self.functions}")
 
 
+@dataclass(frozen=True)
+class Table2Unit:
+    """One Table II cell: attack one generated function under one config."""
+
+    configuration: ObfuscationConfig
+    spec: RandomFunSpec
+    budget: AttackBudget
+    include_coverage: bool
+    seed: int
+
+    def identity(self) -> dict:
+        return {"part": "table2", "configuration": self.configuration.name,
+                "structure": self.spec.structure,
+                "input_size": self.spec.input_size,
+                "spec_seed": self.spec.seed}
+
+
+def table2_units(configurations, specs, budget: AttackBudget,
+                 include_coverage: bool, seed: int) -> List[Table2Unit]:
+    """Decompose a Table II grid (configuration-outer, spec-inner)."""
+    return [Table2Unit(configuration=configuration, spec=spec, budget=budget,
+                       include_coverage=include_coverage, seed=seed)
+            for configuration in configurations for spec in specs]
+
+
+#: spec -> reachable probe set.  The set is a property of the *native*
+#: function, so it is sampled once per spec, not once per cell.
+_REACHABLE: Dict[Tuple, set] = {}
+
+
+def execute_table2(unit: Table2Unit) -> dict:
+    """Attack one cell: secret finding, then (optionally) coverage.
+
+    Returns the cell's counters; :func:`merge_table2` folds cells into rows.
+    """
+    spec = unit.spec
+    secret_spec = RandomFunSpec(structure=spec.structure,
+                                input_size=spec.input_size, seed=spec.seed,
+                                point_test=True,
+                                loop_iterations=spec.loop_iterations)
+    program, _, _ = generate_random_function(secret_spec)
+    image = apply_configuration(program, [secret_spec.name],
+                                unit.configuration, seed=unit.seed)
+    input_spec = InputSpec(argument_sizes=[spec.input_size])
+    outcome = secret_finding_attack(image, secret_spec.name, input_spec,
+                                    unit.budget, seed=unit.seed)
+    cell = {
+        "configuration": unit.configuration.name,
+        "secret_found": outcome.success,
+        "time_to_success": outcome.time_to_success,
+        "coverage_full": False,
+        "executions": outcome.executions,
+        "instructions": outcome.instructions,
+        "branch_restores": outcome.branch_restores,
+    }
+
+    if unit.include_coverage:
+        coverage_spec = RandomFunSpec(structure=spec.structure,
+                                      input_size=spec.input_size,
+                                      seed=spec.seed, point_test=False,
+                                      loop_iterations=spec.loop_iterations)
+        cov_program, _, probe_count = generate_random_function(coverage_spec)
+        cov_image = apply_configuration(cov_program, [coverage_spec.name],
+                                        unit.configuration, seed=unit.seed)
+        spec_key = (spec.structure, spec.input_size, spec.seed,
+                    spec.loop_iterations)
+        reachable = _REACHABLE.get(spec_key)
+        if reachable is None:
+            reachable = _reachable_probes(cov_program, coverage_spec,
+                                          probe_count)
+            _REACHABLE[spec_key] = reachable
+        cov_outcome = coverage_attack(cov_image, coverage_spec.name,
+                                      reachable, input_spec, unit.budget,
+                                      seed=unit.seed)
+        cell["coverage_full"] = cov_outcome.success
+        cell["executions"] += cov_outcome.executions
+        cell["instructions"] += cov_outcome.instructions
+        cell["branch_restores"] += cov_outcome.branch_restores
+    return cell
+
+
+register_unit_executor(Table2Unit, execute_table2)
+
+
+def merge_table2(units: Sequence[Table2Unit],
+                 cells: Sequence[dict]) -> List[dict]:
+    """Fold per-cell results into Table II rows, one per configuration.
+
+    ``units`` must be in the configuration-outer/spec-inner order
+    :func:`table2_units` produces; accumulating cells in that order makes
+    ``average_time`` average time-to-success over successful cells in spec
+    order, whatever order the cells were executed in.
+
+    Quarantined cells (``{"status": "failed", ...}``) are excluded from the
+    aggregation entirely — they were never measured, so they count toward
+    neither ``functions`` nor any attack counter; the grid driver appends
+    them to the artifact as their own rows.
+    """
+    rows: List[dict] = []
+    by_config: Dict[str, dict] = {}
+    spec_counts: Dict[str, int] = {}
+    for unit, cell in zip(units, cells):
+        if cell.get("status") == "failed":
+            continue
+        name = unit.configuration.name
+        spec_counts[name] = spec_counts.get(name, 0) + 1
+        row = by_config.get(name)
+        if row is None:
+            row = {"configuration": name, "secrets_found": 0, "functions": 0,
+                   "average_time": 0.0, "full_coverage": 0, "executions": 0,
+                   "instructions": 0, "branch_restores": 0, "_times": []}
+            by_config[name] = row
+            rows.append(row)
+        if cell["secret_found"]:
+            row["secrets_found"] += 1
+            row["_times"].append(cell["time_to_success"])
+        if cell["coverage_full"]:
+            row["full_coverage"] += 1
+        row["executions"] += cell["executions"]
+        row["instructions"] += cell["instructions"]
+        row["branch_restores"] += cell["branch_restores"]
+    for row in rows:
+        times = row.pop("_times")
+        row["functions"] = spec_counts[row["configuration"]]
+        row["average_time"] = sum(times) / len(times) if times else 0.0
+    return rows
+
+
 def run_table2(configurations: Optional[Sequence[ObfuscationConfig]] = None,
                specs: Optional[Sequence[RandomFunSpec]] = None,
                budget: Optional[AttackBudget] = None,
                include_coverage: bool = True, seed: int = 1) -> List[Table2Row]:
     """Run the Table II grid.
 
-    The defaults use a scaled-down grid (see EXPERIMENTS.md); pass the full
-    ``generate_table2_suite()`` and larger budgets to reproduce the paper's
-    setup at full size.
+    The defaults use a scaled-down grid (see the ``REPRO_FULL_SCALE`` row
+    of ``benchmarks/README.md``); pass the full ``generate_table2_suite()``
+    and larger budgets to reproduce the paper's setup at full size.
     """
-    configurations = list(configurations or TABLE2_CONFIGURATIONS)
-    specs = list(specs or generate_table2_suite())
-    budget = budget or AttackBudget()
-    rows: List[Table2Row] = []
-
-    # the reachable probe set is a property of the *native* function, so
-    # sample it once per spec instead of once per (configuration, spec) pair
-    reachable_by_spec: dict = {}
-
-    for configuration in configurations:
-        found = 0
-        covered = 0
-        executions = 0
-        instructions = 0
-        branch_restores = 0
-        times: List[float] = []
-        for spec in specs:
-            secret_spec = RandomFunSpec(structure=spec.structure, input_size=spec.input_size,
-                                        seed=spec.seed, point_test=True,
-                                        loop_iterations=spec.loop_iterations)
-            program, _, _ = generate_random_function(secret_spec)
-            image = apply_configuration(program, [secret_spec.name], configuration, seed=seed)
-            input_spec = InputSpec(argument_sizes=[spec.input_size])
-            outcome = secret_finding_attack(image, secret_spec.name, input_spec, budget,
-                                            seed=seed)
-            executions += outcome.executions
-            instructions += outcome.instructions
-            branch_restores += outcome.branch_restores
-            if outcome.success:
-                found += 1
-                times.append(outcome.time_to_success)
-
-            if include_coverage:
-                coverage_spec = RandomFunSpec(structure=spec.structure,
-                                              input_size=spec.input_size, seed=spec.seed,
-                                              point_test=False,
-                                              loop_iterations=spec.loop_iterations)
-                cov_program, _, probe_count = generate_random_function(coverage_spec)
-                cov_image = apply_configuration(cov_program, [coverage_spec.name],
-                                                configuration, seed=seed)
-                spec_key = (spec.structure, spec.input_size, spec.seed,
-                            spec.loop_iterations)
-                reachable = reachable_by_spec.get(spec_key)
-                if reachable is None:
-                    reachable = _reachable_probes(cov_program, coverage_spec, probe_count)
-                    reachable_by_spec[spec_key] = reachable
-                cov_outcome = coverage_attack(cov_image, coverage_spec.name, reachable,
-                                              input_spec, budget, seed=seed)
-                executions += cov_outcome.executions
-                instructions += cov_outcome.instructions
-                branch_restores += cov_outcome.branch_restores
-                if cov_outcome.success:
-                    covered += 1
-        rows.append(Table2Row(
-            configuration=configuration.name,
-            secrets_found=found,
-            functions=len(specs),
-            average_time=sum(times) / len(times) if times else 0.0,
-            full_coverage=covered,
-            executions=executions,
-            instructions=instructions,
-            branch_restores=branch_restores,
-        ))
-    return rows
+    units = table2_units(list(configurations or TABLE2_CONFIGURATIONS),
+                         list(specs or generate_table2_suite()),
+                         budget or AttackBudget(), include_coverage, seed)
+    return [Table2Row(**row)
+            for row in merge_table2(units, [execute_table2(unit)
+                                            for unit in units])]
 
 
 def _reachable_probes(program, spec: RandomFunSpec, probe_count: int) -> set:

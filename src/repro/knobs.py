@@ -64,8 +64,6 @@ def _register(name: str, kind: str, default: Optional[str], scope: str,
 
 
 # -- emulator tiers (repro.cpu) -----------------------------------------------
-_register("REPRO_DECODE_CACHE", "flag", "1", "src",
-          "0 disables the per-address decode cache")
 _register("REPRO_TRACE_CACHE", "flag", "1", "src",
           "0 disables trace fusion (single-step dispatch)")
 

@@ -19,10 +19,12 @@ Scheduling layers on the grid pool's incremental supervision API
 admission, retry policy with exponential backoff (``REPRO_SERVICE_BACKOFF``)
 and terminal-state bookkeeping, while the pool owns the claim-cell heartbeat
 protocol that turns worker deaths *and* hangs (``REPRO_SERVICE_TIMEOUT``,
-falling back to ``REPRO_UNIT_TIMEOUT``) into events.  A pool that keeps
+falling back to ``REPRO_UNIT_TIMEOUT``) into events.  The service always
+holds a pool: at one worker it is the pool's inline mode, which runs one
+request in-process per supervision round.  A forked pool that keeps
 burning respawns trips a circuit breaker (``REPRO_SERVICE_BREAKER``): the
-service tears the pool down and degrades to in-process serial execution,
-where only ``raise`` faults can reach it — requests already admitted keep
+service aborts it and swaps in an inline ``WorkerPool(1)``, where only
+``raise`` faults can reach it — in-flight requests are resubmitted with
 their dispatch ids and attempt counts, so fault-injection indexing and the
 retry budget survive the degradation.
 
@@ -42,11 +44,10 @@ from pathlib import Path
 from typing import Deque, Dict, List, Optional
 
 from repro import knobs
-from repro.evaluation.parallel import WorkerPool, fork_available
-from repro.faults import inject_fault, parse_fault_spec, unit_retries, unit_timeout
+from repro.evaluation.parallel import WorkerPool
+from repro.faults import unit_retries, unit_timeout
 from repro.service.journal import Journal
-from repro.service.requests import (AttackRequest, execute_request,
-                                    request_fingerprint)
+from repro.service.requests import AttackRequest, request_fingerprint
 
 #: Seconds one blocking supervision round waits for pool events.
 _POLL_SECONDS = 1.0
@@ -143,10 +144,7 @@ class AttackService:
         # mid-write, and the journal's constructor repairs the torn line
         self._journaled = Journal.load(directory)
         self.journal = Journal(directory)
-        self._fault_spec = parse_fault_spec()
-        self._pool: Optional[WorkerPool] = None
-        if self.workers > 1 and fork_available():
-            self._pool = WorkerPool(self.workers)
+        self._pool = WorkerPool(self.workers)
         self._pending: Deque[_Tracked] = deque()
         self._waiting: List[_Tracked] = []
         self._inflight: Dict[int, _Tracked] = {}
@@ -250,30 +248,26 @@ class AttackService:
     def _trip_breaker(self) -> None:
         """Degrade to in-process execution after repeated respawns.
 
-        In-flight requests return to the front of the pending queue with
-        their dispatch ids and attempt counts intact, so fault-injection
-        indexing and retry budgets carry over; inline execution then only
-        honours ``raise``/``slow`` faults, which is exactly the degradation
-        the breaker exists for — a pool whose workers keep dying stops
-        being used.
+        The forked pool is aborted and an inline ``WorkerPool(1)`` takes
+        over its counters.  In-flight requests are resubmitted to it in
+        dispatch order with their dispatch ids and attempt counts intact, so
+        fault-injection indexing and retry budgets carry over; inline
+        execution then only honours ``raise``/``slow`` faults, which is
+        exactly the degradation the breaker exists for — a pool whose
+        workers keep dying stops being used.
         """
         self.stats.degraded = 1
-        pool, self._pool = self._pool, None
-        reclaimed = sorted(self._inflight.values(),
-                           key=lambda tracked: tracked.dispatch_id)
-        self._inflight.clear()
-        for tracked in reversed(reclaimed):
-            self._pending.appendleft(tracked)
-        pool.abort()
-
-    def _sync_pool_stats(self) -> None:
-        self.stats.respawns = self._pool.stats.respawns
-        self.stats.timeouts = self._pool.stats.timeouts
+        self._pool.abort()
+        inline = WorkerPool(1)
+        inline.stats = self._pool.stats
+        self._pool = inline
+        for dispatch_id in sorted(self._inflight):
+            tracked = self._inflight[dispatch_id]
+            inline.submit(tracked.request, dispatch_id=dispatch_id,
+                          attempt=tracked.attempt)
 
     def process(self) -> List[dict]:
         """One supervision round; returns requests that became terminal."""
-        if self._pool is None:
-            return self._process_inline()
         rows: List[dict] = []
         self._dispatch_ready()
         if not self._inflight:
@@ -297,41 +291,10 @@ class AttackService:
                 row = self._retry_or_quarantine(tracked, str(event.payload))
                 if row is not None:
                     rows.append(row)
-        self._sync_pool_stats()
-        if self.stats.respawns > self.breaker:
+        self.stats.respawns = self._pool.stats.respawns
+        self.stats.timeouts = self._pool.stats.timeouts
+        if self._pool.parallel and self.stats.respawns > self.breaker:
             self._trip_breaker()
-        return rows
-
-    def _process_inline(self) -> List[dict]:
-        """Serial/degraded mode: run the oldest runnable request in-process."""
-        rows: List[dict] = []
-        now = time.monotonic()  # lint: allow-wallclock — retry-backoff schedule, not row content
-        for tracked in list(self._waiting):
-            if tracked.ready_at <= now:
-                self._waiting.remove(tracked)
-                self._pending.append(tracked)
-        if not self._pending:
-            if self._waiting:
-                time.sleep(min(_POLL_SECONDS,
-                               max(0.0, min(tracked.ready_at
-                                            for tracked in self._waiting)
-                                   - now)))
-            return rows
-        tracked = self._pending.popleft()
-        dispatch_id = self._next_dispatch_id(tracked)
-        try:
-            inject_fault(dispatch_id, tracked.attempt, self._fault_spec,
-                         inline=True)
-            rows.append(self._finish(tracked,
-                                     execute_request(tracked.request)))
-        # lint: allow-broad-except — degraded-mode containment: any request
-        # failure (fault injection included) must become a retry/quarantine
-        # row, never take down the long-lived service.
-        except Exception as exc:
-            row = self._retry_or_quarantine(
-                tracked, f"{type(exc).__name__}: {exc}")
-            if row is not None:
-                rows.append(row)
         return rows
 
     def drain(self) -> List[dict]:
@@ -348,9 +311,7 @@ class AttackService:
                 **self.stats.as_dict()}
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+        self._pool.close()
         self.journal.close()
 
     def __enter__(self) -> "AttackService":

@@ -129,7 +129,8 @@ def build_coreutils_corpus(programs: int = 20, functions_per_program: int = 12,
 
     Defaults are scaled down from the paper's 107 programs / 1354 functions;
     the full size is reachable by raising ``programs`` and
-    ``functions_per_program`` (see EXPERIMENTS.md).
+    ``functions_per_program`` (see the ``REPRO_FULL_SCALE`` row of
+    ``benchmarks/README.md``).
     """
     rng = random.Random(seed)
     corpus: List[Tuple[BinaryImage, List[CorpusFunction]]] = []

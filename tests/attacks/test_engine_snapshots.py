@@ -92,7 +92,6 @@ def test_backtracking_explores_identical_path_set(monkeypatch, caches):
     import repro.cpu.emulator as emulator_module
 
     if caches == "off":
-        monkeypatch.setattr(emulator_module, "_DECODE_CACHE_DEFAULT", False)
         monkeypatch.setattr(emulator_module, "_TRACE_CACHE_DEFAULT", False)
     image = compile_program(branchy_program())
     rerun_results, rerun_stats = _explore(image, "f", backtracking=False)

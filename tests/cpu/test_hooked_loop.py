@@ -6,8 +6,7 @@ loop whose decode entries carry each instruction's handler and, for a
 loop's contract: every hook sees every instruction in list order, a
 transfer is specialized once per decoded instruction and kept across runs
 and owners, and rewriting the code under a cached transfer re-specializes
-it from the new bytes.  The caching tests force ``decode_cache=True`` so
-they hold under ``REPRO_DECODE_CACHE=0`` too.
+it from the new bytes.
 """
 
 from repro.cpu import Emulator
@@ -73,7 +72,7 @@ def test_hooks_run_in_list_order_for_every_instruction():
 
 def test_transfers_are_specialized_once_per_decoded_instruction():
     program = build_program(_LOOP)
-    emulator = Emulator(program.memory, decode_cache=True)
+    emulator = Emulator(program.memory)
     calls, specializations = [], {}
     specialize = _counting_specializer(calls, specializations)
     for owner in ("first", "second"):
@@ -89,7 +88,7 @@ def test_transfers_are_specialized_once_per_decoded_instruction():
 def test_rewritten_code_is_specialized_again():
     program = build_program(_LOOP)
     address = program.image.function("f").address
-    emulator = Emulator(program.memory, decode_cache=True)
+    emulator = Emulator(program.memory)
     calls, specializations = [], {}
     emulator.pre_hooks = [SpecializedHook(
         None, _counting_specializer(calls, specializations))]

@@ -17,10 +17,11 @@ from repro.evaluation.parallel import (
     WorkerPool,
     fork_available,
     quarantine_row,
-    table3_units,
     unit_fingerprint,
 )
+from repro.evaluation.table3 import table3_units
 from repro.faults import InjectedFault, inject_fault, parse_fault_spec
+from tests.evaluation.test_parallel_grid import GOLDEN_SMOKE_ROWS
 
 needs_fork = pytest.mark.skipif(not fork_available(),
                                 reason="fork start method required")
@@ -287,33 +288,39 @@ def test_quarantined_units_are_not_checkpointed_and_retry_on_resume(tmp_path,
 
 # -- grid-level integration ---------------------------------------------------
 
-@needs_fork
-def test_grid_with_quarantined_cell_matches_serial_on_survivors(monkeypatch):
-    """A 2-worker grid with one injected kill (recovered) and one poisoned
-    cell (quarantined) still produces the serial rows for every survivor.
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grid_with_quarantined_cell_matches_serial_on_survivors(monkeypatch,
+                                                                workers):
+    """A grid with one poisoned cell (quarantined) — and, with forked
+    workers, one injected kill (recovered) — still produces the golden
+    serial rows for every survivor.
 
     One run_grid call dispatches parts in body order (figure5, table2,
-    table3), so global unit indexes 0-1 are the figure5 bars.  Index 0
-    (fasta@k=0.25) is killed once and recovers; index 1 (fasta@k=1.0)
-    raises on every attempt and is quarantined.
+    table3), so global unit indexes 0-1 are the figure5 bars.  Index 1
+    (fasta@k=1.0) raises on every attempt and is quarantined; at 2 workers
+    index 0 (fasta@k=0.25) is also killed once and recovers.  The serial
+    run is the pool's inline mode, which honours ``raise`` faults too.
     """
-    serial = run_grid("smoke", seed=1, workers=1)
-    monkeypatch.setenv("REPRO_FAULT_INJECT", "0:kill,1:raise:always")
+    if workers > 1 and not fork_available():
+        pytest.skip("fork start method required")
+    golden = json.loads(GOLDEN_SMOKE_ROWS.read_text())
+    monkeypatch.setenv("REPRO_FAULT_INJECT", "1:raise:always" if workers == 1
+                       else "0:kill,1:raise:always")
     meta = {}
-    faulty = run_grid("smoke", seed=1, workers=2, meta=meta)
+    faulty = run_grid("smoke", seed=1, workers=workers, meta=meta)
     assert meta["faults"]["failed_units"] == 1
-    assert meta["faults"]["respawns"] >= 1
+    if workers > 1:
+        assert meta["faults"]["respawns"] >= 1
 
-    assert faulty["table3"] == serial["table3"]
+    assert faulty["table3"] == golden["table3"]
     failed = [row for row in faulty["figure5"] if row.get("status") == "failed"]
     assert len(failed) == 1
     assert failed[0]["benchmark"] == "fasta" and failed[0]["k"] == 1.0
     assert _ok_rows(faulty["figure5"]) == \
-        [row for row in serial["figure5"] if row["k"] != 1.0]
+        [row for row in golden["figure5"] if row["k"] != 1.0]
     # table2 was untouched by the faults: identical up to wall-clock
-    strip = lambda rows: [  # noqa: E731
-        {k: v for k, v in row.items() if k != "average_time"} for row in rows]
-    assert strip(faulty["table2"]) == strip(serial["table2"])
+    assert [{k: v for k, v in row.items() if k != "average_time"}
+            for row in faulty["table2"]] == golden["table2"]
 
 
 def test_write_artifacts_excludes_quarantined_rows_from_aggregates(tmp_path):

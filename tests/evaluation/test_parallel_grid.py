@@ -1,28 +1,29 @@
 """Sharded grid evaluation: unit decomposition, merge, pool and determinism."""
 
 import json
-
-import pytest
+import time
+from pathlib import Path
 
 from repro.attacks import AttackBudget
 from repro.attacks.engine import sharded_pool_capacity
 from repro.evaluation.configurations import NATIVE, nvm, ropk
+from repro.evaluation.figure5 import figure5_units
 from repro.evaluation.grid import (
     _config_aggregates,
     compare_summaries,
+    executions_by_worker,
     run_grid,
     write_artifacts,
 )
-from repro.evaluation.parallel import (
-    WorkerPool,
-    executions_by_worker,
-    figure5_units,
-    fork_available,
-    merge_table2,
-    table2_units,
-    table3_units,
-)
+from repro.evaluation.parallel import WorkerPool, fork_available
+from repro.evaluation.table2 import merge_table2, table2_units
+from repro.evaluation.table3 import table3_units
 from repro.workloads.randomfuns import RandomFunSpec
+
+#: ``run_grid("smoke", seed=1, workers=1)`` with ``average_time`` stripped,
+#: recorded from the serial drivers before they became the pool's inline
+#: mode: the independent reference every worker count must reproduce.
+GOLDEN_SMOKE_ROWS = Path(__file__).with_name("golden_smoke_rows.json")
 
 
 def _strip_wallclock(results):
@@ -36,24 +37,26 @@ def _strip_wallclock(results):
     return stripped
 
 
-@pytest.mark.skipif(not fork_available(), reason="fork start method required")
 def test_smoke_grid_parallel_rows_match_serial():
-    """The tentpole determinism property: workers=2 == workers=1, row for row.
+    """The tentpole determinism property: workers=1 and workers=2 both
+    reproduce the golden smoke rows, row for row.
 
     The smoke slice's budgets are deterministic caps (executions, solver
     queries, instructions) with a generous wall clock, so every count in
     every row must agree exactly; only ``average_time`` is wall-clock.
     """
-    serial = run_grid("smoke", seed=1, workers=1)
-    meta = {}
-    parallel = run_grid("smoke", seed=1, workers=2, meta=meta)
-    assert _strip_wallclock(serial) == _strip_wallclock(parallel)
-    # the JSON serialization (what the artifacts actually persist) agrees too
-    assert json.dumps(_strip_wallclock(serial), sort_keys=True) == \
-        json.dumps(_strip_wallclock(parallel), sort_keys=True)
-    # the side-channel attributes every attack execution to some worker
-    total = sum(row["executions"] for row in serial["table2"])
-    assert sum(meta["executions_by_worker"].values()) == total
+    golden = json.loads(GOLDEN_SMOKE_ROWS.read_text())
+    for workers in (1, 2):
+        meta = {}
+        rows = _strip_wallclock(run_grid("smoke", seed=1, workers=workers,
+                                         meta=meta))
+        assert rows == golden, f"workers={workers}"
+        # the JSON serialization (what the artifacts persist) agrees too
+        assert json.dumps(rows, sort_keys=True) == \
+            json.dumps(golden, sort_keys=True)
+        # the side-channel attributes every attack execution to some worker
+        total = sum(row["executions"] for row in golden["table2"])
+        assert sum(meta["executions_by_worker"].values()) == total
 
 
 def test_unit_decomposition_orders_match_serial_loops():
@@ -96,7 +99,7 @@ def test_merge_table2_reassembles_serial_rows():
          "average_time": 2.0, "full_coverage": 0, "executions": 22,
          "instructions": 17000, "branch_restores": 5},
     ]
-    # unsuccessful-only configurations average to 0.0 like the serial driver
+    # unsuccessful-only configurations average to 0.0
     rows = merge_table2(units[:1], [dict(cells[2])])
     assert rows[0]["average_time"] == 0.0
 
@@ -104,7 +107,7 @@ def test_merge_table2_reassembles_serial_rows():
     assert by_worker == {"0": 13, "1": 16}
 
 
-def test_worker_pool_serial_fallback_and_error_quarantine():
+def test_worker_pool_serial_fallback_and_error_quarantine(monkeypatch):
     pool = WorkerPool(1)
     assert not pool.parallel
     units = table3_units(("fasta",), (0.0,), seed=1)
@@ -113,31 +116,48 @@ def test_worker_pool_serial_fallback_and_error_quarantine():
     assert results[0]["benchmark"] == "fasta"
     assert pool.map([]) == ([], [])
 
+    # the inline pool speaks the same submit/pump protocol: one result
+    # event per pump, in submit order
+    two = table3_units(("fasta",), (0.0, 0.05), seed=1)
+    ids = [pool.submit(unit) for unit in two]
+    events = pool.pump() + pool.pump()
+    assert [(event.kind, event.status, event.dispatch_id, event.worker)
+            for event in events] == [("result", "ok", ids[0], 0),
+                                     ("result", "ok", ids[1], 0)]
+    assert [event.payload["k"] for event in events] == [0.0, 0.05]
+
+    # a retry re-submits under the same dispatch id with a higher attempt;
+    # a count-limited directive sabotages only the first attempt
+    target = ids[1] + 1
+    monkeypatch.setenv("REPRO_FAULT_INJECT", f"{target}:raise:1")
+    assert pool.submit(units[0]) == target
+    [failed] = pool.pump()
+    assert failed.status == "error" and "InjectedFault" in failed.payload
+    pool.submit(units[0], dispatch_id=target, attempt=1)
+    [retried] = pool.pump()
+    assert retried.dispatch_id == target and retried.status == "ok"
+    monkeypatch.delenv("REPRO_FAULT_INJECT")
+
+    # an empty queue returns at once instead of waiting out the timeout
+    started = time.monotonic()
+    assert pool.pump(timeout=5.0) == []
+    assert time.monotonic() - started < 1.0
+
     # a poisoned unit no longer aborts the run: after the retries exhaust
     # it is quarantined as a status=failed row and the map completes
-    monkeypatch_retries = {"REPRO_UNIT_RETRIES": "0"}
-    import os
-    old = {k: os.environ.get(k) for k in monkeypatch_retries}
-    os.environ.update(monkeypatch_retries)
-    try:
-        bad, _ = pool.map([object()])
-        assert bad[0]["status"] == "failed"
-        assert "unknown work unit" in bad[0]["error"]
-        assert pool.stats.failed_units == 1
+    monkeypatch.setenv("REPRO_UNIT_RETRIES", "0")
+    bad, _ = pool.map([object()])
+    assert bad[0]["status"] == "failed"
+    assert "unknown work unit" in bad[0]["error"]
+    assert pool.stats.failed_units == 1
 
-        if fork_available():
-            with WorkerPool(2) as bad_pool:
-                rows, _ = bad_pool.map([object(), *units])
-                assert rows[0]["status"] == "failed"
-                assert "unknown work unit" in rows[0]["error"]
-                assert rows[1]["benchmark"] == "fasta"
-                assert bad_pool.stats.failed_units == 1
-    finally:
-        for key, value in old.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+    if fork_available():
+        with WorkerPool(2) as bad_pool:
+            rows, _ = bad_pool.map([object(), *units])
+            assert rows[0]["status"] == "failed"
+            assert "unknown work unit" in rows[0]["error"]
+            assert rows[1]["benchmark"] == "fasta"
+            assert bad_pool.stats.failed_units == 1
 
 
 def test_sharded_pool_capacity_divides_global_budget():

@@ -51,7 +51,7 @@ def test_restarted_service_reruns_exactly_the_unfinished_requests(tmp_path,
                                                                   monkeypatch):
     """The resume contract: after a mid-batch kill, a restarted service
     re-emits journaled rows verbatim and re-runs only what never finished."""
-    from repro.service import core as service_core
+    from repro.service import requests as service_requests
 
     executed = []
 
@@ -59,7 +59,7 @@ def test_restarted_service_reruns_exactly_the_unfinished_requests(tmp_path,
         executed.append(request.id)
         return {"id": request.id, "status": "done", "echo": request.seed}
 
-    monkeypatch.setattr(service_core, "execute_request", fake_execute)
+    monkeypatch.setattr(service_requests, "execute_request", fake_execute)
     requests = [_request("a", seed=1), _request("b", seed=2),
                 _request("c", seed=3)]
 
@@ -95,7 +95,7 @@ def test_restarted_service_reruns_exactly_the_unfinished_requests(tmp_path,
 
 def test_quarantined_requests_are_not_journaled_and_retry_on_restart(
         tmp_path, monkeypatch):
-    from repro.service import core as service_core
+    from repro.service import requests as service_requests
 
     calls = {"n": 0}
 
@@ -105,7 +105,7 @@ def test_quarantined_requests_are_not_journaled_and_retry_on_restart(
             raise RuntimeError("transient fault")
         return {"id": request.id, "status": "done"}
 
-    monkeypatch.setattr(service_core, "execute_request", flaky)
+    monkeypatch.setattr(service_requests, "execute_request", flaky)
     request = _request("flaky")
     with AttackService(tmp_path, workers=1, retries=1, backoff=0.0) as service:
         service.submit(request)

@@ -5,7 +5,6 @@ import time
 
 import pytest
 
-from repro.service import core as service_core
 from repro.service import requests as service_requests
 from repro.service.__main__ import main as service_main
 from repro.service.core import (AttackService, service_backoff,
@@ -27,7 +26,7 @@ def _request(request_id, **overrides):
 
 
 def _fake_executor(monkeypatch, rows=None):
-    """Route both the inline path and the pool registry to a cheap stub."""
+    """Route the pool's executor registry to a cheap stub."""
     rows = [] if rows is None else rows
 
     def fake_execute(request):
@@ -35,9 +34,8 @@ def _fake_executor(monkeypatch, rows=None):
         rows.append(row)
         return row
 
-    # core binds execute_request at import; the pool registry late-binds
-    # through requests.execute_request — patch both so every mode is stubbed
-    monkeypatch.setattr(service_core, "execute_request", fake_execute)
+    # the pool registry late-binds through requests.execute_request, in
+    # inline and forked pools alike
     monkeypatch.setattr(service_requests, "execute_request", fake_execute)
     return rows
 
@@ -137,7 +135,7 @@ def test_resumed_service_reemits_rows_verbatim_without_rerunning(tmp_path,
     def boom(_request):
         raise AssertionError("resumed service re-ran a journaled request")
 
-    monkeypatch.setattr(service_core, "execute_request", boom)
+    monkeypatch.setattr(service_requests, "execute_request", boom)
     with AttackService(tmp_path, workers=1) as service:
         rows = service.submit(request)
         assert service.occupancy == 0
