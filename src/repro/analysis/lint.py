@@ -31,8 +31,8 @@ Hygiene checks (AST-based, over ``src/repro``):
   :mod:`repro.knobs` (writes — e.g. handing a worker its snapshot-budget
   share — are allowed).
 * **wallclock** — wall-clock and module-level RNG calls in the
-  byte-identity-gated layers (``evaluation/parallel``, ``attacks/frontier``,
-  ``service/``), unless annotated ``# lint: allow-wallclock — reason``.
+  byte-identity-gated layers (``evaluation/parallel``, ``service/``),
+  unless annotated ``# lint: allow-wallclock — reason``.
   Seeded ``random.Random(...)`` construction is always allowed.
 * **mutable-global** — ``global`` statements (module-level mutable state
   touched from worker code paths) in the same layers, unless annotated
@@ -66,8 +66,7 @@ TIER_MODULES: Sequence[str] = ("repro.cpu.emulator", "repro.cpu.codegen",
 
 #: Layers whose outputs are byte-identity-gated: wall-clock and ambient
 #: RNG need an explicit annotation here.
-DETERMINISM_SCOPED = ("evaluation/parallel.py", "attacks/frontier.py",
-                      "service/")
+DETERMINISM_SCOPED = ("evaluation/parallel.py", "service/")
 
 #: Mirrors :data:`repro.cpu.semantics.FLAGS`.  Spelled out here so the AST
 #: fact collectors work even when the registry itself fails to import (the

@@ -136,9 +136,6 @@ class DseEngine(SnapshotEngine):
         max_snapshots_per_run: cap on snapshots captured per execution, so
             loop-heavy paths do not monopolize the pool.
         max_snapshot_depth: deepest branch decision worth snapshotting.
-        pool_capacity: override for the mid-path snapshot pool size.  Defaults
-            to the full ``REPRO_SNAPSHOT_POOL`` budget; parallel explorers
-            pass each worker its share of that global budget instead.
     """
 
     def __init__(self, image: BinaryImage, function: str,
@@ -148,8 +145,7 @@ class DseEngine(SnapshotEngine):
                  use_snapshots: bool = True,
                  backtracking: Optional[bool] = None,
                  max_snapshots_per_run: int = 24,
-                 max_snapshot_depth: int = 48,
-                 pool_capacity: Optional[int] = None) -> None:
+                 max_snapshot_depth: int = 48) -> None:
         if strategy not in ("cupa", "bfs", "dfs"):
             raise ValueError(f"unknown strategy {strategy!r}")
         super().__init__(image, function, max_instructions=max_instructions,
@@ -160,7 +156,7 @@ class DseEngine(SnapshotEngine):
         self.random = random.Random(seed)
         self.symbols = self.input_spec.symbol_table()
         self.solver = ConstraintSolver(self.symbols, seed=seed)
-        self._pool = SnapshotPool(pool_capacity)
+        self._pool = SnapshotPool()
         if backtracking is None:
             backtracking = _BACKTRACK_DEFAULT
         self.backtracking = (backtracking and use_snapshots

@@ -25,7 +25,10 @@ re-executions cheap:
   for the hook-free executions that do not go through an engine.
 
 The pool size is controlled by ``REPRO_SNAPSHOT_POOL`` (default ``32``;
-``0`` disables mid-path snapshots and with them backtracking).
+``0`` disables mid-path snapshots and with them backtracking).  Each DSE
+exploration runs whole in one process; a worker of the grid or service pool
+sizes its engines' pools to its share of that budget
+(:func:`sharded_pool_capacity`).
 """
 
 from __future__ import annotations
@@ -55,15 +58,14 @@ def snapshot_pool_capacity() -> int:
     return knobs.nonneg_int("REPRO_SNAPSHOT_POOL")
 
 
-def sharded_pool_capacity(workers: int, total: Optional[int] = None) -> int:
+def sharded_pool_capacity(workers: int) -> int:
     """Each worker's share of the global mid-path snapshot budget.
 
-    ``total`` defaults to :func:`snapshot_pool_capacity`.  A disabled budget
-    (0) stays disabled for every worker; any positive budget grants each
-    worker at least one slot so backtracking never silently turns off just
-    because the worker count exceeds the budget.
+    A disabled budget (0) stays disabled for every worker; any positive
+    budget grants each worker at least one slot so backtracking never
+    silently turns off just because the worker count exceeds the budget.
     """
-    total = snapshot_pool_capacity() if total is None else total
+    total = snapshot_pool_capacity()
     if total <= 0:
         return 0
     return max(1, total // max(1, workers))

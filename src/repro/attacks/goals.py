@@ -12,19 +12,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Set
 
-from repro import knobs
 from repro.attacks.dse import DseEngine, ExecutionResult, InputSpec
 from repro.binary.image import BinaryImage
-
-
-def dse_workers() -> int:
-    """Resolve ``REPRO_DSE_WORKERS``: worker processes per DSE attack.
-
-    Values above 1 route the ``dse`` engine through the distributed
-    snapshot frontier (:class:`repro.attacks.frontier.FrontierExplorer`);
-    the default 1 keeps today's serial engine.
-    """
-    return knobs.positive_int("REPRO_DSE_WORKERS")
 
 
 @dataclass
@@ -84,15 +73,6 @@ def _make_engine(image: BinaryImage, function: str, input_spec: InputSpec,
                  budget: AttackBudget, engine: str, seed: int,
                  memory_model: str) -> DseEngine:
     if engine == "dse":
-        workers = dse_workers()
-        if workers > 1:
-            from repro.attacks.frontier import FrontierExplorer
-
-            return FrontierExplorer(image, function, input_spec,
-                                    strategy="cupa",
-                                    memory_model=memory_model, seed=seed,
-                                    max_instructions=budget.max_instructions_per_run,
-                                    workers=workers)
         return DseEngine(image, function, input_spec, strategy="cupa",
                          memory_model=memory_model, seed=seed,
                          max_instructions=budget.max_instructions_per_run)

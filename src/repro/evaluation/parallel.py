@@ -1,22 +1,20 @@
-"""Supervised worker pool shared by the grid, the service and the frontier.
+"""Supervised worker pool shared by the evaluation grid and the service.
 
 Work arrives as *units*: any object whose type registered an executor via
 :func:`register_unit_executor`.  The evaluation grid's units are one
 Figure 5 bar, one Table II ``(configuration, spec)`` cell and one Table III
 ``(benchmark, k)`` cell, each defined next to its row type
 (:mod:`repro.evaluation.figure5`, :mod:`~repro.evaluation.table2`,
-:mod:`~repro.evaluation.table3`); the attack service submits requests and
-the distributed DSE frontier submits branch decisions.
+:mod:`~repro.evaluation.table3`); the attack service submits requests.
 
 :class:`WorkerPool` runs them through one incremental API: ``submit``
 enqueues one unit under a pool-lifetime dispatch id, ``pump`` performs one
 supervision round and returns :class:`PoolEvent` records, and ``map`` is a
 client of those two that returns results in unit order.  The long-lived
-attack service (:mod:`repro.service`) is another client, with its own
-retry/backoff and terminal states layered on the same events; the
-distributed DSE frontier (:mod:`repro.attacks.frontier`) is a third,
-returning a lost branch decision to its frontier instead of retrying it in
-place.
+attack service (:mod:`repro.service`) is the other client, with its own
+retry/backoff and terminal states layered on the same events.  One attack
+is never split across workers: a DSE exploration runs in the process that
+executes its unit.
 
 One pool, two modes.  A *parallel* pool (``workers > 1`` and
 :func:`fork_available`) forks persistent workers lazily on the first
@@ -53,8 +51,8 @@ deterministic fault-injection harness (:mod:`repro.faults`,
 faults, which cannot take down the process running them.
 
 Nested pools run inline: pool workers are daemonic processes, which may not
-fork children, so a pool (or a frontier) built inside a worker is never
-parallel — :func:`fork_available` is the one place that decides.
+fork children, so a pool built inside a worker is never parallel —
+:func:`fork_available` is the one place that decides.
 """
 
 from __future__ import annotations
@@ -88,8 +86,7 @@ def fork_available() -> bool:
     them; platforms without it (Windows, some macOS configurations) fall
     back to in-process execution.  So does a daemonic process — a pool
     worker itself — because daemonic processes may not have children:
-    nested pools (a DSE frontier inside a grid or service worker) run
-    inline.
+    nested pools run inline.
     """
     return ("fork" in multiprocessing.get_all_start_methods()
             and not multiprocessing.current_process().daemon)
@@ -179,11 +176,10 @@ def register_unit_executor(unit_type: type,
                            executor: Callable[[object], object]) -> None:
     """Register the executor for a unit type (idempotent).
 
-    The grid parts, the service's :class:`~repro.service.AttackRequest` and
-    the frontier's decisions register here at import time; because workers
-    are forked from the parent, any registration made before the first
-    dispatch is visible inside every worker (and every respawned
-    replacement).
+    The grid parts and the service's :class:`~repro.service.AttackRequest`
+    register here at import time; because workers are forked from the
+    parent, any registration made before the first dispatch is visible
+    inside every worker (and every respawned replacement).
     """
     _UNIT_EXECUTORS[unit_type] = executor
 
@@ -219,7 +215,7 @@ def _run_unit(dispatch_id: int, attempt: int, unit: object, fault_spec,
 # -- the worker pool ----------------------------------------------------------
 
 def _worker_main(worker_index: int, snapshot_share: int, task_queue,
-                 result_queue, claim_cell) -> None:
+                 result_writer, result_lock, claim_cell) -> None:
     """Worker loop: claim units until the ``None`` sentinel arrives.
 
     The snapshot-pool share is exported *before* any attack engine is built,
@@ -228,11 +224,13 @@ def _worker_main(worker_index: int, snapshot_share: int, task_queue,
 
     Every claimed unit is announced in ``claim_cell`` — a shared int the
     supervisor reads to attribute a worker death or a deadline expiry to
-    the exact unit it must retry.  The claim must NOT travel through the
-    result queue: queue puts are flushed by a background feeder thread, so
-    a worker dying right after claiming (SIGKILL, OOM) would lose the
-    in-flight claim message and strand the unit forever; the shared-memory
-    write is synchronous and survives any death.
+    the exact unit it must retry.  Claims and results are both written
+    synchronously, so neither can die with the worker: results go straight
+    into the shared result pipe (under ``result_lock``) instead of through
+    a ``multiprocessing.Queue``, whose background feeder thread would still
+    hold a finished unit's result when the worker dies on its next claim —
+    the supervisor would then retry the claimed unit and wait forever for
+    the finished one.
     """
     os.environ["REPRO_SNAPSHOT_POOL"] = str(snapshot_share)
     fault_spec = parse_fault_spec()
@@ -242,9 +240,10 @@ def _worker_main(worker_index: int, snapshot_share: int, task_queue,
             break
         dispatch_id, attempt, unit = task
         claim_cell.value = dispatch_id
-        result_queue.put((worker_index, dispatch_id,
-                          *_run_unit(dispatch_id, attempt, unit, fault_spec)))
-        # cleared only after the result is queued: a death in between leaves
+        outcome = _run_unit(dispatch_id, attempt, unit, fault_spec)
+        with result_lock:
+            result_writer.send((worker_index, dispatch_id, *outcome))
+        # cleared only after the result is sent: a death in between leaves
         # a stale claim, which the supervisor's drain-first recovery ignores
         claim_cell.value = -1
 
@@ -261,19 +260,20 @@ class WorkerPool:
     per :meth:`pump`, with identical results.
     """
 
-    def __init__(self, workers: int,
-                 snapshot_share: Optional[int] = None) -> None:
+    def __init__(self, workers: int) -> None:
         from repro.attacks.engine import sharded_pool_capacity
 
         self.workers = max(1, workers)
-        self.snapshot_share = (sharded_pool_capacity(self.workers)
-                               if snapshot_share is None else snapshot_share)
+        self.snapshot_share = sharded_pool_capacity(self.workers)
         self.stats = FaultStats()
         self._processes: List = []
         #: pending ``(dispatch id, attempt, unit)`` tasks: a fork-context
         #: queue the workers claim from, or the inline FIFO :meth:`pump` runs
         self._task_queue = None
-        self._result_queue = None
+        #: the workers' shared result pipe and its write lock
+        self._result_reader = None
+        self._result_writer = None
+        self._result_lock = None
         #: per-slot shared claim cells (-1 = idle); see :func:`_worker_main`
         self._claim_cells: List = []
         #: global dispatch sequence across the pool's lifetime — the index
@@ -290,20 +290,13 @@ class WorkerPool:
     def parallel(self) -> bool:
         return self.workers > 1 and fork_available()
 
-    def respawn_limit(self, retries: int) -> int:
-        """Respawns a supervising client tolerates before aborting.
-
-        A worker that keeps dying before even claiming a unit (e.g. a crash
-        in the fork prologue) must not respawn forever.
-        """
-        return max(8, self.workers * (retries + 2))
-
     def _spawn(self, worker_index: int):
         context = multiprocessing.get_context("fork")
         process = context.Process(
             target=_worker_main,
             args=(worker_index, self.snapshot_share, self._task_queue,
-                  self._result_queue, self._claim_cells[worker_index]),
+                  self._result_writer, self._result_lock,
+                  self._claim_cells[worker_index]),
             daemon=True)
         process.start()
         return process
@@ -316,7 +309,8 @@ class WorkerPool:
             return
         context = multiprocessing.get_context("fork")
         self._task_queue = context.Queue()
-        self._result_queue = context.Queue()
+        self._result_reader, self._result_writer = context.Pipe(duplex=False)
+        self._result_lock = context.Lock()
         self._claim_cells = [context.Value("q", -1, lock=False)
                              for _ in range(self.workers)]
         self._observed = {slot: None for slot in range(self.workers)}
@@ -354,7 +348,7 @@ class WorkerPool:
              deadline: Optional[float] = None) -> List[PoolEvent]:
         """One supervision round; block at most ``timeout`` for a result.
 
-        Polls the claim cells, waits (briefly) on the result queue, enforces
+        Polls the claim cells, waits (briefly) on the result pipe, enforces
         ``deadline`` seconds per claimed unit (kill + respawn on expiry) and
         recovers dead workers — any premature exit counts, clean code 0
         included.  Every outcome is returned as a :class:`PoolEvent`; the
@@ -391,11 +385,8 @@ class WorkerPool:
                                     worker=worker))
 
         def drain() -> None:
-            while True:
-                try:
-                    handle(self._result_queue.get_nowait())
-                except queue_module.Empty:
-                    return
+            while self._result_reader.poll():
+                handle(self._result_reader.recv())
 
         now = time.monotonic()  # lint: allow-wallclock — worker-liveness deadline, not row content
         for slot, cell in enumerate(self._claim_cells):
@@ -413,12 +404,9 @@ class WorkerPool:
                 if claim is not None and claim[0] in self._outstanding:
                     remaining = deadline - (now - claim[1])
                     wake = max(0.05, min(wake, remaining))
-        try:
-            handle(self._result_queue.get(timeout=wake))
+        if self._result_reader.poll(wake):
             drain()
             return events
-        except queue_module.Empty:
-            pass
 
         # per-unit deadline: kill the worker hosting an expired unit, then
         # surface the expiry and refill the slot
@@ -482,7 +470,9 @@ class WorkerPool:
         """
         retries = unit_retries()
         deadline = unit_timeout()
-        respawn_limit = self.respawn_limit(retries)
+        # a worker that keeps dying before even claiming a unit (e.g. a crash
+        # in the fork prologue) must not respawn forever
+        respawn_limit = max(8, self.workers * (retries + 2))
         respawns_before = self.stats.respawns
         results: List[Optional[dict]] = [None] * len(units)
         worker_ids: List[int] = [0] * len(units)
@@ -547,7 +537,6 @@ class WorkerPool:
                 process.join(timeout=2.0)
         if self._processes:  # an inline FIFO has no feeder thread to cancel
             self._task_queue.cancel_join_thread()
-            self._result_queue.cancel_join_thread()
         self._reset()
 
     def close(self) -> None:
@@ -565,9 +554,12 @@ class WorkerPool:
         self._reset()
 
     def _reset(self) -> None:
+        if self._result_reader is not None:
+            self._result_reader.close()
+            self._result_writer.close()
         self._processes = []
         self._task_queue = None
-        self._result_queue = None
+        self._result_reader = self._result_writer = self._result_lock = None
         self._claim_cells = []
         self._outstanding = set()
         self._observed = {}

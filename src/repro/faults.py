@@ -1,9 +1,8 @@
 """Deterministic fault injection for the multiprocessing execution layers.
 
 The fault-tolerance machinery in :mod:`repro.evaluation.parallel` (the
-worker pool shared by the grid, the attack service and the distributed DSE
-frontier of :mod:`repro.attacks.frontier`) recovers from crashed workers,
-hung units and poisoned cells.
+worker pool shared by the grid and the attack service) recovers from
+crashed workers, hung units and poisoned cells.
 Recovery code that is only ever exercised by accident is broken by default,
 so this module provides the harness that provokes every failure mode on
 purpose — the fault-tolerance tests and the CI fault-injection grid leg
@@ -15,11 +14,8 @@ drive each recovery path deliberately instead of hoping for it.
 * ``index`` — the dispatch sequence number the fault targets.  The grid
   pool numbers units globally across the pool's lifetime in enqueue order
   (so the index is deterministic regardless of which worker claims what).
-  The DSE frontier's indices are the dispatch ids of its own per-call
-  pool, in dispatch order; a decision returned to the frontier after a
-  death or deadline kill is re-dispatched under a *fresh* id (attempt 0),
-  so a ``count`` only limits re-sabotage within the grid and the service,
-  which retry under the unit's original id.
+  The grid and the service retry a unit under its original id, so a
+  ``count`` limits how often the same unit is sabotaged.
 * ``mode`` — ``raise`` (the unit errors), ``hang`` (the worker sleeps past
   any deadline, provoking the ``REPRO_UNIT_TIMEOUT`` kill), ``exit0`` (the
   worker exits *cleanly* mid-unit — the liveness case an exit-code filter

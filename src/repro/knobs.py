@@ -73,8 +73,6 @@ _register("REPRO_SNAPSHOT_POOL", "int", "32", "src",
           "rewind-from-entry only")
 _register("REPRO_DSE_BACKTRACK", "flag", "1", "src",
           "0 forces rerun-from-entry DSE exploration")
-_register("REPRO_DSE_WORKERS", "int", "1", "src",
-          "worker processes sharing one DSE exploration's frontier")
 
 # -- evaluation grid / fault tolerance ----------------------------------------
 _register("REPRO_GRID_WORKERS", "int", "1", "src",

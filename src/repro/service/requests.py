@@ -34,7 +34,6 @@ from typing import Optional, Tuple
 
 from repro.attacks import AttackBudget, secret_finding_attack
 from repro.attacks.dse import DseEngine, InputSpec
-from repro.attacks.goals import dse_workers
 from repro.evaluation.parallel import register_unit_executor, unit_fingerprint
 from repro.obfuscation.configs import TABLE2_CONFIGURATIONS
 from repro.workloads.randomfuns import (CONTROL_STRUCTURES,
@@ -238,11 +237,8 @@ def execute_request(request: AttackRequest) -> dict:
                           max_instructions_per_run=request.max_instructions,
                           max_solver_queries=request.max_solver_queries)
     input_spec = InputSpec(argument_sizes=[request.input_size])
-    driver = None
-    if request.engine == "dse" and dse_workers() == 1:
-        # the cached-engine path; REPRO_DSE_WORKERS > 1 falls through to the
-        # distributed frontier, which builds its own per-worker engines
-        driver = _prepared_engine(request, image, symbol)
+    driver = (_prepared_engine(request, image, symbol)
+              if request.engine == "dse" else None)
     outcome = secret_finding_attack(image, symbol, input_spec, budget,
                                     engine=request.engine,
                                     seed=request.effective_attack_seed,

@@ -155,7 +155,7 @@ def test_raw_env_read_outside_knobs_is_detected(tmp_path):
 def test_wallclock_in_row_producing_path_is_detected(tmp_path):
     """Unannotated wall-clock in the determinism-scoped modules fails."""
     def plant(copy):
-        path = copy / "repro" / "attacks" / "frontier.py"
+        path = copy / "repro" / "evaluation" / "parallel.py"
         path.write_text(path.read_text() + (
             "\n\ndef _timestamped_row():\n"
             "    import time\n"

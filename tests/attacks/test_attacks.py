@@ -11,6 +11,7 @@ from repro.compiler import compile_program
 from repro.core import RopConfig, rop_obfuscate
 from repro.lang import (Assign, BinOp, Const, Function, If, Probe,
                         Program, Return, Var)
+from repro.workloads.randomfuns import RandomFunSpec, generate_random_function
 
 
 def license_check_program(secret=0x5A):
@@ -88,6 +89,18 @@ def test_dse_explores_multiple_paths():
     results, stats = engine.explore(time_budget=5, max_executions=40)
     assert stats.paths_seen >= 3
     assert {r.return_value for r in results} >= {0, 1, 2}
+
+    # on a workload with more feasible paths (11 at one input byte) than
+    # executions allowed, the execution cap is what stops exploration
+    spec = RandomFunSpec(structure="for(if(bb4,bb4))", input_size=1, seed=2,
+                         point_test=False)
+    program, _, _ = generate_random_function(spec)
+    engine = DseEngine(compile_program(program), spec.name,
+                       InputSpec(argument_sizes=[1]), seed=5)
+    results, stats = engine.explore(time_budget=float("inf"), max_executions=3,
+                                    max_solver_queries=200)
+    assert stats.executions <= 3
+    assert len(results) == stats.executions
 
 
 def test_dse_against_rop_is_slower_but_state_is_tracked():

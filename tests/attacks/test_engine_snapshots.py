@@ -5,6 +5,7 @@ import pytest
 
 from repro.attacks.dse import DseEngine, InputSpec
 from repro.attacks.engine import SnapshotPool
+from repro.attacks.goals import AttackBudget, secret_finding_attack
 from repro.attacks.ropaware import RopMemuExplorer
 from repro.attacks.tds import TaintDrivenSimplifier
 from repro.compiler import compile_program
@@ -191,24 +192,25 @@ def test_call_return_address_never_repaired_from_stale_shadow():
 
 
 def test_backtracking_finds_same_secret():
-    image = compile_program(license_check_program())
+    native = compile_program(license_check_program())
+    # a ROP chain records its branches as pointer-kind decisions
+    ropped, _ = rop_obfuscate(native, ["check"], RopConfig.plain())
+    input_spec = InputSpec(argument_sizes=[1])
+    budget = AttackBudget(seconds=_NO_WALL_CLOCK, max_executions=80,
+                          max_solver_queries=_QUERY_CAP)
 
-    def run(backtracking):
-        engine = DseEngine(image, "check", InputSpec(argument_sizes=[1]),
-                           seed=2, backtracking=backtracking)
-        witness = {}
+    def run(image, backtracking):
+        engine = DseEngine(image, "check", input_spec, seed=2,
+                           backtracking=backtracking)
+        outcome = secret_finding_attack(image, "check", input_spec, budget,
+                                        seed=2, driver=engine)
+        return outcome.witness
 
-        def stop(result):
-            if not result.faulted and result.return_value == 1:
-                witness.update(result.assignment)
-                return True
-            return False
-
-        engine.explore(time_budget=_NO_WALL_CLOCK, max_executions=80,
-                       max_solver_queries=_QUERY_CAP, stop_condition=stop)
-        return witness
-
-    assert run(False) == run(True) != {}
+    for image in (native, ropped):
+        witness = run(image, False)
+        assert witness == run(image, True)
+        assert witness is not None
+        assert ((witness["arg0"] * 13) ^ 0x27) & 0xFF == 0x5A
 
 
 # -- snapshot pool -------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Fault tolerance: injection harness, supervised pool, checkpoint-resume."""
 
+import contextlib
 import json
 import math
+import signal
 
 import pytest
 
@@ -88,6 +90,24 @@ def test_inject_fault_counts_attempts_and_inline_gating():
 
 # -- supervised pool recovery -------------------------------------------------
 
+@contextlib.contextmanager
+def _fail_if_hung(seconds):
+    """Raise in the main thread after ``seconds``.  A result lost in
+    transit leaves ``map`` waiting forever, so the loss shows as a hang;
+    the alarm turns it into a failure (``map`` aborts its pool on the way
+    out)."""
+    def hung(*_):
+        raise TimeoutError(f"pool still waiting after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def _map_with_env(monkeypatch, env, workers=2, units=None):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
@@ -127,13 +147,34 @@ def test_raise_always_quarantines_after_retries(monkeypatch):
 @pytest.mark.parametrize("mode", ["kill", "exit0"])
 def test_worker_death_is_detected_respawned_and_unit_retried(monkeypatch, mode):
     """SIGKILL and the *clean* premature exit 0 — the case an exit-code
-    filter cannot see — both resolve to a respawn plus a successful retry."""
+    filter cannot see — both resolve to a respawn plus a successful retry.
+
+    Unit 0 dies on a fresh worker; unit 2 dies on a worker that has just
+    finished an earlier unit, whose result must survive the death.
+    """
     reference, _ = WorkerPool(1).map(_units())
-    rows, _, stats = _map_with_env(
-        monkeypatch, {"REPRO_FAULT_INJECT": f"0:{mode}"})
+    with _fail_if_hung(60):
+        rows, _, stats = _map_with_env(
+            monkeypatch, {"REPRO_FAULT_INJECT": f"0:{mode},2:{mode}"})
     assert rows == reference
-    assert stats.respawns >= 1
-    assert stats.retries == 1
+    assert stats.respawns >= 2
+    assert stats.retries == 2
+    assert stats.failed_units == 0
+
+
+@needs_fork
+def test_more_workers_than_cores_deliver_every_result_once(monkeypatch):
+    """Four workers (more than CI's two cores) contend for the shared result
+    pipe while three of them exit mid-run: every unit still resolves exactly
+    once, to its inline row."""
+    units = _units() * 4
+    reference, _ = WorkerPool(1).map(units)
+    with _fail_if_hung(120):
+        rows, _, stats = _map_with_env(
+            monkeypatch, {"REPRO_FAULT_INJECT": "3:exit0,6:kill,9:exit0"},
+            workers=4, units=units)
+    assert rows == reference
+    assert stats.retries == 3
     assert stats.failed_units == 0
 
 

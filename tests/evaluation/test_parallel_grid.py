@@ -160,13 +160,15 @@ def test_worker_pool_serial_fallback_and_error_quarantine(monkeypatch):
             assert bad_pool.stats.failed_units == 1
 
 
-def test_sharded_pool_capacity_divides_global_budget():
-    assert sharded_pool_capacity(1, total=32) == 32
-    assert sharded_pool_capacity(4, total=32) == 8
+def test_sharded_pool_capacity_divides_global_budget(monkeypatch):
+    monkeypatch.setenv("REPRO_SNAPSHOT_POOL", "32")
+    assert sharded_pool_capacity(1) == 32
+    assert sharded_pool_capacity(4) == 8
     # a positive budget never silently disables a worker's backtracking
-    assert sharded_pool_capacity(64, total=32) == 1
+    assert sharded_pool_capacity(64) == 1
     # a disabled budget stays disabled for every worker
-    assert sharded_pool_capacity(4, total=0) == 0
+    monkeypatch.setenv("REPRO_SNAPSHOT_POOL", "0")
+    assert sharded_pool_capacity(4) == 0
 
 
 def test_config_aggregates_sums_rows_per_configuration():

@@ -265,33 +265,6 @@ def test_pooled_rows_equal_serial_rows_without_faults(tmp_path, monkeypatch):
     assert {row["id"]: row for row in rows} == reference
 
 
-@needs_fork
-def test_pooled_service_with_dse_workers_matches_serial_rows(tmp_path,
-                                                             monkeypatch):
-    """Nested pools run inline: pool workers are daemonic and may not fork,
-    so a DSE frontier inside a service worker explores serially.  A pooled
-    service with REPRO_DSE_WORKERS=2 returns the done rows a serial service
-    returns with REPRO_DSE_WORKERS=1."""
-    monkeypatch.delenv("REPRO_FAULT_INJECT", raising=False)
-    requests = [_request(f"r{i}", seed=i + 1) for i in range(3)]
-
-    def serve(directory, workers):
-        with AttackService(directory, workers=workers) as service:
-            rows = []
-            for request in requests:
-                rows.extend(service.submit(request))
-            rows.extend(service.drain())
-            assert service.stats.quarantined == 0
-        return {row["id"]: row for row in rows}
-
-    monkeypatch.setenv("REPRO_DSE_WORKERS", "1")
-    serial = serve(tmp_path / "serial", workers=1)
-    monkeypatch.setenv("REPRO_DSE_WORKERS", "2")
-    pooled = serve(tmp_path / "pooled", workers=2)
-    assert all(row["status"] == "done" for row in serial.values())
-    assert pooled == serial
-
-
 # -- knobs and the CLI --------------------------------------------------------
 
 def test_service_knob_resolution(monkeypatch):
