@@ -4,9 +4,25 @@ The solver answers one question: *find an assignment of the input symbols
 that satisfies a conjunction of path constraints*.  It combines cheap
 structural inversion (``f(x) == c`` patterns over invertible chains),
 exhaustive enumeration of very small inputs, and bounded stochastic search.
-The cost of a query grows with the depth of the expressions involved and with
-the number of constraints — which is exactly how P1's aliasing and P3's
-state widening translate into attacker-side resource consumption.
+
+Cost model.  Inputs of at most 16 bits are enumerated in a fixed order, and
+each constraint expression caches on its node the truth it had at every
+index already enumerated (keyed by the solver's symbol table, since that
+fixes what each index decodes to).  Concolic queries share their path
+prefixes, so the cost of enumeration grows with the number of *distinct*
+constraints times the inputs enumerated, not with queries times prefix
+length.  A query whose whole domain enumerates without a hit is UNSAT and
+returns at once; it is still charged its full ``max_evaluations`` budget in
+:class:`SolverStatistics`, the budget P1's aliasing and P3's state widening
+make an attacker burn.  Wider inputs are searched stochastically, where cost
+grows with expression depth and constraint count per candidate.
+
+RNG contract.  The stochastic phase is the only reader of ``self.random``.
+A solver of at most 16 bits never reads it as long as its seed assignments
+fit their symbols' widths (the engines' seeds always do): its enumeration
+either stops at the budget, leaving the stochastic phase none, or covers
+the whole domain, where no draw could reach an input not already tried.  A
+wider solver draws exactly the stream it always has.
 """
 
 from __future__ import annotations
@@ -76,6 +92,36 @@ class ConstraintSolver:
                    assignment: Dict[str, int]) -> bool:
         self.stats.evaluations += 1
         return all(constraint.holds(assignment) for constraint in constraints)
+
+    def _enumerated(self, assignment: Dict[str, int], names: Sequence[str],
+                    value: int) -> Dict[str, int]:
+        """Phase 2's candidate at enumeration index ``value``."""
+        candidate = dict(assignment)
+        for name in names:
+            bits = 8 * self.symbols[name]
+            candidate[name] = value & ((1 << bits) - 1)
+            value >>= bits
+        return candidate
+
+    def _truth(self, expression: Expression, key: tuple, size: int) -> bytearray:
+        """Truth of ``expression`` per enumeration index: 0 unknown, 1 false,
+        2 true.
+
+        Cached on the node, like ``depth``/``symbols``, under the symbol
+        table ``key``.  An expression reading a symbol outside the table
+        depends on the seed assignment too, so it gets a fresh table that
+        lives for one query.
+        """
+        if not expression.symbols().issubset(self.symbols):
+            return bytearray(size)
+        tables = expression.__dict__.get("_truth")
+        if tables is None:
+            tables = {}
+            object.__setattr__(expression, "_truth", tables)
+        truth = tables.setdefault(key, bytearray())
+        if len(truth) < size:
+            truth.extend(bytes(size - len(truth)))
+        return truth
 
     def _try_invert(self, constraint: PathConstraint,
                     assignment: Dict[str, int]) -> Optional[Dict[str, int]]:
@@ -153,19 +199,36 @@ class ConstraintSolver:
         # phase 2: exhaustive enumeration for tiny input spaces
         total_bits = sum(8 * self.symbols[name] for name in names)
         if total_bits <= 16:
-            for value in range(1 << total_bits):
-                candidate = dict(assignment)
-                cursor = value
-                for name in names:
-                    bits = 8 * self.symbols[name]
-                    candidate[name] = cursor & ((1 << bits) - 1)
-                    cursor >>= bits
-                budget -= 1
-                if self._satisfies(constraints, candidate):
+            domain = 1 << total_bits
+            tried = min(domain, max(budget, 1))
+            key = tuple(self.symbols.items())
+            checks = [(constraint.expression, 2 if constraint.expected else 1,
+                       self._truth(constraint.expression, key, tried))
+                      for constraint in constraints]
+            for value in range(tried):
+                candidate = None
+                for expression, want, truth in checks:
+                    known = truth[value]
+                    if not known:
+                        if candidate is None:
+                            candidate = self._enumerated(assignment, names, value)
+                        known = truth[value] = 2 if expression.evaluate(candidate) else 1
+                    if known != want:
+                        break
+                else:
+                    self.stats.evaluations += value + 1
                     self.stats.solved += 1
+                    if candidate is None:
+                        candidate = self._enumerated(assignment, names, value)
                     return candidate
-                if budget <= 0:
-                    break
+            self.stats.evaluations += tried
+            budget -= tried
+            if tried == domain and all(assignment[name] & self._mask(name) == assignment[name]
+                                       for name in names):
+                # UNSAT: every candidate phase 3 could draw was just enumerated
+                self.stats.evaluations += max(budget, 0)
+                self.stats.failed += 1
+                return None
 
         # phase 3: stochastic search (byte flips, random restarts)
         best = dict(assignment)

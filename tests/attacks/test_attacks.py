@@ -58,7 +58,13 @@ def test_solver_reports_unsat_within_budget():
     solver = ConstraintSolver({"x": 1}, max_evaluations=300)
     x = SymExpr("x", 1)
     impossible = PathConstraint(BinExpr("ugt", x, ConstExpr(0x1_0000)), True)
+    state = solver.random.getstate()
     assert solver.solve([impossible]) is None
+    # the seed check, all 256 inputs, then the 44 left of the budget are
+    # charged without being drawn
+    assert solver.stats.evaluations == 301
+    assert solver.stats.failed == 1
+    assert solver.random.getstate() == state
 
 
 # -- DSE on native code ------------------------------------------------------------
