@@ -36,7 +36,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro import knobs
 from repro.attacks.engine import EngineStats, SnapshotEngine, SnapshotPool
 from repro.attacks.shadow import BranchRecord, ShadowTracker
 from repro.attacks.solver.expr import BinExpr, ConstExpr, SymExpr
@@ -48,13 +47,6 @@ from repro.memory import MemoryError_
 from repro.isa.registers import ARG_REGISTERS, Register
 
 _MASK64 = (1 << 64) - 1
-
-#: ``REPRO_DSE_BACKTRACK=0`` forces rerun-from-entry exploration globally
-#: (the A/B lever the differential tests and the benchmark use).
-_BACKTRACK_DEFAULT = knobs.enabled("REPRO_DSE_BACKTRACK")
-
-#: Backwards-compatible name: the DSE statistics are the shared engine stats.
-ExplorationStats = EngineStats
 
 
 def _decision_key(record: BranchRecord) -> Tuple:
@@ -129,10 +121,11 @@ class DseEngine(SnapshotEngine):
         max_instructions: per-execution instruction cap.
         use_snapshots: False restores the legacy fork-per-execution path.
         backtracking: explore by restoring mid-path branch snapshots instead
-            of rewinding to the entry per path.  Defaults to the
-            ``REPRO_DSE_BACKTRACK`` knob; forced off for the page memory
-            model (whose select expressions pin another execution's concrete
-            memory) and when snapshots are disabled.
+            of rewinding to the entry per path (False is the rerun-from-entry
+            reference the differential tests compare against).  Forced off
+            for the page memory model (whose select expressions pin another
+            execution's concrete memory), when snapshots are disabled and
+            when the snapshot pool has no capacity (``REPRO_SNAPSHOT_POOL=0``).
         max_snapshots_per_run: cap on snapshots captured per execution, so
             loop-heavy paths do not monopolize the pool.
         max_snapshot_depth: deepest branch decision worth snapshotting.
@@ -143,7 +136,7 @@ class DseEngine(SnapshotEngine):
                  memory_model: str = "concretize", seed: int = 0,
                  max_instructions: int = 2_000_000,
                  use_snapshots: bool = True,
-                 backtracking: Optional[bool] = None,
+                 backtracking: bool = True,
                  max_snapshots_per_run: int = 24,
                  max_snapshot_depth: int = 48) -> None:
         if strategy not in ("cupa", "bfs", "dfs"):
@@ -157,8 +150,6 @@ class DseEngine(SnapshotEngine):
         self.symbols = self.input_spec.symbol_table()
         self.solver = ConstraintSolver(self.symbols, seed=seed)
         self._pool = SnapshotPool()
-        if backtracking is None:
-            backtracking = _BACKTRACK_DEFAULT
         self.backtracking = (backtracking and use_snapshots
                              and memory_model == "concretize"
                              and self._pool.capacity > 0)
@@ -358,7 +349,7 @@ class DseEngine(SnapshotEngine):
     def explore(self, time_budget: float = 10.0, max_executions: int = 200,
                 stop_condition: Optional[Callable[[ExecutionResult], bool]] = None,
                 max_solver_queries: Optional[int] = None,
-                ) -> Tuple[List[ExecutionResult], ExplorationStats]:
+                ) -> Tuple[List[ExecutionResult], EngineStats]:
         """Explore paths until the budget runs out or ``stop_condition`` holds.
 
         ``max_solver_queries`` bounds generational expansion: once that many

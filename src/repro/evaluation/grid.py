@@ -397,8 +397,8 @@ def write_artifacts(results: Dict[str, List[dict]], out_dir: Path,
     ``executions_by_worker`` attributes attack work to pool workers, so
     ``--compare`` and the nightly job can localize runtime shifts.
     ``faults`` carries the pool's recovery counters (``failed_units``,
-    ``retries``, ``respawns``, ``timeouts``); quarantined rows inside
-    ``results`` are excluded from every aggregate.
+    ``retries``, ``respawns``, ``timeouts``, ``degraded``); quarantined
+    rows inside ``results`` are excluded from every aggregate.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, rows in results.items():
@@ -616,6 +616,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"{pool.stats.retries} retries, "
                   f"{pool.stats.respawns} worker respawns, "
                   f"{pool.stats.timeouts} deadline kills)")
+        if pool.stats.degraded:
+            print(f"WARNING: {pool.stats.respawns} worker respawns passed "
+                  f"the limit of {pool.respawn_limit}; the pool finished "
+                  f"the run inline")
     print(f"summary -> {out_dir / 'summary.json'}")
     return 0
 

@@ -8,13 +8,13 @@ Figure 5 bar, one Table II ``(configuration, spec)`` cell and one Table III
 :mod:`~repro.evaluation.table3`); the attack service submits requests.
 
 :class:`WorkerPool` runs them through one incremental API: ``submit``
-enqueues one unit under a pool-lifetime dispatch id, ``pump`` performs one
-supervision round and returns :class:`PoolEvent` records, and ``map`` is a
-client of those two that returns results in unit order.  The long-lived
-attack service (:mod:`repro.service`) is the other client, with its own
-retry/backoff and terminal states layered on the same events.  One attack
-is never split across workers: a DSE exploration runs in the process that
-executes its unit.
+enqueues one unit under a pool-lifetime dispatch id, and ``pump`` performs
+one supervision round and returns the :class:`PoolEvent` of every unit
+that reached a terminal outcome.  The grid's ``map`` is a client of those
+two that returns results in unit order; the long-lived attack service
+(:mod:`repro.service`) is the other, layering admission and terminal rows
+on the same events.  One attack is never split across workers: a DSE
+exploration runs in the process that executes its unit.
 
 One pool, two modes.  A *parallel* pool (``workers > 1`` and
 :func:`fork_available`) forks persistent workers lazily on the first
@@ -22,9 +22,9 @@ One pool, two modes.  A *parallel* pool (``workers > 1`` and
 measurements, preloaded images, reachable-probe samples) keep paying off;
 units are claimed dynamically, so cheap and expensive cells balance.  A
 pool at one worker — or one that cannot fork — runs *inline*: ``pump``
-executes the oldest queued unit in-process and returns the same events,
-without sleeping or polling.  Serial execution is therefore the pool at
-one worker, not a second driver beside it.
+executes queued units in-process, oldest first, and returns the same
+events.  Serial execution is therefore the pool at one worker, not a
+second driver beside it.
 
 Determinism: every unit measures in deterministic quantities (instruction
 counts, execution counts bounded by deterministic caps, gadget statistics),
@@ -38,17 +38,24 @@ budget; each worker gets its share via
 :func:`repro.attacks.engine.sharded_pool_capacity` (exported to the worker
 through its environment before any engine is built).
 
-Fault tolerance: :meth:`WorkerPool.map` supervises its units.  A unit that
-raises, exceeds the ``REPRO_UNIT_TIMEOUT`` deadline or loses its worker —
-any premature exit counts, including a *clean* exit code 0 mid-unit — is
-retried up to ``REPRO_UNIT_RETRIES`` times (on a respawned worker when one
-died), and when retries exhaust, the unit is **quarantined**: its slot in
-the results becomes a ``{"status": "failed", "error": ...}`` row and the
-run continues instead of aborting a CPU-hours grid.  :class:`FaultStats`
-counts the recoveries; every path is provoked deliberately by the
-deterministic fault-injection harness (:mod:`repro.faults`,
-``REPRO_FAULT_INJECT``).  Inline pools honour only ``raise`` and ``slow``
-faults, which cannot take down the process running them.
+Recovery is one policy, and the pool is the only code that applies it.  A
+unit that raises, exceeds the ``REPRO_UNIT_TIMEOUT`` deadline or loses its
+worker — any premature exit counts, including a *clean* exit code 0
+mid-unit — is re-dispatched under its original dispatch id up to
+``REPRO_UNIT_RETRIES`` times, after an optional exponential backoff
+(``base * 2**(n-1)`` before attempt ``n``).  When the retries are spent,
+``pump`` surfaces the unit's one failure event carrying the last error,
+and the client records it as quarantined (the grid's
+``{"status": "failed", ...}`` row, the service's ``quarantined`` row)
+instead of aborting a CPU-hours run.  Workers that keep dying must not
+respawn forever: once cumulative respawns exceed the pool's respawn limit
+(default ``max(8, workers * (retries + 2))``) the pool aborts its forked
+workers and continues *in place* in inline mode, where outstanding units
+keep their dispatch ids and attempts.  :class:`FaultStats` counts every
+recovery; each path is provoked deliberately by the deterministic
+fault-injection harness (:mod:`repro.faults`, ``REPRO_FAULT_INJECT``).
+Inline pools honour only ``raise`` and ``slow`` faults, which cannot take
+down the process running them.
 
 Nested pools run inline: pool workers are daemonic processes, which may not
 fork children, so a pool built inside a worker is never parallel —
@@ -126,19 +133,22 @@ def quarantine_row(unit: object, error: str) -> dict:
 
 @dataclass
 class FaultStats:
-    """Recovery counters of one :class:`WorkerPool` (cumulative over maps).
+    """Recovery counters of one :class:`WorkerPool` (cumulative over its life).
 
     Attributes:
-        failed_units: units quarantined after exhausting their retries.
+        failed_units: units surfaced as failed after exhausting their retries.
         retries: re-dispatches of a unit after a failure/timeout/death.
         respawns: replacement workers forked after a death or a kill.
         timeouts: units whose ``REPRO_UNIT_TIMEOUT`` deadline expired.
+        degraded: 1 once respawns passed the respawn limit and the pool
+            continued inline.
     """
 
     failed_units: int = 0
     retries: int = 0
     respawns: int = 0
     timeouts: int = 0
+    degraded: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return dataclasses.asdict(self)
@@ -146,15 +156,16 @@ class FaultStats:
 
 @dataclass(frozen=True)
 class PoolEvent:
-    """One supervision outcome surfaced by :meth:`WorkerPool.pump`.
+    """One terminal outcome surfaced by :meth:`WorkerPool.pump`.
 
-    ``kind`` is ``"result"`` (the worker reported back; ``status`` is
-    ``"ok"`` with a payload dict or ``"error"`` with an error string),
-    ``"deadline"`` (the unit's ``REPRO_UNIT_TIMEOUT`` expired and its worker
-    was killed) or ``"death"`` (the worker died mid-unit; ``exitcode``
-    carries how).  Exactly one event is emitted per outstanding dispatch id
-    — the pool removes the id from its outstanding set before emitting, so
-    a result racing a kill is never double-reported.
+    ``status`` is ``"ok"`` (``payload`` is the unit's result) or
+    ``"error"`` (the unit's retries are spent; ``payload`` is the last
+    error string).  ``kind`` says how the last attempt ended: ``"result"``
+    (the worker reported back), ``"deadline"`` (the ``REPRO_UNIT_TIMEOUT``
+    expired and its worker was killed) or ``"death"`` (the worker died
+    mid-unit; ``exitcode`` carries how).  Exactly one event is emitted per
+    dispatch id — the pool forgets the unit before emitting, so a result
+    racing a kill is never double-reported.
     """
 
     kind: str
@@ -163,6 +174,14 @@ class PoolEvent:
     payload: object
     worker: int
     exitcode: Optional[int] = None
+
+
+@dataclass
+class _Outstanding:
+    """A submitted unit that has not reached a terminal outcome."""
+
+    unit: object
+    attempt: int = 0
 
 
 # -- unit execution -----------------------------------------------------------
@@ -197,7 +216,7 @@ def _run_unit(dispatch_id: int, attempt: int, unit: object, fault_spec,
     """Fire any injected fault, then execute; ``(status, payload)``.
 
     Shared by the forked workers and the inline pool: any failure becomes
-    an ``("error", message)`` outcome for the supervising client.
+    an ``("error", message)`` outcome for the pool's recovery policy.
     Interrupts (``KeyboardInterrupt``/``SystemExit``) propagate instead: a
     dying worker is supervised like any other premature exit, and a Ctrl-C
     reaches the driver's own handler.
@@ -256,15 +275,32 @@ class WorkerPool:
     programs, preloaded images and reachable-probe samples cached inside a
     worker keep paying off for later units.  ``workers <= 1`` — or a
     process that cannot fork workers (:func:`fork_available`) — is the
-    inline mode of the same API: units run in-process, oldest first, one
-    per :meth:`pump`, with identical results.
+    inline mode of the same API: units run in-process, oldest first, with
+    identical results.
+
+    The recovery policy (see the module docstring) is set here once:
+    ``retries`` (default ``REPRO_UNIT_RETRIES``), ``backoff`` (base delay
+    in seconds before a retry; 0 re-dispatches at once), ``deadline``
+    (seconds per claimed unit, default ``REPRO_UNIT_TIMEOUT``; ``<= 0``
+    disables) and ``respawn_limit`` (default
+    ``max(8, workers * (retries + 2))``).
     """
 
-    def __init__(self, workers: int) -> None:
+    def __init__(self, workers: int, retries: Optional[int] = None,
+                 backoff: float = 0.0, deadline: Optional[float] = None,
+                 respawn_limit: Optional[int] = None) -> None:
         from repro.attacks.engine import sharded_pool_capacity
 
         self.workers = max(1, workers)
         self.snapshot_share = sharded_pool_capacity(self.workers)
+        self.retries = unit_retries() if retries is None else max(0, retries)
+        self.backoff = backoff
+        self.deadline = (unit_timeout() if deadline is None
+                         else deadline if deadline > 0 else None)
+        # a worker that keeps dying before even claiming a unit (e.g. a crash
+        # in the fork prologue) must not respawn forever
+        self.respawn_limit = (max(8, self.workers * (self.retries + 2))
+                              if respawn_limit is None else respawn_limit)
         self.stats = FaultStats()
         self._processes: List = []
         #: pending ``(dispatch id, attempt, unit)`` tasks: a fork-context
@@ -278,17 +314,21 @@ class WorkerPool:
         self._claim_cells: List = []
         #: global dispatch sequence across the pool's lifetime — the index
         #: space ``REPRO_FAULT_INJECT`` directives target (deterministic:
-        #: units are numbered in enqueue order, not completion order).
+        #: units are numbered in submit order, not completion order).
         self._units_dispatched = 0
-        #: dispatch ids enqueued but not yet surfaced as a :class:`PoolEvent`
-        self._outstanding: set = set()
+        #: dispatch id -> every unit submitted but not yet surfaced as a
+        #: terminal :class:`PoolEvent`
+        self._units: Dict[int, _Outstanding] = {}
+        #: dispatch id -> monotonic time its backing-off retry is due
+        self._backoff: Dict[int, float] = {}
         #: slot -> (claimed dispatch id, first observed) — the supervisor's
         #: view of the shared claim cells; deadlines run from observation
         self._observed: Dict[int, Optional[Tuple[int, float]]] = {}
 
     @property
     def parallel(self) -> bool:
-        return self.workers > 1 and fork_available()
+        return (self.workers > 1 and fork_available()
+                and not self.stats.degraded)
 
     def _spawn(self, worker_index: int):
         context = multiprocessing.get_context("fork")
@@ -324,65 +364,144 @@ class WorkerPool:
         self._processes[slot] = self._spawn(slot)
         self.stats.respawns += 1
 
+    # -- the recovery policy ---------------------------------------------------
+
+    def _dispatch(self, dispatch_id: int) -> None:
+        entry = self._units[dispatch_id]
+        self._task_queue.put((dispatch_id, entry.attempt, entry.unit))
+
+    def _running(self, dispatch_id: int) -> bool:
+        """Whether ``dispatch_id`` is queued or claimed (not backing off)."""
+        return dispatch_id in self._units and dispatch_id not in self._backoff
+
+    def _release_due(self) -> None:
+        """Dispatch every backing-off retry whose delay has passed."""
+        if not self._backoff:
+            return
+        now = time.monotonic()  # lint: allow-wallclock — retry-backoff schedule, not row content
+        for dispatch_id, ready_at in list(self._backoff.items()):
+            if ready_at <= now:
+                del self._backoff[dispatch_id]
+                self._dispatch(dispatch_id)
+
+    def _settle(self, outcomes: List[Tuple[PoolEvent, _Outstanding]],
+                ) -> List[PoolEvent]:
+        """Retry failed outcomes with attempts left; return the terminal.
+
+        Each outcome's unit was already taken out of the outstanding set
+        while its round was supervised, so a stale claim of the same id
+        cannot be reported twice in that round.
+        """
+        terminal: List[PoolEvent] = []
+        for event, entry in outcomes:
+            if event.status == "ok":
+                terminal.append(event)
+                continue
+            if entry.attempt >= self.retries:
+                self.stats.failed_units += 1
+                terminal.append(event)
+                continue
+            entry.attempt += 1
+            self.stats.retries += 1
+            self._units[event.dispatch_id] = entry
+            delay = self.backoff * 2 ** (entry.attempt - 1)
+            if delay > 0:
+                self._backoff[event.dispatch_id] = time.monotonic() + delay  # lint: allow-wallclock — retry-backoff schedule, not row content
+            else:
+                self._dispatch(event.dispatch_id)
+        return terminal
+
+    def _degrade(self) -> None:
+        """Abort the forked workers and continue inline, in place.
+
+        Outstanding units are queued in dispatch order with their dispatch
+        ids and attempts intact, so fault-injection indexing and retry
+        budgets carry over; inline execution honours only ``raise`` and
+        ``slow`` faults, so a pool whose workers keep dying stops using them.
+        """
+        self.stats.degraded = 1
+        self._terminate()
+        self._task_queue = queue_module.SimpleQueue()
+        for dispatch_id in sorted(self._units):
+            if dispatch_id not in self._backoff:
+                self._dispatch(dispatch_id)
+
     # -- incremental supervision API ------------------------------------------
 
-    def submit(self, unit: object, dispatch_id: Optional[int] = None,
-               attempt: int = 0) -> int:
-        """Enqueue one unit; return its pool-lifetime dispatch id.
-
-        ``dispatch_id`` defaults to the next slot of the global dispatch
-        sequence; a retry re-submits under the unit's *original* id with a
-        bumped ``attempt``, preserving the fault-injection index semantics
-        (a ``count``-limited directive stops sabotaging once ``attempt``
-        reaches its count).
-        """
-        if dispatch_id is None:
-            dispatch_id = self._units_dispatched
-            self._units_dispatched += 1
+    def submit(self, unit: object) -> int:
+        """Enqueue one unit; return its pool-lifetime dispatch id."""
+        dispatch_id = self._units_dispatched
+        self._units_dispatched += 1
         self._ensure_started()
-        self._outstanding.add(dispatch_id)
-        self._task_queue.put((dispatch_id, attempt, unit))
+        self._units[dispatch_id] = _Outstanding(unit)
+        self._dispatch(dispatch_id)
         return dispatch_id
 
-    def pump(self, timeout: float = _POLL_SECONDS,
-             deadline: Optional[float] = None) -> List[PoolEvent]:
-        """One supervision round; block at most ``timeout`` for a result.
+    def pump(self, timeout: float = _POLL_SECONDS) -> List[PoolEvent]:
+        """One supervision round; block at most ``timeout`` seconds.
 
-        Polls the claim cells, waits (briefly) on the result pipe, enforces
-        ``deadline`` seconds per claimed unit (kill + respawn on expiry) and
-        recovers dead workers — any premature exit counts, clean code 0
-        included.  Every outcome is returned as a :class:`PoolEvent`; the
-        caller owns retry policy (:meth:`submit` again under the same id) and
-        respawn budgets (watch :attr:`stats` ``.respawns``).  Results
-        drained while recovering a kill or a death win over the synthetic
-        deadline/death event — the unit finished, so it is reported
-        finished.
+        Returns the :class:`PoolEvent` of every unit that reached a terminal
+        outcome this round: its ``ok`` result, or its failure once its
+        retries are spent.  Failures with attempts left are re-dispatched
+        (after their backoff) and surface nothing.  Returns ``[]`` at once
+        when nothing is outstanding.
 
-        An inline pool instead runs the oldest queued unit in-process and
-        returns its ``result`` event (``[]`` when nothing is queued); it
-        never waits, so ``timeout`` and ``deadline`` do not apply.
+        A forked pool polls the claim cells, waits (briefly) on the result
+        pipe, enforces the deadline per claimed unit (kill + respawn on
+        expiry) and recovers dead workers — any premature exit counts,
+        clean code 0 included.  Results drained while recovering a kill or
+        a death win over the deadline/death outcome — the unit finished, so
+        it is reported finished.  An inline pool runs queued units
+        in-process until one is terminal; with only backing-off work it
+        waits for the nearest retry, up to ``timeout``.
         """
+        if not self._units:
+            return []
         self._ensure_started()
         if not self.parallel:
+            return self._pump_inline(timeout)
+        self._release_due()
+        terminal = self._settle(self._supervise(timeout))
+        if self.stats.respawns > self.respawn_limit:
+            self._degrade()
+        return terminal
+
+    def _pump_inline(self, timeout: float) -> List[PoolEvent]:
+        give_up = time.monotonic() + timeout  # lint: allow-wallclock — retry-backoff schedule, not row content
+        while True:
+            self._release_due()
             try:
                 dispatch_id, attempt, unit = self._task_queue.get_nowait()
             except queue_module.Empty:
-                return []
-            self._outstanding.discard(dispatch_id)
+                now = time.monotonic()  # lint: allow-wallclock — retry-backoff schedule, not row content
+                if not self._backoff or now >= give_up:
+                    return []
+                time.sleep(max(0.0, min(min(self._backoff.values()),
+                                        give_up) - now))
+                continue
+            entry = self._units.pop(dispatch_id)
             status, payload = _run_unit(dispatch_id, attempt, unit,
                                         parse_fault_spec(), inline=True)
-            return [PoolEvent(kind="result", dispatch_id=dispatch_id,
-                              status=status, payload=payload, worker=0)]
-        events: List[PoolEvent] = []
+            terminal = self._settle([(PoolEvent(
+                kind="result", dispatch_id=dispatch_id, status=status,
+                payload=payload, worker=0), entry)])
+            if terminal:
+                return terminal
+
+    def _supervise(self, timeout: float,
+                   ) -> List[Tuple[PoolEvent, _Outstanding]]:
+        """One forked supervision round: every outcome, failed or not."""
+        outcomes: List[Tuple[PoolEvent, _Outstanding]] = []
+
+        def outcome(event: PoolEvent) -> None:
+            outcomes.append((event, self._units.pop(event.dispatch_id)))
 
         def handle(message) -> None:
             worker, dispatch_id, status, payload = message
-            if dispatch_id not in self._outstanding:
+            if not self._running(dispatch_id):
                 return  # stale duplicate drained around a worker death
-            self._outstanding.discard(dispatch_id)
-            events.append(PoolEvent(kind="result", dispatch_id=dispatch_id,
-                                    status=status, payload=payload,
-                                    worker=worker))
+            outcome(PoolEvent(kind="result", dispatch_id=dispatch_id,
+                              status=status, payload=payload, worker=worker))
 
         def drain() -> None:
             while self._result_reader.poll():
@@ -397,24 +516,27 @@ class WorkerPool:
             elif observed is None or observed[0] != value:
                 self._observed[slot] = (value, now)
 
-        # wake early enough to enforce the nearest unit deadline
+        # wake early enough to enforce the nearest unit deadline and to
+        # dispatch the nearest backing-off retry
         wake = timeout
-        if deadline is not None:
+        if self.deadline is not None:
             for claim in self._observed.values():
-                if claim is not None and claim[0] in self._outstanding:
-                    remaining = deadline - (now - claim[1])
+                if claim is not None and self._running(claim[0]):
+                    remaining = self.deadline - (now - claim[1])
                     wake = max(0.05, min(wake, remaining))
+        if self._backoff:
+            wake = max(0.0, min(wake, min(self._backoff.values()) - now))
         if self._result_reader.poll(wake):
             drain()
-            return events
+            return outcomes
 
         # per-unit deadline: kill the worker hosting an expired unit, then
-        # surface the expiry and refill the slot
-        if deadline is not None:
+        # record the expiry and refill the slot
+        if self.deadline is not None:
             now = time.monotonic()  # lint: allow-wallclock — worker-liveness deadline, not row content
             for slot, claim in list(self._observed.items()):
-                if claim is None or claim[0] not in self._outstanding \
-                        or now - claim[1] <= deadline:
+                if claim is None or not self._running(claim[0]) \
+                        or now - claim[1] <= self.deadline:
                     continue
                 process = self._processes[slot]
                 if process.is_alive():
@@ -422,13 +544,12 @@ class WorkerPool:
                     process.join(timeout=5.0)
                 self.stats.timeouts += 1
                 drain()  # a result that raced the kill wins over a retry
-                if claim[0] in self._outstanding:
-                    self._outstanding.discard(claim[0])
-                    events.append(PoolEvent(
+                if self._running(claim[0]):
+                    outcome(PoolEvent(
                         kind="deadline", dispatch_id=claim[0],
                         status="error",
                         payload=(f"unit deadline exceeded "
-                                 f"(REPRO_UNIT_TIMEOUT={deadline:g}s)"),
+                                 f"(REPRO_UNIT_TIMEOUT={self.deadline:g}s)"),
                         worker=slot))
                 self._respawn(slot)
 
@@ -441,15 +562,14 @@ class WorkerPool:
                 continue
             drain()
             value = self._claim_cells[slot].value
-            if value >= 0 and value in self._outstanding:
-                self._outstanding.discard(value)
-                events.append(PoolEvent(
+            if value >= 0 and self._running(value):
+                outcome(PoolEvent(
                     kind="death", dispatch_id=value, status="error",
                     payload=(f"worker died mid-unit (exit code "
                              f"{process.exitcode})"),
                     worker=slot, exitcode=process.exitcode))
             self._respawn(slot)
-        return events
+        return outcomes
 
     def map(self, units: Sequence[object],
             on_result: Optional[Callable] = None,
@@ -461,58 +581,26 @@ class WorkerPool:
         returned lists are nevertheless in input order, which is what makes
         the downstream merge order-independent of the execution schedule.
 
-        Fault tolerance (see the module docstring): failed, timed-out and
-        orphaned units are retried ``REPRO_UNIT_RETRIES`` times and then
-        quarantined as ``{"status": "failed", ...}`` rows instead of
-        aborting the run.  ``on_result``, when given, is called with
-        ``(index, unit, payload)`` as each unit resolves (completion order)
-        — the grid driver streams completed units to its checkpoint with it.
+        A unit the pool surfaces as failed (see the module docstring) is
+        recorded as a :func:`quarantine_row` instead of aborting the run.
+        ``on_result``, when given, is called with ``(index, unit, payload)``
+        as each unit resolves (completion order) — the grid driver streams
+        completed units to its checkpoint with it.
         """
-        retries = unit_retries()
-        deadline = unit_timeout()
-        # a worker that keeps dying before even claiming a unit (e.g. a crash
-        # in the fork prologue) must not respawn forever
-        respawn_limit = max(8, self.workers * (retries + 2))
-        respawns_before = self.stats.respawns
         results: List[Optional[dict]] = [None] * len(units)
         worker_ids: List[int] = [0] * len(units)
-        attempts = [0] * len(units)
-        base = self._units_dispatched
-        self._units_dispatched += len(units)
-        unresolved = set(range(len(units)))
-
-        def resolve(index: int, payload: dict, worker: int) -> None:
-            results[index] = payload
-            worker_ids[index] = worker
-            unresolved.discard(index)
-            if on_result is not None:
-                on_result(index, units[index], payload)
-
         try:
-            for index, unit in enumerate(units):
-                self.submit(unit, dispatch_id=base + index)
-            while unresolved:
-                for event in self.pump(deadline=deadline):
-                    index = event.dispatch_id - base
-                    if index not in unresolved:
-                        continue
-                    if event.kind == "result" and event.status == "ok":
-                        resolve(index, event.payload, event.worker)
-                    elif attempts[index] < retries:
-                        attempts[index] += 1
-                        self.stats.retries += 1
-                        self.submit(units[index], dispatch_id=event.dispatch_id,
-                                    attempt=attempts[index])
-                    else:
-                        self.stats.failed_units += 1
-                        resolve(index,
-                                quarantine_row(units[index], event.payload),
-                                event.worker)
-                if self.stats.respawns - respawns_before > respawn_limit:
-                    raise RuntimeError(
-                        f"grid worker respawn limit exceeded "
-                        f"({self.stats.respawns - respawns_before} respawns "
-                        f"with {len(unresolved)} unit(s) unresolved)")
+            index_of = {self.submit(unit): index
+                        for index, unit in enumerate(units)}
+            while index_of:
+                for event in self.pump():
+                    index = index_of.pop(event.dispatch_id)
+                    payload = (event.payload if event.status == "ok" else
+                               quarantine_row(units[index], event.payload))
+                    results[index] = payload
+                    worker_ids[index] = event.worker
+                    if on_result is not None:
+                        on_result(index, units[index], payload)
         # lint: allow-broad-except — error-path cleanup that re-raises:
         # the pool is aborted so a failed run cannot hang close()
         except BaseException:
@@ -520,13 +608,8 @@ class WorkerPool:
             raise
         return results, worker_ids
 
-    def abort(self) -> None:
-        """Tear the pool down immediately, skipping the sentinel handshake.
-
-        The close() handshake waits on workers draining the task queue; a
-        pool being abandoned on an error path, or *because* its workers keep
-        dying (the service's circuit breaker), must not wait on them.
-        """
+    def _terminate(self) -> None:
+        """Kill every worker at once, skipping the sentinel handshake."""
         for process in self._processes:
             if process.is_alive():
                 process.terminate()
@@ -537,10 +620,27 @@ class WorkerPool:
                 process.join(timeout=2.0)
         if self._processes:  # an inline FIFO has no feeder thread to cancel
             self._task_queue.cancel_join_thread()
-        self._reset()
+        if self._result_reader is not None:
+            self._result_reader.close()
+            self._result_writer.close()
+        self._processes = []
+        self._result_reader = self._result_writer = self._result_lock = None
+        self._claim_cells = []
+        self._observed = {}
+
+    def abort(self) -> None:
+        """Tear the pool down immediately, skipping the sentinel handshake.
+
+        The close() handshake waits on workers draining the task queue; a
+        pool being abandoned on an error path must not wait on them.
+        """
+        self._terminate()
+        self._task_queue = None
+        self._units = {}
+        self._backoff = {}
 
     def close(self) -> None:
-        """Stop the workers; safe to call twice."""
+        """Stop the workers after the sentinel handshake; safe to call twice."""
         for _ in self._processes:
             try:
                 self._task_queue.put(None)
@@ -548,21 +648,7 @@ class WorkerPool:
                 break
         for process in self._processes:
             process.join(timeout=5.0)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5.0)
-        self._reset()
-
-    def _reset(self) -> None:
-        if self._result_reader is not None:
-            self._result_reader.close()
-            self._result_writer.close()
-        self._processes = []
-        self._task_queue = None
-        self._result_reader = self._result_writer = self._result_lock = None
-        self._claim_cells = []
-        self._outstanding = set()
-        self._observed = {}
+        self.abort()
 
     def __enter__(self) -> "WorkerPool":
         return self

@@ -1,8 +1,8 @@
 """Deterministic fault injection for the multiprocessing execution layers.
 
-The fault-tolerance machinery in :mod:`repro.evaluation.parallel` (the
-worker pool shared by the grid and the attack service) recovers from
-crashed workers, hung units and poisoned cells.
+The worker pool in :mod:`repro.evaluation.parallel` (shared by the grid
+and the attack service) owns the one recovery policy for crashed workers,
+hung units and poisoned cells.
 Recovery code that is only ever exercised by accident is broken by default,
 so this module provides the harness that provokes every failure mode on
 purpose — the fault-tolerance tests and the CI fault-injection grid leg
@@ -14,8 +14,8 @@ drive each recovery path deliberately instead of hoping for it.
 * ``index`` — the dispatch sequence number the fault targets.  The grid
   pool numbers units globally across the pool's lifetime in enqueue order
   (so the index is deterministic regardless of which worker claims what).
-  The grid and the service retry a unit under its original id, so a
-  ``count`` limits how often the same unit is sabotaged.
+  The pool retries a unit under its original id, so a ``count`` limits
+  how often the same unit is sabotaged.
 * ``mode`` — ``raise`` (the unit errors), ``hang`` (the worker sleeps past
   any deadline, provoking the ``REPRO_UNIT_TIMEOUT`` kill), ``exit0`` (the
   worker exits *cleanly* mid-unit — the liveness case an exit-code filter
@@ -33,8 +33,8 @@ drive each recovery path deliberately instead of hoping for it.
 Malformed directives are ignored — an operator typo in the environment must
 never crash a worker that would otherwise run fine.
 
-This module is also the home of the fault-tolerance knobs every pool client
-shares:
+This module is also the home of the pool's fault-tolerance knobs, shared
+by both of its clients:
 
 * ``REPRO_UNIT_TIMEOUT`` — per-unit wall-clock deadline in seconds; a
   worker whose claimed unit exceeds it is killed and the unit retried.

@@ -21,15 +21,16 @@ fine — an operator typo in the environment degrades to the default):
 * :func:`positive_int` / :func:`nonneg_int` — ``int()`` with the registered
   default on parse failure, clamped to ``>= 1`` / ``>= 0``.
 * :func:`nonneg_float` — ``float()`` with the registered default on parse
-  failure, clamped to ``>= 0.0``.
+  failure or a non-finite value, clamped to ``>= 0.0``.
 * :func:`optional_seconds` — ``float()``; unset/malformed/``<= 0`` all mean
   "no deadline" (``None``).
 * :func:`raw` — the untyped escape hatch for knobs with bespoke parsing
-  (fault-injection specs, fallback chains).
+  (fault-injection specs).
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Tuple
@@ -71,8 +72,6 @@ _register("REPRO_TRACE_CACHE", "flag", "1", "src",
 _register("REPRO_SNAPSHOT_POOL", "int", "32", "src",
           "global mid-path snapshot budget for backtracking DSE; 0 = "
           "rewind-from-entry only")
-_register("REPRO_DSE_BACKTRACK", "flag", "1", "src",
-          "0 forces rerun-from-entry DSE exploration")
 
 # -- evaluation grid / fault tolerance ----------------------------------------
 _register("REPRO_GRID_WORKERS", "int", "1", "src",
@@ -91,12 +90,8 @@ _register("REPRO_SERVICE_WORKERS", "int", "1", "src",
           "pool workers for python -m repro.service (1 = in-process serial)")
 _register("REPRO_SERVICE_QUEUE", "int", "64", "src",
           "admission bound: max requests admitted but not yet terminal")
-_register("REPRO_SERVICE_TIMEOUT", "seconds", None, "src",
-          "per-request deadline in seconds; falls back to REPRO_UNIT_TIMEOUT")
 _register("REPRO_SERVICE_BACKOFF", "float", "0.1", "src",
           "base retry delay in seconds; attempt n waits base * 2**(n-1)")
-_register("REPRO_SERVICE_BREAKER", "int", "8", "src",
-          "respawns tolerated before degrading to in-process execution")
 
 # -- benchmark harness (benchmarks/) ------------------------------------------
 _register("REPRO_BENCH_UPDATE", "flag", "0", "benchmarks",
@@ -127,7 +122,7 @@ def raw(name: str, default: Optional[str] = None) -> Optional[str]:
     This is the single sanctioned ``os.environ`` read for ``REPRO_*``
     names; ``default`` is returned when the variable is unset (it is the
     call site's parse-level default and may differ from the registered
-    documented default, e.g. ``""`` to mean "trigger the fallback chain").
+    documented default, e.g. ``""`` for "unset" in a free-form spec).
     """
     knob = _REGISTRY.get(name)
     if knob is None:
@@ -168,13 +163,20 @@ def nonneg_int(name: str) -> int:
 
 
 def nonneg_float(name: str) -> float:
-    """``float()`` with the registered default on failure, clamped ``>= 0``."""
+    """``float()`` with the registered default on failure, clamped ``>= 0``.
+
+    ``inf`` and ``nan`` count as failures: an infinite retry delay would
+    leave a retried unit waiting forever.
+    """
     value = raw(name, get(name).default)
     try:
-        return max(0.0, float(value if value is not None else ""))
+        parsed = float(value if value is not None else "")
     except ValueError:
+        parsed = math.nan
+    if not math.isfinite(parsed):
         default = get(name).default
-        return max(0.0, float(default if default is not None else "0"))
+        parsed = float(default if default is not None else "0")
+    return max(0.0, parsed)
 
 
 def optional_seconds(name: str) -> Optional[float]:

@@ -10,8 +10,8 @@ The input is one JSON request object per line (see
 and ``#`` comment lines are skipped.  One JSON result row is printed per
 request in *completion* order (retries and load balancing reorder them; sort
 by ``id`` to compare batches), followed by a final ``{"summary": ...}``
-block with the service stats — completed/retried/shed/quarantined/rejected/
-resumed plus the pool's respawn/timeout counters.
+block with the service stats — completed/shed/rejected/resumed plus the
+pool's recovery counters (retried/quarantined/respawns/timeouts/degraded).
 
 ``--dir`` holds ``service.jsonl``: re-running the same batch against the
 same directory re-emits completed rows from the journal instead of

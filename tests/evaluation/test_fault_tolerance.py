@@ -204,6 +204,35 @@ def test_slow_fault_delays_but_never_alters_rows(monkeypatch):
 
 
 @needs_fork
+def test_respawns_past_the_limit_degrade_the_pool_to_inline(monkeypatch):
+    """Workers that die on every attempt cannot respawn forever: past the
+    respawn limit (max(8, 2 * (2 + 2)) = 8 here) the pool aborts its forked
+    workers and finishes the map inline, where kill faults cannot reach.
+
+    Which dying units exhaust their retries before the pool degrades
+    depends on the schedule, so only schedule-free facts are asserted:
+    the map completes, and every row that is not quarantined is the
+    inline pool's row.
+    """
+    units = _units() * 2
+    reference, _ = WorkerPool(1).map(units)
+    with _fail_if_hung(120):
+        rows, _, stats = _map_with_env(
+            monkeypatch,
+            {"REPRO_FAULT_INJECT": ",".join(f"{index}:kill:always"
+                                            for index in range(4)),
+             "REPRO_UNIT_RETRIES": "2"},
+            units=units)
+    assert stats.degraded == 1
+    assert stats.respawns > 8
+    assert len(rows) == len(units)
+    assert all(row == expected for row, expected in zip(rows, reference)
+               if row.get("status") != "failed")
+    # only the four dying units can have been quarantined
+    assert all(row.get("status") != "failed" for row in rows[4:])
+
+
+@needs_fork
 def test_fault_indexes_are_global_across_map_calls(monkeypatch):
     """REPRO_FAULT_INJECT indexes the pool-lifetime dispatch sequence, so a
     directive can target a unit of the *second* map() call deterministically."""

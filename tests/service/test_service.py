@@ -8,12 +8,12 @@ import pytest
 from repro.service import requests as service_requests
 from repro.service.__main__ import main as service_main
 from repro.service.core import (AttackService, service_backoff,
-                                service_breaker, service_queue_limit,
-                                service_timeout, service_workers)
+                                service_queue_limit, service_workers)
 from repro.service.journal import Journal
 from repro.service.requests import (AttackRequest, execute_request,
                                     parse_request, request_fingerprint)
 from repro.evaluation.parallel import fork_available
+from tests.evaluation.test_fault_tolerance import _fail_if_hung
 
 needs_fork = pytest.mark.skipif(not fork_available(),
                                 reason="fork start method required")
@@ -253,6 +253,29 @@ def test_circuit_breaker_degrades_to_inline_and_still_completes(tmp_path,
 
 
 @needs_fork
+def test_pooled_retry_backoff_is_exponential(tmp_path, monkeypatch):
+    """A forked pool schedules backoff like the inline one: the poisoned
+    request waits 0.05 + 0.10 s across its two retries while its
+    neighbour completes, then it is quarantined."""
+    monkeypatch.setenv("REPRO_FAULT_INJECT", "0:raise:always")
+    _fake_executor(monkeypatch)
+    started = time.monotonic()
+    with AttackService(tmp_path, workers=2, retries=2,
+                       backoff=0.05) as service:
+        service.submit(_request("r0"))
+        service.submit(_request("r1"))
+        with _fail_if_hung(60):   # a retry never released would hang drain()
+            rows = service.drain()
+        stats = service.stats
+    elapsed = time.monotonic() - started
+    assert {row["id"]: row["status"] for row in rows} == \
+        {"r0": "quarantined", "r1": "done"}
+    assert stats.retried == 2 and stats.quarantined == 1
+    assert stats.completed == 1 and stats.respawns == 0
+    assert elapsed >= 0.14
+
+
+@needs_fork
 def test_pooled_rows_equal_serial_rows_without_faults(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_FAULT_INJECT", raising=False)
     requests = [_request(f"r{i}", seed=i + 1) for i in range(3)]
@@ -267,29 +290,33 @@ def test_pooled_rows_equal_serial_rows_without_faults(tmp_path, monkeypatch):
 
 # -- knobs and the CLI --------------------------------------------------------
 
-def test_service_knob_resolution(monkeypatch):
+def test_service_knob_resolution(monkeypatch, tmp_path):
     for name in ("REPRO_SERVICE_WORKERS", "REPRO_SERVICE_QUEUE",
-                 "REPRO_SERVICE_TIMEOUT", "REPRO_SERVICE_BACKOFF",
-                 "REPRO_SERVICE_BREAKER", "REPRO_UNIT_TIMEOUT"):
+                 "REPRO_SERVICE_BACKOFF", "REPRO_UNIT_TIMEOUT",
+                 "REPRO_UNIT_RETRIES"):
         monkeypatch.delenv(name, raising=False)
     assert service_workers() == 1
     assert service_queue_limit() == 64
-    assert service_timeout() is None
     assert service_backoff() == 0.1
-    assert service_breaker() == 8
     monkeypatch.setenv("REPRO_SERVICE_WORKERS", "4")
     monkeypatch.setenv("REPRO_SERVICE_QUEUE", "0")
     monkeypatch.setenv("REPRO_SERVICE_BACKOFF", "junk")
     assert service_workers() == 4
     assert service_queue_limit() == 1   # clamped to a usable bound
     assert service_backoff() == 0.1
-    # the service deadline falls back to the shared unit deadline
+    # a non-finite delay would park a retry forever: it falls back too
+    for value in ("inf", "-inf", "nan"):
+        monkeypatch.setenv("REPRO_SERVICE_BACKOFF", value)
+        assert service_backoff() == 0.1
+    # the pool's recovery policy: the request deadline is the shared unit
+    # deadline, and the breaker argument is the pool's respawn limit
     monkeypatch.setenv("REPRO_UNIT_TIMEOUT", "7")
-    assert service_timeout() == 7.0
-    monkeypatch.setenv("REPRO_SERVICE_TIMEOUT", "3")
-    assert service_timeout() == 3.0
-    monkeypatch.setenv("REPRO_SERVICE_TIMEOUT", "0")
-    assert service_timeout() is None    # explicit 0 disables, no fallback
+    with AttackService(tmp_path, workers=2) as service:
+        assert service._pool.deadline == 7.0
+        assert service._pool.respawn_limit == 8   # max(8, 2 * (2 + 2))
+    with AttackService(tmp_path, workers=2, deadline=0, breaker=3) as service:
+        assert service._pool.deadline is None     # explicit 0 disables
+        assert service._pool.respawn_limit == 3
 
 
 def test_cli_drains_a_batch_and_reports_rejects(tmp_path, capsys,
