@@ -41,6 +41,11 @@ Hygiene checks (AST-based, over ``src/repro``):
   ``src/repro``, unless annotated ``# lint: allow-broad-except — reason``
   on or directly above the handler.  Deliberate blast-containment
   catch-alls carry the annotation; everything else must narrow.
+* **gc-tuning** — ``gc.disable``/``gc.freeze``/``gc.set_threshold``/
+  ``gc.unfreeze`` calls anywhere in ``src/repro``, unless annotated
+  ``# lint: allow-gc — reason``.  Memory is released by structure (no
+  reference cycles in per-execution state), not by collector tuning that
+  would hide a retained-state regression.
 
 Exit status: 0 when clean, 1 when any finding is reported.
 """
@@ -81,6 +86,8 @@ _WALLCLOCK_TIME_ATTRS = frozenset({"time", "monotonic", "perf_counter",
                                    "time_ns", "monotonic_ns",
                                    "perf_counter_ns"})
 _WALLCLOCK_DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
+_GC_TUNING_ATTRS = frozenset({"disable", "freeze", "set_threshold",
+                              "unfreeze"})
 
 #: Leading ``name =`` chain matcher for emitted source lines.
 _ASSIGN_HEAD = re.compile(r"([A-Za-z_]\w*)\s*=(?!=)\s*")
@@ -421,6 +428,25 @@ def _check_wallclock(rel: str, tree: ast.Module,
     return findings
 
 
+def _check_gc_tuning(rel: str, tree: ast.Module,
+                     lines: Sequence[str]) -> List[Finding]:
+    findings: List[Finding] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and \
+                isinstance(func.value, ast.Name) and func.value.id == "gc" \
+                and func.attr in _GC_TUNING_ATTRS \
+                and not _has_allowance(lines, node.lineno, "gc"):
+            findings.append(Finding(
+                rel, node.lineno, "gc-tuning",
+                f"collector tuning gc.{func.attr}() can hide retained "
+                f"cyclic state; free it by structure (annotate "
+                f"'# lint: allow-gc — reason' if deliberate)"))
+    return findings
+
+
 def _check_globals(rel: str, tree: ast.Module,
                    lines: Sequence[str]) -> List[Finding]:
     findings: List[Finding] = []
@@ -468,6 +494,7 @@ def check_hygiene(root: Path, package_dir: Path) -> List[Finding]:
         posix = path.as_posix()
         findings.extend(_check_env_reads(path, rel, tree, lines))
         findings.extend(_check_broad_except(rel, tree, lines))
+        findings.extend(_check_gc_tuning(rel, tree, lines))
         if any(scoped in posix for scoped in DETERMINISM_SCOPED):
             findings.extend(_check_wallclock(rel, tree, lines))
             findings.extend(_check_globals(rel, tree, lines))

@@ -27,6 +27,13 @@ hold, so snapshots are only taken while they do — any execution the shadow
 cannot exactly characterize falls back to the entry rewind, which keeps
 backtracking exploration path-for-path identical to rerun-from-entry
 exploration (the differential property the tests assert).
+
+The pool lives for one exploration: :meth:`DseEngine.explore` empties it
+when it returns, and every execution detaches its observer and hook from
+the tracker and emulator once it has run.  A finished exploration thus
+leaves nothing behind but its results, and reference counting frees its
+shadow state at once instead of leaving reference cycles to the garbage
+collector; an engine cached between requests holds only its entry snapshot.
 """
 
 from __future__ import annotations
@@ -167,11 +174,13 @@ class DseEngine(SnapshotEngine):
         The long-lived attack service reuses one engine per image across
         requests; everything a previous request could leak into the next —
         the CUPA RNG stream, the solver's model cache, the cumulative
-        :class:`EngineStats`, the mid-path snapshot pool — is rebuilt here,
-        which is exactly what makes a served request byte-identical to a
-        one-shot run at the same seed.  The *entry* snapshot is deliberately
-        kept: it depends only on the image and the attacked symbol, and
-        reusing it across requests is the service's whole point.
+        :class:`EngineStats` — is rebuilt here, which is exactly what makes
+        a served request byte-identical to a one-shot run at the same seed.
+        The mid-path snapshot pool lives for one exploration (``explore``
+        already emptied it); it is cleared here too for callers that drive
+        :meth:`execute` alone.  The *entry* snapshot is deliberately kept:
+        it depends only on the image and the attacked symbol, and reusing it
+        across requests is the service's whole point.
         """
         if input_spec is not None:
             self.input_spec = input_spec
@@ -330,6 +339,12 @@ class DseEngine(SnapshotEngine):
             emulator.run()
         except EmulationError:
             faulted = True
+        finally:
+            # detach: the observer closes over the tracker, the emulator and
+            # the engine, so a tracker left holding it (or an emulator left
+            # holding the hook) is a cycle only a full collection would free
+            tracker.branch_observer = None
+            emulator.pre_hooks = []
 
         self.stats.executions += 1
         self.stats.instructions += emulator.steps
@@ -361,6 +376,18 @@ class DseEngine(SnapshotEngine):
         Returns the list of execution results (one per explored input) and the
         aggregate statistics.
         """
+        try:
+            return self._explore(time_budget, max_executions, stop_condition,
+                                 max_solver_queries)
+        finally:
+            # the pool's snapshots, tracker forks and expression DAGs only
+            # serve this exploration's resumes: free them with it
+            self._pool.clear()
+
+    def _explore(self, time_budget: float, max_executions: int,
+                 stop_condition: Optional[Callable[[ExecutionResult], bool]],
+                 max_solver_queries: Optional[int],
+                 ) -> Tuple[List[ExecutionResult], EngineStats]:
         start = time.monotonic()
         initial = {name: 0 for name in self.symbols}
         pending: List[Tuple[int, Dict[str, int], Optional[Tuple]]] = [(0, initial, None)]

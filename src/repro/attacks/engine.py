@@ -17,7 +17,9 @@ re-executions cheap:
   backtracking DSE explorer (:mod:`repro.attacks.dse`), keyed by the branch
   decisions taken before the snapshot point.  Eviction removes the deepest
   least-recently-used entry first, so memory stays proportional to the
-  exploration frontier rather than the whole path tree.
+  exploration frontier rather than the whole path tree.  A pool lives for
+  one exploration: :meth:`repro.attacks.dse.DseEngine.explore` empties it
+  when it returns.
 * :class:`EngineStats` — per-run statistics shared by the three engines and
   consumed by the attack goal drivers and the evaluation grid.
 * :func:`preloaded_fork` — a process-wide pristine-load cache used by the

@@ -175,6 +175,41 @@ class Chain:
             return element.length
         return 8
 
+    def _resolve(self, element: ChainElement, labels: Dict[str, int],
+                 pair_bases: Dict[int, int], rng: random.Random) -> int:
+        """The 8-byte value of one slot (a method rather than a closure in
+        :meth:`materialize`: a self-recursive closure is a reference cycle,
+        and would leave every materialized chain to the garbage collector).
+        """
+        if isinstance(element, GadgetSlot):
+            return element.gadget.address
+        if isinstance(element, ValueSlot):
+            return element.value & _MASK64
+        if isinstance(element, DeltaSlot):
+            if element.target not in labels or element.anchor not in labels:
+                raise ChainError(
+                    f"unresolved chain label in {self.name}: "
+                    f"{element.target!r} / {element.anchor!r}"
+                )
+            return (labels[element.target] - labels[element.anchor]
+                    - element.subtract) & _MASK64
+        if isinstance(element, JunkSlot):
+            return rng.getrandbits(64)
+        if isinstance(element, LabelAddressSlot):
+            if element.target not in labels:
+                raise ChainError(
+                    f"unresolved chain label in {self.name}: {element.target!r}")
+            return labels[element.target] & _MASK64
+        if isinstance(element, OpaqueGadgetSlot):
+            # the real address is stored at run time; emit junk bytes
+            return rng.getrandbits(64)
+        if isinstance(element, DisguiseBaseSlot):
+            return pair_bases[element.pair] & _MASK64
+        if isinstance(element, DisguisedSlot):
+            inner = self._resolve(element.inner, labels, pair_bases, rng)
+            return (inner + pair_bases[element.pair]) & _MASK64
+        raise ChainError(f"cannot resolve element {element!r}")
+
     def materialize(self, base_address: int, rng: Optional[random.Random] = None,
                     gadget_addresses: Sequence[int] = ()) -> MaterializedChain:
         """Lay the chain out at ``base_address`` and produce its raw bytes.
@@ -207,35 +242,6 @@ class Chain:
             if pair is not None and pair not in pair_bases:
                 pair_bases[pair] = rng.choice(list(gadget_addresses)) if gadget_addresses else 0
 
-        def resolve(element: ChainElement) -> int:
-            if isinstance(element, GadgetSlot):
-                return element.gadget.address
-            if isinstance(element, ValueSlot):
-                return element.value & _MASK64
-            if isinstance(element, DeltaSlot):
-                if element.target not in labels or element.anchor not in labels:
-                    raise ChainError(
-                        f"unresolved chain label in {self.name}: "
-                        f"{element.target!r} / {element.anchor!r}"
-                    )
-                return (labels[element.target] - labels[element.anchor]
-                        - element.subtract) & _MASK64
-            if isinstance(element, JunkSlot):
-                return rng.getrandbits(64)
-            if isinstance(element, LabelAddressSlot):
-                if element.target not in labels:
-                    raise ChainError(
-                        f"unresolved chain label in {self.name}: {element.target!r}")
-                return labels[element.target] & _MASK64
-            if isinstance(element, OpaqueGadgetSlot):
-                # the real address is stored at run time; emit junk bytes
-                return rng.getrandbits(64)
-            if isinstance(element, DisguiseBaseSlot):
-                return pair_bases[element.pair] & _MASK64
-            if isinstance(element, DisguisedSlot):
-                return (resolve(element.inner) + pair_bases[element.pair]) & _MASK64
-            raise ChainError(f"cannot resolve element {element!r}")
-
         # second pass: emit bytes
         out = bytearray()
         slots = 0
@@ -245,7 +251,8 @@ class Chain:
             if isinstance(element, RawPadding):
                 out += bytes(rng.getrandbits(8) for _ in range(element.length))
                 continue
-            out += resolve(element).to_bytes(8, "little")
+            out += self._resolve(element, labels, pair_bases,
+                                 rng).to_bytes(8, "little")
             slots += 1
         return MaterializedChain(base_address=base_address, data=bytes(out),
                                  label_addresses=labels, slot_count=slots)

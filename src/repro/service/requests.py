@@ -16,9 +16,11 @@ Requests naming the same image share its compiled/obfuscated form and —
 through :meth:`repro.attacks.engine.SnapshotEngine.retarget` plus
 :meth:`repro.attacks.dse.DseEngine.reset` — the engine's prepared emulator
 and entry snapshot, while every piece of cross-request exploration state
-(RNG, solver, stats, mid-path snapshot pool) is rebuilt per request.  That
-reset discipline is exactly why a served result is byte-identical to a
-one-shot run at the same seed, which the differential tests assert.
+(RNG, solver, stats) is rebuilt per request.  The mid-path snapshot pool
+does not outlive its exploration, so a cached engine between requests holds
+only its entry snapshot.  That reset discipline is exactly why a served
+result is byte-identical to a one-shot run at the same seed, which the
+differential tests assert.
 
 The default budget caps mirror the grid's smoke slice: the wall clock is
 generous enough to never bind, so the deterministic caps (executions, solver

@@ -164,3 +164,30 @@ def test_wallclock_in_row_producing_path_is_detected(tmp_path):
     result = _run_lint_on_copy(tmp_path, plant)
     assert result.returncode != 0, result.stdout + result.stderr
     assert "wallclock" in result.stdout
+
+
+def test_gc_tuning_is_detected(tmp_path):
+    """Unannotated collector tuning anywhere in src/repro fails."""
+    def plant(copy):
+        path = copy / "repro" / "attacks" / "dse.py"
+        path.write_text(path.read_text() + (
+            "\n\ndef _quiet_collector():\n"
+            "    import gc\n"
+            "    gc.freeze()\n"))
+
+    result = _run_lint_on_copy(tmp_path, plant)
+    assert result.returncode != 0, result.stdout + result.stderr
+    assert "gc-tuning" in result.stdout
+
+
+def test_annotated_gc_tuning_is_allowed(tmp_path):
+    """The allow-gc annotation exempts a call; gc.collect is never flagged."""
+    package = tmp_path / "repro"
+    package.mkdir()
+    (package / "warmup.py").write_text(
+        "import gc\n\n\n"
+        "def warm():\n"
+        "    gc.collect()\n"
+        "    # lint: allow-gc — measured, see the benchmark notes\n"
+        "    gc.freeze()\n")
+    assert lint.check_hygiene(tmp_path, package) == []

@@ -287,7 +287,7 @@ def test_retargeting_clears_branch_snapshot_pool():
                        backtracking=True)
     engine.explore(time_budget=_NO_WALL_CLOCK, max_executions=20,
                    max_solver_queries=_QUERY_CAP)
-    assert len(engine._pool) > 0
+    assert len(engine._pool) == 0  # the pool lives for one exploration
     engine.function = "f"  # same symbol: nothing dropped
     engine.execute({"arg0": 1})
     assert len(engine._pool) > 0

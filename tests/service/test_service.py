@@ -233,8 +233,9 @@ def test_pooled_service_under_faults_matches_serial_byte_for_byte(tmp_path,
 def test_circuit_breaker_degrades_to_inline_and_still_completes(tmp_path,
                                                                 monkeypatch):
     """A request whose worker dies on every attempt would burn respawns
-    forever; past REPRO_SERVICE_BREAKER the service abandons the pool and
-    finishes the batch in-process, where kill faults cannot reach it."""
+    forever; past the pool's respawn limit (``breaker=``) the pool degrades
+    in place and finishes the batch in-process, where kill faults cannot
+    reach it."""
     monkeypatch.setenv("REPRO_FAULT_INJECT", "0:kill:always")
     _fake_executor(monkeypatch)
     requests = [_request(f"r{i}", seed=i + 1) for i in range(3)]
