@@ -28,8 +28,7 @@ at import time):
 Hygiene checks (AST-based, over ``src/repro``):
 
 * **env-read** — ``os.environ`` *reads* anywhere outside
-  :mod:`repro.knobs` (writes — e.g. handing a worker its snapshot-budget
-  share — are allowed).
+  :mod:`repro.knobs` (writes are allowed; ``src/repro`` has none).
 * **wallclock** — wall-clock and module-level RNG calls in the
   byte-identity-gated layers (``evaluation/parallel``, ``service/``),
   unless annotated ``# lint: allow-wallclock — reason``.

@@ -11,24 +11,28 @@ the paper found most effective for both ROP and VM configurations.
 
 Exploration is *backtracking* by default: while a path executes, the engine
 captures whole-emulator snapshots (:meth:`repro.cpu.Emulator.snapshot`) at
-symbolic branch points into a bounded :class:`repro.attacks.engine.
-SnapshotPool`.  Capture happens through the tracker's ``branch_observer``
-callback, which fires before the hook mutates any shadow state for the
-branching instruction, so every record kind is a capture point — plain
-``jcc`` branches, ``cmov`` selects and pointer-kind (ROP) branch records
-alike.  An input derived by negating decision ``p`` of a path then
-restores the nearest recorded ancestor of its decision prefix instead of
-re-running from the function entry, and the engine *repairs* the restored
-state for the new input assignment by re-evaluating every shadow expression
-(registers, memory, CPU flags) under it.  The repair is exact precisely when
-the tracker's :attr:`~repro.attacks.shadow.ShadowTracker.repair_exact` and
+symbolic branch points into a bounded :class:`SnapshotPool`.  Capture
+happens through the tracker's ``branch_observer`` callback, which fires
+before the hook mutates any shadow state for the branching instruction, so
+every record kind is a capture point — plain ``jcc`` branches, ``cmov``
+selects and pointer-kind (ROP) branch records alike.  An input derived by
+negating decision ``p`` of a path then restores the nearest recorded
+ancestor of its decision prefix instead of re-running from the function
+entry, and the engine *repairs* the restored state for the new input
+assignment by re-evaluating every shadow expression (registers, memory, CPU
+flags) under it.  The repair is exact precisely when the tracker's
+:attr:`~repro.attacks.shadow.ShadowTracker.repair_exact` and
 :attr:`~repro.attacks.shadow.ShadowTracker.constraints_exact` invariants
 hold, so snapshots are only taken while they do — any execution the shadow
 cannot exactly characterize falls back to the entry rewind, which keeps
 backtracking exploration path-for-path identical to rerun-from-entry
 exploration (the differential property the tests assert).
 
-The pool lives for one exploration: :meth:`DseEngine.explore` empties it
+The pool's bounds are constants of one exploration
+(:data:`SNAPSHOT_CAPACITY`, :data:`MAX_SNAPSHOTS_PER_RUN`,
+:data:`MAX_SNAPSHOT_DEPTH`), so an exploration takes the same snapshots
+wherever it runs: serially, in a grid worker or in a service worker.  The
+pool lives for one exploration: :meth:`DseEngine.explore` empties it
 when it returns, and every execution detaches its observer and hook from
 the tracker and emulator once it has run.  A finished exploration thus
 leaves nothing behind but its results, and reference counting frees its
@@ -40,10 +44,11 @@ from __future__ import annotations
 
 import random
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.attacks.engine import EngineStats, SnapshotEngine, SnapshotPool
+from repro.attacks.engine import EngineStats, SnapshotEngine
 from repro.attacks.shadow import BranchRecord, ShadowTracker
 from repro.attacks.solver.expr import BinExpr, ConstExpr, SymExpr
 from repro.attacks.solver.solver import ConstraintSolver, PathConstraint
@@ -54,6 +59,72 @@ from repro.memory import MemoryError_
 from repro.isa.registers import ARG_REGISTERS, Register
 
 _MASK64 = (1 << 64) - 1
+
+#: Mid-path snapshots one exploration keeps resident.
+SNAPSHOT_CAPACITY = 16
+#: Snapshots captured per execution, so loop-heavy paths do not monopolize
+#: the pool.
+MAX_SNAPSHOTS_PER_RUN = 24
+#: Deepest branch decision worth snapshotting.
+MAX_SNAPSHOT_DEPTH = 48
+
+
+class SnapshotPool:
+    """Bounded pool of mid-path snapshots keyed by branch-decision prefixes.
+
+    Keys are tuples of ``(branch_address, decision_taken)`` pairs — the path
+    prefix executed before the snapshot was taken.  Lookup finds the deepest
+    stored ancestor of a requested prefix; eviction drops the deepest
+    least-recently-used entry so shallow snapshots (which serve the most
+    descendants) survive the longest and memory stays O(frontier).
+    """
+
+    def __init__(self, capacity: int = SNAPSHOT_CAPACITY) -> None:
+        self.capacity = capacity
+        self.evictions = 0
+        self._entries: "OrderedDict[Tuple, object]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, key: Tuple) -> bool:
+        return key in self._entries
+
+    def touch(self, key: Tuple) -> None:
+        """Mark ``key`` as recently used (it survives eviction longer)."""
+        if key in self._entries:
+            self._entries.move_to_end(key)
+
+    def put(self, key: Tuple, value: object) -> None:
+        """Store a snapshot, evicting the deepest LRU entry when full."""
+        if key in self._entries:
+            self._entries.move_to_end(key)
+            self._entries[key] = value
+            return
+        while len(self._entries) >= self.capacity:
+            deepest = max(len(stored) for stored in self._entries)
+            for stored in self._entries:  # in LRU order
+                if len(stored) == deepest:
+                    del self._entries[stored]
+                    self.evictions += 1
+                    break
+        self._entries[key] = value
+
+    def nearest_ancestor(self, prefix: Tuple) -> Optional[Tuple[Tuple, object]]:
+        """Return ``(key, value)`` of the deepest stored prefix of ``prefix``.
+
+        The empty prefix is a valid ancestor: a snapshot taken at the first
+        branch point still skips the whole function prologue.
+        """
+        for depth in range(len(prefix), -1, -1):
+            entry = self._entries.get(prefix[:depth])
+            if entry is not None:
+                self._entries.move_to_end(prefix[:depth])
+                return prefix[:depth], entry
+        return None
+
+    def clear(self) -> None:
+        self._entries.clear()
 
 
 def _decision_key(record: BranchRecord) -> Tuple:
@@ -122,7 +193,7 @@ class DseEngine(SnapshotEngine):
         image: the (possibly obfuscated) binary image.
         function: name of the function to attack.
         input_spec: which inputs are symbolic.
-        strategy: ``"cupa"``, ``"bfs"`` or ``"dfs"``.
+        strategy: ``"cupa"`` or ``"bfs"``.
         memory_model: ``"concretize"`` (default) or ``"page"`` (§VII-C3).
         seed: RNG seed.
         max_instructions: per-execution instruction cap.
@@ -131,11 +202,7 @@ class DseEngine(SnapshotEngine):
             of rewinding to the entry per path (False is the rerun-from-entry
             reference the differential tests compare against).  Forced off
             for the page memory model (whose select expressions pin another
-            execution's concrete memory), when snapshots are disabled and
-            when the snapshot pool has no capacity (``REPRO_SNAPSHOT_POOL=0``).
-        max_snapshots_per_run: cap on snapshots captured per execution, so
-            loop-heavy paths do not monopolize the pool.
-        max_snapshot_depth: deepest branch decision worth snapshotting.
+            execution's concrete memory) and when snapshots are disabled.
     """
 
     def __init__(self, image: BinaryImage, function: str,
@@ -143,10 +210,8 @@ class DseEngine(SnapshotEngine):
                  memory_model: str = "concretize", seed: int = 0,
                  max_instructions: int = 2_000_000,
                  use_snapshots: bool = True,
-                 backtracking: bool = True,
-                 max_snapshots_per_run: int = 24,
-                 max_snapshot_depth: int = 48) -> None:
-        if strategy not in ("cupa", "bfs", "dfs"):
+                 backtracking: bool = True) -> None:
+        if strategy not in ("cupa", "bfs"):
             raise ValueError(f"unknown strategy {strategy!r}")
         super().__init__(image, function, max_instructions=max_instructions,
                          use_snapshots=use_snapshots)
@@ -158,10 +223,7 @@ class DseEngine(SnapshotEngine):
         self.solver = ConstraintSolver(self.symbols, seed=seed)
         self._pool = SnapshotPool()
         self.backtracking = (backtracking and use_snapshots
-                             and memory_model == "concretize"
-                             and self._pool.capacity > 0)
-        self.max_snapshots_per_run = max_snapshots_per_run
-        self.max_snapshot_depth = max_snapshot_depth
+                             and memory_model == "concretize")
 
     def invalidate_snapshots(self) -> None:
         super().invalidate_snapshots()
@@ -206,10 +268,10 @@ class DseEngine(SnapshotEngine):
         state = {"taken": 0}
 
         def observer(kind: str, address: int) -> None:
-            if state["taken"] >= self.max_snapshots_per_run:
+            if state["taken"] >= MAX_SNAPSHOTS_PER_RUN:
                 return
             branches = tracker.branches
-            if len(branches) >= self.max_snapshot_depth:
+            if len(branches) >= MAX_SNAPSHOT_DEPTH:
                 return
             if not (tracker.repair_exact and tracker.constraints_exact):
                 return
@@ -449,8 +511,6 @@ class DseEngine(SnapshotEngine):
         return results, self.stats
 
     def _pick(self, pending: List[Tuple]) -> int:
-        if self.strategy == "dfs":
-            return len(pending) - 1
         if self.strategy == "bfs":
             return 0
         # CUPA: group by the branch address whose negation produced the input,

@@ -13,64 +13,28 @@ re-executions cheap:
   entry snapshot is keyed on the attacked symbol and invalidated when the
   engine is retargeted, so one engine instance can attack several functions
   without leaking the previous target's context.
-* :class:`SnapshotPool` — a bounded pool of mid-path snapshots for the
-  backtracking DSE explorer (:mod:`repro.attacks.dse`), keyed by the branch
-  decisions taken before the snapshot point.  Eviction removes the deepest
-  least-recently-used entry first, so memory stays proportional to the
-  exploration frontier rather than the whole path tree.  A pool lives for
-  one exploration: :meth:`repro.attacks.dse.DseEngine.explore` empties it
-  when it returns.
 * :class:`EngineStats` — per-run statistics shared by the three engines and
   consumed by the attack goal drivers and the evaluation grid.
 * :func:`preloaded_fork` — a process-wide pristine-load cache used by the
   evaluation drivers (Figure 5 overhead sweeps, Table II probe sampling)
   for the hook-free executions that do not go through an engine.
 
-The pool size is controlled by ``REPRO_SNAPSHOT_POOL`` (default ``32``;
-``0`` disables mid-path snapshots and with them backtracking).  Each DSE
-exploration runs whole in one process; a worker of the grid or service pool
-sizes its engines' pools to its share of that budget
-(:func:`sharded_pool_capacity`).
+The backtracking DSE explorer keeps its mid-path snapshots in its own
+bounded pool (:class:`repro.attacks.dse.SnapshotPool`), sized by a constant
+of one exploration.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 from weakref import WeakKeyDictionary
 
-from repro import knobs
 from repro.binary.image import BinaryImage
 from repro.binary.loader import LoadedProgram, load_image
 from repro.cpu.emulator import Emulator, EmulatorSnapshot
 from repro.cpu.host import EXIT_ADDRESS, HostEnvironment
 from repro.isa.registers import Register
-
-_MASK64 = (1 << 64) - 1
-
-
-def snapshot_pool_capacity() -> int:
-    """Resolve the ``REPRO_SNAPSHOT_POOL`` knob (mid-path snapshot budget).
-
-    The knob is a *global* budget: a parallel run divides it across its
-    workers with :func:`sharded_pool_capacity` so the sum of all workers'
-    pools never exceeds what a serial run would have kept resident.
-    """
-    return knobs.nonneg_int("REPRO_SNAPSHOT_POOL")
-
-
-def sharded_pool_capacity(workers: int) -> int:
-    """Each worker's share of the global mid-path snapshot budget.
-
-    A disabled budget (0) stays disabled for every worker; any positive
-    budget grants each worker at least one slot so backtracking never
-    silently turns off just because the worker count exceeds the budget.
-    """
-    total = snapshot_pool_capacity()
-    if total <= 0:
-        return 0
-    return max(1, total // max(1, workers))
 
 
 @dataclass
@@ -114,66 +78,6 @@ class EngineStats:
         if self.elapsed <= 0.0:
             return 0.0
         return self.executions / self.elapsed
-
-
-class SnapshotPool:
-    """Bounded pool of mid-path snapshots keyed by branch-decision prefixes.
-
-    Keys are tuples of ``(branch_address, decision_taken)`` pairs — the path
-    prefix executed before the snapshot was taken.  Lookup finds the deepest
-    stored ancestor of a requested prefix; eviction drops the deepest
-    least-recently-used entry so shallow snapshots (which serve the most
-    descendants) survive the longest and memory stays O(frontier).
-    """
-
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        self.capacity = snapshot_pool_capacity() if capacity is None else capacity
-        self.evictions = 0
-        self._entries: "OrderedDict[Tuple, object]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: Tuple) -> bool:
-        return key in self._entries
-
-    def touch(self, key: Tuple) -> None:
-        """Mark ``key`` as recently used (it survives eviction longer)."""
-        if key in self._entries:
-            self._entries.move_to_end(key)
-
-    def put(self, key: Tuple, value: object) -> None:
-        """Store a snapshot, evicting the deepest LRU entry when full."""
-        if self.capacity <= 0:
-            return
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            self._entries[key] = value
-            return
-        while len(self._entries) >= self.capacity:
-            deepest = max(len(stored) for stored in self._entries)
-            for stored in self._entries:  # in LRU order
-                if len(stored) == deepest:
-                    del self._entries[stored]
-                    self.evictions += 1
-                    break
-        self._entries[key] = value
-
-    def nearest_ancestor(self, prefix: Tuple) -> Optional[Tuple[Tuple, object]]:
-        """Return ``(key, value)`` of the deepest stored prefix of ``prefix``.
-
-        The empty prefix is a valid ancestor: a snapshot taken at the first
-        branch point still skips the whole function prologue.
-        """
-        for depth in range(len(prefix), -1, -1):
-            entry = self._entries.get(prefix[:depth])
-            if entry is not None:
-                self._entries.move_to_end(prefix[:depth])
-                return prefix[:depth], entry
-        return None
-
-    def clear(self) -> None:
-        self._entries.clear()
 
 
 class SnapshotEngine:

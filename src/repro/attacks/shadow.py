@@ -26,6 +26,7 @@ from repro.attacks.solver.expr import (
     ConstExpr,
     Expression,
     SelectExpr,
+    SymExpr,
     UnExpr,
 )
 from repro.attacks.solver.solver import PathConstraint
@@ -137,6 +138,8 @@ class ShadowTracker:
         self._memory_bytes: Dict[int, Tuple[int, int]] = {}
         #: last flag-setting operation: ("cmp", a, b) or ("result", expr)
         self.flag_state: Optional[Tuple] = None
+        #: CF's shadow: None while CF is input-independent, else its
+        #: expression, or ``_UNMODELED_CARRY`` when the shadow cannot model it
         self.carry_expr: Optional[Expression] = None
         self.branches: List[BranchRecord] = []
         self.symbolic_instruction_count = 0
@@ -424,6 +427,11 @@ _BUILDERS: Dict[Mnemonic, Callable[[Instruction], Optional[Transfer]]] = {}
 
 _ONE = ConstExpr(1)
 _ZERO = ConstExpr(0)
+
+#: ``carry_expr`` of an input-dependent CF the shadow does not model: the
+#: carry-out of a symbolic add, adc/sbb, imul or shift.  Its symbol makes
+#: every CF consumer take its symbolic path; it never enters an expression.
+_UNMODELED_CARRY = SymExpr("<unmodeled carry>")
 
 #: The flag source and repair recipe of a flag write with no symbolic input.
 #: Nothing downstream can tell them from a recipe over the concrete operand
@@ -922,7 +930,8 @@ def _alu_symbolic(instruction: Instruction) -> Transfer:
             t.carry_expr = BinExpr("ult", left, right)
         else:
             t.flag_state = ("result", expression)
-            t.carry_expr = None
+            # logic ops clear CF; add, imul and shifts set it from the input
+            t.carry_expr = None if recipe == "logic" else _UNMODELED_CARRY
 
     return symbolic
 
@@ -985,10 +994,15 @@ def _build_carry(instruction: Instruction) -> Optional[Transfer]:
             return
         left = left_value(emulator, left_expr)
         right = right_value(emulator, right_expr)
-        carry_term = carry if carry is not None else ConstExpr(emulator.state.cf)
-        expression = BinExpr(operator, BinExpr(operator, left, right), carry_term)
+        if carry is None or carry is _UNMODELED_CARRY:
+            if carry is not None:
+                # concretizing an input-dependent carry loses its dependence
+                t.repair_exact = False
+            carry = ConstExpr(emulator.state.cf)
+        expression = BinExpr(operator, BinExpr(operator, left, right), carry)
         write(t, emulator, expression)
         t.flag_state = ("result", expression)
+        t.carry_expr = _UNMODELED_CARRY
         t.flag_repair = None
 
     guard = _guard(destination, source)

@@ -593,8 +593,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     with parallel.WorkerPool(workers) as pool, checkpoint:
         if workers > 1:
             print(f"workers: {workers} "
-                  f"({'fork pool' if pool.parallel else 'fork unavailable, serial'}, "
-                  f"snapshot pool share {pool.snapshot_share})")
+                  f"({'fork pool' if pool.parallel else 'fork unavailable, serial'})")
         for part in args.parts or ("table3", "figure5", "table2"):
             part_start = time.monotonic()
             part_rows = run_grid(args.slice, seed=args.seed, parts=[part],

@@ -14,7 +14,8 @@ that reached a terminal outcome.  The grid's ``map`` is a client of those
 two that returns results in unit order; the long-lived attack service
 (:mod:`repro.service`) is the other, layering admission and terminal rows
 on the same events.  One attack is never split across workers: a DSE
-exploration runs in the process that executes its unit.
+exploration runs in the process that executes its unit, and the pool knows
+nothing about what a unit does.
 
 One pool, two modes.  A *parallel* pool (``workers > 1`` and
 :func:`fork_available`) forks persistent workers lazily on the first
@@ -32,11 +33,6 @@ so a parallel run merges to *row-identical* JSON against an inline run at
 the same seed — the property ``tests/evaluation/test_parallel_grid.py``
 asserts against recorded golden rows.  The only nondeterministic fields
 are wall-clock times (``average_time``).
-
-Memory bounding: ``REPRO_SNAPSHOT_POOL`` is a *global* mid-path snapshot
-budget; each worker gets its share via
-:func:`repro.attacks.engine.sharded_pool_capacity` (exported to the worker
-through its environment before any engine is built).
 
 Recovery is one policy, and the pool is the only code that applies it.  A
 unit that raises, exceeds the ``REPRO_UNIT_TIMEOUT`` deadline or loses its
@@ -68,7 +64,6 @@ import dataclasses
 import hashlib
 import json
 import multiprocessing
-import os
 import queue as queue_module
 import time
 from dataclasses import dataclass
@@ -233,13 +228,9 @@ def _run_unit(dispatch_id: int, attempt: int, unit: object, fault_spec,
 
 # -- the worker pool ----------------------------------------------------------
 
-def _worker_main(worker_index: int, snapshot_share: int, task_queue,
-                 result_writer, result_lock, claim_cell) -> None:
+def _worker_main(worker_index: int, task_queue, result_writer, result_lock,
+                 claim_cell) -> None:
     """Worker loop: claim units until the ``None`` sentinel arrives.
-
-    The snapshot-pool share is exported *before* any attack engine is built,
-    so every engine the unit executions construct sizes its mid-path pool to
-    this worker's slice of the global budget.
 
     Every claimed unit is announced in ``claim_cell`` — a shared int the
     supervisor reads to attribute a worker death or a deadline expiry to
@@ -251,7 +242,6 @@ def _worker_main(worker_index: int, snapshot_share: int, task_queue,
     the supervisor would then retry the claimed unit and wait forever for
     the finished one.
     """
-    os.environ["REPRO_SNAPSHOT_POOL"] = str(snapshot_share)
     fault_spec = parse_fault_spec()
     while True:
         task = task_queue.get()
@@ -289,10 +279,7 @@ class WorkerPool:
     def __init__(self, workers: int, retries: Optional[int] = None,
                  backoff: float = 0.0, deadline: Optional[float] = None,
                  respawn_limit: Optional[int] = None) -> None:
-        from repro.attacks.engine import sharded_pool_capacity
-
         self.workers = max(1, workers)
-        self.snapshot_share = sharded_pool_capacity(self.workers)
         self.retries = unit_retries() if retries is None else max(0, retries)
         self.backoff = backoff
         self.deadline = (unit_timeout() if deadline is None
@@ -334,9 +321,8 @@ class WorkerPool:
         context = multiprocessing.get_context("fork")
         process = context.Process(
             target=_worker_main,
-            args=(worker_index, self.snapshot_share, self._task_queue,
-                  self._result_writer, self._result_lock,
-                  self._claim_cells[worker_index]),
+            args=(worker_index, self._task_queue, self._result_writer,
+                  self._result_lock, self._claim_cells[worker_index]),
             daemon=True)
         process.start()
         return process

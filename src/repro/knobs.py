@@ -68,11 +68,6 @@ def _register(name: str, kind: str, default: Optional[str], scope: str,
 _register("REPRO_TRACE_CACHE", "flag", "1", "src",
           "0 disables trace fusion (single-step dispatch)")
 
-# -- attack engines (repro.attacks) -------------------------------------------
-_register("REPRO_SNAPSHOT_POOL", "int", "32", "src",
-          "global mid-path snapshot budget for backtracking DSE; 0 = "
-          "rewind-from-entry only")
-
 # -- evaluation grid / fault tolerance ----------------------------------------
 _register("REPRO_GRID_WORKERS", "int", "1", "src",
           "worker processes for the evaluation grid")

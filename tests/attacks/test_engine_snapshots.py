@@ -3,8 +3,7 @@ entry-snapshot retargeting, and TDS/ROPMEMU snapshot-vs-legacy parity."""
 
 import pytest
 
-from repro.attacks.dse import DseEngine, InputSpec
-from repro.attacks.engine import SnapshotPool
+from repro.attacks.dse import DseEngine, InputSpec, SnapshotPool
 from repro.attacks.goals import AttackBudget, secret_finding_attack
 from repro.attacks.ropaware import RopMemuExplorer
 from repro.attacks.tds import TaintDrivenSimplifier
@@ -106,7 +105,10 @@ def test_backtracking_explores_identical_path_set(monkeypatch, caches):
     assert back_stats.snapshots_taken > 0
     assert back_stats.branch_restores > 0
     assert back_stats.instructions_replayed > 0
+    # rerun-from-entry takes no snapshots and restores none, yet explores
+    assert rerun_stats.snapshots_taken == 0
     assert rerun_stats.branch_restores == 0
+    assert len(rerun_results) > 1
 
 
 def test_backtracking_differential_on_rop_chain():
@@ -234,18 +236,6 @@ def test_snapshot_pool_nearest_ancestor_walks_prefixes():
     key, value = pool.nearest_ancestor((("z", False),))
     assert key == () and value == "entry-branch"
     assert SnapshotPool(capacity=8).nearest_ancestor((("a", True),)) is None
-
-
-def test_snapshot_pool_env_knob_disables_backtracking(monkeypatch):
-    monkeypatch.setenv("REPRO_SNAPSHOT_POOL", "0")
-    image = compile_program(branchy_program())
-    engine = DseEngine(image, "f", InputSpec(argument_sizes=[8]), backtracking=True)
-    assert not engine.backtracking
-    results, stats = engine.explore(time_budget=_NO_WALL_CLOCK,
-                                    max_executions=10,
-                                    max_solver_queries=_QUERY_CAP)
-    assert stats.snapshots_taken == 0 and stats.branch_restores == 0
-    assert len(results) > 1
 
 
 def test_bounded_pool_still_explores_identically():

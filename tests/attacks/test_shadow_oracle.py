@@ -17,7 +17,9 @@ from repro.attacks.shadow import ShadowTracker
 from repro.attacks.solver.expr import SymExpr
 from repro.cpu import Emulator
 from repro.cpu.state import EmulationError, SIZE_MASKS
-from repro.isa.registers import ARG_REGISTERS
+from repro.isa import Imm, Reg
+from repro.isa.instructions import make
+from repro.isa.registers import ARG_REGISTERS, Register
 from repro.service.requests import AttackRequest, _prepared_image
 from tests.cpu.test_codegen_tiers import (_BLOB, _program_case,
                                           build_program, start_call)
@@ -98,6 +100,52 @@ def test_shadow_sound_on_random_sequences(case, symbolic):
         tracker.set_memory_symbol(address, 8, SymExpr(name))
     oracle = _run_checked(emulator, tracker, assignment)
     assert oracle.checked > 0
+
+
+def _run_symbolic_rdi(body, value):
+    """Run ``body`` under the oracle with ``rdi`` symbolic and set to ``value``."""
+    program = build_program([*body, make("ret")])
+    emulator = Emulator(program.memory, max_steps=1_000)
+    start_call(emulator, program, [(Register.RDI, value)])
+    tracker = ShadowTracker()
+    tracker.set_register_symbol(Register.RDI, SymExpr("x"))
+    _run_checked(emulator, tracker, {"x": value})
+    return emulator, tracker
+
+
+def _assert_exact_claims_hold(body, inputs):
+    """The oracle holds at every input, and a run that ends claiming
+    ``repair_exact`` reproduces every other input's registers once its
+    shadow is re-evaluated under that input — the repair a resumed DSE
+    execution performs.  Unshadowed registers must therefore agree."""
+    runs = [_run_symbolic_rdi(body, value) for value in inputs]
+    for emulator, tracker in runs:
+        if not tracker.repair_exact:
+            continue
+        for value, (other, _) in zip(inputs, runs):
+            repaired = dict(emulator.state.regs)
+            for register, expression in tracker.register_exprs.items():
+                repaired[register] = expression.evaluate({"x": value}) & _MASK64
+            assert repaired == other.state.regs, value
+
+
+def test_adc_carry_out_is_not_its_carry_in():
+    """A symbolic adc's carry-out feeds the next adc: the shadow must not
+    reuse the first adc's carry-in for it."""
+    _assert_exact_claims_hold([
+        make("cmp", Reg(Register.RDI), Imm(5, 8)),
+        make("adc", Reg(Register.RAX), Imm(0, 8)),
+        make("adc", Reg(Register.RBX), Imm(0, 8)),
+    ], inputs=(3, 7))
+
+
+def test_unmodeled_add_carry_is_input_dependent():
+    """A symbolic add's carry makes the next adc's result depend on the
+    input even though neither adc operand is symbolic."""
+    _assert_exact_claims_hold([
+        make("add", Reg(Register.RDI), Imm(1, 8)),
+        make("adc", Reg(Register.RBX), Imm(0, 8)),
+    ], inputs=(3, _MASK64))
 
 
 def _attack_image(structure, configuration, seed):

@@ -126,7 +126,7 @@ _shift_count = st.one_of(st.sampled_from((0, 1, 31, 32, 33, 63, 64)),
 @st.composite
 def _unit(draw):
     """One generated instruction (or a short dependent group)."""
-    kind = draw(st.integers(0, 19))
+    kind = draw(st.integers(0, 20))
     if kind == 0:  # mov/movzx/movsx in mixed widths
         mnemonic = draw(st.sampled_from(("mov", "movzx", "movsx")))
         dst = Reg(draw(_reg), draw(st.sampled_from((8, 8, 8, 4))))
@@ -222,6 +222,11 @@ def _unit(draw):
         source = (Reg(draw(_reg), width) if draw(st.booleans())
                   else Imm(draw(_imm8), 8))
         return [make(name, draw(_mem(width)), source)]
+    if kind == 19:  # chained carry: one adc/sbb's carry-out feeds the next
+        setter = draw(st.sampled_from(("cmp", "add")))
+        return [make(setter, Reg(draw(_reg)), Reg(draw(_reg))),
+                *(make(draw(st.sampled_from(("adc", "sbb"))),
+                       Reg(draw(_reg)), Reg(draw(_reg))) for _ in range(2))]
     # forward conditional branch over the rest of the body
     return [make(f"j{draw(_cc)}", Label("end"))]
 

@@ -2,10 +2,14 @@
 
 import json
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
+import pytest
+
 from repro.attacks import AttackBudget
-from repro.attacks.engine import sharded_pool_capacity
+from repro.attacks.dse import DseEngine
+from repro.compiler import compile_program
 from repro.evaluation.configurations import NATIVE, nvm, ropk
 from repro.evaluation.figure5 import figure5_units
 from repro.evaluation.grid import (
@@ -15,9 +19,11 @@ from repro.evaluation.grid import (
     run_grid,
     write_artifacts,
 )
-from repro.evaluation.parallel import WorkerPool, fork_available
+from repro.evaluation.parallel import (WorkerPool, fork_available,
+                                       register_unit_executor)
 from repro.evaluation.table2 import merge_table2, table2_units
 from repro.evaluation.table3 import table3_units
+from repro.lang import Const, Function, Program, Return
 from repro.workloads.randomfuns import RandomFunSpec
 
 #: ``run_grid("smoke", seed=1, workers=1)`` with ``average_time`` stripped,
@@ -159,15 +165,29 @@ def test_worker_pool_serial_fallback_and_error_quarantine(monkeypatch):
             assert bad_pool.stats.failed_units == 1
 
 
-def test_sharded_pool_capacity_divides_global_budget(monkeypatch):
-    monkeypatch.setenv("REPRO_SNAPSHOT_POOL", "32")
-    assert sharded_pool_capacity(1) == 32
-    assert sharded_pool_capacity(4) == 8
-    # a positive budget never silently disables a worker's backtracking
-    assert sharded_pool_capacity(64) == 1
-    # a disabled budget stays disabled for every worker
-    monkeypatch.setenv("REPRO_SNAPSHOT_POOL", "0")
-    assert sharded_pool_capacity(4) == 0
+@dataclass(frozen=True)
+class _CapacityProbe:
+    """Work unit reporting the snapshot capacity of a freshly built engine."""
+
+
+def _engine_snapshot_capacity(unit=None) -> int:
+    image = compile_program(Program([Function("f", ["x"],
+                                              [Return(Const(0))])]))
+    return DseEngine(image, "f")._pool.capacity
+
+
+register_unit_executor(_CapacityProbe, _engine_snapshot_capacity)
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs a fork pool")
+def test_worker_engines_keep_the_exploration_snapshot_capacity():
+    """A forked worker builds its DSE engines exactly as the parent does:
+    the snapshot capacity belongs to one exploration, not to a worker's
+    share of a budget, so rows cannot depend on the worker count."""
+    with WorkerPool(2) as pool:
+        assert pool.parallel
+        results, _ = pool.map([_CapacityProbe()])
+    assert results == [_engine_snapshot_capacity()]
 
 
 def test_config_aggregates_sums_rows_per_configuration():
