@@ -72,13 +72,6 @@ class EngineStats:
     paths_seen: int = 0
     elapsed: float = 0.0
 
-    @property
-    def executions_per_sec(self) -> float:
-        """Concrete executions per wall-clock second (0 when unmeasured)."""
-        if self.elapsed <= 0.0:
-            return 0.0
-        return self.executions / self.elapsed
-
 
 class SnapshotEngine:
     """Base class owning the snapshot lifecycle of one attack engine.

@@ -109,13 +109,17 @@ class BinExpr:
             return (a - b) & _MASK64
         if op == "mul":
             return (a * b) & _MASK64
-        if op == "div":
-            return 0 if b == 0 else (int(_signed(a) / _signed(b)) & _MASK64)
-        if op == "mod":
+        if op == "div" or op == "mod":
             if b == 0:
                 return 0
-            quotient = int(_signed(a) / _signed(b))
-            return (_signed(a) - quotient * _signed(b)) & _MASK64
+            # exact integer division truncating toward zero, as idiv does
+            dividend, divisor = _signed(a), _signed(b)
+            quotient = abs(dividend) // abs(divisor)
+            if (dividend < 0) != (divisor < 0):
+                quotient = -quotient
+            if op == "div":
+                return quotient & _MASK64
+            return (dividend - quotient * divisor) & _MASK64
         if op == "and":
             return a & b
         if op == "or":
@@ -266,11 +270,6 @@ def bitvec(name: str, size: int = 8) -> SymExpr:
 def constant(value: int) -> ConstExpr:
     """Create a constant expression."""
     return ConstExpr(value & _MASK64)
-
-
-def is_concrete(expression: Expression) -> bool:
-    """True when the expression references no symbols."""
-    return not expression.symbols()
 
 
 def simplify(expression: Expression, _memo: Optional[dict] = None) -> Expression:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 
 @dataclass
@@ -62,12 +62,3 @@ class SymbolTable:
             (s for s in self._by_name.values() if s.kind == "func"),
             key=lambda s: s.address,
         )
-
-    def at_address(self, address: int) -> Optional[Symbol]:
-        """Return the symbol whose range covers ``address``, if any."""
-        for symbol in self._by_name.values():
-            if symbol.size and symbol.address <= address < symbol.end:
-                return symbol
-            if not symbol.size and symbol.address == address:
-                return symbol
-        return None

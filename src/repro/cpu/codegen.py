@@ -33,16 +33,15 @@ once-per-trace cost of well under a millisecond.
 Semantics are bit-for-bit those of single-step dispatch: fused ``ret``
 guards, mid-trace self-modification checks after every store, and fault
 repair (``rip`` and ``steps`` exactly as single-stepping would have left
-them) are all emitted inline.  Native coverage spans sized (1/2/4/8-byte)
-ALU and MOV destinations, shifts of any width by immediate or count
-register (with the width-dependent count mask, zero-count flag
-preservation and the defined 1-bit OF), memory-operand ``cmp``/``test``
-and memory-destination read-modify-write ALU.  Ops the codegen does not
-cover natively run through the emulator's own handler with the hoisted
-state flushed before and reloaded after the call, so coverage here is a
-pure optimization — any recorded trace compiles, though
-:func:`compile_trace` declines traces that would mostly round-trip through
-handlers (single-step warm-up serves those better).
+them) are all emitted inline.  Every step is native code: sized
+(1/2/4/8-byte) ALU and MOV destinations, shifts of any width by immediate
+or count register (with the width-dependent count mask, zero-count flag
+preservation and the defined 1-bit OF), memory-operand ALU, ``xchg`` with
+a memory operand, exact ``idiv`` (raising the single-step fault on a zero
+divisor or ``INT64_MIN / -1``) and indirect ``jmp``/``call``.  A compiled
+trace never calls back into the emulator's handlers: :func:`compile_trace`
+declines a trace holding a step shape no emitter covers, and that trace
+keeps its single-step warm-up path.
 
 The generated function is self-contained: it advances ``emulator.steps``,
 installs the final ``rip`` and re-raises faults as
@@ -57,7 +56,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.cpu import semantics as _semantics
 from repro.cpu.state import BIT_WIDTHS, EmulationError, SIGN_BITS, SIZE_MASKS
-from repro.isa.instructions import Instruction, Mnemonic
+from repro.isa.instructions import Mnemonic
 from repro.isa.operands import Imm, Mem, Reg
 from repro.isa.registers import Register
 from repro.memory import MemoryError_
@@ -95,30 +94,8 @@ _COND_EXPR: Dict[str, str] = {
 _ALU_SYMBOL = {Mnemonic.AND: "&", Mnemonic.OR: "|", Mnemonic.XOR: "^",
                Mnemonic.TEST: "&"}
 
-#: Placeholder tokens substituted once the full hoisted-register set is
-#: known (generic-handler flushes appear mid-stream, before later steps may
-#: add registers to the set).
-_WB = "%%WB%%"
-_RELOAD = "%%RELOAD%%"
-
 _FLAG_LOADS = ["cf = _S.cf", "zf = _S.zf", "sf = _S.sf", "of = _S.of"]
 _FLAG_STORES = ["_S.cf = cf", "_S.zf = zf", "_S.sf = sf", "_S.of = of"]
-
-
-def _writes_memory(instruction: Instruction) -> bool:
-    """Whether the instruction can store to memory (and so needs the
-    mid-trace self-modification check after it)."""
-    mnemonic = instruction.mnemonic
-    if mnemonic in (Mnemonic.PUSH, Mnemonic.CALL):
-        return True
-    if mnemonic in (Mnemonic.CMP, Mnemonic.TEST, Mnemonic.JMP, Mnemonic.JCC):
-        return False
-    operands = instruction.operands
-    if operands and isinstance(operands[0], Mem):
-        return True
-    if mnemonic is Mnemonic.XCHG and any(isinstance(op, Mem) for op in operands):
-        return True
-    return False
 
 
 def _signed64(value: int) -> int:
@@ -135,11 +112,6 @@ class _Codegen:
         self.emulator = emulator
         self.lines: List[str] = []
         self.hoisted: Set[Register] = set()
-        #: extra objects bound into the exec namespace (handlers,
-        #: instruction objects for the generic fallback path)
-        self.bindings: Dict[str, object] = {}
-        self.native_steps = 0
-        self.generic_steps = 0
 
     # -- small emission helpers -------------------------------------------------
     def reg(self, register: Register) -> str:
@@ -214,54 +186,82 @@ class _Codegen:
             keep = ~SIZE_MASKS[operand.size] & _M
             self.emit(f"{name} = ({name} & {keep}) | {expr}")
 
+    def load(self, index: int, operand) -> str:
+        """Expression of ``read_operand(operand)``: the unsigned value at
+        the operand's width.  Memory loads set ``n`` first, so a fault
+        repairs to this step."""
+        cls = type(operand)
+        if cls is Reg:
+            return self.reg_value(operand)
+        if cls is Imm:
+            return str(operand.value & SIZE_MASKS[operand.size])
+        self.emit(f"n = {index}")
+        if operand.size == 8:
+            return f"_RQ({self.ea(operand)})"
+        return f"_RD({self.ea(operand)}, {operand.size})"
+
+    def store(self, operand, expr: str, width: int) -> None:
+        """Emit ``write_operand(operand, expr)`` for a value of at most
+        ``width`` bytes (memory stores mask to the operand width)."""
+        if type(operand) is Mem:
+            if operand.size == 8:
+                self.emit(f"_WQ({self.ea(operand)}, {expr})")
+            else:
+                self.emit(f"_WR({self.ea(operand)}, {expr}, {operand.size})")
+            return
+        if width > operand.size:
+            expr = f"({expr} & {SIZE_MASKS[operand.size]:#x})"
+        self.write_reg_result(operand, expr)
+
     # -- native emitters for straight-line ops ----------------------------------
     def emit_op(self, index: int, step) -> bool:
-        """Emit native source for one ``"op"`` step; False -> generic."""
+        """Emit native source for one ``"op"`` step.  False (or any error
+        raised while emitting) means no emitter covers its shape, which
+        declines the trace."""
         mnemonic = step.instruction.mnemonic
-        try:
-            if mnemonic in (Mnemonic.MOV, Mnemonic.MOVZX):
-                return self._op_mov(index, step)
-            if mnemonic is Mnemonic.MOVSX:
-                return self._op_movsx(index, step)
-            if mnemonic in (Mnemonic.ADD, Mnemonic.SUB, Mnemonic.CMP,
-                            Mnemonic.AND, Mnemonic.OR, Mnemonic.XOR,
-                            Mnemonic.TEST):
-                return (self._op_alu(index, step)
-                        or self._op_alu_mem(index, step))
-            if mnemonic in (Mnemonic.ADC, Mnemonic.SBB):
-                return self._op_adc_sbb(index, step)
-            if mnemonic is Mnemonic.POP:
-                return self._op_pop(index, step)
-            if mnemonic is Mnemonic.PUSH:
-                return self._op_push(index, step)
-            if mnemonic is Mnemonic.LEA:
-                return self._op_lea(index, step)
-            if mnemonic in (Mnemonic.INC, Mnemonic.DEC):
-                return self._op_incdec(index, step)
-            if mnemonic is Mnemonic.NEG:
-                return self._op_neg(index, step)
-            if mnemonic is Mnemonic.NOT:
-                return self._op_not(index, step)
-            if mnemonic in (Mnemonic.SHL, Mnemonic.SHR, Mnemonic.SAR):
-                return self._op_shift(index, step)
-            if mnemonic is Mnemonic.IMUL:
-                return self._op_imul(index, step)
-            if mnemonic is Mnemonic.XCHG:
-                return self._op_xchg(index, step)
-            if mnemonic is Mnemonic.CMOV:
-                return self._op_cmov(index, step)
-            if mnemonic is Mnemonic.SET:
-                return self._op_set(index, step)
-            if mnemonic is Mnemonic.CQO:
-                self.emit(f"{self.reg(Register.RDX)} = {_M_LIT} "
-                          f"if {self.reg(Register.RAX)} & {_H_LIT} else 0")
-                return True
-            if mnemonic is Mnemonic.LEAVE:
-                return self._op_leave(index, step)
-            if mnemonic is Mnemonic.NOP:
-                return True
-        except (KeyError, IndexError):
-            return False
+        if mnemonic in (Mnemonic.MOV, Mnemonic.MOVZX):
+            return self._op_mov(index, step)
+        if mnemonic is Mnemonic.MOVSX:
+            return self._op_movsx(index, step)
+        if mnemonic in (Mnemonic.ADD, Mnemonic.SUB, Mnemonic.CMP,
+                        Mnemonic.AND, Mnemonic.OR, Mnemonic.XOR,
+                        Mnemonic.TEST):
+            return (self._op_alu(index, step)
+                    or self._op_alu_mem(index, step))
+        if mnemonic in (Mnemonic.ADC, Mnemonic.SBB):
+            return self._op_adc_sbb(index, step)
+        if mnemonic is Mnemonic.POP:
+            return self._op_pop(index, step)
+        if mnemonic is Mnemonic.PUSH:
+            return self._op_push(index, step)
+        if mnemonic is Mnemonic.LEA:
+            return self._op_lea(index, step)
+        if mnemonic in (Mnemonic.INC, Mnemonic.DEC):
+            return self._op_incdec(index, step)
+        if mnemonic is Mnemonic.NEG:
+            return self._op_neg(index, step)
+        if mnemonic is Mnemonic.NOT:
+            return self._op_not(index, step)
+        if mnemonic in (Mnemonic.SHL, Mnemonic.SHR, Mnemonic.SAR):
+            return self._op_shift(index, step)
+        if mnemonic is Mnemonic.IMUL:
+            return self._op_imul(index, step)
+        if mnemonic is Mnemonic.XCHG:
+            return self._op_xchg(index, step)
+        if mnemonic is Mnemonic.CMOV:
+            return self._op_cmov(index, step)
+        if mnemonic is Mnemonic.SET:
+            return self._op_set(index, step)
+        if mnemonic is Mnemonic.IDIV:
+            return self._op_idiv(index, step)
+        if mnemonic is Mnemonic.CQO:
+            self.emit(f"{self.reg(Register.RDX)} = {_M_LIT} "
+                      f"if {self.reg(Register.RAX)} & {_H_LIT} else 0")
+            return True
+        if mnemonic is Mnemonic.LEAVE:
+            return self._op_leave(index, step)
+        if mnemonic is Mnemonic.NOP:
+            return True
         return False
 
     def _op_mov(self, index: int, step) -> bool:
@@ -687,13 +687,42 @@ class _Codegen:
         return True
 
     def _op_xchg(self, index: int, step) -> bool:
-        a, b = step.instruction.operands
-        if type(a) is not Reg or a.size != 8 or type(b) is not Reg or b.size != 8:
+        """Register/register and register/memory exchanges in either
+        operand order, in the handler's order: read both, write the first,
+        then the second (a memory address is re-derived at the store, after
+        a register write), and the SMC check after a store."""
+        first, second = step.instruction.operands
+        kinds = (type(first), type(second))
+        if Imm in kinds or kinds == (Mem, Mem):
             return False
-        ra, rb = self.reg(a.reg), self.reg(b.reg)
-        self.emit(f"t = {ra}")
-        self.emit(f"{ra} = {rb}")
-        self.emit(f"{rb} = t")
+        self.emit(f"a = {self.load(index, first)}")
+        self.emit(f"b = {self.load(index, second)}")
+        self.store(first, "b", second.size)
+        self.store(second, "a", first.size)
+        if Mem in kinds:
+            self.gen_check(index, step.post)
+        return True
+
+    def _op_idiv(self, index: int, step) -> bool:
+        """Signed RAX / divisor, truncated toward zero in exact integer
+        arithmetic.  A zero divisor and ``INT64_MIN / -1`` raise the
+        single-step fault; ``n`` routes it through the ``_PST`` repair."""
+        divisor = step.instruction.operands[0]
+        if type(divisor) is not Mem:
+            self.emit(f"n = {index}")
+        self.emit(f"d = {self.load(index, divisor)}")
+        rax, rdx = self.reg(Register.RAX), self.reg(Register.RDX)
+        self.emit("if not d:")
+        self.emit("    raise _EE('integer division by zero')")
+        self.emit(f"d -= (d & {_H_LIT}) << 1")
+        self.emit(f"a = {rax} - (({rax} & {_H_LIT}) << 1)")
+        self.emit("q = abs(a) // abs(d)")
+        self.emit("if (a < 0) != (d < 0):")
+        self.emit("    q = -q")
+        self.emit(f"if q == {_H_LIT}:")
+        self.emit("    raise _EE('integer division overflow')")
+        self.emit(f"{rax} = q & {_M_LIT}")
+        self.emit(f"{rdx} = (a - q * d) & {_M_LIT}")
         return True
 
     def _op_cmov(self, index: int, step) -> bool:
@@ -733,15 +762,9 @@ class _Codegen:
     def emit_step(self, index: int, step) -> None:
         kind = step.kind
         if kind == "op":
-            if self.emit_op(index, step):
-                self.native_steps += 1
-            else:
-                self.emit_generic(index, step)
+            if not self.emit_op(index, step):
+                raise ValueError(f"no native emitter for {step.instruction}")
             return
-        if kind == "term_generic":
-            self.emit_generic(index, step, terminal=True)
-            return
-        self.native_steps += 1
         if kind == "jmp_fused":
             return
         if kind == "ret_guard":
@@ -782,6 +805,25 @@ class _Codegen:
             self.emit(f"_S.rip = {step.target} if {condition} else {step.post}")
             self.emit("break")
             return
+        if kind == "jmp_ind":
+            target = self.load(index, step.instruction.operands[0])
+            if step.instruction.mnemonic is Mnemonic.JCC:
+                condition = _COND_EXPR[step.instruction.condition]
+                target = f"{target} if {condition} else {step.post}"
+            self.emit(f"_S.rip = {target}")
+            self.emit("break")
+            return
+        if kind == "call_ind":
+            # the target is read before the push, as the handler does
+            self.emit(f"t = {self.load(index, step.instruction.operands[0])}")
+            rsp = self.reg(Register.RSP)
+            self.emit(f"n = {index}")
+            self.emit(f"rsp = ({rsp} - 8) & {_M_LIT}")
+            self.emit(f"{rsp} = rsp")
+            self.emit(f"_WQ(rsp, {step.post})")
+            self.emit("_S.rip = t")
+            self.emit("break")
+            return
         if kind == "hlt":
             self.emit(f"_S.rip = {step.post}")
             self.emit("_E.halted = True")
@@ -789,53 +831,11 @@ class _Codegen:
             return
         raise ValueError(f"unknown trace step kind {kind!r}")
 
-    def emit_generic(self, index: int, step, terminal: bool = False) -> None:
-        """Run one instruction through the emulator's own handler.
-
-        The hoisted state is flushed first so the handler sees the live
-        architectural state, and reloaded after.  ``n`` is parked at
-        ``-(index + 1)`` across the call: the exception epilogue then knows
-        the state is already synced and must not write the (stale) locals
-        back over whatever the handler did before faulting.  Terminal
-        handlers likewise return directly, bypassing the shared writeback
-        tail.
-        """
-        self.generic_steps += 1
-        handler_name = f"_h{index}"
-        instruction_name = f"_i{index}"
-        self.bindings[handler_name] = step.handler
-        self.bindings[instruction_name] = step.instruction
-        self.emit(_WB)
-        if terminal:
-            self.emit(f"_S.rip = {step.post}")
-        self.emit(f"n = {-(index + 1)}")
-        self.emit(f"{handler_name}({instruction_name})")
-        if terminal:
-            # the handler ran on synced state and may have redirected rip;
-            # the locals are stale, so finish without writing them back
-            self.emit(f"_E.steps += {self.trace.length}")
-            self.emit("return")
-            return
-        if _writes_memory(step.instruction):
-            # state is synced (flushed above, mutated only by the handler),
-            # so this early exit must also skip the writeback tail
-            self.emit(f"if _RGN.generation != {self.trace.generation}:")
-            self.emit(f"    _S.rip = {step.post}")
-            self.emit(f"    _E.steps += {index + 1}")
-            self.emit("    return")
-        self.emit(_RELOAD)
-
     # -- assembly ---------------------------------------------------------------
     def _writeback_lines(self) -> List[str]:
         lines = [f"_R[_K_{reg.name}] = r_{reg.name.lower()}"
                  for reg in sorted(self.hoisted)]
         lines.extend(_FLAG_STORES)
-        return lines
-
-    def _reload_lines(self) -> List[str]:
-        lines = [f"r_{reg.name.lower()} = _R[_K_{reg.name}]"
-                 for reg in sorted(self.hoisted)]
-        lines.extend(_FLAG_LOADS)
         return lines
 
     def source(self) -> str:
@@ -847,24 +847,11 @@ class _Codegen:
             self.emit("break")
 
         writeback = self._writeback_lines()
-        reload_ = self._reload_lines()
-        body: List[str] = []
-        for line in self.lines:
-            stripped = line.strip()
-            indent = line[: len(line) - len(stripped)]
-            if stripped == _WB:
-                body.extend(indent + entry for entry in writeback)
-            elif stripped == _RELOAD:
-                body.extend(indent + entry for entry in reload_)
-            else:
-                body.append(line)
-
         parameters = ["_S=_S", "_R=_R", "_E=_E", "_RD=_RD", "_WR=_WR",
                       "_RQ=_RQ", "_WQ=_WQ", "_RGN=_RGN", "_STK=_STK",
                       "_UQ=_UQ", "_EE=_EE", "_ME=_ME", "_PST=_PST"]
         parameters += [f"_K_{reg.name}=_K_{reg.name}"
                        for reg in sorted(self.hoisted)]
-        parameters += [f"{name}={name}" for name in sorted(self.bindings)]
 
         prologue = ["def _trace(" + ", ".join(parameters) + "):"]
         prologue += ["    " + entry for entry in _FLAG_LOADS]
@@ -880,10 +867,7 @@ class _Codegen:
                                         ["raise _EE(str(exc)) from exc"]),
                                        (" _EE", ["raise"])):
             repair.append(f"    except{exception}:")
-            repair.append("        if n < 0:")
-            repair.append("            n = -1 - n")
-            repair.append("        else:")
-            repair.extend("            " + entry for entry in writeback)
+            repair.extend("        " + entry for entry in writeback)
             repair.append("        _E.steps += n")
             repair.append("        _S.rip = _PST[n]")
             repair.extend("        " + entry for entry in raise_lines)
@@ -891,15 +875,14 @@ class _Codegen:
         tail = ["    " + entry for entry in writeback]
         tail += ["    _E.steps += ex", "    return"]
 
-        return "\n".join(prologue + body + repair + tail) + "\n"
+        return "\n".join(prologue + self.lines + repair + tail) + "\n"
 
 
 def compile_trace(emulator, trace) -> Optional[object]:
     """Compile ``trace`` to an exec'd Python function, or None to decline.
 
-    Declines when the generated code would mostly round-trip through generic
-    handler calls (the flush/reload overhead then outweighs the saved
-    dispatch, so single-step warm-up stays the better fit).
+    Declines when a step has no native emitter for its shape (the trace
+    then keeps its single-step warm-up path).
     """
     generator = _Codegen(trace, emulator)
     try:
@@ -908,8 +891,6 @@ def compile_trace(emulator, trace) -> Optional[object]:
     # decline, not an error: the trace keeps its single-step warm-up path,
     # which is always correct.  KeyboardInterrupt/SystemExit still pass.
     except Exception:
-        return None
-    if generator.generic_steps * 2 > len(trace.steps):
         return None
     namespace = {
         "_S": emulator.state,
@@ -928,30 +909,25 @@ def compile_trace(emulator, trace) -> Optional[object]:
     }
     for register in generator.hoisted:
         namespace[f"_K_{register.name}"] = register
-    namespace.update(generator.bindings)
     try:
         code = compile(source, f"<trace@{trace.entry:#x}>", "exec")
         exec(code, namespace)
     except SyntaxError:  # codegen bug: keep the single-step warm-up path
         return None
-    stats = emulator.jit_stats
-    stats.native_steps += generator.native_steps
-    stats.generic_steps += generator.generic_steps
     function = namespace["_trace"]
     function.__source__ = source  # debugging: dump what actually runs
     return function
 
 
 # -- semantic-contract registration -------------------------------------------
-# The compiled tier's covered/declined split (see repro.cpu.semantics).
-# Covered mnemonics name the emitter method(s) whose *emitted* flag
-# assignments must match the contract (flag_style="emitted": the checker
-# parses the source-text string literals passed to emit()).  Empty entries
-# are emitted inline by emit_op (CQO, NOP) or by the terminal-step machinery
-# in emit_step (control flow).  Shape-level declines inside an emitter
-# (e.g. memory-operand XCHG) fall back to emit_generic per step and do not
-# change the mnemonic-level claim; IDIV is the only mnemonic with no native
-# emitter at all.
+# The compiled tier's coverage (see repro.cpu.semantics): it covers every
+# mnemonic and declines none.  Covered mnemonics name the emitter method(s)
+# whose *emitted* flag assignments must match the contract
+# (flag_style="emitted": the checker parses the source-text string literals
+# passed to emit()).  Empty entries are emitted inline by emit_op (CQO, NOP)
+# or by the terminal-step machinery in emit_step (control flow).  A step
+# shape no emitter covers declines its whole trace, which then keeps its
+# single-step warm-up path.
 _semantics.register_tier(
     "codegen", __name__,
     covered={
@@ -978,6 +954,7 @@ _semantics.register_tier(
         Mnemonic.SHR: "_op_shift",
         Mnemonic.SAR: "_op_shift",
         Mnemonic.IMUL: "_op_imul",
+        Mnemonic.IDIV: "_op_idiv",
         Mnemonic.XCHG: "_op_xchg",
         Mnemonic.CMOV: "_op_cmov",
         Mnemonic.SET: "_op_set",
@@ -990,5 +967,5 @@ _semantics.register_tier(
         Mnemonic.RET: None,
         Mnemonic.HLT: None,
     },
-    declined=(Mnemonic.IDIV,),
+    declined=(),
     flag_style="emitted")

@@ -110,11 +110,6 @@ class JitStats:
         closure_runs: warm-up runs of uncompiled traces (single-stepped
             along the recorded path); the end-to-end benchmark reports them
             under this name.
-        native_steps: instructions emitted as native source across all
-            compiled traces (static count at compile time).
-        generic_steps: instructions compiled as generic-handler round-trips
-            (flush/reload around the emulator's own handler) across all
-            compiled traces.
         superblock_runs: always 0: there are no cross-trace superblocks
             (their end-to-end gain was within noise).  Kept because the
             end-to-end benchmark reads and reports it.
@@ -125,8 +120,6 @@ class JitStats:
     compile_declined: int = 0
     compiled_runs: int = 0
     closure_runs: int = 0
-    native_steps: int = 0
-    generic_steps: int = 0
     superblock_runs: int = 0
 
     @property
@@ -134,12 +127,6 @@ class JitStats:
         """Fraction of fused executions served by the compiled tier."""
         total = self.compiled_runs + self.closure_runs
         return self.compiled_runs / total if total else 0.0
-
-    @property
-    def native_coverage(self) -> float:
-        """Fraction of compiled-trace instructions emitted natively."""
-        total = self.native_steps + self.generic_steps
-        return self.native_steps / total if total else 0.0
 
 
 class SpecializedHook:
@@ -840,10 +827,15 @@ class Emulator:
         if divisor == 0:
             raise EmulationError("integer division by zero")
         dividend = to_signed(state.regs[Register.RAX])
-        quotient = int(dividend / divisor)
-        remainder = dividend - quotient * divisor
+        # exact integer division truncating toward zero (a float quotient
+        # loses precision above 2**53)
+        quotient = abs(dividend) // abs(divisor)
+        if (dividend < 0) != (divisor < 0):
+            quotient = -quotient
+        if quotient == 1 << 63:  # INT64_MIN / -1: x86 raises #DE
+            raise EmulationError("integer division overflow")
         state.regs[Register.RAX] = quotient & _MASK64
-        state.regs[Register.RDX] = remainder & _MASK64
+        state.regs[Register.RDX] = (dividend - quotient * divisor) & _MASK64
 
     def _op_inc(self, instruction: Instruction) -> None:
         ops = instruction.operands

@@ -160,13 +160,6 @@ class HostEnvironment:
         clone.aborted = self.aborted
         return clone
 
-    def reset_observations(self) -> None:
-        """Clear output and probe records (heap state is preserved)."""
-        self.output = bytearray()
-        self.int_output = []
-        self.probes = []
-        self.aborted = False
-
 
 HostEnvironment.DISPATCH = {
     host_function_address(name): method

@@ -25,13 +25,6 @@ class EmulationError(RuntimeError):
     """Raised when emulation cannot proceed (bad fetch, fault, limits)."""
 
 
-def _mask(size: int) -> int:
-    mask = SIZE_MASKS.get(size)
-    if mask is None:
-        return (1 << (8 * size)) - 1
-    return mask
-
-
 def to_signed(value: int, size: int = 8) -> int:
     """Interpret ``value`` (unsigned, ``size`` bytes) as a signed integer."""
     mask = SIZE_MASKS.get(size)
@@ -40,11 +33,6 @@ def to_signed(value: int, size: int = 8) -> int:
     value &= mask
     sign_bit = (mask >> 1) + 1
     return value - mask - 1 if value & sign_bit else value
-
-
-def to_unsigned(value: int, size: int = 8) -> int:
-    """Truncate a Python integer to an unsigned ``size``-byte value."""
-    return value & _mask(size)
 
 
 #: Condition code -> predicate over ``(cf, zf, sf, of)``, prebuilt once so
@@ -185,9 +173,6 @@ class CpuState:
         clone.of = self.of
         clone.rip = self.rip
         return clone
-
-    #: Backwards-compatible alias for :meth:`fork`.
-    copy = fork
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         regs = ", ".join(f"{reg}={value:#x}" for reg, value in self.regs.items() if value)

@@ -70,24 +70,24 @@ class TraceStep:
       is the next fused address).
     * ``"jmp_imm"`` / ``"jcc_imm"`` / ``"call_fused"`` / ``"call_term"`` —
       immediate-target control transfers (``target`` holds the destination).
-    * ``"term_generic"`` — non-immediate control transfer executed through
-      the emulator handler (trace-terminal).
+    * ``"jmp_ind"`` / ``"call_ind"`` — trace-terminal control transfers
+      through a register or memory operand (``jmp_ind`` also carries a
+      conditional jump through one).
     * ``"hlt"`` — halt.
 
     ``post`` is the ``rip`` after the instruction (the fused target for
     ``"jmp_fused"``), which is where a fault inside it leaves ``rip``.
     """
 
-    __slots__ = ("kind", "address", "instruction", "post", "target", "handler")
+    __slots__ = ("kind", "address", "instruction", "post", "target")
 
     def __init__(self, kind: str, address: int, instruction, post: int,
-                 target: Optional[int] = None, handler=None) -> None:
+                 target: Optional[int] = None) -> None:
         self.kind = kind
         self.address = address
         self.instruction = instruction
         self.post = post
         self.target = target
-        self.handler = handler
 
 
 class Trace:
@@ -226,8 +226,8 @@ def build_trace(emulator, entry: int, cap: int = TRACE_CAP) -> Optional[Trace]:
         if mnemonic in (Mnemonic.JMP, Mnemonic.JCC, Mnemonic.CALL):
             operand = instruction.operands[0]
             if type(operand) is not Imm:
-                steps.append(TraceStep("term_generic", address, instruction,
-                                       post, handler=handler))
+                kind = "call_ind" if mnemonic is Mnemonic.CALL else "jmp_ind"
+                steps.append(TraceStep(kind, address, instruction, post))
                 break
             target = _imm_value(operand)
             if mnemonic is Mnemonic.JCC:
@@ -252,8 +252,7 @@ def build_trace(emulator, entry: int, cap: int = TRACE_CAP) -> Optional[Trace]:
             steps.append(TraceStep("hlt", address, instruction, post))
             break
 
-        steps.append(TraceStep("op", address, instruction, post,
-                               handler=handler))
+        steps.append(TraceStep("op", address, instruction, post))
         delta = _rsp_delta(instruction, delta)
         address = post
     else:

@@ -83,7 +83,3 @@ class TraceRecorder:
     def addresses(self) -> List[int]:
         """Return the sequence of executed addresses."""
         return [entry.address for entry in self.entries]
-
-    def executed_in(self, start: int, end: int) -> List[TraceEntry]:
-        """Return entries whose address falls in ``[start, end)``."""
-        return [entry for entry in self.entries if start <= entry.address < end]

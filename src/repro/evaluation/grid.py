@@ -17,7 +17,7 @@ Slices:
 
 * ``smoke``   — minutes-scale sanity slice (used by PR CI and local runs).
 * ``reduced`` — the recurring job's slice: a representative subset of the
-  ``REPRO_FULL_SCALE`` grids with minute-scale attack budgets.
+  paper-sized grids with minute-scale attack budgets.
 * ``full``    — the paper-sized grids (CPU-hours; ``workflow_dispatch``
   only).
 
@@ -52,7 +52,6 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro import knobs
 from repro.attacks import AttackBudget
 from repro.evaluation import parallel
 from repro.evaluation.configurations import TABLE2_CONFIGURATIONS, nvm
@@ -413,7 +412,6 @@ def write_artifacts(results: Dict[str, List[dict]], out_dir: Path,
                             in (elapsed_by_part or {}).items()},
         "workers": workers,
         "python": platform.python_version(),
-        "full_scale_env": knobs.raw("REPRO_FULL_SCALE", "0"),
         "grids": {name: len(rows) for name, rows in results.items()},
         "attack_engine": {
             "executions": sum(row["executions"] for row in table2),
@@ -435,8 +433,7 @@ def write_artifacts(results: Dict[str, List[dict]], out_dir: Path,
 #: later schema's addition and is ignored with a notice.
 _KNOWN_SUMMARY_KEYS = frozenset({
     "slice", "elapsed_sec", "elapsed_by_part", "workers", "python",
-    "full_scale_env", "grids", "attack_engine", "table2_configs",
-    "figure5_overheads", "faults",
+    "grids", "attack_engine", "table2_configs", "figure5_overheads", "faults",
 })
 
 

@@ -38,19 +38,9 @@ class Gadget:
     writes_flags: bool = False
 
     @property
-    def is_jop(self) -> bool:
-        """True for jump-terminated (JOP) gadgets."""
-        return bool(self.instructions) and self.instructions[-1].mnemonic is Mnemonic.JMP
-
-    @property
     def length(self) -> int:
         """Number of instructions, terminator included."""
         return len(self.instructions)
-
-    @property
-    def chain_slots(self) -> int:
-        """8-byte chain slots the gadget consumes: its address plus its pops."""
-        return 1 + len(self.pops)
 
     def text(self) -> str:
         """Human-readable listing (``"pop rdi ; ret"`` style)."""

@@ -48,11 +48,6 @@ class Assembler:
         """Append an instruction to the listing."""
         self._items.append(AssemblyItem(instruction=instruction))
 
-    def emit_all(self, instructions: Sequence[Instruction]) -> None:
-        """Append several instructions to the listing."""
-        for instruction in instructions:
-            self.emit(instruction)
-
     def label(self, name: str) -> None:
         """Define a label at the current position."""
         self._items.append(AssemblyItem(label=name))

@@ -25,8 +25,3 @@ class Flag(enum.Enum):
 
 #: All modelled flags.
 FLAGS = tuple(Flag)
-
-
-def fresh_flags() -> dict:
-    """Return a flags mapping with every flag cleared."""
-    return {flag: 0 for flag in FLAGS}

@@ -116,10 +116,6 @@ class Instruction:
             Mnemonic.JMP, Mnemonic.JCC, Mnemonic.CALL, Mnemonic.RET, Mnemonic.HLT,
         )
 
-    def is_ret(self) -> bool:
-        """True for ``ret``."""
-        return self.mnemonic is Mnemonic.RET
-
     def reads_flags(self) -> bool:
         """True when the instruction's behaviour depends on condition flags."""
         return self.mnemonic in (Mnemonic.JCC, Mnemonic.CMOV, Mnemonic.SET,

@@ -110,11 +110,6 @@ class Label:
 Operand = Union[Reg, Imm, Mem, Label]
 
 
-def is_rsp(operand: Operand) -> bool:
-    """Return True if ``operand`` is a direct reference to the stack pointer."""
-    return isinstance(operand, Reg) and operand.reg is Register.RSP
-
-
 def references_rsp(operand: Operand) -> bool:
     """Return True if ``operand`` reads or writes ``rsp`` in any way."""
     if isinstance(operand, Reg):

@@ -82,12 +82,3 @@ RETURN_REGISTER = Register.RAX
 ALLOCATABLE = tuple(
     r for r in REGISTERS if r not in (Register.RSP, Register.RBP)
 )
-
-
-def register_by_name(name: str) -> Register:
-    """Return the :class:`Register` with the given lowercase name.
-
-    Raises:
-        KeyError: if ``name`` does not identify a register.
-    """
-    return Register[name.upper()]

@@ -71,8 +71,6 @@ _register("REPRO_TRACE_CACHE", "flag", "1", "src",
 # -- evaluation grid / fault tolerance ----------------------------------------
 _register("REPRO_GRID_WORKERS", "int", "1", "src",
           "worker processes for the evaluation grid")
-_register("REPRO_FULL_SCALE", "flag", "0", "src",
-          "1 = paper-sized grids instead of reduced scale")
 _register("REPRO_UNIT_TIMEOUT", "seconds", None, "src",
           "per-unit wall-clock deadline in seconds before kill+retry")
 _register("REPRO_UNIT_RETRIES", "int", "2", "src",
@@ -89,6 +87,8 @@ _register("REPRO_SERVICE_BACKOFF", "float", "0.1", "src",
           "base retry delay in seconds; attempt n waits base * 2**(n-1)")
 
 # -- benchmark harness (benchmarks/) ------------------------------------------
+_register("REPRO_FULL_SCALE", "flag", "0", "benchmarks",
+          "1 = paper-sized benchmark grids instead of reduced scale")
 _register("REPRO_BENCH_UPDATE", "flag", "0", "benchmarks",
           "1 re-measures and rewrites the committed throughput baseline")
 _register("REPRO_BENCH_GATE", "flag", "1", "benchmarks",

@@ -70,10 +70,6 @@ class Region:
         """One past the last mapped address."""
         return self.start + len(self.data)
 
-    def contains(self, address: int, size: int = 1) -> bool:
-        """True if ``[address, address+size)`` falls inside the region."""
-        return self.start <= address and address + size <= self.start + len(self.data)
-
     def detach(self) -> None:
         """Privatize the backing storage (first write after a COW fork)."""
         self.data = bytearray(self.data)
@@ -143,11 +139,6 @@ class Memory:
         if region is None or address + size > region.start + len(region.data):
             raise MemoryError_(f"unmapped access at {address:#x} size {size}")
         return region
-
-    def is_mapped(self, address: int, size: int = 1) -> bool:
-        """True if the full range is mapped inside a single region."""
-        region = self.region_at(address)
-        return region is not None and region.contains(address, size)
 
     def read(self, address: int, size: int) -> bytes:
         """Read ``size`` raw bytes."""

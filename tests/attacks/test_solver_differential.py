@@ -304,3 +304,18 @@ def test_seed_wider_than_its_symbol_keeps_the_stochastic_phase():
     assert answer is not None and answer["x"] == 0x1FF
     assert solver.stats == oracle.stats
     assert solver.random.getstate() == oracle.random.getstate()
+
+
+@pytest.mark.parametrize("a,b,quotient,remainder", [
+    # exact above 2**53, where a float quotient would round
+    ((1 << 62) + 1, 3, 1537228672809129301, 2),
+    (-(1 << 62) - 1, 3, -1537228672809129301, -2),
+    (-7, 2, -3, -1),  # truncates toward zero, like idiv
+    (7, -2, -3, 1),
+    (5, 0, 0, 0),     # the expression language defines x / 0 as 0
+])
+def test_division_evaluates_exactly(a, b, quotient, remainder):
+    mask = (1 << 64) - 1
+    left, right = ConstExpr(a & mask), ConstExpr(b & mask)
+    assert BinExpr("div", left, right).evaluate({}) == quotient & mask
+    assert BinExpr("mod", left, right).evaluate({}) == remainder & mask

@@ -3,10 +3,11 @@
 Every behaviour here is asserted as *equality between tiers*: single-step
 dispatch (the reference semantics) and the exec-compiled tier (with
 promotion forced).  The property-based test drives randomly generated
-instruction sequences — including sub-width operands, flag consumers and
-memory traffic that exercises both the native codegen emitters and the
-generic handler fallback — through both tiers and requires identical
-registers, flags, memory, step counts and fault outcomes.
+instruction sequences — including sub-width operands, flag consumers,
+memory traffic, exact division with its faults and indirect control
+transfers, all of which the codegen emits as native code — through both
+tiers and requires identical registers, flags, memory, step counts and
+fault outcomes.
 """
 
 import pytest
@@ -31,6 +32,8 @@ _GP = (Register.RAX, Register.RCX, Register.RDX, Register.RBX,
 
 _BLOB = 0x600000
 _BLOB_SIZE = 256
+
+_INT64_MIN = 1 << 63
 
 
 def build_program(instructions, data=bytes(_BLOB_SIZE)):
@@ -126,7 +129,7 @@ _shift_count = st.one_of(st.sampled_from((0, 1, 31, 32, 33, 63, 64)),
 @st.composite
 def _unit(draw):
     """One generated instruction (or a short dependent group)."""
-    kind = draw(st.integers(0, 20))
+    kind = draw(st.integers(0, 23))
     if kind == 0:  # mov/movzx/movsx in mixed widths
         mnemonic = draw(st.sampled_from(("mov", "movzx", "movsx")))
         dst = Reg(draw(_reg), draw(st.sampled_from((8, 8, 8, 4))))
@@ -227,6 +230,32 @@ def _unit(draw):
         return [make(setter, Reg(draw(_reg)), Reg(draw(_reg))),
                 *(make(draw(st.sampled_from(("adc", "sbb"))),
                        Reg(draw(_reg)), Reg(draw(_reg))) for _ in range(2))]
+    if kind == 20:  # cqo; idiv, divisors pinned to the fault edges at times
+        divisor_reg = draw(st.sampled_from(_GP[2:]))  # neither RAX nor RDX
+        unit = []
+        edge = draw(st.sampled_from((None, None, None, 0, -1, _INT64_MIN)))
+        if edge == _INT64_MIN:  # the one quotient that overflows int64
+            unit += [make("mov", Reg(Register.RAX), Imm(_INT64_MIN, 8)),
+                     make("mov", Reg(divisor_reg), Imm(-1, 8))]
+        elif edge is not None:
+            unit.append(make("mov", Reg(divisor_reg), Imm(edge, 8)))
+        if draw(st.booleans()):
+            divisor = Reg(divisor_reg, draw(st.sampled_from((8, 4))))
+        else:
+            divisor = draw(_mem(8))
+        return unit + [make("cqo"), make("idiv", divisor)]
+    if kind == 21:  # xchg register <-> memory, either operand order
+        width = draw(st.sampled_from((8, 4, 2, 1)))
+        pair = [Reg(draw(_reg), width), draw(_mem(width))]
+        if draw(st.booleans()):
+            pair.reverse()
+        return [make("xchg", *pair)]
+    if kind == 22:  # indirect jmp/jcc/call through a register, to "end"
+        target = draw(_reg)
+        # a call runs the trailing ret as its callee and resumes after it
+        name = draw(st.sampled_from(("jmp", "call", f"j{draw(_cc)}")))
+        return [make("mov", Reg(target), Label("end")),
+                make(name, Reg(target))]
     # forward conditional branch over the rest of the body
     return [make(f"j{draw(_cc)}", Label("end"))]
 
@@ -625,8 +654,13 @@ def test_wide_count_shifts_keep_overflow_clear():
     assert_tiers_agree(body, seeds)
 
 
-def test_sized_and_mem_alu_native_coverage_counted():
-    """The widened emitters compile without generic-handler round-trips."""
+@pytest.mark.parametrize("transfer", ["jmp", "call", "jne"])
+def test_native_emitters_compile_full_length(transfer):
+    """Every step, the shapes that used to call back into the handlers
+    (``idiv``, ``xchg`` with memory, indirect ``jmp``/``jcc``/``call``)
+    included, compiles into one native trace that agrees with
+    single-step."""
+    jump = make(transfer, Reg(Register.RBX))
     body = [
         make("add", Reg(Register.RAX, 4), Reg(Register.RCX, 4)),
         make("sub", Reg(Register.RBX, 2), Imm(7)),
@@ -636,27 +670,37 @@ def test_sized_and_mem_alu_native_coverage_counted():
         make("test", Reg(Register.RDX, 2), Mem(disp=_BLOB + 8, size=2)),
         make("xor", Mem(disp=_BLOB + 16, size=4), Reg(Register.RDX, 4)),
         make("mov", Reg(Register.R8, 1), Reg(Register.RAX, 1)),
+        make("cqo"),
+        make("idiv", Reg(Register.RCX)),
+        make("xchg", Reg(Register.RAX), Mem(base=Register.R15, disp=8)),
+        make("xchg", Mem(base=Register.R15, disp=16, size=4),
+             Reg(Register.RDX, 4)),
+        make("mov", Reg(Register.RBX), Label("end")),
+        jump,
+        make("mov", Reg(Register.RAX), Imm(0)),
+        "end",
         make("ret"),
     ]
+    seeds = [(Register.RCX, 3), (Register.RAX, (1 << 62) + 1)]
+    assert_tiers_agree(body, seeds, data=bytes(range(_BLOB_SIZE)))
     program = build_program(body)
     emulator = Emulator(program.memory, trace_cache=True)
     emulator.trace_compile_threshold = 0
     for _ in range(4):
-        start_call(emulator, program, [(Register.RCX, 3)])
+        start_call(emulator, program, seeds)
         emulator.run()
-    stats = emulator.jit_stats
-    assert stats.traces_compiled > 0
-    assert stats.generic_steps == 0, "every shape should have a native emitter"
-    assert stats.native_steps > 0
-    assert stats.native_coverage == 1.0
+    trace = emulator._trace_cache[program.image.function("f").address]
+    assert trace.compiled is not None
+    assert trace.length == body.index(jump) + 1
+    assert emulator.jit_stats.compile_declined == 0
 
 
-def test_generic_fallback_ops_agree_across_tiers():
-    """Sub-width ALU and handler-path ops interleaved with native ones."""
+def test_mixed_width_ops_agree_across_tiers():
+    """Sub-width ALU and loads interleaved with 64-bit ops."""
     body = [
         make("mov", Reg(Register.RAX), Imm(0x1234_5678_9ABC_DEF0)),
-        make("add", Reg(Register.RAX, 4), Reg(Register.RCX, 4)),  # generic
-        make("sub", Reg(Register.RBX, 2), Reg(Register.RDX, 2)),  # generic
+        make("add", Reg(Register.RAX, 4), Reg(Register.RCX, 4)),
+        make("sub", Reg(Register.RBX, 2), Reg(Register.RDX, 2)),
         make("movsx", Reg(Register.RSI), Reg(Register.RAX, 1)),
         make("imul", Reg(Register.RDI), Imm(-3)),
         make("sar", Reg(Register.RDI), Imm(5)),
@@ -667,7 +711,7 @@ def test_generic_fallback_ops_agree_across_tiers():
         make("setle", Reg(Register.R11, 1)),
         make("cmovne", Reg(Register.RCX), Reg(Register.RDX)),
         make("mov", Mem(disp=_BLOB + 16, size=2), Reg(Register.RAX, 2)),
-        make("mov", Reg(Register.R12, 2), Mem(disp=_BLOB + 16, size=2)),  # generic
+        make("mov", Reg(Register.R12, 2), Mem(disp=_BLOB + 16, size=2)),
         make("ret"),
     ]
     seeds = [(Register.RCX, 0xFFFF_FFFF), (Register.RDX, 3),
@@ -675,3 +719,51 @@ def test_generic_fallback_ops_agree_across_tiers():
              (Register.R8, (1 << 64) - 2), (Register.R9, 5),
              (Register.R10, 7)]
     assert_tiers_agree(body, seeds)
+
+
+_M64 = (1 << 64) - 1
+
+
+@pytest.mark.parametrize("dividend,divisor,expected", [
+    # exact above 2**53, where a float quotient would round
+    ((1 << 62) + 1, 3, (1537228672809129301, 2)),
+    (-(1 << 62) - 1, 3, (-1537228672809129301 & _M64, -2 & _M64)),
+    (-7, 2, (-3 & _M64, -1 & _M64)),      # truncates toward zero
+    (7, -2, (-3 & _M64, 1)),
+    (_INT64_MIN, 1, (_INT64_MIN, 0)),
+    (5, 0, "integer division by zero"),
+    (_INT64_MIN, -1, "integer division overflow"),
+])
+def test_idiv_is_exact_and_faults_like_x86(dividend, divisor, expected):
+    """``cqo; idiv`` divides in exact integers and raises #DE on a zero
+    divisor and on INT64_MIN / -1 — in every tier."""
+    body = [make("mov", Reg(Register.RAX), Reg(Register.RDI)),
+            make("cqo"), make("idiv", Reg(Register.RSI)), make("ret")]
+    seeds = [(Register.RDI, dividend & _M64), (Register.RSI, divisor & _M64)]
+    (single, *_) = run_tier(body, seeds, "single")
+    if isinstance(expected, str):
+        assert single["fault"] == expected
+        assert single["steps"] == 2  # mov and cqo retired, idiv did not
+    else:
+        assert single["fault"] is None
+        assert (single["regs"][Register.RAX],
+                single["regs"][Register.RDX]) == expected
+    assert_tiers_agree(body, seeds)
+
+
+@pytest.mark.parametrize("register_first", [True, False])
+@pytest.mark.parametrize("pointer", [_BLOB + 16, 0x1234_5678_9ABC])
+def test_xchg_through_its_own_register_agrees_across_tiers(register_first,
+                                                           pointer):
+    """``xchg rbx, [rbx]``: the exchanged register is also the address
+    base, so the tiers must agree on the order of the load, the register
+    write and the store (an unmapped ``pointer`` faults on the way)."""
+    pair = [Reg(Register.RBX), Mem(base=Register.RBX)]
+    if not register_first:
+        pair.reverse()
+    body = [make("mov", Reg(Register.RBX), Imm(_BLOB, 8)),
+            make("xchg", *pair), make("mov", Reg(Register.RAX),
+                                      Mem(base=Register.R15, disp=16)),
+            make("ret")]
+    data = pointer.to_bytes(8, "little") + bytes(range(_BLOB_SIZE - 8))
+    assert_tiers_agree(body, [], data=data)
