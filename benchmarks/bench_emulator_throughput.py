@@ -23,6 +23,10 @@ reports:
   ROPMEMU must stay >= 3x over the legacy path (same-machine ratio); a
   ROP-chain workload is also reported (un-gated — its longer hooked runs
   dilute the per-execution win),
+* **hooked instructions/sec** of DSE executions on that ROP-chain
+  workload: the hooked run loop's compiled steps plus the shadow's
+  transfers, the attack path's hot loop, gated like the hook-free
+  throughput,
 * **grid cells/sec** of the sharded evaluation layer
   (:mod:`repro.evaluation.parallel`): smoke-shaped Table II attack cells
   dispatched through the fork-based worker pool at 1 vs 4 workers.  On
@@ -284,6 +288,30 @@ def measure_engine_rates(tiny_count=500, rop_count=150):
     return report
 
 
+def measure_hooked_throughput(count=200, rounds=3):
+    """Hooked run-loop throughput: DSE executions on the ROP1.00 engine
+    workload (every instruction runs under the shadow's hook), reported as
+    hooked instructions/sec, best of ``rounds`` windows of ``count``
+    executions after one warm-up execution."""
+    from repro.attacks.dse import DseEngine, InputSpec
+
+    _, ropped = _build_engine_workloads()
+    engine = DseEngine(ropped, "f", InputSpec(argument_sizes=[1]))
+    engine.execute({"arg0": 0})
+    best = 0.0
+    instructions = 0
+    for _ in range(rounds):
+        before = engine.stats.instructions
+        start = time.perf_counter()
+        for index in range(count):
+            engine.execute({"arg0": index & 0xFF})
+        elapsed = time.perf_counter() - start
+        instructions = engine.stats.instructions - before
+        best = max(best, instructions / elapsed)
+    return {"executions": count, "instructions": instructions,
+            "instructions_per_sec": round(best)}
+
+
 def measure_grid_parallel(workers=GRID_PARALLEL_WORKERS, cell_seeds=8):
     """Sharded grid evaluation: smoke-shaped Table II cells/sec, 1 vs N workers.
 
@@ -342,6 +370,7 @@ def run_benchmarks():
         "forking": measure_fork_rate(pristine, pristine.image),
         "snapshots": measure_snapshot_rate(pristine, entry, argument),
         "engines": measure_engine_rates(),
+        "hooked": measure_hooked_throughput(),
         "grid_parallel": measure_grid_parallel(),
     }
     return report
@@ -418,6 +447,9 @@ def test_emulator_throughput_and_fork_rate():
     print(f"TDS on ROP chain       : "
           f"{engines['rop_tds_executions_per_sec']:>12,} executions/sec "
           f"({engines['rop_tds_speedup']}x over fork-per-execution)")
+    hooked_ips = report["hooked"]["instructions_per_sec"]
+    print(f"DSE on ROP chain       : {hooked_ips:>12,} hooked "
+          f"instructions/sec")
     grid = report["grid_parallel"]
     if "speedup" in grid:
         print(f"grid sharding          : {grid['serial_cells_per_sec']} -> "
@@ -491,16 +523,18 @@ def test_emulator_throughput_and_fork_rate():
         baseline_cal = committed.get("calibration_sec")
         machine_scale = (baseline_cal / report["calibration_sec"]
                          if baseline_cal else 1.0)
-        baseline_ips = committed["throughput"]["instructions_per_sec"]
-        floor = baseline_ips * machine_scale * (1.0 - REGRESSION_TOLERANCE)
-        print(f"machine speed vs baseline host: {machine_scale:.2f}x "
-              f"(gate floor {floor:,.0f} instructions/sec)")
-        assert ips >= floor, (
-            f"interpreter throughput regressed: {ips:,.0f} instructions/sec "
-            f"vs committed baseline {baseline_ips:,} scaled by machine speed "
-            f"{machine_scale:.2f}x (floor {floor:,.0f}; set "
-            f"REPRO_BENCH_UPDATE=1 to rebaseline or REPRO_BENCH_GATE=0 to "
-            f"skip)")
+        for name, measured, key in (("interpreter", ips, "throughput"),
+                                    ("hooked", hooked_ips, "hooked")):
+            baseline_ips = committed[key]["instructions_per_sec"]
+            floor = baseline_ips * machine_scale * (1.0 - REGRESSION_TOLERANCE)
+            print(f"machine speed vs baseline host: {machine_scale:.2f}x "
+                  f"({name} gate floor {floor:,.0f} instructions/sec)")
+            assert measured >= floor, (
+                f"{name} throughput regressed: {measured:,.0f} "
+                f"instructions/sec vs committed baseline {baseline_ips:,} "
+                f"scaled by machine speed {machine_scale:.2f}x (floor "
+                f"{floor:,.0f}; set REPRO_BENCH_UPDATE=1 to rebaseline or "
+                f"REPRO_BENCH_GATE=0 to skip)")
         seed = committed.get("seed")
         if seed:
             speedup = ips / (seed["instructions_per_sec"] * machine_scale)

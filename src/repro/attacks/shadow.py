@@ -33,7 +33,7 @@ from repro.attacks.solver.solver import PathConstraint
 from repro.cpu import semantics as _semantics
 from repro.cpu.emulator import SpecializedHook
 from repro.cpu.host import host_function_address, is_host_address
-from repro.cpu.state import SIZE_MASKS
+from repro.cpu.state import EmulationError, SIZE_MASKS
 from repro.isa.instructions import Instruction, Mnemonic
 from repro.isa.operands import Imm, Mem, Reg
 from repro.isa.registers import CALLER_SAVED, Register
@@ -732,11 +732,19 @@ def _build_xchg(instruction: Instruction) -> Optional[Transfer]:
     read_first, read_second = _reader(first), _reader(second)
     write_first, write_second = _writer(first), _writer(second)
 
+    store_first = type(second) is Mem
+
     def symbolic(t, emulator, address) -> None:
         first_expr = read_first(t, emulator)
         second_expr = read_second(t, emulator)
-        write_first(t, emulator, second_expr)
-        write_second(t, emulator, first_expr)
+        if store_first:
+            # the store's address (and whether it is input-dependent) comes
+            # from the pre-instruction registers, as on x86
+            write_second(t, emulator, first_expr)
+            write_first(t, emulator, second_expr)
+        else:
+            write_first(t, emulator, second_expr)
+            write_second(t, emulator, first_expr)
 
     # guarded register operands carry no shadow to drop
     retires = [retire for retire in (_kill(_store(first)), _kill(_store(second)))
@@ -1229,8 +1237,22 @@ def _build_idiv(instruction: Instruction) -> Optional[Transfer]:
     def fast(t, emulator) -> None:
         t.register_exprs.pop(Register.RDX, None)
 
-    return _transfer(_guard(Reg(Register.RAX), divisor_operand), fast,
-                     symbolic)
+    divide = _transfer(_guard(Reg(Register.RAX), divisor_operand), fast,
+                       symbolic)
+
+    def transfer(t, emulator, address) -> None:
+        try:
+            divisor = emulator.read_operand(divisor_operand)
+        except EmulationError:
+            return  # the machine faults on the same read
+        if not divisor or (divisor == _MASK64 and
+                           emulator.state.regs[Register.RAX] == 1 << 63):
+            # a zero divisor or INT64_MIN / -1: the machine raises #DE and
+            # writes nothing, so neither does the shadow
+            return
+        divide(t, emulator, address)
+
+    return transfer
 
 
 @_builds(Mnemonic.JMP)

@@ -38,10 +38,15 @@ them) are all emitted inline.  Every step is native code: sized
 or count register (with the width-dependent count mask, zero-count flag
 preservation and the defined 1-bit OF), memory-operand ALU, ``xchg`` with
 a memory operand, exact ``idiv`` (raising the single-step fault on a zero
-divisor or ``INT64_MIN / -1``) and indirect ``jmp``/``call``.  A compiled
-trace never calls back into the emulator's handlers: :func:`compile_trace`
-declines a trace holding a step shape no emitter covers, and that trace
-keeps its single-step warm-up path.
+divisor or ``INT64_MIN / -1``) and indirect ``jmp``/``call``; every other
+decodable operand shape takes a generic branch that follows the handler's
+order of loads, flag updates, stores and faults.  A compiled trace never
+calls back into the emulator's handlers: :func:`compile_trace` declines a
+trace the codegen cannot emit, and that trace keeps its single-step
+warm-up path.
+
+The same emitters build the hooked run loop's steps: :func:`compile_step`
+compiles one function per distinct instruction (see :class:`_StepCodegen`).
 
 The generated function is self-contained: it advances ``emulator.steps``,
 installs the final ``rip`` and re-raises faults as
@@ -51,12 +56,16 @@ trace from the run loop is a single call.
 
 from __future__ import annotations
 
+import re
 import struct
-from typing import Dict, List, Optional, Set
+from contextlib import contextmanager
+from functools import lru_cache
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.cpu import semantics as _semantics
 from repro.cpu.state import BIT_WIDTHS, EmulationError, SIGN_BITS, SIZE_MASKS
-from repro.isa.instructions import Mnemonic
+from repro.cpu.trace import TraceStep
+from repro.isa.instructions import Instruction, Mnemonic
 from repro.isa.operands import Imm, Mem, Reg
 from repro.isa.registers import Register
 from repro.memory import MemoryError_
@@ -112,6 +121,8 @@ class _Codegen:
         self.emulator = emulator
         self.lines: List[str] = []
         self.hoisted: Set[Register] = set()
+        #: extra indentation of emitted lines (see :meth:`nested`)
+        self.indent = ""
 
     # -- small emission helpers -------------------------------------------------
     def reg(self, register: Register) -> str:
@@ -120,7 +131,16 @@ class _Codegen:
         return f"r_{register.name.lower()}"
 
     def emit(self, line: str) -> None:
-        self.lines.append("            " + line)
+        self.lines.append("            " + self.indent + line)
+
+    @contextmanager
+    def nested(self):
+        """Emit the enclosed lines one block deeper (an ``if`` body)."""
+        self.indent += "    "
+        try:
+            yield
+        finally:
+            self.indent = self.indent[:-4]
 
     def ea(self, operand: Mem) -> str:
         """Effective-address expression (mirrors
@@ -130,7 +150,7 @@ class _Codegen:
         if index is None:
             if base is None:
                 return str(disp & _M)
-            if disp == 0:
+            if not disp:
                 return self.reg(base)
             return f"({self.reg(base)} + {disp}) & {_M_LIT}"
         if base is None:
@@ -202,7 +222,13 @@ class _Codegen:
 
     def store(self, operand, expr: str, width: int) -> None:
         """Emit ``write_operand(operand, expr)`` for a value of at most
-        ``width`` bytes (memory stores mask to the operand width)."""
+        ``width`` bytes (memory stores mask to the operand width).  An
+        immediate destination raises ``write_operand``'s fault; the caller
+        has set ``n``."""
+        if type(operand) is Imm:
+            message = f"cannot write operand {operand!r}"
+            self.emit(f"raise _EE({message!r})")
+            return
         if type(operand) is Mem:
             if operand.size == 8:
                 self.emit(f"_WQ({self.ea(operand)}, {expr})")
@@ -216,9 +242,15 @@ class _Codegen:
     # -- native emitters for straight-line ops ----------------------------------
     def emit_op(self, index: int, step) -> bool:
         """Emit native source for one ``"op"`` step.  False (or any error
-        raised while emitting) means no emitter covers its shape, which
-        declines the trace."""
-        mnemonic = step.instruction.mnemonic
+        raised while emitting) declines the trace."""
+        instruction = step.instruction
+        mnemonic = instruction.mnemonic
+        limit = _OPERAND_LIMIT[mnemonic]
+        if len(instruction.operands) > limit:
+            # the handlers ignore operands past the ones their mnemonic takes
+            step = TraceStep(step.kind, step.address, Instruction(
+                mnemonic, instruction.operands[:limit], instruction.condition),
+                step.post, step.target)
         if mnemonic in (Mnemonic.MOV, Mnemonic.MOVZX):
             return self._op_mov(index, step)
         if mnemonic is Mnemonic.MOVSX:
@@ -334,7 +366,7 @@ class _Codegen:
                 if src.size != 8:
                     value = f"{value} & {SIZE_MASKS[src.size]}"
             else:
-                return False
+                return self._move_generic(index, step)
             self.emit(f"n = {index}")
             if dst.size == 8:
                 self.emit(f"_WQ({ea}, {value})")
@@ -342,12 +374,24 @@ class _Codegen:
                 self.emit(f"_WR({ea}, {value}, {dst.size})")
             self.gen_check(index, step.post)
             return True
-        return False
+        return self._move_generic(index, step)
+
+    def _move_generic(self, index: int, step) -> bool:
+        """Memory-to-memory moves and immediate destinations, in the
+        handler's order: load, then store (or fault)."""
+        dst, src = step.instruction.operands
+        self.emit(f"n = {index}")
+        self.emit(f"v = {self.load(index, src)}")
+        self.store(dst, "v", src.size)
+        if type(dst) is Mem:
+            self.gen_check(index, step.post)
+        return True
 
     def _op_movsx(self, index: int, step) -> bool:
         dst, src = step.instruction.operands
-        if type(dst) is not Reg or dst.size not in (4, 8):
-            return False
+        if type(dst) is not Reg or dst.size not in (4, 8) \
+                or type(src) is Imm:
+            return self._movsx_generic(index, step)
         scls = type(src)
         size = getattr(src, "size", 8)
         if scls is Reg:
@@ -371,6 +415,21 @@ class _Codegen:
             self.emit(f"{d} = {extended}")
         else:
             self.emit(f"{d} = ({extended}) & {_M32}")
+        return True
+
+    def _movsx_generic(self, index: int, step) -> bool:
+        """Sign extension into any destination: load, extend to 64 bits,
+        store at the destination width."""
+        dst, src = step.instruction.operands
+        size = src.size
+        self.emit(f"n = {index}")
+        self.emit(f"v = {self.load(index, src)}")
+        if size < 8:
+            self.emit(f"if v & {1 << (8 * size - 1)}:")
+            self.emit(f"    v = (v - {1 << (8 * size)}) & {_M_LIT}")
+        self.store(dst, "v", 8)
+        if type(dst) is Mem:
+            self.gen_check(index, step.post)
         return True
 
     def _op_alu(self, index: int, step) -> bool:
@@ -460,11 +519,11 @@ class _Codegen:
                 self.write_reg_result(dst)
             return True
         if dcls is not Mem:
-            return False
+            return self._alu_generic(index, step)
         size = dst.size
         rhs = self._alu_rhs(src, size)
         if rhs is None:
-            return False
+            return self._alu_generic(index, step)
         b, sb = rhs
         self.emit(f"p = {self.ea(dst)}")
         self.emit(f"n = {index}")
@@ -476,13 +535,37 @@ class _Codegen:
             self.gen_check(index, step.post)
         return True
 
+    def _alu_generic(self, index: int, step) -> bool:
+        """Immediate destinations and memory-to-memory ALU, in the
+        handler's order: load both, set the flags, then store (or fault)."""
+        dst, src = step.instruction.operands
+        mnemonic = step.instruction.mnemonic
+        size = dst.size
+        slit = _H_LIT if size == 8 else hex(SIGN_BITS[size])
+        self.emit(f"n = {index}")
+        self.emit(f"a = {self.load(index, dst)}")
+        self.emit(f"b = {self._load_at(index, src, size)}")
+        self._emit_alu_core(mnemonic, size, "b", f"(b - ((b & {slit}) << 1))")
+        if mnemonic not in (Mnemonic.CMP, Mnemonic.TEST):
+            self.store(dst, "res", size)
+            if type(dst) is Mem:
+                self.gen_check(index, step.post)
+        return True
+
+    def _load_at(self, index: int, operand, size: int) -> str:
+        """``read_operand(operand)`` masked to ``size`` bytes."""
+        value = self.load(index, operand)
+        if operand.size > size:
+            return f"({value}) & {SIZE_MASKS[size]:#x}"
+        return value
+
     def _op_adc_sbb(self, index: int, step) -> bool:
         dst, src = step.instruction.operands
         if type(dst) is not Reg or dst.size != 8:
-            return False
+            return self._carry_generic(index, step)
         rhs = self._alu_rhs(src, 8)
         if rhs is None:
-            return False
+            return self._carry_generic(index, step)
         b, sb = rhs
         d = self.reg(dst.reg)
         self.emit(f"a = {d}")
@@ -502,15 +585,50 @@ class _Codegen:
         self.flags_zs()
         return True
 
+    def _carry_generic(self, index: int, step) -> bool:
+        """``adc``/``sbb`` of any width and operand kind, in the handler's
+        order: carry-in, load both, flags, then store (or fault)."""
+        dst, src = step.instruction.operands
+        size = dst.size
+        mlit = _M_LIT if size == 8 else hex(SIZE_MASKS[size])
+        slit = _H_LIT if size == 8 else hex(SIGN_BITS[size])
+        self.emit(f"n = {index}")
+        self.emit("c = cf")
+        self.emit(f"a = {self.load(index, dst)}")
+        self.emit(f"b = {self._load_at(index, src, size)}")
+        signed = f"(a - ((a & {slit}) << 1)), (b - ((b & {slit}) << 1))"
+        if step.instruction.mnemonic is Mnemonic.ADC:
+            self.emit("t = a + b + c")
+            self.emit(f"res = t & {mlit}")
+            self.emit(f"cf = 1 if t > {mlit} else 0")
+            self.emit(f"sa, sb = {signed}")
+            self.emit("st = sa + sb + c")
+        else:
+            self.emit(f"res = (a - b - c) & {mlit}")
+            self.emit("cf = 1 if a < b + c else 0")
+            self.emit(f"sa, sb = {signed}")
+            self.emit("st = sa - sb - c")
+        self.emit(f"of = 1 if st < -{slit} or st >= {slit} else 0")
+        self.flags_zs(size)
+        self.store(dst, "res", size)
+        if type(dst) is Mem:
+            self.gen_check(index, step.post)
+        return True
+
     def _op_pop(self, index: int, step) -> bool:
         dst = step.instruction.operands[0]
-        if type(dst) is not Reg or dst.size != 8:
-            return False
         rsp = self.reg(Register.RSP)
         self.emit(f"rsp = {rsp}")
         self.stack_load("rsp", "v", index)
         self.emit(f"{rsp} = (rsp + 8) & {_M_LIT}")
-        self.emit(f"{self.reg(dst.reg)} = v")
+        if type(dst) is Reg and dst.size == 8:
+            self.emit(f"{self.reg(dst.reg)} = v")
+            return True
+        # as in the handler, a memory destination's address is derived
+        # from the popped rsp
+        self.store(dst, "v", 8)
+        if type(dst) is Mem:
+            self.gen_check(index, step.post)
         return True
 
     def _op_push(self, index: int, step) -> bool:
@@ -523,7 +641,8 @@ class _Codegen:
         elif scls is Imm:
             value = str(src.value & SIZE_MASKS[src.size])
         else:
-            return False
+            self.emit(f"v = {self.load(index, src)}")
+            value = "v"
         rsp = self.reg(Register.RSP)
         self.emit(f"n = {index}")
         self.emit(f"rsp = ({rsp} - 8) & {_M_LIT}")
@@ -534,15 +653,22 @@ class _Codegen:
 
     def _op_lea(self, index: int, step) -> bool:
         dst, src = step.instruction.operands
-        if type(dst) is not Reg or dst.size != 8 or type(src) is not Mem:
-            return False
-        self.emit(f"{self.reg(dst.reg)} = {self.ea(src)}")
+        if type(src) is not Mem:
+            self.emit(f"n = {index}")
+            self.emit("raise _EE('lea requires a memory source')")
+        elif type(dst) is Reg and dst.size == 8:
+            self.emit(f"{self.reg(dst.reg)} = {self.ea(src)}")
+        else:
+            self.emit(f"n = {index}")
+            self.store(dst, self.ea(src), 8)
+            if type(dst) is Mem:
+                self.gen_check(index, step.post)
         return True
 
     def _op_incdec(self, index: int, step) -> bool:
         dst = step.instruction.operands[0]
         if type(dst) is not Reg or dst.size != 8:
-            return False
+            return self._unary_generic(index, step)
         d = self.reg(dst.reg)
         self.emit(f"a = {d}")
         if step.instruction.mnemonic is Mnemonic.INC:
@@ -559,7 +685,7 @@ class _Codegen:
     def _op_neg(self, index: int, step) -> bool:
         dst = step.instruction.operands[0]
         if type(dst) is not Reg or dst.size != 8:
-            return False
+            return self._unary_generic(index, step)
         d = self.reg(dst.reg)
         self.emit(f"a = {d}")
         self.emit(f"res = (-a) & {_M_LIT}")
@@ -572,9 +698,39 @@ class _Codegen:
     def _op_not(self, index: int, step) -> bool:
         dst = step.instruction.operands[0]
         if type(dst) is not Reg or dst.size != 8:
-            return False
+            self.emit(f"n = {index}")
+            self.emit(f"a = {self.load(index, dst)}")
+            self.store(dst, f"(~a) & {SIZE_MASKS[dst.size]:#x}", dst.size)
+            if type(dst) is Mem:
+                self.gen_check(index, step.post)
+            return True
         d = self.reg(dst.reg)
         self.emit(f"{d} = (~{d}) & {_M_LIT}")
+        return True
+
+    def _unary_generic(self, index: int, step) -> bool:
+        """``inc``/``dec``/``neg`` of any width and operand kind, in the
+        handler's order: load, flags, then store (or fault)."""
+        dst = step.instruction.operands[0]
+        mnemonic = step.instruction.mnemonic
+        size = dst.size
+        mask, sign = SIZE_MASKS[size], SIGN_BITS[size]
+        self.emit(f"n = {index}")
+        self.emit(f"a = {self.load(index, dst)}")
+        if mnemonic is Mnemonic.INC:
+            self.emit(f"res = (a + 1) & {mask:#x}")
+            self.emit(f"of = 1 if a == {sign - 1:#x} else 0")
+        elif mnemonic is Mnemonic.DEC:
+            self.emit(f"res = (a - 1) & {mask:#x}")
+            self.emit(f"of = 1 if a == {sign:#x} else 0")
+        else:
+            self.emit(f"res = (-a) & {mask:#x}")
+            self.emit("cf = 1 if a else 0")
+            self.emit(f"of = 1 if a == {sign:#x} else 0")
+        self.flags_zs(size)
+        self.store(dst, "res", size)
+        if type(dst) is Mem:
+            self.gen_check(index, step.post)
         return True
 
     def _op_shift(self, index: int, step) -> bool:
@@ -588,8 +744,8 @@ class _Codegen:
         SAR: 0) with wider counts pinned at 0 in every tier.
         """
         dst, src = step.instruction.operands
-        if type(dst) is not Reg:
-            return False
+        if type(dst) is not Reg or type(src) is Mem:
+            return self._shift_generic(index, step)
         size = dst.size
         bits = BIT_WIDTHS[size]
         mask = SIZE_MASKS[size]
@@ -662,20 +818,51 @@ class _Codegen:
             self.emit(f"    {name} = ({name} & {keep}) | res")
         return True
 
+    def _shift_generic(self, index: int, step) -> bool:
+        """Shifts of a memory (or immediate) destination, or by a count in
+        memory, in the handler's order: load the value, then the count,
+        and compute and store only under a nonzero masked count."""
+        dst, src = step.instruction.operands
+        size = dst.size
+        bits = BIT_WIDTHS[size]
+        mask, sign = SIZE_MASKS[size], SIGN_BITS[size]
+        mnemonic = step.instruction.mnemonic
+        self.emit(f"n = {index}")
+        self.emit(f"v = {self.load(index, dst)}")
+        self.emit(f"c = ({self.load(index, src)}) & "
+                  f"{0x3F if size == 8 else 0x1F}")
+        self.emit("if c:")
+        with self.nested():
+            if mnemonic is Mnemonic.SHL:
+                self.emit(f"res = (v << c) & {mask:#x}")
+                self.emit(f"cf = (v >> ({bits} - c)) & 1 if c <= {bits} else 0")
+                self.emit(f"of = cf ^ (res >> {bits - 1}) if c == 1 else 0")
+            elif mnemonic is Mnemonic.SHR:
+                self.emit("res = v >> c")
+                self.emit("cf = (v >> (c - 1)) & 1")
+                self.emit(f"of = v >> {bits - 1} if c == 1 else 0")
+            else:
+                self.emit(f"s = v - ((v & {sign:#x}) << 1)")
+                self.emit(f"res = (s >> c) & {mask:#x}")
+                self.emit("cf = (s >> (c - 1)) & 1")
+                self.emit("of = 0")
+            self.flags_zs(size)
+            self.store(dst, "res", size)
+            if type(dst) is Mem:
+                self.gen_check(index, step.post)
+        return True
+
     def _op_imul(self, index: int, step) -> bool:
-        operands = step.instruction.operands
-        if len(operands) != 2:
-            return False
-        dst, src = operands
+        dst, src = step.instruction.operands
         if type(dst) is not Reg or dst.size != 8:
-            return False
+            return self._imul_generic(index, step)
         if type(src) is Imm:
             sb = str(_signed64(src.value & SIZE_MASKS[src.size]))
         elif type(src) is Reg and src.size == 8:
             s = self.reg(src.reg)
             sb = f"({s} - (({s} & {_H_LIT}) << 1))"
         else:
-            return False
+            return self._imul_generic(index, step)
         d = self.reg(dst.reg)
         self.emit(f"a = {d}")
         self.emit(f"t = (a - ((a & {_H_LIT}) << 1)) * {sb}")
@@ -686,19 +873,45 @@ class _Codegen:
         self.emit(f"{d} = res")
         return True
 
+    def _imul_generic(self, index: int, step) -> bool:
+        """Signed multiply of any width and operand kind, in the handler's
+        order: load both (the source at the destination width), flags,
+        then store (or fault)."""
+        dst, src = step.instruction.operands
+        size = dst.size
+        mlit = _M_LIT if size == 8 else hex(SIZE_MASKS[size])
+        slit = _H_LIT if size == 8 else hex(SIGN_BITS[size])
+        self.emit(f"n = {index}")
+        self.emit(f"a = {self.load(index, dst)}")
+        self.emit(f"b = {self._load_at(index, src, size)}")
+        self.emit(f"t = (a - ((a & {slit}) << 1)) * (b - ((b & {slit}) << 1))")
+        self.emit(f"res = t & {mlit}")
+        self.emit(f"cf = 0 if -{slit} <= t < {slit} else 1")
+        self.emit("of = cf")
+        self.flags_zs(size)
+        self.store(dst, "res", size)
+        if type(dst) is Mem:
+            self.gen_check(index, step.post)
+        return True
+
     def _op_xchg(self, index: int, step) -> bool:
         """Register/register and register/memory exchanges in either
-        operand order, in the handler's order: read both, write the first,
-        then the second (a memory address is re-derived at the store, after
-        a register write), and the SMC check after a store."""
+        operand order, in the handler's order: read both, then store the
+        memory operand at its pre-instruction address before the register
+        write (a faulting store leaves the register alone), and the SMC
+        check after a store."""
         first, second = step.instruction.operands
         kinds = (type(first), type(second))
-        if Imm in kinds or kinds == (Mem, Mem):
-            return False
+        if Imm in kinds:
+            self.emit(f"n = {index}")  # the store to the immediate faults
         self.emit(f"a = {self.load(index, first)}")
         self.emit(f"b = {self.load(index, second)}")
-        self.store(first, "b", second.size)
-        self.store(second, "a", first.size)
+        if kinds[1] is Mem:
+            self.store(second, "a", first.size)
+            self.store(first, "b", second.size)
+        else:
+            self.store(first, "b", second.size)
+            self.store(second, "a", first.size)
         if Mem in kinds:
             self.gen_check(index, step.post)
         return True
@@ -727,20 +940,31 @@ class _Codegen:
 
     def _op_cmov(self, index: int, step) -> bool:
         dst, src = step.instruction.operands
+        condition = _COND_EXPR[step.instruction.condition]
+        self.emit(f"if {condition}:")
         if type(dst) is not Reg or dst.size != 8 \
                 or type(src) is not Reg or src.size != 8:
-            return False
-        condition = _COND_EXPR[step.instruction.condition]
+            # any width and operand kind: load and store only when taken
+            with self.nested():
+                self.emit(f"n = {index}")
+                self.emit(f"v = {self.load(index, src)}")
+                self.store(dst, "v", src.size)
+                if type(dst) is Mem:
+                    self.gen_check(index, step.post)
+            return True
         d, s = self.reg(dst.reg), self.reg(src.reg)
-        self.emit(f"if {condition}:")
         self.emit(f"    {d} = {s}")
         return True
 
     def _op_set(self, index: int, step) -> bool:
         dst = step.instruction.operands[0]
-        if type(dst) is not Reg:
-            return False
         condition = _COND_EXPR[step.instruction.condition]
+        if type(dst) is not Reg:
+            self.emit(f"n = {index}")
+            self.store(dst, f"(1 if {condition} else 0)", 1)
+            if type(dst) is Mem:
+                self.gen_check(index, step.post)
+            return True
         d = self.reg(dst.reg)
         if dst.size >= 4:
             self.emit(f"{d} = 1 if {condition} else 0")
@@ -917,6 +1141,188 @@ def compile_trace(emulator, trace) -> Optional[object]:
     function = namespace["_trace"]
     function.__source__ = source  # debugging: dump what actually runs
     return function
+
+
+# -- hooked-loop steps ---------------------------------------------------------
+
+#: A flag name in emitted source.
+_FLAG_NAME = re.compile(r"\b(cf|zf|sf|of)\b")
+_FLAGS = frozenset(("cf", "zf", "sf", "of"))
+
+#: Emitted memory accessors -> the :class:`repro.memory.Memory` method a
+#: step binds for each.
+_ACCESSORS = {"_RQ": "read_qword", "_RD": "read_int", "_WQ": "write_qword",
+              "_WR": "write_int"}
+
+#: Source fragments of an emitted line that may fault.
+_FAULTING = tuple(f"{name}(" for name in _ACCESSORS) + ("raise ",)
+
+#: Mnemonic -> the most operands its handler reads; the handlers ignore
+#: any further decoded operands, so the emitters drop them.
+_OPERAND_LIMIT = {mnemonic: max(semantics.operand_counts)
+                  for mnemonic, semantics in _semantics.SEMANTICS.items()}
+_OPERAND_MINIMUM = _semantics.operand_minimums()
+
+_CONTROL = (Mnemonic.RET, Mnemonic.JMP, Mnemonic.JCC, Mnemonic.CALL,
+            Mnemonic.HLT)
+
+
+class _StepCodegen(_Codegen):
+    """Builds the source of one instruction's hooked-loop step.
+
+    The trace emitters run unchanged over a one-instruction shape, with
+    three differences.  Registers are read and written in place in the
+    emulator's register dict: one instruction touches a register once or
+    twice, so hoisting buys nothing, and a fault leaves exactly the writes
+    made before it, as the trace tier's writeback does.  Flags live in
+    locals, loaded and stored only when the instruction touches them.  A
+    store needs no SMC check, because the hooked loop checks the region
+    generation at the next fetch.
+    """
+
+    def __init__(self, instruction) -> None:
+        super().__init__(None, None)
+        self.instruction = instruction
+
+    def reg(self, register: Register) -> str:
+        self.hoisted.add(register)
+        return f"_R[_K_{register.name}]"
+
+    def emit(self, line: str) -> None:
+        if not line.startswith("n = "):  # the trace tier's fault index
+            self.lines.append(self.indent + line)
+
+    def gen_check(self, index: int, resume_rip: int) -> None:
+        return
+
+    def stack_load(self, address_var: str, result_var: str,
+                   index: int) -> None:
+        self.emit(f"{result_var} = _RQ({address_var})")
+
+    def emit_control(self) -> None:
+        """Control transfers, in the handlers' order (``rip`` already
+        holds the fall-through ``post``)."""
+        instruction = self.instruction
+        mnemonic = instruction.mnemonic
+        if mnemonic is Mnemonic.HLT:
+            self.emit("_E.halted = True")
+            return
+        if mnemonic is Mnemonic.RET:
+            rsp = self.reg(Register.RSP)
+            self.emit(f"rsp = {rsp}")
+            self.emit("_S.rip = _RQ(rsp)")
+            self.emit(f"{rsp} = (rsp + 8) & {_M_LIT}")
+            return
+        target = self.load(0, instruction.operands[0])
+        if mnemonic is Mnemonic.CALL:
+            rsp = self.reg(Register.RSP)
+            self.emit(f"t = {target}")
+            self.emit(f"rsp = ({rsp} - 8) & {_M_LIT}")
+            self.emit(f"{rsp} = rsp")
+            self.emit("_WQ(rsp, post)")
+            self.emit("_S.rip = t")
+        elif mnemonic is Mnemonic.JCC:
+            self.emit(f"if {_COND_EXPR[instruction.condition]}:")
+            self.emit(f"    _S.rip = {target}")
+        else:
+            self.emit(f"_S.rip = {target}")
+
+    def step_source(self) -> str:
+        instruction = self.instruction
+        if len(instruction.operands) < _OPERAND_MINIMUM[instruction.mnemonic]:
+            # the decode entry carries no handler (see Emulator._fetch_slow)
+            message = f"unimplemented instruction {instruction}"
+            self.emit(f"raise _EE({message!r})")
+        elif instruction.mnemonic in _CONTROL:
+            self.emit_control()
+        elif not self.emit_op(0, TraceStep("op", 0, instruction, 0)):
+            raise ValueError(f"no native emitter for {instruction}")
+        body = self.lines
+        # a flag is loaded when it is read before an unconditional
+        # assignment, or assigned only conditionally; it is stored when
+        # assigned.  Flags assigned before a possible fault are loaded and
+        # stored on the fault path too, so the fault leaves them as the
+        # handlers do.
+        loads: Set[str] = set()
+        stores: Set[str] = set()
+        settled: Set[str] = set()
+        flags_before_fault = False
+        for line in body:
+            target, equals, value = line.strip().partition(" = ")
+            assigned = target if equals and target in _FLAGS else None
+            read = value if assigned else line
+            loads.update(name for name in _FLAG_NAME.findall(read)
+                         if name not in settled)
+            if stores and any(token in line for token in _FAULTING):
+                flags_before_fault = True
+            if assigned:
+                stores.add(assigned)
+                if not line.startswith(" "):
+                    settled.add(assigned)
+        loads |= stores - settled
+        if flags_before_fault:
+            loads |= stores
+        text = "\n".join(body)
+        accessed = any(f"{name}(" in text for name in _ACCESSORS)
+        for name, method in _ACCESSORS.items():
+            text = text.replace(f"{name}(", f"_M.{method}(")
+        body = text.split("\n")
+        flag_stores = [f"_S.{name} = {name}" for name in sorted(stores)]
+
+        lines = ["def _make(_T):",
+                 "    def _step(_O, _E, _A, post):",
+                 "        if _T is not None:",
+                 "            _T(_O, _E, _A)",
+                 "        _S = _E.state",
+                 "        _S.rip = post"]
+        if self.hoisted:
+            lines.append("        _R = _S.regs")
+        if accessed:
+            lines.append("        _M = _E.memory")
+        lines += [f"        {name} = _S.{name}" for name in sorted(loads)]
+        # memory faults re-raise as EmulationError; flags assigned before a
+        # possible fault are stored on the way out
+        repair = ["    " + line for line in flag_stores] \
+            if flags_before_fault else []
+        handlers = []
+        if accessed:
+            handlers += ["except _ME as exc:", *repair,
+                         "    raise _EE(str(exc)) from exc"]
+        if repair and "raise " in text:
+            handlers += ["except _EE:", *repair, "    raise"]
+        if handlers:
+            lines.append("        try:")
+            lines += ["            " + line for line in body]
+            lines += ["        " + line for line in handlers]
+        else:
+            lines += ["        " + line for line in body]
+        lines += ["        " + line for line in flag_stores]
+        lines += ["    return _step"]
+        return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=1 << 14)
+def compile_step(instruction) -> Callable[[Optional[Callable]], Callable]:
+    """The hooked-loop step factory of ``instruction``.
+
+    ``compile_step(instruction)(transfer)`` is a function ``step(owner,
+    emulator, address, post)`` that calls ``transfer(owner, emulator,
+    address)`` when the transfer is not None, sets ``rip`` to ``post`` and
+    runs the instruction's concrete semantics, raising
+    :class:`~repro.cpu.state.EmulationError` on a fault with ``rip`` left at
+    ``post``.  The factory depends on the instruction alone, so equal
+    instructions at many addresses, in many images and under many engines
+    share one ``compile()``.
+    """
+    generator = _StepCodegen(instruction)
+    source = generator.step_source()
+    namespace = {"_EE": EmulationError, "_ME": MemoryError_}
+    for register in generator.hoisted:
+        namespace[f"_K_{register.name}"] = register
+    exec(compile(source, f"<step {instruction}>", "exec"), namespace)
+    factory = namespace["_make"]
+    factory.__source__ = source  # debugging: dump what actually runs
+    return factory
 
 
 # -- semantic-contract registration -------------------------------------------

@@ -33,9 +33,11 @@ in the evaluation grid bottoms out here):
   disable fusion; :attr:`Emulator.jit_stats` counts per-tier activity.
 * **Hooked loop** — :meth:`run` only leaves the fused tiers when hooks are
   installed, and then runs one instruction at a time through a loop of its
-  own: each decode entry carries the instruction's specialized hook
-  transfer (:class:`SpecializedHook`, the DSE shadow's entry point) next to
-  its handler, so the hooked path pays one cached dispatch per instruction.
+  own that calls no handler: each decode entry carries the instruction's
+  compiled step (:func:`repro.cpu.codegen.compile_step`, generated by the
+  trace tier's emitters and compiled once per distinct instruction), with
+  the specialized hook transfer (:class:`SpecializedHook`, the DSE shadow's
+  entry point) bound in, so the hooked path pays one call per instruction.
 * **O(1) snapshots** — :meth:`Emulator.snapshot` / :meth:`Emulator.restore`
   fork the complete execution context (registers, flags, memory COW, host
   state) so the attack engines can rewind to a saved point instead of
@@ -60,7 +62,7 @@ from repro.cpu.state import (
     to_signed,
 )
 from repro.cpu import semantics as _semantics
-from repro.cpu.codegen import compile_trace
+from repro.cpu.codegen import compile_step, compile_trace
 from repro.cpu.trace import Trace, build_trace
 from repro.isa.encoding import DecodeError, decode_instruction
 from repro.isa.instructions import Instruction, Mnemonic
@@ -93,8 +95,8 @@ _TRACE_HEAT_THRESHOLD = 2
 #: from ``compile()``.
 _TRACE_COMPILE_THRESHOLD = 2
 
-#: Transfer slot of a decode entry the hooked loop has not specialized yet.
-_UNSPECIALIZED = object()
+#: Step slot of a decode entry the hooked loop has not compiled yet.
+_UNCOMPILED = object()
 
 
 @dataclass
@@ -135,9 +137,9 @@ class SpecializedHook:
     ``specialize(instruction)`` returns a *transfer* called as
     ``transfer(owner, emulator, address)`` right before the instruction
     executes, or None when the instruction needs no work.  The hooked run
-    loop caches each instruction's transfer next to its decode entry and
-    handler, so the specialization is paid once per decoded instruction
-    and stays warm across runs, rewinds and owners that share
+    loop binds each instruction's transfer into the compiled step its
+    decode entry caches, so the specialization is paid once per decoded
+    instruction and stays warm across runs, rewinds and owners that share
     ``specialize``.  Calling the hook directly specializes on the fly.
     """
 
@@ -218,9 +220,9 @@ class Emulator:
         #: two-tier pipeline counters (builds, promotions, per-tier runs)
         self.jit_stats = JitStats()
         #: address -> (instruction, length, region, generation, handler,
-        #: transfer); the transfer slot belongs to the hooked run loop
+        #: step); the step slot belongs to the hooked run loop
         self._decode_cache: Dict[int, tuple] = {}
-        #: the specializer whose transfers the decode entries hold
+        #: the specializer whose transfers the decode entries' steps hold
         self._hooked_specialize: Optional[Callable] = None
         #: entry address -> recorded (and, once hot, compiled) trace
         self._trace_cache: Dict[int, Trace] = {}
@@ -249,9 +251,11 @@ class Emulator:
         """Decode at ``address`` returning the full cache entry tuple.
 
         The tuple is ``(instruction, length, region, generation, handler,
-        transfer)``; used by the trace builder so fusion re-uses cached
-        decodes.  The transfer slot is the hooked loop's
-        (:meth:`_run_hooked`).
+        step)``; used by the trace builder so fusion re-uses cached
+        decodes.  The step slot holds the hooked loop's compiled step
+        (:meth:`_run_hooked`).  ``handler`` is None for a decode missing an
+        operand its mnemonic needs, which every tier reports as an
+        unimplemented instruction.
         """
         entry = self._decode_cache.get(address)
         if entry is not None and entry[2].generation == entry[3]:
@@ -271,8 +275,11 @@ class Emulator:
         except DecodeError as exc:
             raise EmulationError(f"undecodable instruction at {address:#x}: {exc}") from exc
         handler = self._dispatch.get(instruction.mnemonic)
+        if len(instruction.operands) < _OPERAND_MINIMUM[instruction.mnemonic]:
+            # a decode missing an operand its mnemonic needs
+            handler = None
         entry = (instruction, length, region, region.generation, handler,
-                 _UNSPECIALIZED)
+                 _UNCOMPILED)
         self._decode_cache[address] = entry
         return entry
 
@@ -468,30 +475,35 @@ class Emulator:
         """The run loop under :attr:`pre_hooks`: one instruction at a time.
 
         Every executed instruction is seen by every hook, in list order,
-        before it executes.  Plain hooks are called as ``hook(emulator,
-        address, instruction)``; the first :class:`SpecializedHook` runs the
-        transfer cached in the instruction's decode entry next to its
-        handler, so the pair is invalidated with the entry by the region
-        generation check.  Host functions and the exit sentinel are not
-        hooked.
+        before it executes, and then runs as one compiled step
+        (:func:`repro.cpu.codegen.compile_step`), kept in the decode
+        entry's last slot so the region generation check invalidates both
+        together.  When the first :class:`SpecializedHook` is the last hook,
+        its transfer for the instruction is bound into the step, which
+        calls it right before the concrete semantics; otherwise every hook
+        runs as a plain ``hook(emulator, address, instruction)`` call and
+        the steps carry no transfer.  Host functions and the exit sentinel
+        are not hooked.
         """
-        before: List[Callable] = []
-        after: List[Callable] = []
+        hooks = self.pre_hooks
         owner = specialize = None
-        for hook in self.pre_hooks:
-            if specialize is None and type(hook) is SpecializedHook:
-                owner, specialize = hook.owner, hook.specialize
-            else:
-                (before if specialize is None else after).append(hook)
+        specialized = [index for index, hook in enumerate(hooks)
+                       if type(hook) is SpecializedHook]
+        if specialized and specialized[0] == len(hooks) - 1:
+            owner, specialize = hooks[-1].owner, hooks[-1].specialize
+            hooks = hooks[:-1]
+        else:
+            hooks = list(hooks)
         if specialize is not self._hooked_specialize:
-            # the cached transfers belong to another specializer
+            # the cached steps carry another specializer's transfers
             self._decode_cache.clear()
             self._hooked_specialize = specialize
         state = self.state
-        cache_get = self._decode_cache.get
+        cache = self._decode_cache
+        cache_get = cache.get
         fetch_slow = self._fetch_slow
         host_space_end = _HOST_SPACE_END
-        unspecialized = _UNSPECIALIZED
+        uncompiled = _UNCOMPILED
         while not self.halted:
             if self.steps >= limit:
                 raise EmulationError(f"instruction budget exhausted ({limit})")
@@ -507,20 +519,15 @@ class Emulator:
             entry = cache_get(address)
             if entry is None or entry[2].generation != entry[3]:
                 entry = fetch_slow(address)
-            instruction, length, _, _, handler, transfer = entry
-            if transfer is unspecialized:
-                transfer = None if specialize is None else specialize(instruction)
-                self._decode_cache[address] = entry[:5] + (transfer,)
-            for hook in before:
-                hook(self, address, instruction)
-            if transfer is not None:
-                transfer(owner, self, address)
-            for hook in after:
-                hook(self, address, instruction)
-            state.rip = (address + length) & _MASK64
-            if handler is None:
-                raise EmulationError(f"unimplemented instruction {instruction}")
-            handler(instruction)
+            step = entry[5]
+            if step is uncompiled:
+                instruction = entry[0]
+                step = compile_step(instruction)(
+                    None if specialize is None else specialize(instruction))
+                cache[address] = entry[:5] + (step,)
+            for hook in hooks:
+                hook(self, address, entry[0])
+            step(owner, self, address, (address + entry[1]) & _MASK64)
             self.steps += 1
 
     def _execute_trace(self, trace: Trace) -> None:
@@ -657,10 +664,16 @@ class Emulator:
         self.write_operand(ops[0], self.effective_address(ops[1]))
 
     def _op_xchg(self, instruction: Instruction) -> None:
-        ops = instruction.operands
-        a, b = self.read_operand(ops[0]), self.read_operand(ops[1])
-        self.write_operand(ops[0], b)
-        self.write_operand(ops[1], a)
+        first, second = instruction.operands[0], instruction.operands[1]
+        a, b = self.read_operand(first), self.read_operand(second)
+        if type(second) is Mem:
+            # x86 stores at the pre-instruction address, and a faulting
+            # store leaves the register operand alone: store first
+            self.write_operand(second, a)
+            self.write_operand(first, b)
+        else:
+            self.write_operand(first, b)
+            self.write_operand(second, a)
 
     def _op_push(self, instruction: Instruction) -> None:
         self.push(self.read_operand(instruction.operands[0]))
@@ -898,6 +911,9 @@ class Emulator:
 #: per-mnemonic contracts cannot drift; built once at import time, so the
 #: step loop still indexes a plain dict.
 _HANDLER_NAMES: Dict[Mnemonic, str] = _semantics.handler_table()
+
+#: Mnemonic -> the fewest decoded operands it runs with.
+_OPERAND_MINIMUM: Dict[Mnemonic, int] = _semantics.operand_minimums()
 
 #: The handler tier is the reference interpreter: it covers every mnemonic
 #: and declines nothing.  Registration validates the split at import and

@@ -153,6 +153,14 @@ def handler_table() -> Dict[Mnemonic, str]:
     return {mnemonic: sem.handler for mnemonic, sem in SEMANTICS.items()}
 
 
+def operand_minimums() -> Dict[Mnemonic, int]:
+    """Mnemonic -> the fewest operands its semantics can run with.  The
+    decoder accepts any count; a decode with fewer is unimplemented in
+    every tier."""
+    return {mnemonic: min(sem.operand_counts)
+            for mnemonic, sem in SEMANTICS.items()}
+
+
 # -- tier registration --------------------------------------------------------
 
 #: How a tier's source encodes flag writes, for the static checker:
