@@ -16,9 +16,11 @@ at import time):
 * **Flag slots** — for each covered mnemonic, the flag slots the tier's
   source actually assigns (``state.cf = …`` attribute stores, or ``cf = …``
   assignments inside the codegen tier's emitted source text) are computed
-  transitively through same-module helper calls and compared against the
-  registry: everything in ``flags_written`` must be assigned, and nothing
-  outside ``flags_written | flags_preserved`` may be.  This catches the
+  transitively through same-module helper calls (and, for attribute-style
+  tiers, through the :class:`~repro.cpu.emulator.Emulator` methods they
+  call on their first parameter) and compared against the registry:
+  everything in ``flags_written`` must be assigned, and nothing outside
+  ``flags_written | flags_preserved`` may be.  This catches the
   PR 5 bug class — a tier quietly clobbering or skipping a flag — at lint
   time instead of in a hypothesis differential.
 * **Zero-count guards** — every tier covering a mnemonic with the
@@ -62,11 +64,16 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 #: Tier names the checker requires to have registered (a future native
 #: tier appends itself here and to the registrations).
-EXPECTED_TIERS: Sequence[str] = ("handlers", "codegen", "shadow")
+EXPECTED_TIERS: Sequence[str] = ("reference", "codegen", "shadow")
 
 #: Modules whose import triggers the tier registrations.
-TIER_MODULES: Sequence[str] = ("repro.cpu.emulator", "repro.cpu.codegen",
+TIER_MODULES: Sequence[str] = ("repro.cpu.reference", "repro.cpu.codegen",
                                "repro.attacks.shadow")
+
+#: The module whose methods attribute-style tiers reach through their first
+#: parameter: the reference handlers set flags through the emulator's
+#: ``_set_*_flags`` helpers.
+_RECEIVER_MODULE = "repro.cpu.emulator"
 
 #: Layers whose outputs are byte-identity-gated: wall-clock and ambient
 #: RNG need an explicit annotation here.
@@ -171,13 +178,15 @@ def _is_zero_compare(test: ast.expr) -> bool:
                for op in operands)
 
 
-def _called_name(call: ast.Call) -> Optional[str]:
-    """Same-module callee name: ``helper(...)`` or ``self.helper(...)``."""
+def _called_name(call: ast.Call, receiver: Optional[str]) -> Optional[str]:
+    """Callee name of ``helper(...)`` or ``<receiver>.helper(...)``, where
+    ``receiver`` is the calling function's first parameter (``self`` in a
+    method, the emulator in a reference handler)."""
     func = call.func
     if isinstance(func, ast.Name):
         return func.id
     if isinstance(func, ast.Attribute) and \
-            isinstance(func.value, ast.Name) and func.value.id == "self":
+            isinstance(func.value, ast.Name) and func.value.id == receiver:
         return func.attr
     return None
 
@@ -185,6 +194,8 @@ def _called_name(call: ast.Call) -> Optional[str]:
 def _collect_function_facts(function: ast.AST, name: str,
                             emitted: bool) -> _FunctionFacts:
     facts = _FunctionFacts(name=name, line=getattr(function, "lineno", 0))
+    parameters = function.args.args
+    receiver = parameters[0].arg if parameters else None
     for node in ast.walk(function):
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) \
@@ -197,7 +208,7 @@ def _collect_function_facts(function: ast.AST, name: str,
                             element.attr in _FLAG_NAMES:
                         facts.direct_flags.add(element.attr)
         elif isinstance(node, ast.Call):
-            callee = _called_name(node)
+            callee = _called_name(node, receiver)
             if callee is not None:
                 facts.calls.add(callee)
             if emitted and callee in ("emit", "line"):
@@ -212,22 +223,25 @@ def _collect_function_facts(function: ast.AST, name: str,
     return facts
 
 
-def _module_function_facts(tree: ast.Module,
+def _module_function_facts(trees: Sequence[ast.Module],
                            emitted: bool) -> Dict[str, _FunctionFacts]:
-    """Facts for every module-level function and class method, after a
-    transitive-closure fixpoint over same-module calls."""
+    """Facts for every module-level function and class method of
+    ``trees`` (a later tree's names shadow an earlier one's), after a
+    transitive-closure fixpoint over the calls between them."""
     table: Dict[str, _FunctionFacts] = {}
 
     def register(node: ast.AST, name: str) -> None:
         table[name] = _collect_function_facts(node, name, emitted)
 
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            register(node, node.name)
-        elif isinstance(node, ast.ClassDef):
-            for member in node.body:
-                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    register(member, member.name)
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                register(node, node.name)
+            elif isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, (ast.FunctionDef,
+                                           ast.AsyncFunctionDef)):
+                        register(member, member.name)
 
     for facts in table.values():
         facts.flags = set(facts.direct_flags)
@@ -307,9 +321,15 @@ def check_tiers(root: Path) -> List[Finding]:
         # checked; only the flag-slot contract does not apply
         check_flags = registration.flag_style != "none"
         path = Path(module.__file__)
-        tree = ast.parse(path.read_text(), filename=str(path))
+        paths = [path]
+        receiver = sys.modules.get(_RECEIVER_MODULE)
+        if registration.flag_style == "attributes" and receiver is not None \
+                and receiver is not module:
+            paths.insert(0, Path(receiver.__file__))
         table = _module_function_facts(
-            tree, emitted=registration.flag_style == "emitted")
+            [ast.parse(source.read_text(), filename=str(source))
+             for source in paths],
+            emitted=registration.flag_style == "emitted")
         rel = _relative(path, root)
         for mnemonic, functions in sorted(registration.covered.items(),
                                           key=lambda item: item[0].name):

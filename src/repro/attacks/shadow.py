@@ -447,8 +447,11 @@ def specialize(instruction: Instruction) -> Optional[Transfer]:
 
     A transfer depends on the instruction alone, so equal instructions —
     the same gadget at many chain positions, or in many images — share one
-    (the emulator additionally caches it per decoded address).
+    (the emulator additionally caches it per decoded address).  Decoded
+    operands past the ones the mnemonic reads are dropped first, as the
+    machine ignores them.
     """
+    instruction = _semantics.trim_operands(instruction)
     return _BUILDERS[instruction.mnemonic](instruction)
 
 

@@ -10,7 +10,7 @@ entry).
 What the generated source buys over single-step dispatch:
 
 * **No per-instruction dispatch.**  The whole trace is one code object: no
-  address probe, generation check, budget check or handler call between
+  address probe, generation check, budget check or step call between
   fused instructions.
 * **Registers and flags live in locals.**  The registers a trace touches are
   hoisted into local variables on entry and written back at the single
@@ -39,13 +39,13 @@ or count register (with the width-dependent count mask, zero-count flag
 preservation and the defined 1-bit OF), memory-operand ALU, ``xchg`` with
 a memory operand, exact ``idiv`` (raising the single-step fault on a zero
 divisor or ``INT64_MIN / -1``) and indirect ``jmp``/``call``; every other
-decodable operand shape takes a generic branch that follows the handler's
-order of loads, flag updates, stores and faults.  A compiled trace never
-calls back into the emulator's handlers: :func:`compile_trace` declines a
-trace the codegen cannot emit, and that trace keeps its single-step
-warm-up path.
+decodable operand shape takes a generic branch that follows the reference
+handler's (:mod:`repro.cpu.reference`) order of loads, flag updates,
+stores and faults.  :func:`compile_trace` declines a trace the codegen
+cannot emit, and that trace keeps its single-step warm-up path.
 
-The same emitters build the hooked run loop's steps: :func:`compile_step`
+The same emitters build the one-instruction steps every run mode executes
+(single-step, trace warm-up and the hooked loop): :func:`compile_step`
 compiles one function per distinct instruction (see :class:`_StepCodegen`).
 
 The generated function is self-contained: it advances ``emulator.steps``,
@@ -65,7 +65,7 @@ from typing import Callable, Dict, List, Optional, Set
 from repro.cpu import semantics as _semantics
 from repro.cpu.state import BIT_WIDTHS, EmulationError, SIGN_BITS, SIZE_MASKS
 from repro.cpu.trace import TraceStep
-from repro.isa.instructions import Instruction, Mnemonic
+from repro.isa.instructions import Mnemonic
 from repro.isa.operands import Imm, Mem, Reg
 from repro.isa.registers import Register
 from repro.memory import MemoryError_
@@ -245,12 +245,10 @@ class _Codegen:
         raised while emitting) declines the trace."""
         instruction = step.instruction
         mnemonic = instruction.mnemonic
-        limit = _OPERAND_LIMIT[mnemonic]
-        if len(instruction.operands) > limit:
-            # the handlers ignore operands past the ones their mnemonic takes
-            step = TraceStep(step.kind, step.address, Instruction(
-                mnemonic, instruction.operands[:limit], instruction.condition),
-                step.post, step.target)
+        trimmed = _semantics.trim_operands(instruction)
+        if trimmed is not instruction:
+            step = TraceStep(step.kind, step.address, trimmed, step.post,
+                             step.target)
         if mnemonic in (Mnemonic.MOV, Mnemonic.MOVZX):
             return self._op_mov(index, step)
         if mnemonic is Mnemonic.MOVSX:
@@ -1157,10 +1155,6 @@ _ACCESSORS = {"_RQ": "read_qword", "_RD": "read_int", "_WQ": "write_qword",
 #: Source fragments of an emitted line that may fault.
 _FAULTING = tuple(f"{name}(" for name in _ACCESSORS) + ("raise ",)
 
-#: Mnemonic -> the most operands its handler reads; the handlers ignore
-#: any further decoded operands, so the emitters drop them.
-_OPERAND_LIMIT = {mnemonic: max(semantics.operand_counts)
-                  for mnemonic, semantics in _semantics.SEMANTICS.items()}
 _OPERAND_MINIMUM = _semantics.operand_minimums()
 
 _CONTROL = (Mnemonic.RET, Mnemonic.JMP, Mnemonic.JCC, Mnemonic.CALL,
@@ -1200,8 +1194,8 @@ class _StepCodegen(_Codegen):
         self.emit(f"{result_var} = _RQ({address_var})")
 
     def emit_control(self) -> None:
-        """Control transfers, in the handlers' order (``rip`` already
-        holds the fall-through ``post``)."""
+        """Control transfers, in the reference handlers' order (``rip``
+        already holds the fall-through ``post``)."""
         instruction = self.instruction
         mnemonic = instruction.mnemonic
         if mnemonic is Mnemonic.HLT:
@@ -1230,7 +1224,7 @@ class _StepCodegen(_Codegen):
     def step_source(self) -> str:
         instruction = self.instruction
         if len(instruction.operands) < _OPERAND_MINIMUM[instruction.mnemonic]:
-            # the decode entry carries no handler (see Emulator._fetch_slow)
+            # a decode missing an operand its mnemonic needs
             message = f"unimplemented instruction {instruction}"
             self.emit(f"raise _EE({message!r})")
         elif instruction.mnemonic in _CONTROL:
@@ -1242,7 +1236,7 @@ class _StepCodegen(_Codegen):
         # assignment, or assigned only conditionally; it is stored when
         # assigned.  Flags assigned before a possible fault are loaded and
         # stored on the fault path too, so the fault leaves them as the
-        # handlers do.
+        # reference handlers do.
         loads: Set[str] = set()
         stores: Set[str] = set()
         settled: Set[str] = set()

@@ -14,10 +14,14 @@ in the evaluation grid bottoms out here):
   region bump its generation (see :class:`repro.memory.Region`), so
   self-modifying code and ROP-materialized instructions invalidate their
   cache entries naturally.
-* **Dispatch table** — instruction semantics live in per-mnemonic handler
-  methods bound into a ``Mnemonic -> handler`` table at construction, and
-  the cached decode entry memoizes the handler, so steady-state dispatch is
-  one dict probe instead of a ~40-branch ``if`` chain.
+* **Compiled steps** — every instruction runs as one compiled step
+  (:func:`repro.cpu.codegen.compile_step`): the trace tier's emitters'
+  native code for that one instruction, compiled once per distinct
+  instruction and memoized in the decode entry, so steady-state dispatch is
+  one dict probe and one call.  Single-step, trace warm-up and the hooked
+  loop all run these steps; the per-mnemonic handlers of
+  :mod:`repro.cpu.reference` are the test-only yardstick they are checked
+  against.
 * **Exec-compiled traces** — hot addresses are recorded as traces:
   straight-line runs and ret-chains with concrete stack targets (see
   :mod:`repro.cpu.trace`).  After a short warm-up, each trace is emitted
@@ -26,18 +30,16 @@ in the evaluation grid bottoms out here):
   per-instruction dispatch.  Registers and flags are hoisted into locals,
   operands and effective addresses are constant-folded, and ret guards and
   mid-trace SMC checks are inline.  Execution is thus two-tiered —
-  single-step -> compiled trace — with single-step the exact-semantics
-  fallback.  Traces key on the code region's write generation like the
-  decode cache and fall back to single-step whenever hooks are installed or
-  the step budget is nearly exhausted.  Set ``REPRO_TRACE_CACHE=0`` to
-  disable fusion; :attr:`Emulator.jit_stats` counts per-tier activity.
-* **Hooked loop** — :meth:`run` only leaves the fused tiers when hooks are
-  installed, and then runs one instruction at a time through a loop of its
-  own that calls no handler: each decode entry carries the instruction's
-  compiled step (:func:`repro.cpu.codegen.compile_step`, generated by the
-  trace tier's emitters and compiled once per distinct instruction), with
-  the specialized hook transfer (:class:`SpecializedHook`, the DSE shadow's
-  entry point) bound in, so the hooked path pays one call per instruction.
+  single-step -> compiled trace — with one set of emitters behind both.
+  Traces key on the code region's write generation like the decode cache
+  and fall back to single-step whenever hooks are installed or the step
+  budget is nearly exhausted.  Set ``REPRO_TRACE_CACHE=0`` to disable
+  fusion; :attr:`Emulator.jit_stats` counts per-tier activity.
+* **Hooked loop** — with hooks installed, :meth:`run` fuses nothing and
+  runs one step per instruction; the specialized hook transfer
+  (:class:`SpecializedHook`, the DSE shadow's entry point) is bound into
+  each decode entry's step, so the hooked path pays one call per
+  instruction.
 * **O(1) snapshots** — :meth:`Emulator.snapshot` / :meth:`Emulator.restore`
   fork the complete execution context (registers, flags, memory COW, host
   state) so the attack engines can rewind to a saved point instead of
@@ -53,19 +55,11 @@ from repro import knobs
 from repro.binary.loader import LoadedProgram
 from repro.binary.sections import HOST_FUNCTION_LIMIT
 from repro.cpu.host import EXIT_ADDRESS, HostEnvironment, is_host_address
-from repro.cpu.state import (
-    BIT_WIDTHS,
-    CpuState,
-    EmulationError,
-    SIGN_BITS,
-    SIZE_MASKS,
-    to_signed,
-)
-from repro.cpu import semantics as _semantics
+from repro.cpu.state import CpuState, EmulationError, SIGN_BITS, SIZE_MASKS
 from repro.cpu.codegen import compile_step, compile_trace
 from repro.cpu.trace import Trace, build_trace
 from repro.isa.encoding import DecodeError, decode_instruction
-from repro.isa.instructions import Instruction, Mnemonic
+from repro.isa.instructions import Instruction
 from repro.isa.operands import Imm, Mem, Reg
 from repro.isa.registers import ARG_REGISTERS, Register
 from repro.memory import Memory, MemoryError_
@@ -94,9 +88,6 @@ _TRACE_HEAT_THRESHOLD = 2
 #: one-shot traces (and the attack engines' short-lived explorations) away
 #: from ``compile()``.
 _TRACE_COMPILE_THRESHOLD = 2
-
-#: Step slot of a decode entry the hooked loop has not compiled yet.
-_UNCOMPILED = object()
 
 
 @dataclass
@@ -136,8 +127,8 @@ class SpecializedHook:
 
     ``specialize(instruction)`` returns a *transfer* called as
     ``transfer(owner, emulator, address)`` right before the instruction
-    executes, or None when the instruction needs no work.  The hooked run
-    loop binds each instruction's transfer into the compiled step its
+    executes, or None when the instruction needs no work.  The run loop
+    binds each instruction's transfer into the compiled step its
     decode entry caches, so the specialization is paid once per decoded
     instruction and stays warm across runs, rewinds and owners that share
     ``specialize``.  Calling the hook directly specializes on the fly.
@@ -219,43 +210,26 @@ class Emulator:
         self.trace_compile_threshold = _TRACE_COMPILE_THRESHOLD
         #: two-tier pipeline counters (builds, promotions, per-tier runs)
         self.jit_stats = JitStats()
-        #: address -> (instruction, length, region, generation, handler,
-        #: step); the step slot belongs to the hooked run loop
+        #: address -> (instruction, length, region, generation, step)
         self._decode_cache: Dict[int, tuple] = {}
         #: the specializer whose transfers the decode entries' steps hold
-        self._hooked_specialize: Optional[Callable] = None
+        self._specialize: Optional[Callable] = None
         #: entry address -> recorded (and, once hot, compiled) trace
         self._trace_cache: Dict[int, Trace] = {}
         #: entry address -> run-loop visit count (see _TRACE_HEAT_THRESHOLD)
         self._trace_heat: Dict[int, int] = {}
-        self._dispatch: Dict[Mnemonic, Callable[[Instruction], None]] = {
-            mnemonic: getattr(self, name) for mnemonic, name in _HANDLER_NAMES.items()
-        }
 
     # -- fetch / decode -----------------------------------------------------
-    def fetch(self, address: int) -> tuple:
-        """Decode the instruction at ``address``.
-
-        Returns ``(instruction, length)``.
-
-        Raises:
-            EmulationError: when the address is unmapped or undecodable.
-        """
-        entry = self._decode_cache.get(address)
-        if entry is not None and entry[2].generation == entry[3]:
-            return entry[0], entry[1]
-        entry = self._fetch_slow(address)
-        return entry[0], entry[1]
-
     def decode_entry(self, address: int) -> tuple:
         """Decode at ``address`` returning the full cache entry tuple.
 
-        The tuple is ``(instruction, length, region, generation, handler,
-        step)``; used by the trace builder so fusion re-uses cached
-        decodes.  The step slot holds the hooked loop's compiled step
-        (:meth:`_run_hooked`).  ``handler`` is None for a decode missing an
-        operand its mnemonic needs, which every tier reports as an
-        unimplemented instruction.
+        The tuple is ``(instruction, length, region, generation, step)``;
+        used by the trace builder so fusion re-uses cached decodes.
+        ``step`` is the instruction's compiled step, with the current
+        specializer's transfer bound in (see :meth:`run`).
+
+        Raises:
+            EmulationError: when the address is unmapped or undecodable.
         """
         entry = self._decode_cache.get(address)
         if entry is not None and entry[2].generation == entry[3]:
@@ -274,12 +248,10 @@ class Emulator:
             instruction, length = decode_instruction(blob, 0)
         except DecodeError as exc:
             raise EmulationError(f"undecodable instruction at {address:#x}: {exc}") from exc
-        handler = self._dispatch.get(instruction.mnemonic)
-        if len(instruction.operands) < _OPERAND_MINIMUM[instruction.mnemonic]:
-            # a decode missing an operand its mnemonic needs
-            handler = None
-        entry = (instruction, length, region, region.generation, handler,
-                 _UNCOMPILED)
+        specialize = self._specialize
+        step = compile_step(instruction)(
+            None if specialize is None else specialize(instruction))
+        entry = (instruction, length, region, region.generation, step)
         self._decode_cache[address] = entry
         return entry
 
@@ -308,20 +280,6 @@ class Emulator:
             except MemoryError_ as exc:
                 raise EmulationError(str(exc)) from exc
         raise EmulationError(f"cannot read operand {operand!r}")
-
-    def write_operand(self, operand, value: int) -> None:
-        """Write ``value`` to a register or memory operand."""
-        cls = type(operand)
-        if cls is Reg:
-            self.state.write_reg(operand.reg, value, operand.size)
-            return
-        if cls is Mem:
-            try:
-                self.memory.write_int(self.effective_address(operand), value, operand.size)
-            except MemoryError_ as exc:
-                raise EmulationError(str(exc)) from exc
-            return
-        raise EmulationError(f"cannot write operand {operand!r}")
 
     # -- stack helpers ------------------------------------------------------
     def push(self, value: int) -> None:
@@ -387,6 +345,20 @@ class Emulator:
     def run(self, max_steps: Optional[int] = None) -> None:
         """Run until halted, hitting :data:`EXIT_ADDRESS`, or out of budget.
 
+        Every instruction runs as the compiled step its decode entry caches
+        (:func:`repro.cpu.codegen.compile_step`), which sets ``rip`` past
+        the instruction and then executes it; a fault leaves ``rip`` there
+        and ``steps`` unadvanced.  Without hooks, hot addresses are fused
+        into traces (see the module notes), which run in place of the steps
+        whenever the remaining budget covers them.  With :attr:`pre_hooks`
+        installed, nothing is fused: every hook sees every instruction, in
+        list order, before it executes.  When the first
+        :class:`SpecializedHook` is the last hook, its transfer for the
+        instruction is bound into the step, which calls it right before the
+        concrete semantics; otherwise every hook runs as a plain
+        ``hook(emulator, address, instruction)`` call and the steps carry no
+        transfer.  Host functions and the exit sentinel are not hooked.
+
         Args:
             max_steps: optional *per-call* budget of additional instructions
                 this call may execute.  The emulator-wide :attr:`max_steps`
@@ -396,14 +368,24 @@ class Emulator:
             limit = self.max_steps
         else:
             limit = min(self.max_steps, self.steps + max_steps)
-        if self.pre_hooks:
-            self._run_hooked(limit)
-            return
+        hooks = self.pre_hooks
+        fuse = self._trace_cache_enabled and not hooks
+        owner = specialize = None
+        specialized = [index for index, hook in enumerate(hooks)
+                       if type(hook) is SpecializedHook]
+        if specialized and specialized[0] == len(hooks) - 1:
+            owner, specialize = hooks[-1].owner, hooks[-1].specialize
+            hooks = hooks[:-1]
+        else:
+            hooks = list(hooks)
+        if specialize is not self._specialize:
+            # the cached steps carry another specializer's transfers
+            self._decode_cache.clear()
+            self._specialize = specialize
         state = self.state
         cache_get = self._decode_cache.get
         fetch_slow = self._fetch_slow
         host_space_end = _HOST_SPACE_END
-        fuse = self._trace_cache_enabled
         traces = self._trace_cache
         trace_get = traces.get
         heat = self._trace_heat
@@ -429,7 +411,7 @@ class Emulator:
                     # ROP-materialized): recompile from the current bytes
                     trace = build_trace(self, address)
                     if trace is None:
-                        # unfusable right now (single-step will report the
+                        # unfusable right now (the step will report the
                         # fault); reset the heat so the address can fuse
                         # again once valid code is written over it
                         del traces[address]
@@ -464,70 +446,10 @@ class Emulator:
             entry = cache_get(address)
             if entry is None or entry[2].generation != entry[3]:
                 entry = fetch_slow(address)
-            state.rip = (address + entry[1]) & _MASK64
-            handler = entry[4]
-            if handler is None:
-                raise EmulationError(f"unimplemented instruction {entry[0]}")
-            handler(entry[0])
-            self.steps += 1
-
-    def _run_hooked(self, limit: int) -> None:
-        """The run loop under :attr:`pre_hooks`: one instruction at a time.
-
-        Every executed instruction is seen by every hook, in list order,
-        before it executes, and then runs as one compiled step
-        (:func:`repro.cpu.codegen.compile_step`), kept in the decode
-        entry's last slot so the region generation check invalidates both
-        together.  When the first :class:`SpecializedHook` is the last hook,
-        its transfer for the instruction is bound into the step, which
-        calls it right before the concrete semantics; otherwise every hook
-        runs as a plain ``hook(emulator, address, instruction)`` call and
-        the steps carry no transfer.  Host functions and the exit sentinel
-        are not hooked.
-        """
-        hooks = self.pre_hooks
-        owner = specialize = None
-        specialized = [index for index, hook in enumerate(hooks)
-                       if type(hook) is SpecializedHook]
-        if specialized and specialized[0] == len(hooks) - 1:
-            owner, specialize = hooks[-1].owner, hooks[-1].specialize
-            hooks = hooks[:-1]
-        else:
-            hooks = list(hooks)
-        if specialize is not self._hooked_specialize:
-            # the cached steps carry another specializer's transfers
-            self._decode_cache.clear()
-            self._hooked_specialize = specialize
-        state = self.state
-        cache = self._decode_cache
-        cache_get = cache.get
-        fetch_slow = self._fetch_slow
-        host_space_end = _HOST_SPACE_END
-        uncompiled = _UNCOMPILED
-        while not self.halted:
-            if self.steps >= limit:
-                raise EmulationError(f"instruction budget exhausted ({limit})")
-            address = state.rip
-            if address <= host_space_end:
-                if address == EXIT_ADDRESS:
-                    self.halted = True
-                    return
-                if is_host_address(address):
-                    self._run_host_function(address)
-                    self.steps += 1
-                    continue
-            entry = cache_get(address)
-            if entry is None or entry[2].generation != entry[3]:
-                entry = fetch_slow(address)
-            step = entry[5]
-            if step is uncompiled:
-                instruction = entry[0]
-                step = compile_step(instruction)(
-                    None if specialize is None else specialize(instruction))
-                cache[address] = entry[:5] + (step,)
-            for hook in hooks:
-                hook(self, address, entry[0])
-            step(owner, self, address, (address + entry[1]) & _MASK64)
+            if hooks:
+                for hook in hooks:
+                    hook(self, address, entry[0])
+            entry[4](owner, self, address, (address + entry[1]) & _MASK64)
             self.steps += 1
 
     def _execute_trace(self, trace: Trace) -> None:
@@ -543,13 +465,13 @@ class Emulator:
         covers the full trace.
 
         A warm-up run is the run loop's single-step body (decode cache,
-        generation check, handler) along the recorded addresses.  It stops
-        as soon as ``rip`` leaves that path (a failed ret guard) or a store
-        rewrote the trace's code region, and the run loop carries on from
-        the actual ``rip``.  The interior addresses are thus never counted
-        as run-loop visits, so warm-up records no traces the compiled
-        function would not.  Halting ends the path too: ``hlt`` is always
-        a trace's last step.
+        generation check, compiled step) along the recorded addresses.  It
+        stops as soon as ``rip`` leaves that path (a failed ret guard) or a
+        store rewrote the trace's code region, and the run loop carries on
+        from the actual ``rip``.  The interior addresses are thus never
+        counted as run-loop visits, so warm-up records no traces the
+        compiled function would not.  Halting ends the path too: ``hlt`` is
+        always a trace's last step.
         """
         stats = self.jit_stats
         if not trace.compile_failed:
@@ -573,15 +495,14 @@ class Emulator:
         state = self.state
         cache_get = self._decode_cache.get
         region, generation = trace.region, trace.generation
-        for step in trace.steps:
-            address = step.address
+        for recorded in trace.steps:
+            address = recorded.address
             if state.rip != address:
                 return
             entry = cache_get(address)
             if entry is None or entry[2].generation != entry[3]:
                 entry = self._fetch_slow(address)
-            state.rip = (address + entry[1]) & _MASK64
-            entry[4](entry[0])
+            entry[4](None, self, address, (address + entry[1]) & _MASK64)
             self.steps += 1
             if region.generation != generation:
                 return
@@ -639,289 +560,6 @@ class Emulator:
             return
         # behave like a native function: return to the caller
         self.state.rip = self.pop()
-
-    # -- instruction handlers ------------------------------------------------
-    def _op_nop(self, instruction: Instruction) -> None:
-        return
-
-    def _op_hlt(self, instruction: Instruction) -> None:
-        self.halted = True
-
-    def _op_mov(self, instruction: Instruction) -> None:
-        ops = instruction.operands
-        self.write_operand(ops[0], self.read_operand(ops[1]))
-
-    def _op_movsx(self, instruction: Instruction) -> None:
-        ops = instruction.operands
-        src = ops[1]
-        value = to_signed(self.read_operand(src), getattr(src, "size", 8))
-        self.write_operand(ops[0], value & _MASK64)
-
-    def _op_lea(self, instruction: Instruction) -> None:
-        ops = instruction.operands
-        if not isinstance(ops[1], Mem):
-            raise EmulationError("lea requires a memory source")
-        self.write_operand(ops[0], self.effective_address(ops[1]))
-
-    def _op_xchg(self, instruction: Instruction) -> None:
-        first, second = instruction.operands[0], instruction.operands[1]
-        a, b = self.read_operand(first), self.read_operand(second)
-        if type(second) is Mem:
-            # x86 stores at the pre-instruction address, and a faulting
-            # store leaves the register operand alone: store first
-            self.write_operand(second, a)
-            self.write_operand(first, b)
-        else:
-            self.write_operand(first, b)
-            self.write_operand(second, a)
-
-    def _op_push(self, instruction: Instruction) -> None:
-        self.push(self.read_operand(instruction.operands[0]))
-
-    def _op_pop(self, instruction: Instruction) -> None:
-        # ROP dispatch is pop/ret heavy; inline the pop to skip a call frame
-        operand = instruction.operands[0]
-        state = self.state
-        rsp = state.regs[Register.RSP]
-        try:
-            value = self.memory.read_int(rsp, 8)
-        except MemoryError_ as exc:
-            raise EmulationError(str(exc)) from exc
-        state.regs[Register.RSP] = (rsp + 8) & _MASK64
-        if type(operand) is Reg and operand.size == 8:
-            state.regs[operand.reg] = value
-        else:
-            self.write_operand(operand, value)
-
-    def _op_add(self, instruction: Instruction) -> None:
-        ops = instruction.operands
-        size = getattr(ops[0], "size", 8)
-        result = self._set_add_flags(self.read_operand(ops[0]),
-                                     self.read_operand(ops[1]), 0, size)
-        self.write_operand(ops[0], result)
-
-    def _op_adc(self, instruction: Instruction) -> None:
-        ops = instruction.operands
-        size = getattr(ops[0], "size", 8)
-        carry = self.state.cf
-        result = self._set_add_flags(self.read_operand(ops[0]),
-                                     self.read_operand(ops[1]), carry, size)
-        self.write_operand(ops[0], result)
-
-    def _op_sub(self, instruction: Instruction) -> None:
-        ops = instruction.operands
-        size = getattr(ops[0], "size", 8)
-        result = self._set_sub_flags(self.read_operand(ops[0]),
-                                     self.read_operand(ops[1]), 0, size)
-        self.write_operand(ops[0], result)
-
-    def _op_sbb(self, instruction: Instruction) -> None:
-        ops = instruction.operands
-        size = getattr(ops[0], "size", 8)
-        borrow = self.state.cf
-        result = self._set_sub_flags(self.read_operand(ops[0]),
-                                     self.read_operand(ops[1]), borrow, size)
-        self.write_operand(ops[0], result)
-
-    def _op_cmp(self, instruction: Instruction) -> None:
-        ops = instruction.operands
-        size = getattr(ops[0], "size", 8)
-        self._set_sub_flags(self.read_operand(ops[0]), self.read_operand(ops[1]), 0, size)
-
-    def _op_test(self, instruction: Instruction) -> None:
-        ops = instruction.operands
-        size = getattr(ops[0], "size", 8)
-        self._set_logic_flags(self.read_operand(ops[0]) & self.read_operand(ops[1]), size)
-
-    def _op_and(self, instruction: Instruction) -> None:
-        ops = instruction.operands
-        size = getattr(ops[0], "size", 8)
-        result = self.read_operand(ops[0]) & self.read_operand(ops[1])
-        self._set_logic_flags(result, size)
-        self.write_operand(ops[0], result)
-
-    def _op_or(self, instruction: Instruction) -> None:
-        ops = instruction.operands
-        size = getattr(ops[0], "size", 8)
-        result = self.read_operand(ops[0]) | self.read_operand(ops[1])
-        self._set_logic_flags(result, size)
-        self.write_operand(ops[0], result)
-
-    def _op_xor(self, instruction: Instruction) -> None:
-        ops = instruction.operands
-        size = getattr(ops[0], "size", 8)
-        result = self.read_operand(ops[0]) ^ self.read_operand(ops[1])
-        self._set_logic_flags(result, size)
-        self.write_operand(ops[0], result)
-
-    def _op_neg(self, instruction: Instruction) -> None:
-        ops = instruction.operands
-        size = getattr(ops[0], "size", 8)
-        value = self.read_operand(ops[0])
-        result = self._set_sub_flags(0, value, 0, size)
-        self.state.cf = 1 if value != 0 else 0
-        self.write_operand(ops[0], result)
-
-    def _op_not(self, instruction: Instruction) -> None:
-        ops = instruction.operands
-        size = getattr(ops[0], "size", 8)
-        mask = SIZE_MASKS[size]
-        self.write_operand(ops[0], (~self.read_operand(ops[0])) & mask)
-
-    def _shift(self, instruction: Instruction, mnemonic: Mnemonic) -> None:
-        ops = instruction.operands
-        size = getattr(ops[0], "size", 8)
-        bits = BIT_WIDTHS[size]
-        mask = SIZE_MASKS[size]
-        value = self.read_operand(ops[0])
-        # x86 masks the count by the operand width: 6 bits for 64-bit
-        # operands, 5 bits for everything narrower
-        amount = self.read_operand(ops[1]) & (0x3F if size == 8 else 0x1F)
-        if amount == 0:
-            # x86: a masked count of zero modifies neither flags nor the
-            # destination
-            return
-        if mnemonic is Mnemonic.SHL:
-            result = (value << amount) & mask
-            carry = (value >> (bits - amount)) & 1 if amount <= bits else 0
-            # OF is defined only for 1-bit shifts (CF ^ MSB(result)); this
-            # emulator fixes it at 0 for wider counts in every tier
-            overflow = carry ^ ((result >> (bits - 1)) & 1) if amount == 1 else 0
-        elif mnemonic is Mnemonic.SHR:
-            result = (value & mask) >> amount
-            carry = (value >> (amount - 1)) & 1
-            # 1-bit SHR: OF = MSB of the original operand
-            overflow = (value >> (bits - 1)) & 1 if amount == 1 else 0
-        else:
-            signed = to_signed(value, size)
-            result = (signed >> amount) & mask
-            # shift the *signed* value for the carry too, so counts past the
-            # operand width shift out copies of the sign bit like x86 does
-            carry = (signed >> (amount - 1)) & 1
-            overflow = 0  # SAR: the sign never changes
-        state = self.state
-        state.cf = carry
-        state.of = overflow
-        state.zf = 1 if result == 0 else 0
-        state.sf = 1 if result & SIGN_BITS[size] else 0
-        self.write_operand(ops[0], result)
-
-    def _op_shl(self, instruction: Instruction) -> None:
-        self._shift(instruction, Mnemonic.SHL)
-
-    def _op_shr(self, instruction: Instruction) -> None:
-        self._shift(instruction, Mnemonic.SHR)
-
-    def _op_sar(self, instruction: Instruction) -> None:
-        self._shift(instruction, Mnemonic.SAR)
-
-    def _op_imul(self, instruction: Instruction) -> None:
-        ops = instruction.operands
-        size = getattr(ops[0], "size", 8)
-        bits = BIT_WIDTHS[size]
-        a = to_signed(self.read_operand(ops[0]), size)
-        b = to_signed(self.read_operand(ops[1]), size)
-        full = a * b
-        result = full & SIZE_MASKS[size]
-        overflow = not (-(1 << (bits - 1)) <= full < (1 << (bits - 1)))
-        self._set_logic_flags(result, size)
-        state = self.state
-        state.cf = 1 if overflow else 0
-        state.of = 1 if overflow else 0
-        self.write_operand(ops[0], result)
-
-    def _op_cqo(self, instruction: Instruction) -> None:
-        rax = to_signed(self.state.regs[Register.RAX])
-        self.state.regs[Register.RDX] = _MASK64 if rax < 0 else 0
-
-    def _op_idiv(self, instruction: Instruction) -> None:
-        state = self.state
-        divisor = to_signed(self.read_operand(instruction.operands[0]))
-        if divisor == 0:
-            raise EmulationError("integer division by zero")
-        dividend = to_signed(state.regs[Register.RAX])
-        # exact integer division truncating toward zero (a float quotient
-        # loses precision above 2**53)
-        quotient = abs(dividend) // abs(divisor)
-        if (dividend < 0) != (divisor < 0):
-            quotient = -quotient
-        if quotient == 1 << 63:  # INT64_MIN / -1: x86 raises #DE
-            raise EmulationError("integer division overflow")
-        state.regs[Register.RAX] = quotient & _MASK64
-        state.regs[Register.RDX] = (dividend - quotient * divisor) & _MASK64
-
-    def _op_inc(self, instruction: Instruction) -> None:
-        ops = instruction.operands
-        size = getattr(ops[0], "size", 8)
-        state = self.state
-        saved_cf = state.cf
-        result = self._set_add_flags(self.read_operand(ops[0]), 1, 0, size)
-        state.cf = saved_cf
-        self.write_operand(ops[0], result)
-
-    def _op_dec(self, instruction: Instruction) -> None:
-        ops = instruction.operands
-        size = getattr(ops[0], "size", 8)
-        state = self.state
-        saved_cf = state.cf
-        result = self._set_sub_flags(self.read_operand(ops[0]), 1, 0, size)
-        state.cf = saved_cf
-        self.write_operand(ops[0], result)
-
-    def _op_cmov(self, instruction: Instruction) -> None:
-        if self.state.condition(instruction.condition):
-            ops = instruction.operands
-            self.write_operand(ops[0], self.read_operand(ops[1]))
-
-    def _op_set(self, instruction: Instruction) -> None:
-        value = 1 if self.state.condition(instruction.condition) else 0
-        self.write_operand(instruction.operands[0], value)
-
-    def _op_jmp(self, instruction: Instruction) -> None:
-        self.state.rip = self.read_operand(instruction.operands[0])
-
-    def _op_jcc(self, instruction: Instruction) -> None:
-        if self.state.condition(instruction.condition):
-            self.state.rip = self.read_operand(instruction.operands[0])
-
-    def _op_call(self, instruction: Instruction) -> None:
-        state = self.state
-        target = self.read_operand(instruction.operands[0])
-        self.push(state.rip)
-        state.rip = target
-
-    def _op_ret(self, instruction: Instruction) -> None:
-        # the single hottest instruction in a ROP chain: inline pop entirely
-        state = self.state
-        rsp = state.regs[Register.RSP]
-        try:
-            state.rip = self.memory.read_int(rsp, 8)
-        except MemoryError_ as exc:
-            raise EmulationError(str(exc)) from exc
-        state.regs[Register.RSP] = (rsp + 8) & _MASK64
-
-    def _op_leave(self, instruction: Instruction) -> None:
-        state = self.state
-        state.regs[Register.RSP] = state.regs[Register.RBP]
-        state.write_reg(Register.RBP, self.pop())
-
-
-#: Mnemonic -> handler method name; bound per instance into the dispatch
-#: table.  Derived from the semantics registry so dispatch and the declared
-#: per-mnemonic contracts cannot drift; built once at import time, so the
-#: step loop still indexes a plain dict.
-_HANDLER_NAMES: Dict[Mnemonic, str] = _semantics.handler_table()
-
-#: Mnemonic -> the fewest decoded operands it runs with.
-_OPERAND_MINIMUM: Dict[Mnemonic, int] = _semantics.operand_minimums()
-
-#: The handler tier is the reference interpreter: it covers every mnemonic
-#: and declines nothing.  Registration validates the split at import and
-#: feeds the static contract checker (``python -m repro.analysis.lint``).
-_semantics.register_tier(
-    "handlers", __name__,
-    covered={mnemonic: name for mnemonic, name in _HANDLER_NAMES.items()},
-    declined=(), flag_style="attributes")
 
 
 def call_function(program: LoadedProgram, name_or_address, args: Sequence[int] = (),

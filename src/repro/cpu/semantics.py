@@ -1,12 +1,14 @@
 """Declarative per-mnemonic semantic contracts shared by every tier.
 
-The emulator executes the same 35-mnemonic ISA through three
-independently implemented tiers — the single-step handler dispatch
-(:mod:`repro.cpu.emulator`), the exec-compiled source emitters
-(:mod:`repro.cpu.codegen`) and the DSE symbolic mirror
-(:mod:`repro.attacks.shadow`).  PR 5 demonstrated the failure mode of that
-redundancy: the x86 shift-flag corner cases drifted between tiers and were
-only caught dynamically, by hypothesis differentials, after the fact.
+The emulator executes the same 35-mnemonic ISA through two production
+implementations — the source emitters of :mod:`repro.cpu.codegen`, which
+build both the compiled traces and the one-instruction steps every run
+mode executes, and the DSE symbolic mirror (:mod:`repro.attacks.shadow`)
+— plus the test-only reference interpreter (:mod:`repro.cpu.reference`)
+the tier differentials and the emulator bench compare them against.  That
+redundancy has failed before: the x86 shift-flag corner cases drifted
+between tiers and were only caught dynamically, by hypothesis
+differentials, after the fact.
 
 This module is the single declarative statement of what each mnemonic does
 to the architectural flag slots, which operand counts it accepts, and which
@@ -21,7 +23,8 @@ claims shift coverage.  A future native tier registers the same way and
 inherits the same gate.
 
 Everything here is plain data built once at import; the hot loops never
-consult the registry.
+consult the registry (:func:`trim_operands` runs once per compiled step or
+shadow transfer, not per executed instruction).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple, Union
 
-from repro.isa.instructions import Mnemonic
+from repro.isa.instructions import Instruction, Mnemonic
 
 #: Architectural flag slots every tier models (``CpuState.cf`` …).
 FLAGS: Tuple[str, ...] = ("cf", "of", "zf", "sf")
@@ -57,9 +60,10 @@ class MnemonicSemantics:
     """The cross-tier contract for one mnemonic."""
 
     mnemonic: Mnemonic
-    #: ``Emulator`` handler method name — the dispatch table is derived
-    #: from this field (:func:`handler_table`), so registry and dispatch
-    #: cannot drift.
+    #: Handler function name in the reference interpreter
+    #: (:mod:`repro.cpu.reference`) — its dispatch table is derived from
+    #: this field (:func:`handler_table`), so registry and dispatch cannot
+    #: drift.
     handler: str
     #: Operand counts the decoder can deliver for this mnemonic.
     operand_counts: Tuple[int, ...]
@@ -149,7 +153,7 @@ if frozenset(SEMANTICS) != frozenset(Mnemonic):
 
 
 def handler_table() -> Dict[Mnemonic, str]:
-    """Mnemonic -> ``Emulator`` handler method name, from the registry."""
+    """Mnemonic -> reference handler function name, from the registry."""
     return {mnemonic: sem.handler for mnemonic, sem in SEMANTICS.items()}
 
 
@@ -159,6 +163,23 @@ def operand_minimums() -> Dict[Mnemonic, int]:
     every tier."""
     return {mnemonic: min(sem.operand_counts)
             for mnemonic, sem in SEMANTICS.items()}
+
+
+#: Mnemonic -> the most operands its semantics read.
+_OPERAND_LIMIT = {mnemonic: max(sem.operand_counts)
+                  for mnemonic, sem in SEMANTICS.items()}
+
+
+def trim_operands(instruction: Instruction) -> Instruction:
+    """``instruction`` without the decoded operands past the most its
+    mnemonic reads.  The machine ignores them, so every tier executes (and
+    the shadow mirrors) the trimmed form; ``instruction`` itself when there
+    is nothing to drop."""
+    limit = _OPERAND_LIMIT[instruction.mnemonic]
+    if len(instruction.operands) <= limit:
+        return instruction
+    return Instruction(instruction.mnemonic, instruction.operands[:limit],
+                       instruction.condition)
 
 
 # -- tier registration --------------------------------------------------------

@@ -1,7 +1,7 @@
 """Trace recording for the fused-trace pipeline.
 
-The interpreter's per-instruction dispatch (address probe, generation check,
-budget check, handler lookup) dominates ROP workloads, where the ret-to-ret
+The run loop's per-instruction dispatch (address probe, generation check,
+budget check, step call) dominates ROP workloads, where the ret-to-ret
 control flow makes every gadget a fresh dispatch.  This module discovers
 straight-line *traces* at execution time and records each one as a list of
 :class:`TraceStep` entries — the instruction-by-instruction shape that
@@ -36,6 +36,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.binary.sections import HOST_FUNCTION_LIMIT
+from repro.cpu.semantics import operand_minimums
 from repro.cpu.state import EmulationError, SIZE_MASKS, to_signed
 from repro.isa.instructions import Mnemonic
 from repro.isa.operands import Imm, Reg
@@ -49,6 +50,10 @@ _M = (1 << 64) - 1
 TRACE_CAP = 64
 
 _RSP = Register.RSP
+
+#: Mnemonic -> the fewest decoded operands it runs with; a shorter decode is
+#: an unimplemented instruction, which the trace leaves to single-step.
+_OPERAND_MINIMUM = operand_minimums()
 
 #: Mnemonics whose first operand being a plain register means that register
 #: is (potentially) written.  Used for the static rsp-delta tracking.
@@ -200,11 +205,11 @@ def build_trace(emulator, entry: int, cap: int = TRACE_CAP) -> Optional[Trace]:
             final_rip = address
             break
         try:
-            instruction, length, _, _, handler, _ = emulator.decode_entry(address)
+            instruction, length = emulator.decode_entry(address)[:2]
         except EmulationError:
             final_rip = address
             break
-        if handler is None:
+        if len(instruction.operands) < _OPERAND_MINIMUM[instruction.mnemonic]:
             final_rip = address
             break
         mnemonic = instruction.mnemonic

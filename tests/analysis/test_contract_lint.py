@@ -22,6 +22,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import lint
 
 REPO = Path(__file__).resolve().parent.parent.parent
@@ -45,20 +47,37 @@ def test_repo_is_clean():
     assert lint.main([]) == 0
 
 
-def test_planted_flag_divergence_is_detected(tmp_path):
-    """An emitter touching OF where the registry says 'untouched' fails."""
+#: (module, ``_op_mov`` definition line, a planted OF write) per tier whose
+#: ``mov`` the checker reads: the reference handler's attribute store, and
+#: the codegen emitter — what every run mode executes — emitting one.
+_MOV_PLANTS = {
+    "reference": ("reference.py",
+                  "def _op_mov(emulator: Emulator, instruction: Instruction)"
+                  " -> None:\n",
+                  "    emulator.state.of = 0\n"),
+    "codegen": ("codegen.py",
+                "    def _op_mov(self, index: int, step) -> bool:\n",
+                "        self.emit(\"of = 0\")\n"),
+}
+
+
+@pytest.mark.parametrize("tier", sorted(_MOV_PLANTS))
+def test_planted_flag_divergence_is_detected(tmp_path, tier):
+    """A tier touching OF on ``mov`` where the registry says 'untouched'
+    fails."""
+    module, anchor, line = _MOV_PLANTS[tier]
+
     def plant(copy):
-        path = copy / "repro" / "cpu" / "emulator.py"
+        path = copy / "repro" / "cpu" / module
         text = path.read_text()
-        anchor = "    def _op_mov(self, instruction: Instruction) -> None:\n"
         assert text.count(anchor) == 1
-        path.write_text(text.replace(
-            anchor, anchor + "        self.state.of = 0\n"))
+        path.write_text(text.replace(anchor, anchor + line))
 
     result = _run_lint_on_copy(tmp_path, plant)
     assert result.returncode != 0, result.stdout + result.stderr
     assert "flag-contract" in result.stdout
     assert "mov" in result.stdout.lower()
+    assert f"'{tier}'" in result.stdout
 
 
 def test_missing_zero_count_guard_is_detected(tmp_path):

@@ -148,6 +148,20 @@ def test_unmodeled_add_carry_is_input_dependent():
     ], inputs=(3, _MASK64))
 
 
+def test_extra_decoded_operands_are_shadowed_as_the_machine_runs_them():
+    """``mov rax, rdi, rcx`` runs as ``mov rax, rdi`` in every tier; the
+    shadow must mirror that, not drop the instruction while it still
+    claims ``repair_exact``."""
+    emulator, tracker = _run_symbolic_rdi(
+        [make("mov", Reg(Register.RAX), Reg(Register.RDI), Reg(Register.RCX))],
+        5)
+    assert emulator.state.regs[Register.RAX] == 5
+    assert tracker.repair_exact
+    expression = tracker.register_exprs[Register.RAX]
+    assert expression.evaluate({"x": 5}) & _MASK64 \
+        == emulator.state.regs[Register.RAX]
+
+
 def _attack_image(structure, configuration, seed):
     request = AttackRequest(id="oracle", structure=structure, input_size=1,
                             configuration=configuration, seed=seed)

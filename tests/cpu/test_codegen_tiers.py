@@ -1,13 +1,15 @@
-"""Differential tests for the two execution tiers.
+"""Differential tests for the execution tiers.
 
-Every behaviour here is asserted as *equality between tiers*: single-step
-dispatch (the reference semantics) and the exec-compiled tier (with
-promotion forced).  The property-based test drives randomly generated
-instruction sequences — including sub-width operands, flag consumers,
-memory traffic, exact division with its faults and indirect control
-transfers, all of which the codegen emits as native code — through both
-tiers and requires identical registers, flags, memory, step counts and
-fault outcomes.
+Every behaviour here is asserted as *equality between tiers*: the reference
+interpreter (:mod:`repro.cpu.reference`, the per-mnemonic handlers),
+single-step dispatch (one compiled step per instruction) and the
+exec-compiled tier (with promotion forced).  Single-step and compiled
+traces share the codegen's emitters; the reference shares none of their
+code.  The property-based test drives randomly generated instruction
+sequences — including sub-width operands, flag consumers, memory traffic,
+exact division with its faults and indirect control transfers, all of which
+the codegen emits as native code — through all three tiers and requires
+identical registers, flags, memory, step counts and fault outcomes.
 """
 
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.binary import BinaryImage, load_image
 from repro.cpu import Emulator, TraceRecorder
 from repro.cpu.codegen import compile_trace
+from repro.cpu.reference import run as reference_run
 from repro.cpu.host import EXIT_ADDRESS
 from repro.cpu.state import EmulationError
 from repro.isa import Imm, Mem, Reg, assemble
@@ -60,9 +63,18 @@ def start_call(emulator, program, seeds=()):
 
 
 _TIERS = {
+    "reference": dict(trace_cache=False),
     "single": dict(trace_cache=False),
     "compiled": dict(trace_cache=True),
 }
+
+
+def _run(emulator, tier):
+    """Run ``emulator`` to completion on ``tier``."""
+    if tier == "reference":
+        reference_run(emulator, emulator.max_steps)
+    else:
+        emulator.run()
 
 
 def run_tier(body, seeds, tier, data=bytes(_BLOB_SIZE), rounds=3,
@@ -76,7 +88,7 @@ def run_tier(body, seeds, tier, data=bytes(_BLOB_SIZE), rounds=3,
         start_call(emulator, program, seeds)
         fault = None
         try:
-            emulator.run()
+            _run(emulator, tier)
         except EmulationError as exc:
             fault = str(exc)
         outcomes.append({
@@ -91,9 +103,10 @@ def run_tier(body, seeds, tier, data=bytes(_BLOB_SIZE), rounds=3,
 
 
 def assert_tiers_agree(body, seeds, data=bytes(_BLOB_SIZE), rounds=3):
-    single = run_tier(body, seeds, "single", data=data, rounds=rounds)
-    compiled = run_tier(body, seeds, "compiled", data=data, rounds=rounds)
-    assert single == compiled
+    expected = run_tier(body, seeds, "reference", data=data, rounds=rounds)
+    for tier in ("single", "compiled"):
+        assert run_tier(body, seeds, tier, data=data,
+                        rounds=rounds) == expected, tier
 
 
 # -- hypothesis strategies -------------------------------------------------------
@@ -574,11 +587,11 @@ def test_compiled_fault_repair_matches_single_step():
 
 
 def _single_step_flags(body, seeds=()):
-    """Registers and flags after a single-step (reference semantics) run."""
+    """Registers and flags after a reference-interpreter run."""
     program = build_program(body)
     emulator = Emulator(program.memory, trace_cache=False)
     start_call(emulator, program, seeds)
-    emulator.run()
+    reference_run(emulator, emulator.max_steps)
     return dict(emulator.state.regs), emulator.state.flags_tuple()
 
 

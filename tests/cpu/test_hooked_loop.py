@@ -1,8 +1,9 @@
 """The emulator's hooked run loop: hook order, cached transfers, SMC.
 
-Runs with ``pre_hooks`` installed go through one instruction-at-a-time
-loop whose decode entries carry each instruction's handler and, for a
-:class:`SpecializedHook`, its specialized transfer.  These tests pin the
+Runs with ``pre_hooks`` installed fuse nothing: the run loop executes one
+instruction at a time, and each decode entry carries the instruction's
+compiled step with, for a :class:`SpecializedHook`, its specialized
+transfer bound in.  These tests pin the
 loop's contract: every hook sees every instruction in list order, a
 transfer is specialized once per decoded instruction and kept across runs
 and owners, and rewriting the code under a cached transfer re-specializes
@@ -83,6 +84,31 @@ def test_transfers_are_specialized_once_per_decoded_instruction():
     # every transfer the first run cached
     assert set(specializations.values()) == {1}
     assert {owner for owner, _, _ in calls} == {"first", "second"}
+
+
+def test_steps_carry_only_the_running_specializers_transfers():
+    """The decode entries' steps are shared by every run mode, so a run
+    under another specializer, or with no hooks at all, must not call the
+    transfers an earlier hooked run bound into them."""
+    program = build_program(_LOOP)
+    emulator = Emulator(program.memory, trace_cache=False)
+    calls, other = [], []
+    emulator.pre_hooks = [SpecializedHook("first",
+                                          _counting_specializer(calls, {}))]
+    start_call(emulator, program, [3])
+    emulator.run()
+    hooked = len(calls)
+    assert hooked == emulator.steps
+    emulator.pre_hooks = []
+    start_call(emulator, program, [3])
+    emulator.run()
+    assert emulator.state.read_reg(Register.RAX) == 9
+    emulator.pre_hooks = [SpecializedHook("second",
+                                          _counting_specializer(other, {}))]
+    start_call(emulator, program, [3])
+    emulator.run()
+    assert len(calls) == hooked
+    assert {owner for owner, _, _ in other} == {"second"}
 
 
 def test_rewritten_code_is_specialized_again():

@@ -3,11 +3,12 @@
 Under ``pre_hooks`` every instruction runs as one compiled step
 (:func:`repro.cpu.codegen.compile_step`) that calls the DSE shadow's
 transfer and then the instruction's native semantics.  The reference here
-is the handler tier stepped one instruction at a time with the tracker's
-hook called directly: the two must leave identical registers, flags,
-memory, ``rip``, step counts and faults, and an identical shadow.  The
-deterministic cases add the operand shapes only the emitters' generic
-branches produce, checked against single-step and compiled traces too.
+is the reference interpreter (:mod:`repro.cpu.reference`), which calls the
+tracker's hook directly before each handler: the two must leave identical
+registers, flags, memory, ``rip``, step counts and faults, and an identical
+shadow.  The deterministic cases add the operand shapes only the emitters'
+generic branches produce, checked against single-step and compiled traces
+too.
 """
 
 import pytest
@@ -17,7 +18,7 @@ from repro.attacks.shadow import ShadowTracker
 from repro.binary import BinaryImage
 from repro.attacks.solver.expr import SymExpr
 from repro.cpu import Emulator
-from repro.cpu.host import EXIT_ADDRESS
+from repro.cpu.reference import run as reference_run
 from repro.cpu.state import EmulationError
 from repro.isa import Imm, Mem, Reg
 from repro.isa.instructions import Instruction, Mnemonic, make
@@ -40,27 +41,6 @@ _MASK64 = (1 << 64) - 1
 _UNMAPPED = 0x1234_5678_9ABC
 
 
-def _reference_run(emulator, limit):
-    """The handler tier under the hooks, one instruction at a time: every
-    hook sees the instruction, then ``rip`` advances and the handler runs
-    (no host calls occur in these programs)."""
-    while not emulator.halted:
-        if emulator.steps >= limit:
-            raise EmulationError(f"instruction budget exhausted ({limit})")
-        address = emulator.state.rip
-        if address == EXIT_ADDRESS:
-            emulator.halted = True
-            return
-        instruction, length, _, _, handler, _ = emulator.decode_entry(address)
-        for hook in emulator.pre_hooks:
-            hook(emulator, address, instruction)
-        emulator.state.rip = (address + length) & _MASK64
-        if handler is None:
-            raise EmulationError(f"unimplemented instruction {instruction}")
-        handler(instruction)
-        emulator.steps += 1
-
-
 def run_hooked(body, seeds, data=bytes(_BLOB_SIZE), reference=False,
                cap=None, rounds=2):
     """Run ``body`` ``rounds`` times under a fresh ShadowTracker (symbolic
@@ -79,7 +59,7 @@ def run_hooked(body, seeds, data=bytes(_BLOB_SIZE), reference=False,
         fault = None
         try:
             if reference:
-                _reference_run(emulator, limit)
+                reference_run(emulator, limit)
             else:
                 emulator.run(max_steps=cap)
         except EmulationError as exc:
@@ -237,7 +217,8 @@ def test_generic_shapes_agree_in_every_tier(unit, rbx):
     seeds = [(Register.RAX, 1), (Register.RBX, rbx), (Register.RCX, 3),
              (Register.RDX, 0x8000_0000_0000_0001)]
     data = bytes(range(_BLOB_SIZE))
-    single = run_tier(body, seeds, "single", data=data)
+    single = run_tier(body, seeds, "reference", data=data)
+    assert single == run_tier(body, seeds, "single", data=data)
     assert single == run_tier(body, seeds, "compiled", data=data)
     # the compiled tier ran the shape natively: no trace was declined
     program = build_program(body, data=data)

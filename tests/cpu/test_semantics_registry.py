@@ -2,15 +2,14 @@
 
 ``repro.cpu.semantics`` is the single declarative source of truth the
 static contract checker (:mod:`repro.analysis.lint`) verifies the three
-execution tiers against.  These tests pin the registry itself: every
-mnemonic is described, the dispatch table is *derived* from it (not merely
-consistent with it), and its flag effects agree with the coarser
+tiers against.  These tests pin the registry itself: every mnemonic is
+described, the reference interpreter's dispatch table is *derived* from it
+(not merely consistent with it), and its flag effects agree with the coarser
 ``Instruction.writes_flags()`` / ``reads_flags()`` predicates the rewriter
 and gadget layers rely on.
 """
 
-from repro.cpu import semantics
-from repro.cpu.emulator import _HANDLER_NAMES
+from repro.cpu import reference, semantics
 from repro.isa.instructions import Mnemonic
 
 
@@ -24,7 +23,11 @@ def test_every_mnemonic_has_semantics():
 
 
 def test_dispatch_table_is_derived_from_the_registry():
-    assert _HANDLER_NAMES == semantics.handler_table()
+    names = {mnemonic: handler.__name__
+             for mnemonic, handler in reference.DISPATCH.items()}
+    assert names == semantics.handler_table()
+    for handler in reference.DISPATCH.values():
+        assert handler.__module__ == reference.__name__
 
 
 def test_flag_sets_are_valid_slots():
@@ -64,12 +67,12 @@ def test_shift_semantics_pin_the_x86_corner_cases():
 
 
 def test_all_four_tiers_are_registered():
-    """The handler, codegen and shadow tiers each register a complete
+    """The reference, codegen and shadow tiers each register a complete
     covered/declined partition of the mnemonic set."""
     import repro.attacks.shadow  # noqa: F401  (registration side effect)
     import repro.cpu.codegen  # noqa: F401
 
-    assert set(semantics.TIERS) == {"handlers", "codegen", "shadow"}
+    assert set(semantics.TIERS) == {"reference", "codegen", "shadow"}
     for registration in semantics.TIERS.values():
         covered = set(registration.covered)
         declined = set(registration.declined)
