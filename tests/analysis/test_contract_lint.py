@@ -56,7 +56,7 @@ _MOV_PLANTS = {
                   " -> None:\n",
                   "    emulator.state.of = 0\n"),
     "codegen": ("codegen.py",
-                "    def _op_mov(self, index: int, step) -> bool:\n",
+                "    def _op_mov(self, index: int, step) -> None:\n",
                 "        self.emit(\"of = 0\")\n"),
 }
 
@@ -84,9 +84,9 @@ def test_missing_zero_count_guard_is_detected(tmp_path):
     """Reintroducing the PR 5 shift bug in one tier fails the checker.
 
     x86 semantics: a shift whose masked count is zero modifies neither the
-    destination nor any flag.  The codegen's immediate-count shift emitter
-    encodes that as an early ``return True`` that emits nothing; delete it
-    and the compiled shift silently clobbers flags on zero counts again —
+    destination nor any flag.  The codegen's shift emitter encodes that, for
+    an immediate count, as an early ``return`` that emits no update; delete
+    it and the compiled shift silently clobbers flags on zero counts again —
     exactly the historical divergence the dynamic differential tests only
     catch when a trace happens to contain a zero-count shift.  The checker
     must catch it statically.
@@ -95,9 +95,13 @@ def test_missing_zero_count_guard_is_detected(tmp_path):
         path = copy / "repro" / "cpu" / "codegen.py"
         text = path.read_text()
         guard = ("            if amount == 0:\n"
-                 "                # masked zero count: the whole instruction "
-                 "folds away\n"
-                 "                return True\n")
+                 "                # masked zero count: neither flags nor the "
+                 "destination\n"
+                 "                # change, but a memory destination is read "
+                 "(and may fault)\n"
+                 "                if type(dst) is Mem:\n"
+                 "                    self.emit(f\"v = {value}\")\n"
+                 "                return\n")
         assert text.count(guard) == 1
         path.write_text(text.replace(guard, ""))
 
@@ -132,7 +136,7 @@ def test_incomplete_tier_registration_is_detected(tmp_path):
     def plant(copy):
         path = copy / "repro" / "cpu" / "codegen.py"
         text = path.read_text()
-        entry = "        Mnemonic.NEG: \"_op_neg\",\n"
+        entry = "    Mnemonic.NEG: \"_op_unary\",\n"
         assert text.count(entry) == 1
         path.write_text(text.replace(entry, ""))
 

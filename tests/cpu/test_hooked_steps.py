@@ -6,9 +6,9 @@ transfer and then the instruction's native semantics.  The reference here
 is the reference interpreter (:mod:`repro.cpu.reference`), which calls the
 tracker's hook directly before each handler: the two must leave identical
 registers, flags, memory, ``rip``, step counts and faults, and an identical
-shadow.  The deterministic cases add the operand shapes only the emitters'
-generic branches produce, checked against single-step and compiled traces
-too.
+shadow.  The deterministic cases add a grid of operand shapes, every
+destination x source kind for one mnemonic of each emitter family, checked
+against single-step and compiled traces too.
 """
 
 import pytest
@@ -142,13 +142,12 @@ def test_budget_cap_mid_body_matches_the_reference():
         assert first["steps"] == min(cap, len(body))
 
 
-#: Operand shapes no specialized emitter takes: each compiles through a
-#: generic branch that follows the handler's order of loads, flag updates,
-#: stores and faults (immediate destinations fault like write_operand, and
-#: a store to the read-only text faults after the flags are set).
+#: Hand-picked operand shapes: immediate destinations fault like
+#: write_operand, and a store to the read-only text faults after the flags
+#: are set.
 _BLOB_Q = Mem(disp=_BLOB + 8)
 _TEXT_Q = Mem(disp=BinaryImage().text.address)
-_GENERIC_SHAPES = [
+_PICKED_SHAPES = [
     [make("mov", _BLOB_Q, Mem(disp=_BLOB + 16))],
     [make("mov", Imm(3, 8), Reg(Register.RAX))],
     [make("movsx", Reg(Register.RAX, 2), Reg(Register.RBX, 1))],
@@ -200,6 +199,9 @@ _GENERIC_SHAPES = [
     [make("sete", Imm(0, 8))],
     [make("xchg", Reg(Register.RAX), Imm(5, 8))],
     [make("xchg", _BLOB_Q, Mem(disp=_BLOB + 16))],
+    # a masked zero count still reads (and here faults on) its memory
+    # destination
+    [make("sar", Mem(disp=_UNMAPPED), Imm(64, 8))],
     # extra decoded operands are ignored, as by the handlers
     [make("mov", Reg(Register.RAX), Reg(Register.RBX), Reg(Register.RCX))],
     [make("imul", Reg(Register.RAX), Reg(Register.RBX), Imm(3, 8))],
@@ -208,9 +210,48 @@ _GENERIC_SHAPES = [
     [Instruction(Mnemonic.JMP, ())],
 ]
 
+#: The operand kinds of the shape grid: a register at 8, 4 and 1 bytes, a
+#: memory operand at 8 and 2 bytes (based on the pinned ``r15``/``r14``,
+#: and absolute) and an immediate with its sign bit set.
+_DESTINATIONS = (Reg(Register.RAX), Reg(Register.RAX, 4),
+                 Reg(Register.RAX, 1), Mem(base=Register.R15, disp=8),
+                 Mem(base=Register.R15, index=Register.R14, disp=8, size=2),
+                 Imm(-127 & _MASK64, 8))
+_SOURCES = (Reg(Register.RBX), Reg(Register.RBX, 4), Reg(Register.RBX, 1),
+            Mem(disp=_BLOB + 24), Mem(base=Register.R15, disp=32, size=2),
+            Imm(-127 & _MASK64, 8))
 
-@pytest.mark.parametrize("unit", _GENERIC_SHAPES,
-                         ids=[str(unit[-1]) for unit in _GENERIC_SHAPES])
+#: One mnemonic per emitter family.  Each grid unit starts with a ``cmp``
+#: so the flag consumers (``adc``, ``cmovl``, ``setl``) see defined flags.
+_BINARY = ("mov", "movsx", "sub", "adc", "shl", "imul", "xchg", "cmovl",
+           "lea")
+_UNARY = ("neg", "not", "setl", "pop", "push")
+
+
+def _grid_unit(mnemonic, *operands):
+    unit = [make("cmp", Reg(Register.RAX), Reg(Register.RBX)),
+            make(mnemonic, *operands)]
+    if mnemonic == "push":
+        unit.append(make("pop", Reg(Register.RCX)))  # keep the return address
+    return unit
+
+
+#: Every destination x source kind of one mnemonic per emitter family.
+_GRID_SHAPES = [
+    *(_grid_unit(mnemonic, dst, src) for mnemonic in _BINARY
+      for dst in _DESTINATIONS for src in _SOURCES),
+    *(_grid_unit(mnemonic, operand) for mnemonic in _UNARY
+      for operand in _DESTINATIONS),
+]
+
+#: Each shape compiles through its family's one emitter, which follows the
+#: handler's order of loads, flag updates, stores and faults.
+_OPERAND_SHAPES = _PICKED_SHAPES + _GRID_SHAPES
+_SHAPE_IDS = ([str(unit[-1]) for unit in _PICKED_SHAPES]
+              + [f"grid {unit[1]}" for unit in _GRID_SHAPES])
+
+
+@pytest.mark.parametrize("unit", _OPERAND_SHAPES, ids=_SHAPE_IDS)
 @pytest.mark.parametrize("rbx", [2, _MASK64])
 def test_generic_shapes_agree_in_every_tier(unit, rbx):
     body = unit + [make("ret")]
