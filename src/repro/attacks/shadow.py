@@ -28,6 +28,7 @@ from repro.attacks.solver.expr import (
     SelectExpr,
     SymExpr,
     UnExpr,
+    apply_binary,
 )
 from repro.attacks.solver.solver import PathConstraint
 from repro.cpu import semantics as _semantics
@@ -925,9 +926,9 @@ def _alu_symbolic(instruction: Instruction) -> Transfer:
             # symbolic values flowing into the stack pointer are ROP
             # branches: concretize and record the decision (§III-B,
             # S2E-style)
-            concrete = ConstExpr(BinExpr(
-                operator, ConstExpr(emulator.read_operand(destination)),
-                ConstExpr(emulator.read_operand(source))).evaluate({}))
+            concrete = ConstExpr(apply_binary(
+                operator, emulator.read_operand(destination),
+                emulator.read_operand(source)))
             t.branches.append(BranchRecord(
                 address=address,
                 constraint=PathConstraint(BinExpr("eq", expression, concrete),

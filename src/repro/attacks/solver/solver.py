@@ -107,14 +107,14 @@ class ConstraintSolver:
         """Truth of ``expression`` per enumeration index: 0 unknown, 1 false,
         2 true.
 
-        Cached on the node, like ``depth``/``symbols``, under the symbol
-        table ``key``.  An expression reading a symbol outside the table
-        depends on the seed assignment too, so it gets a fresh table that
-        lives for one query.
+        Cached in the node's ``_truth`` slot, made on first use, under the
+        symbol table ``key``.  An expression reading a symbol outside the
+        table depends on the seed assignment too, so it gets a fresh table
+        that lives for one query.
         """
         if not expression.symbols().issubset(self.symbols):
             return bytearray(size)
-        tables = expression.__dict__.get("_truth")
+        tables = getattr(expression, "_truth", None)
         if tables is None:
             tables = {}
             object.__setattr__(expression, "_truth", tables)

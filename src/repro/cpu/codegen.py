@@ -170,9 +170,8 @@ class _Codegen:
     which fold immediates and masks into literals where the shape allows.
     """
 
-    def __init__(self, trace, emulator) -> None:
+    def __init__(self, trace) -> None:
         self.trace = trace
-        self.emulator = emulator
         self.lines: List[str] = []
         self.hoisted: Set[Register] = set()
         #: extra indentation of emitted lines (see :meth:`nested`)
@@ -745,7 +744,7 @@ def compile_trace(emulator, trace) -> Optional[object]:
     Declines when a step has no native emitter for its shape (the trace
     then keeps its single-step warm-up path).
     """
-    generator = _Codegen(trace, emulator)
+    generator = _Codegen(trace)
     try:
         source = generator.source()
     # lint: allow-broad-except — any failure to *generate* source is a
@@ -816,7 +815,7 @@ class _StepCodegen(_Codegen):
     """
 
     def __init__(self, instruction) -> None:
-        super().__init__(None, None)
+        super().__init__(None)
         self.instruction = instruction
 
     def reg(self, register: Register) -> str:

@@ -286,7 +286,7 @@ def test_memo_skips_expressions_over_foreign_symbols():
         assert answer == oracle.solve(constraints, seed_assignment)
         assert answer == {"x": (0x5A - foreign) & 0xFF, "z": foreign}
         assert solver.stats == oracle.stats
-    assert "_truth" not in expression.__dict__
+    assert getattr(expression, "_truth", None) is None
 
 
 def test_seed_wider_than_its_symbol_keeps_the_stochastic_phase():
