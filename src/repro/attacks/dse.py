@@ -18,15 +18,16 @@ every record kind is a capture point — plain ``jcc`` branches, ``cmov``
 selects and pointer-kind (ROP) branch records alike.  An input derived by
 negating decision ``p`` of a path then restores the nearest recorded
 ancestor of its decision prefix instead of re-running from the function
-entry, and the engine *repairs* the restored state for the new input
-assignment by re-evaluating every shadow expression (registers, memory, CPU
-flags) under it.  The repair is exact precisely when the tracker's
-:attr:`~repro.attacks.shadow.ShadowTracker.repair_exact` and
-:attr:`~repro.attacks.shadow.ShadowTracker.constraints_exact` invariants
-hold, so snapshots are only taken while they do — any execution the shadow
-cannot exactly characterize falls back to the entry rewind, which keeps
-backtracking exploration path-for-path identical to rerun-from-entry
-exploration (the differential property the tests assert).
+entry, and the tracker fork stored with it *repairs* the restored state for
+the new input assignment (:meth:`~repro.attacks.shadow.ShadowTracker.repair`
+re-evaluates every register, memory and flag shadow under it).  The repair
+is exact precisely while the tracker is
+:meth:`~repro.attacks.shadow.ShadowTracker.resumable`, so snapshots are only
+taken then — any execution the shadow cannot exactly characterize falls
+back to the entry rewind, which keeps backtracking exploration
+path-for-path identical to rerun-from-entry exploration (the differential
+property the tests assert).  The engine reads nothing of the shadow state
+but its branch records.
 
 The pool's bounds are constants of one exploration
 (:data:`SNAPSHOT_CAPACITY`, :data:`MAX_SNAPSHOTS_PER_RUN`,
@@ -50,7 +51,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.attacks.engine import EngineStats, SnapshotEngine
 from repro.attacks.shadow import BranchRecord, ShadowTracker
-from repro.attacks.solver.expr import BinExpr, ConstExpr, SymExpr
+from repro.attacks.solver.expr import SymExpr
 from repro.attacks.solver.solver import ConstraintSolver, PathConstraint
 from repro.binary.image import BinaryImage
 from repro.cpu.emulator import Emulator
@@ -135,12 +136,7 @@ def _decision_key(record: BranchRecord) -> Tuple:
     ``expected=True``.  Folding the pinned value in keeps a resume from
     restoring a snapshot that belongs to the wrong sibling chain.
     """
-    pinned = None
-    if record.kind == "pointer":
-        expression = record.constraint.expression
-        if isinstance(expression, BinExpr) and isinstance(expression.right, ConstExpr):
-            pinned = expression.right.value
-    return (record.address, record.constraint.expected, pinned)
+    return (record.address, record.constraint.expected, record.pinned)
 
 
 @dataclass
@@ -188,6 +184,12 @@ class ExecutionResult:
 
 class DseEngine(SnapshotEngine):
     """Concolic exploration of one function in a binary image.
+
+    A backtracking execution resumes from a pooled mid-path snapshot: it
+    restores the machine and a fork of the tracker captured with it, and
+    the fork repairs the machine for the new input
+    (:meth:`~repro.attacks.shadow.ShadowTracker.repair`).  Pool keys come
+    from the branch records alone (:func:`_decision_key`).
 
     Args:
         image: the (possibly obfuscated) binary image.
@@ -261,9 +263,11 @@ class DseEngine(SnapshotEngine):
         instruction — so *every* record kind is a capture point: plain
         ``jcc`` branches, ``cmov`` selects (whose hook updates the
         destination shadow in the same call) and pointer (ROP) branches
-        (whose hook also rewrites the flag-repair recipe).  The fork taken
-        here therefore needs no unwinding: ``tracker.branches`` is still the
-        pre-branch decision prefix, which doubles as the pool key.
+        (whose hook also rewrites the flag record).  The fork taken here
+        therefore needs no unwinding: ``tracker.branches`` is still the
+        pre-branch decision prefix, which doubles as the pool key.  Only a
+        :meth:`~repro.attacks.shadow.ShadowTracker.resumable` state is
+        captured.
         """
         state = {"taken": 0}
 
@@ -273,9 +277,7 @@ class DseEngine(SnapshotEngine):
             branches = tracker.branches
             if len(branches) >= MAX_SNAPSHOT_DEPTH:
                 return
-            if not (tracker.repair_exact and tracker.constraints_exact):
-                return
-            if tracker.flag_repair is None:
+            if not tracker.resumable():
                 return
             key = tuple(_decision_key(record) for record in branches)
             if key in self._pool:
@@ -289,40 +291,6 @@ class DseEngine(SnapshotEngine):
             self.stats.snapshots_evicted += self._pool.evictions - evicted
 
         return observer
-
-    def _repair_state(self, emulator: Emulator, tracker: ShadowTracker,
-                      assignment: Dict[str, int]) -> None:
-        """Rewrite the restored context for a different input assignment.
-
-        Every input-dependent register, memory location and CPU flag carries
-        a shadow expression; re-evaluating those under ``assignment``
-        reconstructs exactly the state a rerun from the entry would have
-        reached at the snapshot point (the tracker's exactness invariants
-        guarantee nothing input-dependent is missing).
-        """
-        regs = emulator.state.regs
-        for register, expression in tracker.register_exprs.items():
-            regs[register] = expression.evaluate(assignment) & _MASK64
-        memory = emulator.memory
-        for (address, size), expression in tracker.memory_exprs.items():
-            memory.write_int(address, expression.evaluate(assignment), size)
-        repair = tracker.flag_repair
-        kind = repair[0]
-        if kind == "sub":
-            _, left, right, size = repair
-            emulator._set_sub_flags(left.evaluate(assignment),
-                                    right.evaluate(assignment), 0, size)
-        elif kind == "add":
-            _, left, right, size = repair
-            emulator._set_add_flags(left.evaluate(assignment),
-                                    right.evaluate(assignment), 0, size)
-        elif kind == "logic":
-            _, expression, size = repair
-            emulator._set_logic_flags(expression.evaluate(assignment), size)
-        # "concrete": the last flag-setting instruction had no symbolic
-        # inputs, so the snapshot's restored flags are input-independent and
-        # already exact — common at pointer (ROP) branch points, whose
-        # decision does not go through the flags at all
 
     def _resume(self, resume_key: Tuple, assignment: Dict[str, int]
                 ) -> Optional[Tuple[Emulator, ShadowTracker, int]]:
@@ -342,7 +310,7 @@ class DseEngine(SnapshotEngine):
         emulator.restore(snapshot)
         tracker = tracker_fork.fork()
         try:
-            self._repair_state(emulator, tracker, assignment)
+            tracker.repair(emulator, assignment)
         except (ValueError, MemoryError_, EmulationError):
             # un-evaluable repair expression or unwritable repair target:
             # rewind from the entry instead (counted so repair regressions

@@ -10,13 +10,19 @@ and the SE engines feed to the solver.
 
 The mirror runs as *specialized transfers* (:func:`specialize`): one closure
 per decoded instruction, built by the builder registered for its mnemonic,
-that the emulator caches next to the instruction's handler.  A transfer's
+that the emulator binds into the instruction's compiled step.  A transfer's
 cheap concrete guard lets the instructions that read no symbolic state —
 most of them — skip expression building altogether.
+
+The tracker's state format is this module's own: the backtracking DSE
+explorer asks the tracker whether a fork of its state is
+:meth:`~ShadowTracker.resumable` and has it :meth:`~ShadowTracker.repair` a
+restored machine, and reads nothing else but the branch records.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -42,12 +48,19 @@ from repro.memory import MemoryError_
 
 _MASK64 = (1 << 64) - 1
 
+#: Bytes one page-model select snapshots around a symbolic-address read.
+_PAGE_SIZE = 256
+#: Deeper expressions are given up on (concretized).
+_MAX_DEPTH = 512
+
 #: Condition-code -> comparison operator used when the flag source is a ``cmp``.
 _CMP_CONDITIONS = {
     "e": "eq", "ne": "ne",
     "l": "slt", "le": "sle", "g": "sgt", "ge": "sge",
     "b": "ult", "be": "ule", "a": "ugt", "ae": "uge",
 }
+#: Condition-code -> operator comparing any other flag source's result with 0.
+_RESULT_CONDITIONS = dict(_CMP_CONDITIONS, s="slt", ns="sge")
 
 _ALU_OPERATORS = {
     Mnemonic.ADD: "add", Mnemonic.SUB: "sub", Mnemonic.AND: "and",
@@ -59,6 +72,10 @@ _ALU_OPERATORS = {
 _MEMORY_TOUCHING_HOSTS = frozenset(
     host_function_address(name) for name in ("memcpy", "memset", "strlen", "puts"))
 
+_ONE = ConstExpr(1)
+_ZERO = ConstExpr(0)
+_EIGHT = ConstExpr(8)
+
 
 @dataclass
 class BranchRecord:
@@ -69,11 +86,37 @@ class BranchRecord:
         constraint: the path constraint describing the decision actually taken.
         kind: ``"jcc"`` for flag branches, ``"pointer"`` for symbolic values
             concretized into the stack/instruction pointer (ROP branches).
+        pinned: the concrete target a pointer record pins its value to
+            (None for ``"jcc"``): sibling chains pin different targets at
+            the same address with the same ``expected``.
     """
 
     address: int
     constraint: PathConstraint
     kind: str
+    pinned: Optional[int] = None
+
+
+#: The flag record, ``(recipe, result, left, right, size)``: what the last
+#: flag write computed, a plain tuple because symbolic transfers build one
+#: per flag write.  Conditions compare ``left`` with ``right`` after a
+#: ``"sub"`` (cmp/sub) and ``result`` with zero after anything else.
+#: ``recipe`` names how :meth:`ShadowTracker.repair` recomputes the flags
+#: under another assignment: ``"sub"``/``"add"`` from ``left`` and
+#: ``right``, ``"logic"`` from ``result``, ``"concrete"`` when the write had
+#: no symbolic input (a restored snapshot's flags are already exact), or
+#: None when they are not exactly reproducible.  ``size``, the operand
+#: width, is read only under a recipe; records without one carry 8.
+_Flags = Tuple[Optional[str], Optional[Expression], Optional[Expression],
+              Optional[Expression], int]
+
+#: The flags of a write with no symbolic input.  Nothing downstream can tell
+#: them from a recipe over the concrete operand values: the flags are
+#: input-independent, and a restored snapshot already carries them.
+_CONCRETE_FLAGS: _Flags = ("concrete", _ZERO, None, None, 8)
+#: Input-independent flags without a repair recipe: the flags at the entry,
+#: and those of an inc/dec that keeps an input-dependent CF.
+_UNREPAIRABLE_FLAGS: _Flags = (None, _ZERO, None, None, 8)
 
 
 class ShadowTracker:
@@ -81,12 +124,13 @@ class ShadowTracker:
 
     Beyond the path constraints, the tracker maintains the bookkeeping the
     backtracking DSE explorer needs to resume an execution from a mid-path
-    snapshot under a *different* input assignment:
+    snapshot under a *different* input assignment (:meth:`resumable`,
+    :meth:`repair`):
 
     * :attr:`repair_exact` stays True while the shadow state exactly
       characterizes every input-dependent bit of the machine — re-evaluating
-      :attr:`register_exprs` / :attr:`memory_exprs` under a new assignment
-      then reconstructs the state a rerun from the entry would have reached.
+      the register and memory shadows under a new assignment then
+      reconstructs the state a rerun from the entry would have reached.
       Depth-truncated expressions, symbolic-address memory accesses (whose
       concretization loses the input dependence), host calls over symbolic
       arguments and partial-register merges the shadow cannot model all
@@ -95,11 +139,8 @@ class ShadowTracker:
       *expression* semantics exactly match the concrete branch semantics
       (sub-64-bit signed comparisons, for example, do not), so a solver
       assignment that satisfies a prefix provably drives a rerun down it.
-    * :attr:`flag_repair` describes how to recompute the concrete CPU flags
-      from the current symbolic flag source (``("sub"|"add", left, right,
-      size)`` or ``("logic", expr, size)``), ``("concrete",)`` when the last
-      flag-setting instruction had no symbolic inputs (the restored flags
-      are already exact), or None when it is not exactly reproducible.
+    * :attr:`flags` is the flag record (``_Flags``): the symbolic flag
+      source and how to recompute the concrete CPU flags from it.
     * :attr:`branch_observer`, when set, is invoked as ``observer(kind,
       address)`` at the exact point a :class:`BranchRecord` is about to be
       recorded — *before* the record is appended and before the hook mutates
@@ -120,14 +161,11 @@ class ShadowTracker:
       host call) conservatively retires it.
     """
 
-    def __init__(self, memory_model: str = "concretize", page_size: int = 256,
-                 max_expression_depth: int = 512,
+    def __init__(self, memory_model: str = "concretize",
                  stable_ranges: Sequence[Tuple[int, int]] = ()) -> None:
         if memory_model not in ("concretize", "page"):
             raise ValueError("memory_model must be 'concretize' or 'page'")
         self.memory_model = memory_model
-        self.page_size = page_size
-        self.max_expression_depth = max_expression_depth
         #: regions guaranteed constant at run time; retired on any write
         self._stable_ranges: Tuple[Tuple[int, int], ...] = tuple(
             (int(start), int(end)) for start, end in stable_ranges)
@@ -137,14 +175,12 @@ class ShadowTracker:
         #: byte address -> owning ``memory_exprs`` key, so overlap probes in
         #: the per-instruction hook cost O(access width), not O(entries)
         self._memory_bytes: Dict[int, Tuple[int, int]] = {}
-        #: last flag-setting operation: ("cmp", a, b) or ("result", expr)
-        self.flag_state: Optional[Tuple] = None
+        self.flags: _Flags = _UNREPAIRABLE_FLAGS
         #: CF's shadow: None while CF is input-independent, else its
-        #: expression, or ``_UNMODELED_CARRY`` when the shadow cannot model it
+        #: expression, or ``_UNMODELED_CARRY`` when the shadow cannot model
+        #: it.  Kept apart from :attr:`flags` because inc/dec keep CF.
         self.carry_expr: Optional[Expression] = None
         self.branches: List[BranchRecord] = []
-        self.symbolic_instruction_count = 0
-        self.flag_repair: Optional[Tuple] = None
         self.repair_exact = memory_model == "concretize"
         self.constraints_exact = True
         #: ``observer(kind, address)`` called right before a branch record
@@ -164,21 +200,13 @@ class ShadowTracker:
         Expressions are immutable, so forking is a handful of shallow dict
         and list copies — the shadow half of a mid-path branch snapshot.
         """
-        clone = ShadowTracker(memory_model=self.memory_model,
-                              page_size=self.page_size,
-                              max_expression_depth=self.max_expression_depth)
-        clone._stable_ranges = self._stable_ranges
+        clone = copy.copy(self)
         clone._stable_snapshots = dict(self._stable_snapshots)
         clone.register_exprs = dict(self.register_exprs)
         clone.memory_exprs = dict(self.memory_exprs)
         clone._memory_bytes = dict(self._memory_bytes)
-        clone.flag_state = self.flag_state
-        clone.carry_expr = self.carry_expr
         clone.branches = list(self.branches)
-        clone.symbolic_instruction_count = self.symbolic_instruction_count
-        clone.flag_repair = self.flag_repair
-        clone.repair_exact = self.repair_exact
-        clone.constraints_exact = self.constraints_exact
+        clone.branch_observer = None
         return clone
 
     # -- symbol introduction ----------------------------------------------------
@@ -190,13 +218,50 @@ class ShadowTracker:
         """Mark a memory location as holding a symbolic input value."""
         self._set_memory_expr((address, size), expression)
 
-    # -- small helpers -------------------------------------------------------------
+    # -- resuming under another assignment ----------------------------------------
+    def resumable(self) -> bool:
+        """True while a fork of this state, restored with the machine and
+        :meth:`repair`-ed for another assignment, continues exactly as a
+        rerun from the entry under that assignment would."""
+        return (self.repair_exact and self.constraints_exact
+                and self.flags[0] is not None)
+
+    def repair(self, emulator, assignment: Dict[str, int]) -> None:
+        """Rewrite ``emulator``'s input-dependent state for ``assignment``.
+
+        Every input-dependent register, memory location and CPU flag carries
+        a shadow, so re-evaluating the shadows under ``assignment``
+        reconstructs the state a rerun from the entry would have reached
+        here, while :meth:`resumable` holds.  Raises ``ValueError``,
+        ``MemoryError_`` or ``EmulationError`` on an un-evaluable
+        expression or an unwritable location.
+        """
+        regs = emulator.state.regs
+        for register, expression in self.register_exprs.items():
+            regs[register] = expression.evaluate(assignment) & _MASK64
+        memory = emulator.memory
+        for (address, size), expression in self.memory_exprs.items():
+            memory.write_int(address, expression.evaluate(assignment), size)
+        recipe, result, left, right, size = self.flags
+        if recipe == "sub":
+            emulator._set_sub_flags(left.evaluate(assignment),
+                                    right.evaluate(assignment), 0, size)
+        elif recipe == "add":
+            emulator._set_add_flags(left.evaluate(assignment),
+                                    right.evaluate(assignment), 0, size)
+        elif recipe == "logic":
+            emulator._set_logic_flags(result.evaluate(assignment), size)
+        # "concrete": the last flag write had no symbolic input, so the
+        # restored flags are input-independent and already exact — common
+        # at pointer (ROP) branch points, which do not go through the flags
+
+    # -- memory shadow ----------------------------------------------------------------
     def _bounded(self, expression: Expression) -> Expression:
-        if expression.depth() > self.max_expression_depth:
+        if expression.depth() > _MAX_DEPTH:
             # giving up loses the input dependence: state repair is no
             # longer exact from here on
             self.repair_exact = False
-            return ConstExpr(0)  # give up on unwieldy expressions (concretize)
+            return _ZERO  # give up on unwieldy expressions (concretize)
         return expression
 
     def _set_memory_expr(self, key: Tuple[int, int],
@@ -213,9 +278,10 @@ class ShadowTracker:
                 self._memory_bytes[byte] = key
         self.memory_exprs[key] = expression
 
-    def _overlapping_memory(self, address: int, size: int,
-                            key: Tuple[int, int]) -> bool:
-        """True when ``[address, address+size)`` overlaps a foreign entry."""
+    def _overlapping_memory(self, address: int, size: int) -> bool:
+        """True when ``[address, address+size)`` overlaps an entry other
+        than the one keyed ``(address, size)``."""
+        key = (address, size)
         bytes_map = self._memory_bytes
         for byte in range(address, address + size):
             owner = bytes_map.get(byte)
@@ -223,55 +289,67 @@ class ShadowTracker:
                 return True
         return False
 
-    def _load_expr(self, emulator, operand: Mem) -> Optional[Expression]:
-        """Expression of a memory operand, or None when it is concrete."""
-        address = emulator.effective_address(operand)
-        symbolic_address = self._address_expr(emulator, operand)
-        if symbolic_address is not None:
-            select = self._stable_select(emulator, address,
-                                         symbolic_address, operand.size)
+    def load(self, emulator, address: int, size: int,
+             address_expr: Optional[Expression]) -> Optional[Expression]:
+        """Shadow of a load from ``[address, address+size)``, or None when
+        the loaded value is concrete.  ``address_expr`` is the address's
+        expression when it is input-dependent."""
+        if address_expr is not None:
+            select = self._stable_select(emulator, address, address_expr, size)
             if select is not None:
                 # the read falls in a runtime-constant region: the select
                 # over the full region keeps the input dependence, so state
                 # repair stays exact
                 return select
             if self.memory_model == "page":
-                return self._page_select(emulator, address, symbolic_address,
-                                         operand.size)
+                return self._page_select(emulator, address, address_expr, size)
             # concretizing a symbolic-address read drops the address's
             # input dependence from the loaded value
             self.repair_exact = False
-        expression = self.memory_exprs.get((address, operand.size))
+        expression = self.memory_exprs.get((address, size))
         if expression is None and self.repair_exact \
-                and self._overlapping_memory(address, operand.size,
-                                             (address, operand.size)):
+                and self._overlapping_memory(address, size):
             # a wider/narrower symbolic entry covers these bytes: the
             # exact-key miss silently concretizes input-tainted data
             self.repair_exact = False
         return expression
 
+    def store(self, address: int, size: int, expression: Optional[Expression],
+              symbolic_address: bool) -> None:
+        """Shadow of a store to ``[address, address+size)`` of
+        ``expression`` (None: a concrete value).  ``symbolic_address``: the
+        address is input-dependent, pinned to this execution's concrete
+        choice.
+
+        ``ret`` also drops its dead return slot here, after a read.  That is
+        sound: retiring a stable range only gives up selects, and an overlap
+        only clears the exactness claim.  It changes nothing in practice,
+        since the store that made the slot symbolic already retired any
+        range over it."""
+        self._invalidate_stable(address, size)
+        if self.repair_exact and (symbolic_address
+                                  or self._overlapping_memory(address, size)):
+            self.repair_exact = False
+        self._set_memory_expr((address, size), expression)
+
     def _address_expr(self, emulator, operand: Mem) -> Optional[Expression]:
+        """Expression of a memory operand's address, or None when concrete."""
+        registers = self.register_exprs
+        base, index = operand.base, operand.index
+        if base not in registers and index not in registers:
+            return None
         parts: List[Expression] = []
-        symbolic = False
-        if operand.base is not None:
-            expression = self.register_exprs.get(operand.base)
+        if base is not None:
+            parts.append(registers.get(base)
+                         or ConstExpr(emulator.state.read_reg(base)))
+        if index is not None:
+            expression = registers.get(index)
             if expression is not None:
-                symbolic = True
-                parts.append(expression)
+                parts.append(BinExpr("mul", expression, ConstExpr(operand.scale)))
             else:
-                parts.append(ConstExpr(emulator.state.read_reg(operand.base)))
-        if operand.index is not None:
-            expression = self.register_exprs.get(operand.index)
-            scale = ConstExpr(operand.scale)
-            if expression is not None:
-                symbolic = True
-                parts.append(BinExpr("mul", expression, scale))
-            else:
-                parts.append(ConstExpr(emulator.state.read_reg(operand.index) * operand.scale))
+                parts.append(ConstExpr(emulator.state.read_reg(index) * operand.scale))
         if operand.disp:
             parts.append(ConstExpr(operand.disp & _MASK64))
-        if not symbolic or not parts:
-            return None
         expression = parts[0]
         for part in parts[1:]:
             expression = BinExpr("add", expression, part)
@@ -314,92 +392,54 @@ class ShadowTracker:
 
     def _page_select(self, emulator, address: int, address_expr: Expression,
                      size: int) -> Expression:
-        base = address - (address % self.page_size)
+        base = address - (address % _PAGE_SIZE)
         try:
-            snapshot = tuple(emulator.memory.read(base, self.page_size))
+            snapshot = tuple(emulator.memory.read(base, _PAGE_SIZE))
         except MemoryError_:  # unmapped page: fall back to the concrete byte
-            return self.memory_exprs.get((address, size)) or ConstExpr(0)
+            return self.memory_exprs.get((address, size)) or _ZERO
         return SelectExpr(base_address=base, snapshot=snapshot, index=address_expr, size=size)
-
-    def _store_expr(self, emulator, operand: Mem,
-                    expression: Optional[Expression]) -> None:
-        """Install the shadow of a store to a memory operand."""
-        address = emulator.effective_address(operand)
-        self._invalidate_stable(address, operand.size)
-        if self._address_expr(emulator, operand) is not None \
-                and self.memory_model != "page":
-            # the store lands at an input-dependent address the shadow
-            # pinned to this execution's concrete choice
-            self.repair_exact = False
-        key = (address, operand.size)
-        if self.repair_exact and self._overlapping_memory(
-                address, operand.size, key):
-            self.repair_exact = False
-        if expression is not None and operand.size < 8:
-            expression = BinExpr("and", expression,
-                                 ConstExpr(SIZE_MASKS[operand.size]))
-        self._set_memory_expr(
-            key, None if expression is None else self._bounded(expression))
 
     # -- condition expressions -------------------------------------------------------
     def _condition_expr(self, condition: str) -> Optional[Expression]:
-        if self.flag_state is None:
-            return None
-        kind = self.flag_state[0]
-        if kind == "cmp":
-            _, left, right = self.flag_state
+        recipe, result, left, right, _ = self.flags
+        if recipe == "sub":
             operator = _CMP_CONDITIONS.get(condition)
-            if operator is None:
-                return None
-            return BinExpr(operator, left, right)
-        if kind == "result":
-            result = self.flag_state[1]
-            if condition == "e":
-                return BinExpr("eq", result, ConstExpr(0))
-            if condition == "ne":
-                return BinExpr("ne", result, ConstExpr(0))
-            if condition == "s":
-                return BinExpr("slt", result, ConstExpr(0))
-            if condition == "ns":
-                return BinExpr("sge", result, ConstExpr(0))
-            if condition in ("l", "g", "le", "ge", "b", "a", "be", "ae"):
-                return BinExpr(_CMP_CONDITIONS[condition], result, ConstExpr(0))
-        return None
+        else:
+            operator, left, right = _RESULT_CONDITIONS.get(condition), result, _ZERO
+        return None if operator is None else BinExpr(operator, left, right)
 
     def _flags_symbolic(self) -> bool:
-        if self.flag_state is None:
-            return False
-        if self.flag_state[0] == "cmp":
-            return bool(self.flag_state[1].symbols() or self.flag_state[2].symbols())
-        return bool(self.flag_state[1].symbols())
+        recipe, result, left, right, _ = self.flags
+        if recipe == "sub":
+            return bool(left.symbols() or right.symbols())
+        return bool(result.symbols())
 
     def _condition_exact(self, condition: str) -> bool:
         """True when the condition's expression semantics match the concrete
         flag semantics exactly (expressions compare at 64 bits, so signed
         predicates over narrower flag sources do not)."""
-        repair = self.flag_repair
-        if repair is None or repair[0] == "concrete":
-            return False
-        kind, size = repair[0], repair[-1]
-        if kind == "sub":
+        recipe, _, _, _, size = self.flags
+        if recipe == "sub":
             # operands are width-masked, so unsigned/equality predicates are
             # width-independent; signed ones need the full 64-bit width
             return condition in ("e", "ne", "b", "be", "a", "ae") or size == 8
-        if kind == "logic":
+        if recipe == "logic":
             return condition in ("e", "ne") or size == 8
-        if kind == "add":
+        if recipe == "add":
             # the 64-bit sum of masked operands can carry past the operand
             # width, so only full-width equality survives
             return size == 8 and condition in ("e", "ne")
         return False
 
+    def _record(self, address: int, predicate: Expression, taken: bool,
+                kind: str = "jcc", pinned: Optional[int] = None) -> None:
+        self.branches.append(BranchRecord(
+            address=address, constraint=PathConstraint(predicate, taken),
+            kind=kind, pinned=pinned))
+
     def path_constraints(self) -> List[PathConstraint]:
         """Constraints of the executed path, in decision order."""
         return [record.constraint for record in self.branches]
-
-
-
-
 
 
 # -- specialized shadow transfers ---------------------------------------------
@@ -412,9 +452,10 @@ class ShadowTracker:
 # ``memory_exprs`` entry, and the flags or carry it consumes are concrete.
 # Most hooked instructions pass it, and then only the kill effects apply —
 # destination shadows dropped, stable ranges retired by stores, the
-# narrow-merge rule on ``repair_exact``, and the concrete flag recipe.
+# narrow-merge rule on ``repair_exact``, and the concrete flag record.
 # Otherwise the instruction's symbolic transfer builds its expressions,
-# path constraints, observer calls and exactness updates.  Transfers take
+# path constraints, observer calls and exactness updates; its memory
+# traffic goes through the tracker's one load and one store path.  Transfers take
 # the tracker as an argument, so one closure serves every tracker running on
 # the same emulator.
 
@@ -426,20 +467,10 @@ Transfer = Callable[[ShadowTracker, object, int], None]
 #: instruction never touches shadow state).
 _BUILDERS: Dict[Mnemonic, Callable[[Instruction], Optional[Transfer]]] = {}
 
-_ONE = ConstExpr(1)
-_ZERO = ConstExpr(0)
-
 #: ``carry_expr`` of an input-dependent CF the shadow does not model: the
 #: carry-out of a symbolic add, adc/sbb, imul or shift.  Its symbol makes
 #: every CF consumer take its symbolic path; it never enters an expression.
 _UNMODELED_CARRY = SymExpr("<unmodeled carry>")
-
-#: The flag source and repair recipe of a flag write with no symbolic input.
-#: Nothing downstream can tell them from a recipe over the concrete operand
-#: values: the flags are input-independent, and a restored snapshot already
-#: carries them.
-_CONCRETE_FLAGS = ("result", _ZERO)
-_CONCRETE_REPAIR = ("concrete",)
 
 
 @lru_cache(maxsize=1 << 14)
@@ -548,15 +579,14 @@ def _kill(destination):
 
 
 def _concrete_flags(t: ShadowTracker, emulator) -> None:
-    t.flag_state = _CONCRETE_FLAGS
+    t.flags = _CONCRETE_FLAGS
     t.carry_expr = None
-    t.flag_repair = _CONCRETE_REPAIR
 
 
 def _concrete_result(destination):
     """Fast effect of a flag-setting op with no symbolic input: the
     (guarded, hence shadow-free) destination stays concrete and the flags
-    get the concrete recipe."""
+    get the concrete record."""
     if type(destination) is not Mem:
         return _concrete_flags
     retire = _kill(destination)
@@ -569,8 +599,7 @@ def _concrete_result(destination):
 
 
 def _flags_concrete(t: ShadowTracker) -> bool:
-    state = t.flag_state
-    return state is None or state is _CONCRETE_FLAGS or not t._flags_symbolic()
+    return t.flags is _CONCRETE_FLAGS or not t._flags_symbolic()
 
 
 def _reader(operand):
@@ -590,7 +619,10 @@ def _reader(operand):
             return read
         return lambda t, emulator: t.register_exprs.get(register)
     if type(operand) is Mem:
-        return lambda t, emulator: t._load_expr(emulator, operand)
+        address_of, size = _effective_address(operand), operand.size
+        return lambda t, emulator: t.load(
+            emulator, address_of(emulator.state.regs), size,
+            t._address_expr(emulator, operand))
     return lambda t, emulator: None
 
 
@@ -608,8 +640,20 @@ def _writer(destination):
     """``write(tracker, emulator, expression=None)``: install the shadow of
     a write to ``destination`` (None: the written value is concrete)."""
     if type(destination) is Mem:
-        return lambda t, emulator, expression: t._store_expr(
-            emulator, destination, expression)
+        address_of, size = _effective_address(destination), destination.size
+        address_registers = tuple(r for r in (destination.base, destination.index)
+                                  if r is not None)
+        mask_expr = ConstExpr(SIZE_MASKS[size])
+
+        def store(t, emulator, expression=None) -> None:
+            if expression is not None:
+                if size < 8:
+                    expression = BinExpr("and", expression, mask_expr)
+                expression = t._bounded(expression)
+            t.store(address_of(emulator.state.regs), size, expression,
+                    not t.register_exprs.keys().isdisjoint(address_registers))
+
+        return store
     if type(destination) is not Reg:
         return lambda t, emulator, expression: None
     register, size = destination.reg, destination.size
@@ -675,7 +719,7 @@ def _transfer(guard, fast, symbolic: Transfer) -> Optional[Transfer]:
 
 # -- builders ------------------------------------------------------------------
 
-@_builds(Mnemonic.NOP, Mnemonic.HLT, Mnemonic.LEAVE)
+@_builds(Mnemonic.NOP, Mnemonic.HLT)
 def _build_inert(instruction: Instruction) -> Optional[Transfer]:
     return None
 
@@ -703,7 +747,6 @@ def _build_move(instruction: Instruction) -> Optional[Transfer]:
                     # zero-extended value
                     expression = BinExpr("sub", BinExpr("xor", expression, sign),
                                          sign)
-            t.symbolic_instruction_count += 1
         write(t, emulator, expression)
 
     return _transfer(_guard(source, _store(destination)), _kill(destination),
@@ -762,6 +805,9 @@ def _build_xchg(instruction: Instruction) -> Optional[Transfer]:
                      symbolic)
 
 
+_WRITE_RSP, _WRITE_RBP = _writer(Reg(Register.RSP)), _writer(Reg(Register.RBP))
+
+
 @_builds(Mnemonic.PUSH)
 def _build_push(instruction: Instruction) -> Optional[Transfer]:
     if not instruction.operands:
@@ -770,16 +816,13 @@ def _build_push(instruction: Instruction) -> Optional[Transfer]:
     read, guard = _reader(source), _guard(source)
 
     def symbolic(t, emulator, address) -> None:
-        if Register.RSP in t.register_exprs:
-            # the concrete slot address is itself input-dependent
-            t.repair_exact = False
-        expression = read(t, emulator)
-        destination = emulator.state.regs[Register.RSP] - 8
-        t._invalidate_stable(destination, 8)
-        if t.repair_exact and t._overlapping_memory(
-                destination, 8, (destination, 8)):
-            t.repair_exact = False
-        t._set_memory_expr((destination, 8), expression)
+        # a symbolic rsp makes the concrete slot address input-dependent,
+        # and its shadow moves down one slot with the machine's rsp
+        stack = t.register_exprs.get(Register.RSP)
+        t.store(emulator.state.regs[Register.RSP] - 8, 8, read(t, emulator),
+                stack is not None)
+        if stack is not None:
+            _WRITE_RSP(t, emulator, BinExpr("sub", stack, _EIGHT))
 
     def transfer(t, emulator, address) -> None:
         if Register.RSP not in t.register_exprs \
@@ -802,14 +845,13 @@ def _build_pop(instruction: Instruction) -> Optional[Transfer]:
     write = _writer(destination)
 
     def symbolic(t, emulator, address) -> None:
-        if Register.RSP in t.register_exprs:
-            t.repair_exact = False
-        source = emulator.state.regs[Register.RSP]
-        expression = t.memory_exprs.get((source, 8))
-        if expression is None and t.repair_exact \
-                and t._overlapping_memory(source, 8, (source, 8)):
-            t.repair_exact = False
-        write(t, emulator, expression)
+        stack = t.register_exprs.get(Register.RSP)
+        value = t.load(emulator, emulator.state.regs[Register.RSP], 8, stack)
+        if stack is not None:
+            # rsp's shadow moves up one slot with the machine's rsp, before
+            # the destination write (``pop rsp`` keeps the loaded value)
+            _WRITE_RSP(t, emulator, BinExpr("add", stack, _EIGHT))
+        write(t, emulator, value)
 
     if type(destination) is not Reg:
         return symbolic
@@ -823,6 +865,20 @@ def _build_pop(instruction: Instruction) -> Optional[Transfer]:
             symbolic(t, emulator, address)
 
     return transfer
+
+
+@_builds(Mnemonic.LEAVE)
+def _build_leave(instruction: Instruction) -> Optional[Transfer]:
+    return _leave
+
+
+def _leave(t: ShadowTracker, emulator, address: int) -> None:
+    # ``mov rsp, rbp; pop rbp``: the saved rbp is loaded from where rbp
+    # points, and rsp ends one slot above it
+    frame = t.register_exprs.get(Register.RBP)
+    saved = t.load(emulator, emulator.state.regs[Register.RBP], 8, frame)
+    _WRITE_RSP(t, emulator, None if frame is None else BinExpr("add", frame, _EIGHT))
+    _WRITE_RBP(t, emulator, saved)
 
 
 @_builds(Mnemonic.CMP, Mnemonic.TEST)
@@ -839,14 +895,11 @@ def _build_compare(instruction: Instruction) -> Optional[Transfer]:
         a = left_value(emulator, read_left(t, emulator))
         b = right_value(emulator, read_right(t, emulator))
         if is_cmp:
-            t.flag_state = ("cmp", a, b)
+            t.flags = ("sub", None, a, b, size)
             t.carry_expr = BinExpr("ult", a, b)
-            t.flag_repair = ("sub", a, b, size)
         else:
-            result = BinExpr("and", a, b)
-            t.flag_state = ("result", result)
+            t.flags = ("logic", BinExpr("and", a, b), None, None, size)
             t.carry_expr = None
-            t.flag_repair = ("logic", result, size)
 
     loads = [operand for operand in (left, right) if type(operand) is Mem]
     if loads:
@@ -905,13 +958,9 @@ def _alu_symbolic(instruction: Instruction) -> Transfer:
             # a pointer (ROP) branch record is imminent: let the observer
             # capture before this op's flag/shadow bookkeeping lands
             t.branch_observer("pointer", address)
-        if recipe == "logic":
-            t.flag_repair = ("logic", expression, size)
-        elif recipe is not None:
-            t.flag_repair = (recipe, left, right, size)
-        else:
-            # imul/shifts set carry/overflow the repair recipes do not model
-            t.flag_repair = None
+        if recipe is None:
+            # imul/shifts set carry/overflow the repair recipes do not
+            # model, hence no recipe
             if shift and right_expr is not None:
                 # the expressions' fixed 6-bit count mask models neither the
                 # width-dependent mask nor a count reassigned to (or away
@@ -921,27 +970,21 @@ def _alu_symbolic(instruction: Instruction) -> Transfer:
                 # the expression sign-extends at 64 bits, the machine at the
                 # operand width
                 t.repair_exact = False
-        t.symbolic_instruction_count += 1
         if to_rsp:
             # symbolic values flowing into the stack pointer are ROP
             # branches: concretize and record the decision (§III-B,
             # S2E-style)
-            concrete = ConstExpr(apply_binary(
-                operator, emulator.read_operand(destination),
-                emulator.read_operand(source)))
-            t.branches.append(BranchRecord(
-                address=address,
-                constraint=PathConstraint(BinExpr("eq", expression, concrete),
-                                          True),
-                kind="pointer"))
+            target = apply_binary(operator, emulator.read_operand(destination),
+                                  emulator.read_operand(source))
+            t._record(address, BinExpr("eq", expression, ConstExpr(target)),
+                      True, "pointer", target)
             write(t, emulator, None)
         else:
             write(t, emulator, expression)
+        t.flags = (recipe, expression, left, right, size)
         if recipe == "sub":
-            t.flag_state = ("cmp", left, right)
             t.carry_expr = BinExpr("ult", left, right)
         else:
-            t.flag_state = ("result", expression)
             # logic ops clear CF; add, imul and shifts set it from the input
             t.carry_expr = None if recipe == "logic" else _UNMODELED_CARRY
 
@@ -1013,9 +1056,8 @@ def _build_carry(instruction: Instruction) -> Optional[Transfer]:
             carry = ConstExpr(emulator.state.cf)
         expression = BinExpr(operator, BinExpr(operator, left, right), carry)
         write(t, emulator, expression)
-        t.flag_state = ("result", expression)
+        t.flags = (None, expression, None, None, 8)
         t.carry_expr = _UNMODELED_CARRY
-        t.flag_repair = None
 
     guard = _guard(destination, source)
     concrete = _concrete_result(destination)
@@ -1049,9 +1091,8 @@ def _build_unary(instruction: Instruction) -> Optional[Transfer]:
         result = UnExpr("neg" if negate else "not", expression)
         write(t, emulator, result)
         if negate:
-            t.flag_state = ("result", result)
+            t.flags = (None, result, None, None, 8)
             t.carry_expr = BinExpr("ne", expression, _ZERO)
-            t.flag_repair = None
 
     fast = (_concrete_result(destination) if negate
             else _kill(_store(destination)))
@@ -1061,15 +1102,14 @@ def _build_unary(instruction: Instruction) -> Optional[Transfer]:
 def _step_flags(t: ShadowTracker, emulator) -> None:
     """Flags of an inc/dec with no symbolic input."""
     # inc/dec leave CF alone, so a symbolic carry survives a concrete
-    # increment: the architectural CF is then input-dependent in a way
-    # neither the flag_state nor the repair recipes can express
+    # increment: the architectural CF is then input-dependent in a way no
+    # flag record can express
     carry = t.carry_expr
     if carry is not None and carry.symbols():
-        t.flag_repair = None
+        t.flags = _UNREPAIRABLE_FLAGS
         t.repair_exact = False
     else:
-        t.flag_repair = _CONCRETE_REPAIR
-    t.flag_state = _CONCRETE_FLAGS
+        t.flags = _CONCRETE_FLAGS
 
 
 @_builds(Mnemonic.INC, Mnemonic.DEC)
@@ -1088,8 +1128,7 @@ def _build_step(instruction: Instruction) -> Optional[Transfer]:
             return
         result = BinExpr(operator, expression, _ONE)
         write(t, emulator, result)
-        t.flag_state = ("result", result)
-        t.flag_repair = None
+        t.flags = (None, result, None, None, 8)
 
     retire = _kill(_store(destination))
     if retire is None:
@@ -1150,9 +1189,7 @@ def _build_cmov(instruction: Instruction) -> Optional[Transfer]:
                     t.branch_observer("cmov", address)
                 if not t._condition_exact(condition):
                     t.constraints_exact = False
-                t.branches.append(BranchRecord(
-                    address=address,
-                    constraint=PathConstraint(predicate, taken), kind="jcc"))
+                t._record(address, predicate, taken)
             else:
                 # an input-dependent select went unrecorded
                 t.constraints_exact = False
@@ -1192,11 +1229,7 @@ def _build_jcc(instruction: Instruction) -> Optional[Transfer]:
             t.branch_observer("jcc", address)
         if not t._condition_exact(condition):
             t.constraints_exact = False
-        t.branches.append(BranchRecord(
-            address=address,
-            constraint=PathConstraint(predicate,
-                                      emulator.state.condition(condition)),
-            kind="jcc"))
+        t._record(address, predicate, emulator.state.condition(condition))
 
     return transfer
 
@@ -1295,15 +1328,11 @@ def _ret(t: ShadowTracker, emulator, address: int) -> None:
     if t.branch_observer is not None:
         t.branch_observer("pointer", address)
     target = int.from_bytes(bytes(emulator.memory.read(slot, 8)), "little")
-    t.branches.append(BranchRecord(
-        address=address,
-        constraint=PathConstraint(BinExpr("eq", expression, ConstExpr(target)),
-                                  True),
-        kind="pointer"))
-    t.symbolic_instruction_count += 1
+    t._record(address, BinExpr("eq", expression, ConstExpr(target)), True,
+              "pointer", target)
     # the constraint pins the popped value to its concrete target, so
     # dropping the (now dead) slot shadow is exact
-    t._set_memory_expr((slot, 8), None)
+    t.store(slot, 8, None, False)
 
 
 @_builds(Mnemonic.CALL)
@@ -1328,13 +1357,8 @@ def _build_call(instruction: Instruction) -> Optional[Transfer]:
         # address: drop any shadow entry aliasing that slot, or a later
         # state repair would clobber the live return address with a stale
         # expression
-        if Register.RSP in t.register_exprs:
-            t.repair_exact = False
-        slot = (emulator.state.regs[Register.RSP] - 8) & _MASK64
-        t._invalidate_stable(slot, 8)
-        if t.repair_exact and t._overlapping_memory(slot, 8, (slot, 8)):
-            t.repair_exact = False
-        t._set_memory_expr((slot, 8), None)
+        t.store((emulator.state.regs[Register.RSP] - 8) & _MASK64, 8, None,
+                Register.RSP in t.register_exprs)
 
         if type(target_operand) is Imm:
             target = target_operand.value

@@ -18,6 +18,10 @@ contract: ``==`` and ``hash`` compare the field tuple, ``repr`` is
 dataclass-style, and assigning or deleting a field raises
 ``FrozenInstanceError`` (an ``AttributeError``).  ``__init__`` writes each
 slot through its descriptor's ``__set__``, bound once after the class.
+``hash`` is cached on the node when first asked for (not at construction,
+which most nodes never need it), and ``==`` rejects on unequal hashes and
+compares each pair of shared children once, so both stay O(unique nodes)
+on DAGs too.
 """
 
 from __future__ import annotations
@@ -116,10 +120,11 @@ def apply_unary(op: str, value: int) -> int:
 
 class _Node:
     """What every expression node shares: the stored ``depth``/``symbols``,
-    the solver's truth memo (see ``ConstraintSolver._truth``), and the
-    frozen-dataclass contract over the subclass's ``_fields``."""
+    the cached hash, the solver's truth memo (see
+    ``ConstraintSolver._truth``), and the frozen-dataclass contract over the
+    subclass's ``_fields``."""
 
-    __slots__ = ("_depth", "_symbols", "_truth")
+    __slots__ = ("_depth", "_symbols", "_hash", "_truth")
 
     #: The constructor's fields, in order.
     _fields: Tuple[str, ...] = ()
@@ -140,11 +145,16 @@ class _Node:
         if other is self:
             return True
         if other.__class__ is self.__class__:
-            return self._key() == other._key()
+            return hash(self) == hash(other) and _same_fields(self, other, set())
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        try:
+            return self._hash
+        except AttributeError:  # first use: the children's hashes are cached
+            value = hash(self._key())
+            _SET_HASH(self, value)
+            return value
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -165,7 +175,32 @@ def _setters(cls: type) -> Tuple[Any, ...]:
     return tuple(cls.__dict__[name].__set__ for name in cls.__dict__["__slots__"])
 
 
-_SET_DEPTH, _SET_SYMBOLS = _setters(_Node)[:2]  # ``_truth`` is the solver's to set
+_SET_DEPTH, _SET_SYMBOLS, _SET_HASH = _setters(_Node)[:3]  # ``_truth`` is the solver's
+
+
+def _same_fields(a: _Node, b: _Node, compared: set) -> bool:
+    """Field-wise equality of two nodes of one class and one hash.
+
+    ``compared`` holds the id pairs of child nodes already compared (or
+    being compared), so a child shared along many paths is compared once:
+    a DAG never meets a pair inside its own comparison, and any mismatch
+    ends the whole comparison.
+    """
+    for name in a._fields:
+        x, y = getattr(a, name), getattr(b, name)
+        if x is y:
+            continue
+        if isinstance(x, _Node):
+            if x.__class__ is not y.__class__ or hash(x) != hash(y):
+                return False
+            pair = (id(x), id(y))
+            if pair not in compared:
+                compared.add(pair)
+                if not _same_fields(x, y, compared):
+                    return False
+        elif x != y:
+            return False
+    return True
 
 
 class SymExpr(_Node):

@@ -5,9 +5,9 @@ records every executed instruction with its address and the pre-execution
 register snapshot the analyses need (TDS taint tracking, ROPMEMU flag-leak
 detection, DSE concolic state updates).
 
-Recorders hook in through ``pre_hooks``, which moves the emulator's run
-loop onto its one-instruction-at-a-time hooked loop: superinstruction
-fusion (:mod:`repro.cpu.trace`) never skips a hooked instruction, so a
+Recorders hook in through ``pre_hooks``.  The emulator has one run loop,
+and with hooks installed it fuses nothing (:mod:`repro.cpu.trace`): it runs
+one compiled step per instruction and calls every hook before each, so a
 recorded trace is always the complete architectural sequence regardless of
 ``REPRO_TRACE_CACHE``.
 """

@@ -126,9 +126,7 @@ def test_observer_fires_before_shadow_mutation():
 
     def observer(kind, address):
         # the pointer record for this instruction must not be recorded yet
-        seen.append((kind, len(tracker.branches),
-                     None if tracker.flag_repair is None
-                     else tracker.flag_repair[0]))
+        seen.append((kind, len(tracker.branches), tracker.flags[0]))
 
     tracker.branch_observer = observer
     emulator.pre_hooks = [tracker.hook]

@@ -10,6 +10,7 @@ and read-only fields.
 import copy
 import pickle
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -159,3 +160,24 @@ def test_constant_folding_matches_evaluation():
         for value in values:
             node = UnExpr(op, ConstExpr(value))
             assert simplify(node) == ConstExpr(node.evaluate({}))
+
+
+def _doubling_dag(levels, leaf):
+    """``x = x + x`` ``levels`` times: ``levels + 1`` nodes whose unfolded
+    tree has ``2**levels`` leaves."""
+    node = leaf
+    for _ in range(levels):
+        node = BinExpr("add", node, node)
+    return node
+
+
+def test_hash_and_equality_walk_the_dag_not_its_tree():
+    node, twin = _doubling_dag(20, SymExpr("a")), _doubling_dag(20, SymExpr("a"))
+    other = _doubling_dag(20, SymExpr("b"))
+    started = time.perf_counter()
+    assert hash(node) == hash(twin)
+    assert node == twin and not node != twin
+    assert node != other
+    assert len({node, twin, other}) == 2
+    assert time.perf_counter() - started < 1.0
+    assert hash(node) == hash((node.op, node.left, node.right))

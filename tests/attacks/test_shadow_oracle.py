@@ -7,21 +7,24 @@ each ``register_exprs`` entry against its register, each ``memory_exprs``
 entry against the bytes it describes.  It drives the random instruction
 sequences of the tier differential (``tests/cpu/test_codegen_tiers.py``)
 with symbolic registers and memory, and a ROP1.00 and a ROP1.00+OC+IH image
-of the attack service at fixed inputs.
+of the attack service at fixed inputs.  Fixed programs also check the
+repair itself: :meth:`ShadowTracker.repair` must turn a finished run into
+the run of another input.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.attacks.dse import DseEngine, InputSpec
-from repro.attacks.shadow import ShadowTracker
+from repro.attacks.shadow import _BUILDERS, ShadowTracker, _build_inert
 from repro.attacks.solver.expr import SymExpr
 from repro.cpu import Emulator
 from repro.cpu.state import EmulationError, SIZE_MASKS
-from repro.isa import Imm, Reg
-from repro.isa.instructions import make
+from repro.isa import Imm, Mem, Reg
+from repro.isa.instructions import Mnemonic, make
 from repro.isa.registers import ARG_REGISTERS, Register
 from repro.service.requests import AttackRequest, _prepared_image
-from tests.cpu.test_codegen_tiers import (_BLOB, _program_case,
+from tests.cpu.test_codegen_tiers import (_BLOB, _BLOB_SIZE, _program_case,
                                           build_program, start_call)
 
 _MASK64 = (1 << 64) - 1
@@ -113,20 +116,206 @@ def _run_symbolic_rdi(body, value):
     return emulator, tracker
 
 
+#: Bytes of stack below the final ``rsp`` that a repair is checked over.
+_STACK_WINDOW = 256
+
+
+def _final_state(emulator):
+    """Registers, flags, the scratch blob and the stack below ``rsp``."""
+    memory, rsp = emulator.memory, emulator.state.regs[Register.RSP]
+    return (dict(emulator.state.regs), emulator.state.flags_tuple(),
+            bytes(memory.read(_BLOB, _BLOB_SIZE)),
+            bytes(memory.read(rsp - _STACK_WINDOW, _STACK_WINDOW)))
+
+
 def _assert_exact_claims_hold(body, inputs):
     """The oracle holds at every input, and a run that ends claiming
-    ``repair_exact`` reproduces every other input's registers once its
-    shadow is re-evaluated under that input — the repair a resumed DSE
-    execution performs.  Unshadowed registers must therefore agree."""
+    ``repair_exact``, once :meth:`ShadowTracker.repair` rewrites it for
+    another input that satisfies its path constraints, reproduces that
+    input's run — the repair a resumed DSE execution performs: registers
+    and memory (the memory shadow included), and the flags too while the
+    tracker is ``resumable``."""
     runs = [_run_symbolic_rdi(body, value) for value in inputs]
+    finals = [_final_state(emulator) for emulator, _ in runs]
     for emulator, tracker in runs:
         if not tracker.repair_exact:
             continue
-        for value, (other, _) in zip(inputs, runs):
-            repaired = dict(emulator.state.regs)
-            for register, expression in tracker.register_exprs.items():
-                repaired[register] = expression.evaluate({"x": value}) & _MASK64
-            assert repaired == other.state.regs, value
+        rsp = emulator.state.regs[Register.RSP]
+        for address, size in tracker.memory_exprs:
+            assert _BLOB <= address <= _BLOB + _BLOB_SIZE - size \
+                or rsp - _STACK_WINDOW <= address <= rsp - size
+        for value, final in zip(inputs, finals):
+            assignment = {"x": value}
+            if not all(constraint.holds(assignment)
+                       for constraint in tracker.path_constraints()):
+                continue
+            tracker.repair(emulator, assignment)
+            regs, flags, blob, stack = _final_state(emulator)
+            assert (regs, blob, stack) == (final[0], final[2], final[3]), value
+            if tracker.resumable():
+                assert flags == final[1], value
+
+
+#: Programs ending on each flag recipe, with register, blob and stack
+#: shadows live at the end.
+_REPAIRED_BODIES = {
+    recipe: [
+        make("mov", Reg(Register.RAX), Reg(Register.RDI)),
+        make("add", Reg(Register.RAX), Imm(7, 8)),
+        make("mov", Mem(base=Register.R15, disp=8, size=8), Reg(Register.RAX)),
+        make("mov", Mem(base=Register.R15, disp=16, size=2), Reg(Register.RDI, 2)),
+        make("push", Reg(Register.RDI)),
+        make("pop", Reg(Register.RCX)),
+        make("push", Reg(Register.RAX)),
+        make("add", Reg(Register.RSP), Imm(8, 8)),
+        *last,
+    ]
+    for recipe, last in {
+        "sub": [make("cmp", Reg(Register.RCX, 4), Imm(100, 8))],
+        "add": [make("add", Reg(Register.RCX), Imm(-50, 8))],
+        "logic": [make("test", Reg(Register.RCX, 1), Imm(0x81, 8))],
+        "concrete": [make("cmp", Reg(Register.RDX), Imm(1, 8))],
+    }.items()
+}
+
+
+@pytest.mark.parametrize("recipe", sorted(_REPAIRED_BODIES))
+def test_repair_reproduces_registers_memory_and_flags(recipe):
+    body = _REPAIRED_BODIES[recipe]
+    _assert_exact_claims_hold(body, inputs=(3, 200, _MASK64))
+    _, tracker = _run_symbolic_rdi(body, 3)
+    assert tracker.resumable() and tracker.flags[0] == recipe
+    assert len(tracker.memory_exprs) >= 2
+
+
+def test_leave_drops_a_symbolic_frame_pointer():
+    """``leave`` is ``mov rsp, rbp; pop rbp``: a symbolic rbp shadow does
+    not survive it, and the load through the input-dependent rbp ends the
+    exactness claim."""
+    body = [
+        make("lea", Reg(Register.RBP),
+             Mem(base=Register.RSP, index=Register.RDI, scale=1, size=8)),
+        make("sub", Reg(Register.RBP), Reg(Register.RDI)),
+        make("push", Imm(0x1234, 8)),
+        make("mov", Reg(Register.RBP), Reg(Register.RSP)),
+        make("add", Reg(Register.RBP), Reg(Register.RDI)),
+        make("sub", Reg(Register.RBP), Reg(Register.RDI)),
+        make("leave"),
+    ]
+    _assert_exact_claims_hold(body, inputs=(5, 9))
+    _, tracker = _run_symbolic_rdi(body, 5)
+    assert not tracker.repair_exact
+
+
+def test_leave_reloads_a_saved_symbolic_frame_pointer():
+    """A symbolic rbp saved by the prologue comes back, exactly, at the
+    ``leave`` of a concrete frame."""
+    body = [
+        make("mov", Reg(Register.RBP), Reg(Register.RDI)),
+        make("push", Reg(Register.RBP)),
+        make("mov", Reg(Register.RBP), Reg(Register.RSP)),
+        make("sub", Reg(Register.RSP), Imm(32, 8)),
+        make("leave"),
+        make("lea", Reg(Register.RAX),
+             Mem(base=Register.RBP, disp=1, size=8)),
+    ]
+    _assert_exact_claims_hold(body, inputs=(5, 9))
+    _, tracker = _run_symbolic_rdi(body, 5)
+    assert tracker.repair_exact
+    assert tracker.register_exprs[Register.RBP] == SymExpr("x")
+
+
+def test_leave_through_a_stable_range_keeps_its_frame_exact():
+    """With rbp pointing into a runtime-constant region, ``leave`` loads
+    the saved rbp as a select and leaves rsp one slot above rbp, both
+    exactly (the oracle checks them before the next instruction)."""
+    data = bytes((index * 37 + 11) & 0xFF for index in range(_BLOB_SIZE))
+    body = [make("mov", Reg(Register.RBX), Reg(Register.RSP)),
+            make("lea", Reg(Register.RBP),
+                 Mem(base=Register.R15, index=Register.RDI, scale=1, size=8)),
+            make("leave"),
+            make("mov", Reg(Register.RSP), Reg(Register.RBX)),
+            make("ret")]
+    program = build_program(body, data=data)
+    emulator = Emulator(program.memory, max_steps=100)
+    start_call(emulator, program, [(Register.RDI, 8)])
+    tracker = ShadowTracker(stable_ranges=[(_BLOB, _BLOB + _BLOB_SIZE)])
+    tracker.set_register_symbol(Register.RDI, SymExpr("x"))
+    oracle = _run_checked(emulator, tracker, {"x": 8})
+    assert tracker.repair_exact and oracle.checked == len(body) + 1
+    saved = tracker.register_exprs[Register.RBP]
+    assert saved.evaluate({"x": 16}) == int.from_bytes(data[16:24], "little")
+
+
+def test_pop_through_a_stable_range_moves_a_symbolic_rsp():
+    """A pop through a symbolic rsp into a runtime-constant region loads an
+    exact select, and rsp's shadow moves up the slot with the machine's
+    rsp (the oracle checks both before the next instruction)."""
+    data = bytes((index * 37 + 11) & 0xFF for index in range(_BLOB_SIZE))
+    body = [make("mov", Reg(Register.RBX), Reg(Register.RSP)),
+            make("lea", Reg(Register.RSP),
+                 Mem(base=Register.R15, index=Register.RDI, scale=1, size=8)),
+            make("pop", Reg(Register.RAX)),
+            make("mov", Reg(Register.RSP), Reg(Register.RBX)),
+            make("ret")]
+    program = build_program(body, data=data)
+    emulator = Emulator(program.memory, max_steps=100)
+    start_call(emulator, program, [(Register.RDI, 8)])
+    tracker = ShadowTracker(stable_ranges=[(_BLOB, _BLOB + _BLOB_SIZE)])
+    tracker.set_register_symbol(Register.RDI, SymExpr("x"))
+    oracle = _run_checked(emulator, tracker, {"x": 8})
+    assert tracker.repair_exact and oracle.checked == len(body) + 1
+    loaded = tracker.register_exprs[Register.RAX]
+    assert loaded.evaluate({"x": 16}) == int.from_bytes(data[16:24], "little")
+
+
+def test_push_through_a_symbolic_rsp_moves_its_shadow():
+    """After a push through a symbolic rsp, rsp's shadow is one slot down,
+    so the pointer constraint a later ``add rsp`` records holds at the
+    input that ran it."""
+    body = [make("mov", Reg(Register.RBX), Reg(Register.RDI)),
+            make("sub", Reg(Register.RBX), Reg(Register.RDI)),
+            make("lea", Reg(Register.RSP),
+                 Mem(base=Register.RSP, index=Register.RBX, scale=1, size=8)),
+            make("push", Imm(7, 8)),
+            make("add", Reg(Register.RSP), Imm(8, 8))]
+    for value in (5, 9):
+        _, tracker = _run_symbolic_rdi(body, value)
+        constraints = tracker.path_constraints()
+        assert [record.kind for record in tracker.branches] == ["pointer"]
+        assert all(constraint.holds({"x": value}) for constraint in constraints)
+
+
+def test_only_nop_and_hlt_are_inert():
+    assert {mnemonic for mnemonic, builder in _BUILDERS.items()
+            if builder is _build_inert} == {Mnemonic.NOP, Mnemonic.HLT}
+
+
+def test_page_model_select_matches_the_machine_at_every_index():
+    """A symbolic-index byte load under the page memory model is a select
+    over the page's bytes: at any in-page index it evaluates to what the
+    machine loads when run at that index."""
+    data = bytes((index * 37 + 11) & 0xFF for index in range(_BLOB_SIZE))
+    body = [make("movzx", Reg(Register.RAX, 4),
+                 Mem(base=Register.R15, index=Register.RDI, scale=1, size=1)),
+            make("ret")]
+
+    def run(index, tracker=None):
+        program = build_program(body, data=data)
+        emulator = Emulator(program.memory, max_steps=100)
+        start_call(emulator, program, [(Register.RDI, index)])
+        if tracker is not None:
+            emulator.pre_hooks = [tracker.hook]
+        emulator.run()
+        return emulator.state.regs[Register.RAX]
+
+    tracker = ShadowTracker(memory_model="page")
+    tracker.set_register_symbol(Register.RDI, SymExpr("x"))
+    assert run(5, tracker) == data[5]
+    expression = tracker.register_exprs[Register.RAX]
+    assert "select[" in str(expression)
+    for index in (0, 1, 5, 77, 128, 200, 255):
+        assert expression.evaluate({"x": index}) == run(index) == data[index]
 
 
 def test_adc_carry_out_is_not_its_carry_in():

@@ -65,11 +65,9 @@ def test_zero_count_shift_leaves_shadow_flag_source_untouched():
     ]
     seed = 3
     tracker, emulator = _run_shadowed(body, seed)
-    # flag bookkeeping still describes the cmp, exactly repairable
-    assert tracker.flag_state is not None
-    assert tracker.flag_state[0] == "cmp"
-    assert tracker.flag_repair is not None
-    assert tracker.flag_repair[0] == "sub"
+    # the flag record still describes the cmp, exactly repairable
+    recipe, _, left, right, _ = tracker.flags
+    assert recipe == "sub" and left is not None and right is not None
     # the destination's expression survived the no-op shift
     expression = tracker.register_exprs[Register.RDI]
     assert expression.evaluate({"x": seed}) == \

@@ -7,8 +7,8 @@ exec-compiled tier (with promotion forced).  Single-step and compiled
 traces share the codegen's emitters; the reference shares none of their
 code.  The property-based test drives randomly generated instruction
 sequences — including sub-width operands, flag consumers, memory traffic,
-exact division with its faults and indirect control transfers, all of which
-the codegen emits as native code — through all three tiers and requires
+exact division with its faults, indirect control transfers and stack
+frames torn down by ``leave``, all of which the codegen emits as native code — through all three tiers and requires
 identical registers, flags, memory, step counts and fault outcomes.
 """
 
@@ -143,7 +143,7 @@ _shift_count = st.one_of(st.sampled_from((0, 1, 31, 32, 33, 63, 64)),
 def _unit(draw):
     """One generated instruction (or a short dependent group)."""
     # sampled_from draws the kinds uniformly (integers() skews to the low end)
-    kind = draw(st.sampled_from(range(24)))
+    kind = draw(st.sampled_from(range(25)))
     if kind == 0:  # mov/movzx/movsx in mixed widths
         mnemonic = draw(st.sampled_from(("mov", "movzx", "movsx")))
         dst = Reg(draw(_reg), draw(st.sampled_from((8, 8, 8, 4))))
@@ -270,6 +270,24 @@ def _unit(draw):
         name = draw(st.sampled_from(("jmp", "call", f"j{draw(_cc)}")))
         return [make("mov", Reg(target), Label("end")),
                 make(name, Reg(target))]
+    if kind == 23:  # a stack frame: push rbp; mov rbp, rsp; ...; leave
+        unit = []
+        if draw(st.booleans()):  # the caller's rbp holds data
+            unit.append(make("mov", Reg(Register.RBP), Reg(draw(_reg))))
+        unit += [make("push", Reg(Register.RBP)),
+                 make("mov", Reg(Register.RBP), Reg(Register.RSP))]
+        if draw(st.booleans()):
+            unit.append(make("sub", Reg(Register.RSP),
+                             Imm(8 * draw(st.integers(1, 4)), 8)))
+        if draw(st.booleans()):  # rbp leaves the frame and comes back
+            register = draw(_reg)
+            unit += [make("add", Reg(Register.RBP), Reg(register)),
+                     make("sub", Reg(Register.RBP), Reg(register))]
+        if draw(st.booleans()):  # a local, stored and reloaded
+            local = Mem(base=Register.RBP, disp=-8, size=8)
+            unit += [make("mov", local, Reg(draw(_reg))),
+                     make("mov", Reg(draw(_reg)), local)]
+        return unit + [make("leave")]
     # forward conditional branch over the rest of the body
     return [make(f"j{draw(_cc)}", Label("end"))]
 
