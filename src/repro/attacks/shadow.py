@@ -8,11 +8,16 @@ chain-pointer update, for ROP-encoded branches) depends on a symbolic value,
 the tracker records a :class:`PathConstraint` — the raw material both the DSE
 and the SE engines feed to the solver.
 
-The mirror runs as *specialized transfers* (:func:`specialize`): one closure
-per decoded instruction, built by the builder registered for its mnemonic,
-that the emulator binds into the instruction's compiled step.  A transfer's
-cheap concrete guard lets the instructions that read no symbolic state —
-most of them — skip expression building altogether.
+The mirror runs as *specialized transfers* (:func:`specialize`): one per
+decoded instruction, built by the builder registered for its mnemonic, that
+the emulator binds into the instruction's compiled step.  Most transfers
+carry a concrete guard (nothing the instruction reads is symbolic) and the
+kill effects that are all an instruction passing it needs, as Python source
+the step inlines; only when the guard fails does the step call the
+instruction's symbolic transfer.  So the instructions that read no symbolic
+state, most of them, make no call into this module.  The memory shadow is
+indexed by 8-byte word, so a guard's probe of the bytes an access reads is
+a dict lookup or two.
 
 The tracker's state format is this module's own: the backtracking DSE
 explorer asks the tracker whether a fork of its state is
@@ -38,6 +43,7 @@ from repro.attacks.solver.expr import (
 )
 from repro.attacks.solver.solver import PathConstraint
 from repro.cpu import semantics as _semantics
+from repro.cpu.codegen import GuardedTransfer
 from repro.cpu.emulator import SpecializedHook
 from repro.cpu.host import host_function_address, is_host_address
 from repro.cpu.state import EmulationError, SIZE_MASKS
@@ -172,9 +178,10 @@ class ShadowTracker:
         self._stable_snapshots: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self.register_exprs: Dict[Register, Expression] = {}
         self.memory_exprs: Dict[Tuple[int, int], Expression] = {}
-        #: byte address -> owning ``memory_exprs`` key, so overlap probes in
-        #: the per-instruction hook cost O(access width), not O(entries)
-        self._memory_bytes: Dict[int, Tuple[int, int]] = {}
+        #: word index: ``address >> 3`` -> the ``memory_exprs`` keys with a
+        #: byte in that 8-byte word, so an overlap probe costs a dict lookup
+        #: per word the access spans (tuples: :meth:`fork` copies the dict)
+        self._words: Dict[int, Tuple[Tuple[int, int], ...]] = {}
         self.flags: _Flags = _UNREPAIRABLE_FLAGS
         #: CF's shadow: None while CF is input-independent, else its
         #: expression, or ``_UNMODELED_CARRY`` when the shadow cannot model
@@ -204,7 +211,7 @@ class ShadowTracker:
         clone._stable_snapshots = dict(self._stable_snapshots)
         clone.register_exprs = dict(self.register_exprs)
         clone.memory_exprs = dict(self.memory_exprs)
-        clone._memory_bytes = dict(self._memory_bytes)
+        clone._words = dict(self._words)
         clone.branches = list(self.branches)
         clone.branch_observer = None
         return clone
@@ -266,28 +273,42 @@ class ShadowTracker:
 
     def _set_memory_expr(self, key: Tuple[int, int],
                          expression: Optional[Expression]) -> None:
-        """Insert or remove a ``memory_exprs`` entry, keeping the byte map."""
+        """Insert or remove a ``memory_exprs`` entry, keeping the word index."""
         address, size = key
+        words = self._words
+        span = range(address >> 3, ((address + size - 1) >> 3) + 1)
         if expression is None:
             if self.memory_exprs.pop(key, None) is not None:
-                for byte in range(address, address + size):
-                    self._memory_bytes.pop(byte, None)
+                for word in span:
+                    rest = tuple(other for other in words[word] if other != key)
+                    if rest:
+                        words[word] = rest
+                    else:
+                        del words[word]
             return
         if key not in self.memory_exprs:
-            for byte in range(address, address + size):
-                self._memory_bytes[byte] = key
+            for word in span:
+                words[word] = words.get(word, ()) + (key,)
         self.memory_exprs[key] = expression
 
-    def _overlapping_memory(self, address: int, size: int) -> bool:
-        """True when ``[address, address+size)`` overlaps an entry other
-        than the one keyed ``(address, size)``."""
+    def _entries_over(self, address: int, size: int) -> List[Tuple[int, int]]:
+        """The ``memory_exprs`` keys with a byte in ``[address, address+size)``."""
+        end = address + size
+        words = self._words
+        found: List[Tuple[int, int]] = []
+        for word in range(address >> 3, ((end - 1) >> 3) + 1):
+            for key in words.get(word, ()):
+                start, width = key
+                if start < end and address < start + width and key not in found:
+                    found.append(key)
+        return found
+
+    def _overlapping_memory(self, address: int, size: int) -> List[Tuple[int, int]]:
+        """The keys of the entries other than ``(address, size)`` with a
+        byte in ``[address, address+size)`` (empty, hence false, when none)."""
         key = (address, size)
-        bytes_map = self._memory_bytes
-        for byte in range(address, address + size):
-            owner = bytes_map.get(byte)
-            if owner is not None and owner != key:
-                return True
-        return False
+        return [other for other in self._entries_over(address, size)
+                if other != key]
 
     def load(self, emulator, address: int, size: int,
              address_expr: Optional[Expression]) -> Optional[Expression]:
@@ -319,17 +340,22 @@ class ShadowTracker:
         """Shadow of a store to ``[address, address+size)`` of
         ``expression`` (None: a concrete value).  ``symbolic_address``: the
         address is input-dependent, pinned to this execution's concrete
-        choice.
+        choice.  Every other entry the store overlaps is dropped, since
+        its bytes no longer hold what it describes; the bytes it kept
+        outside the store go unshadowed, so an overlap ends
+        ``repair_exact``.
 
         ``ret`` also drops its dead return slot here, after a read.  That is
         sound: retiring a stable range only gives up selects, and an overlap
-        only clears the exactness claim.  It changes nothing in practice,
-        since the store that made the slot symbolic already retired any
-        range over it."""
+        only drops entries and clears the exactness claim.  It changes
+        nothing in practice, since the store that made the slot symbolic
+        already retired any range over it and dropped what it overlapped."""
         self._invalidate_stable(address, size)
-        if self.repair_exact and (symbolic_address
-                                  or self._overlapping_memory(address, size)):
+        overlapped = self._overlapping_memory(address, size)
+        if symbolic_address or overlapped:
             self.repair_exact = False
+        for key in overlapped:
+            self._set_memory_expr(key, None)
         self._set_memory_expr((address, size), expression)
 
     def _address_expr(self, emulator, operand: Mem) -> Optional[Expression]:
@@ -443,21 +469,25 @@ class ShadowTracker:
 
 
 # -- specialized shadow transfers ---------------------------------------------
-# Every instruction's shadow update is a closure built once per decoded
-# instruction by the builder registered for its mnemonic, with operands,
-# widths, effective-address arithmetic and masked immediate shift counts
-# already resolved (as :mod:`repro.cpu.codegen` folds them into source).  A
-# transfer first runs a cheap *concrete guard*: no register it reads (source
-# or address) has a shadow expression, no byte it reads has a
-# ``memory_exprs`` entry, and the flags or carry it consumes are concrete.
-# Most hooked instructions pass it, and then only the kill effects apply —
-# destination shadows dropped, stable ranges retired by stores, the
-# narrow-merge rule on ``repair_exact``, and the concrete flag record.
-# Otherwise the instruction's symbolic transfer builds its expressions,
-# path constraints, observer calls and exactness updates; its memory
-# traffic goes through the tracker's one load and one store path.  Transfers take
-# the tracker as an argument, so one closure serves every tracker running on
-# the same emulator.
+# Every instruction's shadow update is built once per decoded instruction by
+# the builder registered for its mnemonic, with operands, widths,
+# effective-address arithmetic and masked immediate shift counts already
+# resolved (as :mod:`repro.cpu.codegen` folds them into source).  Most
+# builders split it at a *concrete guard*: no register it reads (source or
+# address) has a shadow expression, no byte it reads has a ``memory_exprs``
+# entry, and the flags or carry it consumes are concrete.  The guard and the
+# *kill effects*, all that an instruction passing it needs (destination
+# shadows dropped, stable ranges retired by stores, the narrow-merge rule on
+# ``repair_exact``, the concrete flag record), are Python source
+# (:class:`_Fast`) that the emulator splices into the instruction's compiled
+# step, so most hooked instructions make no call into this module.  When the
+# guard fails, the step calls the instruction's symbolic transfer, which
+# builds its expressions, path constraints, observer calls and exactness
+# updates; its memory traffic goes through the tracker's one load and one
+# store path.  A symbolic transfer is exact on concrete inputs too, so a
+# guard may be stricter than the fast path needs.  Transfers take the
+# tracker as an argument, so one serves every tracker running on the same
+# emulator.
 
 #: ``transfer(tracker, emulator, address)``: one instruction's shadow update,
 #: called right before the emulator executes it.
@@ -477,6 +507,8 @@ _UNMODELED_CARRY = SymExpr("<unmodeled carry>")
 def specialize(instruction: Instruction) -> Optional[Transfer]:
     """The specialized shadow transfer of ``instruction``, or None.
 
+    Most transfers are :class:`~repro.cpu.codegen.GuardedTransfer` objects,
+    whose concrete fast path the emulator inlines into the compiled step.
     A transfer depends on the instruction alone, so equal instructions —
     the same gadget at many chain positions, or in many images — share one
     (the emulator additionally caches it per decoded address).  Decoded
@@ -510,96 +542,135 @@ def _effective_address(operand: Mem) -> Callable[[dict], int]:
     return lambda regs: (regs[base] + regs[index] * scale + disp) & _MASK64
 
 
-def _guard(*operands):
-    """Concrete guard ``guard(tracker, emulator)`` over the operands an
-    instruction reads, or None when none of them can be symbolic.
-
-    A register operand reads its register; a memory operand reads its
-    address registers and its bytes.  (Pass a store destination too: the
-    fast kill of a store assumes a concrete address and shadow-free bytes.)
-    """
-    registers: List[Register] = []
-    memories = []
-    for operand in operands:
-        if type(operand) is Reg:
-            registers.append(operand.reg)
-        elif type(operand) is Mem:
-            registers.extend(r for r in (operand.base, operand.index)
-                             if r is not None)
-            memories.append((_effective_address(operand), operand.size))
-    read = tuple(dict.fromkeys(registers))
-    if not memories:
-        if not read:
-            return None
-        if len(read) == 1:
-            (register,) = read
-            return lambda t, emulator: register not in t.register_exprs
-        return lambda t, emulator: t.register_exprs.keys().isdisjoint(read)
-
-    def guard(t, emulator) -> bool:
-        if not t.register_exprs.keys().isdisjoint(read):
-            return False
-        if not t.memory_exprs:
-            return True
-        regs = emulator.state.regs
-        return all(_unshadowed(t, address_of(regs), size)
-                   for address_of, size in memories)
-
-    return guard
-
-
 def _unshadowed(t: ShadowTracker, address: int, size: int) -> bool:
-    """True when no shadow entry covers a byte of ``[address, address+size)``."""
-    entries = t.memory_exprs
-    return not entries or ((address, size) not in entries and
-                           t._memory_bytes.keys().isdisjoint(
-                               range(address, address + size)))
+    """True when no shadow entry covers a byte of ``[address, address+size)``
+    (the exact test behind a guard's word probe)."""
+    return not t._entries_over(address, size)
+
+
+class _Fast:
+    """The source of one transfer's concrete fast path.
+
+    Guard clauses (joined by ``and``), kill lines and the constants they
+    name, in the vocabulary of :class:`repro.cpu.codegen.FastPath`: the
+    tracker is ``_O``, the emulator ``_E``, its register dict ``_R``.
+    """
+
+    def __init__(self) -> None:
+        self.clauses: List[str] = []
+        self.kills: List[str] = []
+        self.constants: Dict[str, object] = {}
+        #: address source -> the name a guard clause bound it to, which a
+        #: kill line reuses (a kill runs after every clause held)
+        self._bound: Dict[str, str] = {}
+
+    def name(self, name: str, value: object) -> str:
+        self.constants[name] = value
+        return name
+
+    def operand(self, operand) -> str:
+        """A constant naming ``operand`` (for ``_E.read_operand``)."""
+        return self.name(f"_P{len(self.constants)}", operand)
+
+    def reg(self, register: Register) -> str:
+        """A constant naming ``register``."""
+        return self.name(f"_K_{register.name}", register)
+
+    def value(self, register: Register) -> str:
+        """Source of ``register``'s machine value."""
+        return f"_R[{self.reg(register)}]"
+
+    def address(self, operand: Mem) -> str:
+        """Source of a memory operand's address (:func:`_effective_address`)."""
+        base, index, disp = operand.base, operand.index, operand.disp
+        if base is None and index is None:
+            return str(disp & _MASK64)
+        if index is None and not disp:
+            return self.value(base)
+        parts = [] if base is None else [self.value(base)]
+        if index is not None:
+            parts.append(f"{self.value(index)} * {operand.scale}")
+        if disp:
+            parts.append(str(disp))
+        return f"({' + '.join(parts)}) & {_MASK64:#x}"
+
+    def reads(self, *operands) -> None:
+        """Guard: no operand is symbolic.  A register operand reads its
+        register; a memory operand its address registers and its bytes.
+        (Pass a store destination too: a fast store assumes a concrete
+        address and shadow-free bytes.)  None operands are skipped."""
+        registers: List[Register] = []
+        memories = []
+        for operand in operands:
+            if type(operand) is Reg:
+                registers.append(operand.reg)
+            elif type(operand) is Mem:
+                registers.extend(r for r in (operand.base, operand.index)
+                                 if r is not None)
+                memories.append(operand)
+        for register in dict.fromkeys(registers):
+            self.clauses.append(
+                f"{self.reg(register)} not in _O.register_exprs")
+        for operand in memories:
+            self.unshadowed(self.address(operand), operand.size)
+
+    def unshadowed(self, address: str, size: int) -> None:
+        """Guard: no shadow entry covers ``[address, address+size)``.  A
+        word-index probe per word the access spans, so a miss costs a dict
+        lookup or two; :func:`_unshadowed` settles a hit exactly."""
+        bound = self._bound.setdefault(address, f"_g{len(self._bound)}")
+        probe = f"({bound} := {address}) >> 3 not in _O._words"
+        if size > 1:
+            probe += f" and ({bound} + {size - 1}) >> 3 not in _O._words"
+        self.name("_unshadowed", _unshadowed)
+        self.clauses.append(f"({probe} or _unshadowed(_O, {bound}, {size}))")
+
+    def flags_concrete(self) -> None:
+        """Guard: the last flag write had no symbolic input."""
+        self.clauses.append(
+            f"_O.flags is {self.name('_CONCRETE_FLAGS', _CONCRETE_FLAGS)}")
+
+    def drop(self, destination) -> List[str]:
+        """Kill lines of a concrete write to ``destination``: drop a
+        register's shadow (a narrow write merging into the dropped symbolic
+        upper bits ends ``repair_exact``), or retire the stable ranges a
+        store hits."""
+        if type(destination) is Reg:
+            pop = f"_O.register_exprs.pop({self.reg(destination.reg)}, None)"
+            if destination.size < 4:
+                return [f"if {pop} is not None:", "    _O.repair_exact = False"]
+            return [pop]
+        if type(destination) is Mem:
+            return self.retire(self.address(destination), destination.size)
+        return []
+
+    def retire(self, address: str, size: int) -> List[str]:
+        """Kill lines retiring the stable ranges a store hits."""
+        address = self._bound.get(address, address)
+        return ["if _O._stable_ranges:",
+                f"    _O._invalidate_stable({address}, {size})"]
+
+    def concrete_result(self, destination) -> None:
+        """Kill of a flag-setting op with no symbolic input: the (guarded,
+        hence shadow-free) destination stays concrete and the flags get
+        the concrete record."""
+        if type(destination) is Mem:
+            self.kills += self.drop(destination)
+        self.kills += [
+            f"_O.flags = {self.name('_CONCRETE_FLAGS', _CONCRETE_FLAGS)}",
+            "_O.carry_expr = None"]
+
+    def build(self, symbolic: Transfer) -> Optional[Transfer]:
+        """The guarded transfer, or None when no guard or kill was added."""
+        if not self.clauses and not self.kills:
+            return None
+        return GuardedTransfer(" and ".join(self.clauses) or "True",
+                               "\n".join(self.kills), self.constants, symbolic)
 
 
 def _store(operand):
     """``operand`` when it is a memory destination (to guard), else None."""
     return operand if type(operand) is Mem else None
-
-
-def _kill(destination):
-    """Fast effect of a concrete write to ``destination`` (guarded when in
-    memory): drop a register shadow, or retire the stable ranges a store
-    hits.  None when there is nothing to do."""
-    if type(destination) is Reg:
-        return _writer(destination)
-    if type(destination) is Mem:
-        address_of, size = _effective_address(destination), destination.size
-
-        def retire(t, emulator) -> None:
-            if t._stable_ranges:
-                t._invalidate_stable(address_of(emulator.state.regs), size)
-
-        return retire
-    return None
-
-
-def _concrete_flags(t: ShadowTracker, emulator) -> None:
-    t.flags = _CONCRETE_FLAGS
-    t.carry_expr = None
-
-
-def _concrete_result(destination):
-    """Fast effect of a flag-setting op with no symbolic input: the
-    (guarded, hence shadow-free) destination stays concrete and the flags
-    get the concrete record."""
-    if type(destination) is not Mem:
-        return _concrete_flags
-    retire = _kill(destination)
-
-    def concrete(t, emulator) -> None:
-        retire(t, emulator)
-        _concrete_flags(t, emulator)
-
-    return concrete
-
-
-def _flags_concrete(t: ShadowTracker) -> bool:
-    return t.flags is _CONCRETE_FLAGS or not t._flags_symbolic()
 
 
 def _reader(operand):
@@ -634,8 +705,6 @@ def _valuer(operand):
         return lambda emulator, expression: expression or constant
     return lambda emulator, expression: expression or ConstExpr(
         emulator.read_operand(operand))
-
-
 def _writer(destination):
     """``write(tracker, emulator, expression=None)``: install the shadow of
     a write to ``destination`` (None: the written value is concrete)."""
@@ -696,26 +765,6 @@ def _writer(destination):
     return write_sized
 
 
-def _transfer(guard, fast, symbolic: Transfer) -> Optional[Transfer]:
-    """Run ``fast(tracker, emulator)`` when ``guard`` passes (always, when
-    it is None) and ``symbolic`` otherwise."""
-    if guard is None:
-        if fast is None:
-            return None
-        return lambda t, emulator, address: fast(t, emulator)
-    if fast is None:
-        def transfer(t, emulator, address) -> None:
-            if not guard(t, emulator):
-                symbolic(t, emulator, address)
-        return transfer
-
-    def transfer(t, emulator, address) -> None:
-        if guard(t, emulator):
-            fast(t, emulator)
-        else:
-            symbolic(t, emulator, address)
-    return transfer
-
 
 # -- builders ------------------------------------------------------------------
 
@@ -749,8 +798,10 @@ def _build_move(instruction: Instruction) -> Optional[Transfer]:
                                          sign)
         write(t, emulator, expression)
 
-    return _transfer(_guard(source, _store(destination)), _kill(destination),
-                     symbolic)
+    fast = _Fast()
+    fast.reads(source, _store(destination))
+    fast.kills += fast.drop(destination)
+    return fast.build(symbolic)
 
 
 @_builds(Mnemonic.LEA)
@@ -764,11 +815,12 @@ def _build_lea(instruction: Instruction) -> Optional[Transfer]:
     def symbolic(t, emulator, address) -> None:
         write(t, emulator, t._address_expr(emulator, source))
 
+    fast = _Fast()
     # lea reads only the address registers, never the addressed bytes
-    address_registers = [Reg(r) for r in (source.base, source.index)
-                         if r is not None]
-    return _transfer(_guard(*address_registers, _store(destination)),
-                     _kill(destination), symbolic)
+    fast.reads(*(Reg(r) for r in (source.base, source.index) if r is not None),
+               _store(destination))
+    fast.kills += fast.drop(destination)
+    return fast.build(symbolic)
 
 
 @_builds(Mnemonic.XCHG)
@@ -793,16 +845,13 @@ def _build_xchg(instruction: Instruction) -> Optional[Transfer]:
             write_first(t, emulator, second_expr)
             write_second(t, emulator, first_expr)
 
+    fast = _Fast()
+    fast.reads(first, second)
     # guarded register operands carry no shadow to drop
-    retires = [retire for retire in (_kill(_store(first)), _kill(_store(second)))
-               if retire is not None]
-
-    def fast(t, emulator) -> None:
-        for retire in retires:
-            retire(t, emulator)
-
-    return _transfer(_guard(first, second), fast if retires else None,
-                     symbolic)
+    for operand in (first, second):
+        if type(operand) is Mem:
+            fast.kills += fast.drop(operand)
+    return fast.build(symbolic)
 
 
 _WRITE_RSP, _WRITE_RBP = _writer(Reg(Register.RSP)), _writer(Reg(Register.RBP))
@@ -813,7 +862,7 @@ def _build_push(instruction: Instruction) -> Optional[Transfer]:
     if not instruction.operands:
         return None
     source = instruction.operands[0]
-    read, guard = _reader(source), _guard(source)
+    read = _reader(source)
 
     def symbolic(t, emulator, address) -> None:
         # a symbolic rsp makes the concrete slot address input-dependent,
@@ -824,17 +873,12 @@ def _build_push(instruction: Instruction) -> Optional[Transfer]:
         if stack is not None:
             _WRITE_RSP(t, emulator, BinExpr("sub", stack, _EIGHT))
 
-    def transfer(t, emulator, address) -> None:
-        if Register.RSP not in t.register_exprs \
-                and (guard is None or guard(t, emulator)):
-            destination = emulator.state.regs[Register.RSP] - 8
-            if _unshadowed(t, destination, 8):
-                if t._stable_ranges:
-                    t._invalidate_stable(destination, 8)
-                return
-        symbolic(t, emulator, address)
-
-    return transfer
+    fast = _Fast()
+    fast.reads(Reg(Register.RSP), source)
+    slot = f"{fast.value(Register.RSP)} - 8"
+    fast.unshadowed(slot, 8)
+    fast.kills += fast.retire(slot, 8)
+    return fast.build(symbolic)
 
 
 @_builds(Mnemonic.POP)
@@ -855,21 +899,21 @@ def _build_pop(instruction: Instruction) -> Optional[Transfer]:
 
     if type(destination) is not Reg:
         return symbolic
-    drop = _kill(destination)
-
-    def transfer(t, emulator, address) -> None:
-        if Register.RSP not in t.register_exprs and _unshadowed(
-                t, emulator.state.regs[Register.RSP], 8):
-            drop(t, emulator)
-        else:
-            symbolic(t, emulator, address)
-
-    return transfer
+    fast = _Fast()
+    fast.reads(Reg(Register.RSP))
+    fast.unshadowed(fast.value(Register.RSP), 8)
+    fast.kills += fast.drop(destination)
+    return fast.build(symbolic)
 
 
 @_builds(Mnemonic.LEAVE)
 def _build_leave(instruction: Instruction) -> Optional[Transfer]:
-    return _leave
+    fast = _Fast()
+    fast.reads(Reg(Register.RBP))
+    fast.unshadowed(fast.value(Register.RBP), 8)
+    # the guarded rbp has no shadow, and the one it reloads is concrete
+    fast.kills += fast.drop(Reg(Register.RSP))
+    return fast.build(_leave)
 
 
 def _leave(t: ShadowTracker, emulator, address: int) -> None:
@@ -901,17 +945,15 @@ def _build_compare(instruction: Instruction) -> Optional[Transfer]:
             t.flags = ("logic", BinExpr("and", a, b), None, None, size)
             t.carry_expr = None
 
-    loads = [operand for operand in (left, right) if type(operand) is Mem]
-    if loads:
-        def fast(t, emulator) -> None:
-            for operand in loads:
-                # the symbolic path loads its operands too, so an unmapped
-                # operand faults here, before rip advances, either way
-                emulator.read_operand(operand)
-            _concrete_flags(t, emulator)
-    else:
-        fast = _concrete_flags
-    return _transfer(_guard(left, right), fast, symbolic)
+    fast = _Fast()
+    fast.reads(left, right)
+    for operand in (left, right):
+        if type(operand) is Mem:
+            # the symbolic path loads its operands too, so an unmapped
+            # operand faults here, before rip advances, either way
+            fast.kills.append(f"_E.read_operand({fast.operand(operand)})")
+    fast.concrete_result(None)
+    return fast.build(symbolic)
 
 
 def _alu_symbolic(instruction: Instruction) -> Transfer:
@@ -943,7 +985,7 @@ def _alu_symbolic(instruction: Instruction) -> Transfer:
         right_expr = read_right(t, emulator)
         if left_expr is None and right_expr is None:
             write(t, emulator, None)
-            _concrete_flags(t, emulator)
+            t.flags, t.carry_expr = _CONCRETE_FLAGS, None
             return
         left = left_value(emulator, left_expr)
         right = right_value(emulator, right_expr)
@@ -997,9 +1039,10 @@ def _build_alu(instruction: Instruction) -> Optional[Transfer]:
     if len(instruction.operands) != 2:
         return None
     destination, source = instruction.operands
-    return _transfer(_guard(destination, source),
-                     _concrete_result(destination),
-                     _alu_symbolic(instruction))
+    fast = _Fast()
+    fast.reads(destination, source)
+    fast.concrete_result(destination)
+    return fast.build(_alu_symbolic(instruction))
 
 
 @_builds(Mnemonic.SHL, Mnemonic.SHR, Mnemonic.SAR)
@@ -1010,22 +1053,19 @@ def _build_shift(instruction: Instruction) -> Optional[Transfer]:
     # x86 masks the count by the operand width, and a masked count of zero
     # modifies neither the destination nor any flag
     width_mask = 0x3F if getattr(destination, "size", 8) == 8 else 0x1F
-    concrete = _concrete_result(destination)
-    symbolic = _alu_symbolic(instruction)
+    fast = _Fast()
     if type(count_operand) is Imm:
         count = count_operand.value & SIZE_MASKS[count_operand.size] & width_mask
         if count == 0:
             return None
-        return _transfer(_guard(destination), concrete, symbolic)
-    guard = _guard(destination, count_operand)
-
-    def transfer(t, emulator, address) -> None:
-        if not guard(t, emulator):
-            symbolic(t, emulator, address)
-        elif emulator.read_operand(count_operand) & width_mask:
-            concrete(t, emulator)
-
-    return transfer
+        fast.reads(destination)
+    else:
+        fast.reads(destination, count_operand)
+        # a zero count takes the symbolic transfer's no-op early-out
+        fast.clauses.append(
+            f"_E.read_operand({fast.operand(count_operand)}) & {width_mask}")
+    fast.concrete_result(destination)
+    return fast.build(_alu_symbolic(instruction))
 
 
 @_builds(Mnemonic.ADC, Mnemonic.SBB)
@@ -1045,7 +1085,7 @@ def _build_carry(instruction: Instruction) -> Optional[Transfer]:
         if left_expr is None and right_expr is None and (
                 carry is None or not carry.symbols()):
             write(t, emulator, None)
-            _concrete_flags(t, emulator)
+            t.flags, t.carry_expr = _CONCRETE_FLAGS, None
             return
         left = left_value(emulator, left_expr)
         right = right_value(emulator, right_expr)
@@ -1059,18 +1099,12 @@ def _build_carry(instruction: Instruction) -> Optional[Transfer]:
         t.flags = (None, expression, None, None, 8)
         t.carry_expr = _UNMODELED_CARRY
 
-    guard = _guard(destination, source)
-    concrete = _concrete_result(destination)
-
-    def transfer(t, emulator, address) -> None:
-        carry = t.carry_expr
-        if (carry is None or not carry.symbols()) \
-                and (guard is None or guard(t, emulator)):
-            concrete(t, emulator)
-        else:
-            symbolic(t, emulator, address)
-
-    return transfer
+    fast = _Fast()
+    # any carry shadow, even a concrete one, takes the symbolic transfer
+    fast.clauses.append("_O.carry_expr is None")
+    fast.reads(destination, source)
+    fast.concrete_result(destination)
+    return fast.build(symbolic)
 
 
 @_builds(Mnemonic.NEG, Mnemonic.NOT)
@@ -1086,7 +1120,7 @@ def _build_unary(instruction: Instruction) -> Optional[Transfer]:
         if expression is None:
             write(t, emulator, None)
             if negate:
-                _concrete_flags(t, emulator)
+                t.flags, t.carry_expr = _CONCRETE_FLAGS, None
             return
         result = UnExpr("neg" if negate else "not", expression)
         write(t, emulator, result)
@@ -1094,12 +1128,16 @@ def _build_unary(instruction: Instruction) -> Optional[Transfer]:
             t.flags = (None, result, None, None, 8)
             t.carry_expr = BinExpr("ne", expression, _ZERO)
 
-    fast = (_concrete_result(destination) if negate
-            else _kill(_store(destination)))
-    return _transfer(_guard(destination), fast, symbolic)
+    fast = _Fast()
+    fast.reads(destination)
+    if negate:
+        fast.concrete_result(destination)
+    else:
+        fast.kills += fast.drop(_store(destination))
+    return fast.build(symbolic)
 
 
-def _step_flags(t: ShadowTracker, emulator) -> None:
+def _step_flags(t: ShadowTracker) -> None:
     """Flags of an inc/dec with no symbolic input."""
     # inc/dec leave CF alone, so a symbolic carry survives a concrete
     # increment: the architectural CF is then input-dependent in a way no
@@ -1124,20 +1162,20 @@ def _build_step(instruction: Instruction) -> Optional[Transfer]:
         expression = read(t, emulator)
         if expression is None:
             write(t, emulator, None)
-            _step_flags(t, emulator)
+            _step_flags(t)
             return
         result = BinExpr(operator, expression, _ONE)
         write(t, emulator, result)
         t.flags = (None, result, None, None, 8)
 
-    retire = _kill(_store(destination))
-    if retire is None:
-        fast = _step_flags
-    else:
-        def fast(t, emulator) -> None:
-            retire(t, emulator)
-            _step_flags(t, emulator)
-    return _transfer(_guard(destination), fast, symbolic)
+    fast = _Fast()
+    fast.reads(destination)
+    # inc/dec keep CF: any carry shadow takes the symbolic transfer
+    fast.clauses.append("_O.carry_expr is None")
+    fast.kills += fast.drop(_store(destination))
+    fast.kills.append(
+        f"_O.flags = {fast.name('_CONCRETE_FLAGS', _CONCRETE_FLAGS)}")
+    return fast.build(symbolic)
 
 
 @_builds(Mnemonic.SET)
@@ -1158,16 +1196,11 @@ def _build_set(instruction: Instruction) -> Optional[Transfer]:
                 t.repair_exact = False
         write(t, emulator, expression)
 
-    guard, kill = _guard(_store(destination)), _kill(destination)
-
-    def transfer(t, emulator, address) -> None:
-        if _flags_concrete(t) and (guard is None or guard(t, emulator)):
-            if kill is not None:
-                kill(t, emulator)
-        else:
-            symbolic(t, emulator, address)
-
-    return transfer
+    fast = _Fast()
+    fast.flags_concrete()
+    fast.reads(_store(destination))
+    fast.kills += fast.drop(destination)
+    return fast.build(symbolic)
 
 
 @_builds(Mnemonic.CMOV)
@@ -1196,19 +1229,14 @@ def _build_cmov(instruction: Instruction) -> Optional[Transfer]:
         if emulator.state.condition(condition):
             write(t, emulator, read(t, emulator))
 
-    guard, kill = _guard(source, _store(destination)), _kill(destination)
-
-    def transfer(t, emulator, address) -> None:
-        if _flags_concrete(t):
-            if not emulator.state.condition(condition):
-                return
-            if guard is None or guard(t, emulator):
-                if kill is not None:
-                    kill(t, emulator)
-                return
-        symbolic(t, emulator, address)
-
-    return transfer
+    fast = _Fast()
+    fast.flags_concrete()
+    fast.reads(source, _store(destination))
+    drop = fast.drop(destination)
+    if drop:
+        fast.kills.append(f"if _S.condition({condition!r}):")
+        fast.kills += ["    " + line for line in drop]
+    return fast.build(symbolic)
 
 
 @_builds(Mnemonic.JCC)
@@ -1217,8 +1245,8 @@ def _build_jcc(instruction: Instruction) -> Optional[Transfer]:
         return None
     condition = instruction.condition
 
-    def transfer(t, emulator, address) -> None:
-        if _flags_concrete(t):
+    def symbolic(t, emulator, address) -> None:
+        if not t._flags_symbolic():
             return
         predicate = t._condition_expr(condition)
         if predicate is None:
@@ -1231,12 +1259,17 @@ def _build_jcc(instruction: Instruction) -> Optional[Transfer]:
             t.constraints_exact = False
         t._record(address, predicate, emulator.state.condition(condition))
 
-    return transfer
+    fast = _Fast()
+    fast.flags_concrete()
+    return fast.build(symbolic)
 
 
 @_builds(Mnemonic.CQO)
 def _build_cqo(instruction: Instruction) -> Optional[Transfer]:
-    return _cqo
+    fast = _Fast()
+    fast.reads(Reg(Register.RAX))
+    fast.kills += fast.drop(Reg(Register.RDX))
+    return fast.build(_cqo)
 
 
 def _cqo(t: ShadowTracker, emulator, address: int) -> None:
@@ -1254,7 +1287,16 @@ def _build_idiv(instruction: Instruction) -> Optional[Transfer]:
     divisor_operand = instruction.operands[0]
     read, value = _reader(divisor_operand), _valuer(divisor_operand)
 
-    def symbolic(t, emulator, address) -> None:
+    def transfer(t, emulator, address) -> None:
+        try:
+            divisor = emulator.read_operand(divisor_operand)
+        except EmulationError:
+            return  # the machine faults on the same read
+        if not divisor or (divisor == _MASK64 and
+                           emulator.state.regs[Register.RAX] == 1 << 63):
+            # a zero divisor or INT64_MIN / -1: the machine raises #DE and
+            # writes nothing, so neither does the shadow
+            return
         dividend = t.register_exprs.get(Register.RAX)
         divisor = read(t, emulator)
         if divisor is not None:
@@ -1271,24 +1313,6 @@ def _build_idiv(instruction: Instruction) -> Optional[Transfer]:
         t.register_exprs[Register.RAX] = BinExpr("div", left, right)
         t.register_exprs[Register.RDX] = BinExpr("mod", left, right)
 
-    def fast(t, emulator) -> None:
-        t.register_exprs.pop(Register.RDX, None)
-
-    divide = _transfer(_guard(Reg(Register.RAX), divisor_operand), fast,
-                       symbolic)
-
-    def transfer(t, emulator, address) -> None:
-        try:
-            divisor = emulator.read_operand(divisor_operand)
-        except EmulationError:
-            return  # the machine faults on the same read
-        if not divisor or (divisor == _MASK64 and
-                           emulator.state.regs[Register.RAX] == 1 << 63):
-            # a zero divisor or INT64_MIN / -1: the machine raises #DE and
-            # writes nothing, so neither does the shadow
-            return
-        divide(t, emulator, address)
-
     return transfer
 
 
@@ -1297,42 +1321,49 @@ def _build_jmp(instruction: Instruction) -> Optional[Transfer]:
     operands = instruction.operands
     if not operands or type(operands[0]) is not Reg:
         return None
-    target = operands[0].reg
+    fast = _Fast()
+    fast.reads(operands[0])
+    return fast.build(_unpinned_jump)
 
-    def transfer(t, emulator, address) -> None:
-        if target in t.register_exprs:
-            # input-dependent control transfer with no recorded constraint:
-            # the prefix no longer pins the path
-            t.constraints_exact = False
 
-    return transfer
+def _unpinned_jump(t: ShadowTracker, emulator, address: int) -> None:
+    # input-dependent control transfer with no recorded constraint: the
+    # prefix no longer pins the path
+    t.constraints_exact = False
 
 
 @_builds(Mnemonic.RET)
 def _build_ret(instruction: Instruction) -> Optional[Transfer]:
-    return _ret
+    fast = _Fast()
+    fast.reads(Reg(Register.RSP))
+    # only an entry keyed at the slot itself is a symbolic return target
+    fast.clauses.append(f"({fast.value(Register.RSP)}, 8) not in _O.memory_exprs")
+    return fast.build(_ret)
 
 
 def _ret(t: ShadowTracker, emulator, address: int) -> None:
-    entries = t.memory_exprs
-    if not entries:
-        return
-    # a symbolic return slot is an opaque-materialized gadget address (the
-    # +OC layer stores the recombined value into the chain right before this
-    # ret pops it): record the concrete target as a pinned pointer decision,
-    # exactly like a symbolic ``add rsp`` chain-pointer update
-    slot = emulator.state.regs[Register.RSP] & _MASK64
-    expression = entries.get((slot, 8))
-    if expression is None or not expression.symbols():
-        return
-    if t.branch_observer is not None:
-        t.branch_observer("pointer", address)
-    target = int.from_bytes(bytes(emulator.memory.read(slot, 8)), "little")
-    t._record(address, BinExpr("eq", expression, ConstExpr(target)), True,
-              "pointer", target)
-    # the constraint pins the popped value to its concrete target, so
-    # dropping the (now dead) slot shadow is exact
-    t.store(slot, 8, None, False)
+    stack = t.register_exprs.get(Register.RSP)
+    slot = emulator.state.regs[Register.RSP]
+    expression = t.memory_exprs.get((slot, 8))
+    if expression is not None and expression.symbols():
+        # a symbolic return slot is an opaque-materialized gadget address
+        # (the +OC layer stores the recombined value into the chain right
+        # before this ret pops it): record the concrete target as a pinned
+        # pointer decision, exactly like a symbolic ``add rsp`` chain-pointer
+        # update
+        if t.branch_observer is not None:
+            t.branch_observer("pointer", address)
+        target = int.from_bytes(bytes(emulator.memory.read(slot, 8)), "little")
+        t._record(address, BinExpr("eq", expression, ConstExpr(target)), True,
+                  "pointer", target)
+        # the constraint pins the popped value to its concrete target, so
+        # dropping the (now dead) slot shadow is exact
+        t.store(slot, 8, None, False)
+    if stack is not None:
+        # the target comes from an input-dependent slot, a choice no
+        # recorded constraint pins; rsp's shadow moves up with the machine's
+        t.constraints_exact = False
+        _WRITE_RSP(t, emulator, BinExpr("add", stack, _EIGHT))
 
 
 @_builds(Mnemonic.CALL)
@@ -1357,16 +1388,20 @@ def _build_call(instruction: Instruction) -> Optional[Transfer]:
         # address: drop any shadow entry aliasing that slot, or a later
         # state repair would clobber the live return address with a stale
         # expression
+        stack = t.register_exprs.get(Register.RSP)
         t.store((emulator.state.regs[Register.RSP] - 8) & _MASK64, 8, None,
-                Register.RSP in t.register_exprs)
+                stack is not None)
 
+        target = None
         if type(target_operand) is Imm:
             target = target_operand.value
         elif type(target_operand) is Reg:
             target = emulator.state.regs[target_operand.reg]
-        else:
-            return
-        if not is_host_address(target):
+        if target is None or not is_host_address(target):
+            if stack is not None:
+                # the callee runs one slot down, as the machine's rsp does
+                # (a host function pops its return address unhooked)
+                _WRITE_RSP(t, emulator, BinExpr("sub", stack, _EIGHT))
             return
         if target in _MEMORY_TOUCHING_HOSTS:
             # the host may write anywhere in guest memory: retire every
@@ -1385,7 +1420,14 @@ def _build_call(instruction: Instruction) -> Optional[Transfer]:
         for reg in CALLER_SAVED:
             t.register_exprs.pop(reg, None)
 
-    return transfer
+    if type(target_operand) is not Imm or is_host_address(target_operand.value):
+        return transfer
+    fast = _Fast()
+    fast.reads(Reg(Register.RSP))
+    slot = f"({fast.value(Register.RSP)} - 8) & {_MASK64:#x}"
+    fast.unshadowed(slot, 8)
+    fast.kills += fast.retire(slot, 8)
+    return fast.build(transfer)
 
 
 # -- semantic-contract registration -------------------------------------------

@@ -48,7 +48,10 @@ path.
 
 The same emitters build the one-instruction steps every run mode executes
 (single-step, trace warm-up and the hooked loop): :func:`compile_step`
-compiles one function per distinct instruction (see :class:`_StepCodegen`).
+compiles one function per distinct instruction and hook fast path (see
+:class:`_StepCodegen`).  A hooked step inlines its
+:class:`GuardedTransfer`'s concrete guard and kill effects ahead of the
+semantics and calls the transfer only when the guard fails.
 
 The generated function is self-contained: it advances ``emulator.steps``,
 installs the final ``rip`` and re-raises faults as
@@ -62,7 +65,7 @@ import re
 import struct
 from contextlib import contextmanager
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.cpu import semantics as _semantics
 from repro.cpu.state import BIT_WIDTHS, EmulationError, SIGN_BITS, SIZE_MASKS
@@ -327,6 +330,15 @@ class _Codegen:
             return f"{self.reg(operand.reg)} & {mask:#x}"
         return f"({self.load(index, operand)}) & {mask:#x}"
 
+    def bind(self, name: str, value: str) -> str:
+        """``value`` as an operand of the lines that follow: a trace's
+        register local is used as it is, anything else is bound once, as
+        ``name``.  (A step's registers are dict subscripts, so they bind.)"""
+        if value.isidentifier():
+            return value
+        self.emit(f"{name} = {value}")
+        return name
+
     def rhs(self, index: int, operand, size: int) -> Tuple[str, str]:
         """``(b, sb)``: the unsigned and signed expressions of a source
         operand read at ``size`` bytes.  An immediate folds to literals and
@@ -336,9 +348,7 @@ class _Codegen:
         if type(operand) is Imm:
             number = int(value)
             return value, str(number - ((number & SIGN_BITS[size]) << 1))
-        if not value.isidentifier():
-            self.emit(f"b = {value}")
-            value = "b"
+        value = self.bind("b", value)
         return value, _signed(value, size)
 
     def store(self, index: int, operand, expr: str, width: int,
@@ -406,23 +416,23 @@ class _Codegen:
         mnemonic = step.instruction.mnemonic
         size = dst.size
         mlit, slit = _MASK_LIT[size], _SIGN_LIT[size]
-        self.emit(f"a = {self.load_rmw(index, dst)}")
+        a = self.bind("a", self.load_rmw(index, dst))
         b, sb = self.rhs(index, src, size)
         if mnemonic in (Mnemonic.ADC, Mnemonic.SBB):
             self.emit("c = cf")  # the carry-in, read before cf changes
             b, sb = f"({b} + c)", f"({sb} + c)"
         if mnemonic in (Mnemonic.ADD, Mnemonic.ADC):
-            self.emit(f"t = a + {b}")
+            self.emit(f"t = {a} + {b}")
             self.emit(f"res = t & {mlit}")
             self.emit(f"cf = 1 if t > {mlit} else 0")
-            self.emit(f"st = {_signed('a', size)} + {sb}")
+            self.emit(f"st = {_signed(a, size)} + {sb}")
         elif mnemonic in _ALU_SYMBOL:
-            self.emit(f"res = a {_ALU_SYMBOL[mnemonic]} {b}")
+            self.emit(f"res = {a} {_ALU_SYMBOL[mnemonic]} {b}")
             self.emit("cf = 0")
         else:  # SUB, SBB, CMP
-            self.emit(f"res = (a - {b}) & {mlit}")
-            self.emit(f"cf = 1 if a < {b} else 0")
-            self.emit(f"st = {_signed('a', size)} - {sb}")
+            self.emit(f"res = ({a} - {b}) & {mlit}")
+            self.emit(f"cf = 1 if {a} < {b} else 0")
+            self.emit(f"st = {_signed(a, size)} - {sb}")
         if mnemonic in _ALU_SYMBOL:
             self.emit("of = 0")
         else:
@@ -438,18 +448,18 @@ class _Codegen:
         mnemonic = step.instruction.mnemonic
         size = dst.size
         mask, sign = SIZE_MASKS[size], SIGN_BITS[size]
-        self.emit(f"a = {self.load_rmw(index, dst)}")
+        a = self.bind("a", self.load_rmw(index, dst))
         if mnemonic is Mnemonic.INC:
-            self.emit(f"res = (a + 1) & {mask:#x}")
+            self.emit(f"res = ({a} + 1) & {mask:#x}")
             # of set on signed overflow (0x7fff.. -> 0x8000..)
-            self.emit(f"of = 1 if a == {sign - 1:#x} else 0")
+            self.emit(f"of = 1 if {a} == {sign - 1:#x} else 0")
         elif mnemonic is Mnemonic.DEC:
-            self.emit(f"res = (a - 1) & {mask:#x}")
-            self.emit(f"of = 1 if a == {sign:#x} else 0")
+            self.emit(f"res = ({a} - 1) & {mask:#x}")
+            self.emit(f"of = 1 if {a} == {sign:#x} else 0")
         else:
-            self.emit(f"res = (-a) & {mask:#x}")
-            self.emit("cf = 1 if a else 0")
-            self.emit(f"of = 1 if a == {sign:#x} else 0")
+            self.emit(f"res = (-{a}) & {mask:#x}")
+            self.emit(f"cf = 1 if {a} else 0")
+            self.emit(f"of = 1 if {a} == {sign:#x} else 0")
         self.flags_zs(size)
         self.store(index, dst, "res", size, step.post)
 
@@ -538,9 +548,9 @@ class _Codegen:
         dst, src = step.instruction.operands
         size = dst.size
         slit = _SIGN_LIT[size]
-        self.emit(f"a = {self.load_rmw(index, dst)}")
+        a = self.bind("a", self.load_rmw(index, dst))
         _, sb = self.rhs(index, src, size)
-        self.emit(f"t = {_signed('a', size)} * {sb}")
+        self.emit(f"t = {_signed(a, size)} * {sb}")
         self.emit(f"res = t & {_MASK_LIT[size]}")
         self.emit(f"cf = 0 if -{slit} <= t < {slit} else 1")
         self.emit("of = cf")
@@ -781,6 +791,65 @@ def compile_trace(emulator, trace) -> Optional[object]:
 
 # -- hooked-loop steps ---------------------------------------------------------
 
+class FastPath(NamedTuple):
+    """A transfer's concrete fast path, as source.
+
+    ``guard`` is a Python expression and ``kill`` the statements (one per
+    line, ``""`` for none) to run when it holds.  Both may read the owner
+    ``_O``, the emulator ``_E``, the instruction's address ``_A``, the
+    emulator's state ``_S`` and register dict ``_R``, and the names bound in
+    ``constants`` (sorted ``(name, value)`` pairs).  A name a guard binds
+    with ``:=`` starts with ``_g``.
+    """
+
+    guard: str
+    kill: str
+    constants: Tuple[Tuple[str, object], ...]
+
+
+class GuardedTransfer:
+    """A specialized transfer split at its concrete guard.
+
+    ``transfer(owner, emulator, address)`` is called only when the
+    :class:`FastPath`'s guard fails.  The run loop splices the fast path
+    into the instruction's compiled step (:func:`compile_step`); calling the
+    object directly, as a plain hook does, runs a function compiled once
+    from the same source.
+    """
+
+    __slots__ = ("fast", "transfer", "_plain")
+
+    def __init__(self, guard: str, kill: str, constants: Dict[str, object],
+                 transfer: Callable) -> None:
+        self.fast = FastPath(guard, kill, tuple(sorted(constants.items())))
+        self.transfer = transfer
+        self._plain: Optional[Callable] = None
+
+    def __call__(self, owner, emulator, address: int) -> None:
+        plain = self._plain
+        if plain is None:
+            lines = ["def _make(_T):", "    def _hook(_O, _E, _A):"]
+            lines += ["        " + line for line in _guarded_lines(self.fast)]
+            lines.append("    return _hook")
+            source = "\n".join(lines) + "\n"
+            namespace = dict(self.fast.constants)
+            exec(compile(source, "<guarded transfer>", "exec"), namespace)
+            plain = self._plain = namespace["_make"](self.transfer)
+            plain.__source__ = source
+        plain(owner, emulator, address)
+
+
+def _guarded_lines(fast: FastPath) -> List[str]:
+    """Bind ``_S`` and ``_R``, then run the kill when the guard holds and
+    the transfer ``_T`` otherwise."""
+    lines = ["_S = _E.state", "_R = _S.regs"]
+    if not fast.kill:
+        return lines + [f"if not ({fast.guard}):", "    _T(_O, _E, _A)"]
+    return lines + [f"if {fast.guard}:",
+                    *("    " + line for line in fast.kill.split("\n")),
+                    "else:", "    _T(_O, _E, _A)"]
+
+
 #: A flag name in emitted source.
 _FLAG_NAME = re.compile(r"\b(cf|zf|sf|of)\b")
 _FLAGS = frozenset(("cf", "zf", "sf", "of"))
@@ -811,12 +880,14 @@ class _StepCodegen(_Codegen):
     fault needs no step index ``n``: it leaves ``rip`` past the instruction
     and ``steps`` unadvanced, with nothing to repair.  A store needs no SMC
     check, because the run loop checks the region generation at the next
-    fetch.
+    fetch.  A :class:`FastPath` goes ahead of the semantics
+    (:func:`_guarded_lines`).
     """
 
-    def __init__(self, instruction) -> None:
+    def __init__(self, instruction, fast: Optional[FastPath]) -> None:
         super().__init__(None)
         self.instruction = instruction
+        self.fast = fast
 
     def reg(self, register: Register) -> str:
         self.hoisted.add(register)
@@ -897,13 +968,16 @@ class _StepCodegen(_Codegen):
         flag_stores = [f"_S.{name} = {name}" for name in sorted(stores)]
 
         lines = ["def _make(_T):",
-                 "    def _step(_O, _E, _A, post):",
-                 "        if _T is not None:",
-                 "            _T(_O, _E, _A)",
-                 "        _S = _E.state",
-                 "        _S.rip = post"]
-        if self.hoisted:
-            lines.append("        _R = _S.regs")
+                 "    def _step(_O, _E, _A, post):"]
+        if self.fast is None:
+            lines += ["        if _T is not None:",
+                      "            _T(_O, _E, _A)",
+                      "        _S = _E.state"]
+            if self.hoisted:
+                lines.append("        _R = _S.regs")
+        else:
+            lines += ["        " + line for line in _guarded_lines(self.fast)]
+        lines.append("        _S.rip = post")
         if accessed:
             lines.append("        _M = _E.memory")
         lines += [f"        {name} = _S.{name}" for name in sorted(loads)]
@@ -929,23 +1003,30 @@ class _StepCodegen(_Codegen):
 
 
 @lru_cache(maxsize=1 << 14)
-def compile_step(instruction) -> Callable[[Optional[Callable]], Callable]:
-    """The hooked-loop step factory of ``instruction``.
+def compile_step(instruction, fast: Optional[FastPath] = None
+                 ) -> Callable[[Optional[Callable]], Callable]:
+    """The step factory of ``instruction``, with ``fast`` spliced in.
 
     ``compile_step(instruction)(transfer)`` is a function ``step(owner,
     emulator, address, post)`` that calls ``transfer(owner, emulator,
     address)`` when the transfer is not None, sets ``rip`` to ``post`` and
     runs the instruction's concrete semantics, raising
     :class:`~repro.cpu.state.EmulationError` on a fault with ``rip`` left at
-    ``post``.  The factory depends on the instruction alone, so equal
-    instructions at many addresses, in many images and under many engines
-    share one ``compile()``.
+    ``post``.  With the :class:`FastPath` of a :class:`GuardedTransfer`,
+    ``compile_step(instruction, fast)(transfer)`` runs ``if <guard>:
+    <kill> else: transfer(owner, emulator, address)`` in place of that
+    call, so an instruction whose guard holds makes no call into its
+    transfer.  The factory depends on the instruction and the fast path
+    alone, so equal instructions at many addresses, in many images and
+    under many engines share one ``compile()``.
     """
-    generator = _StepCodegen(instruction)
+    generator = _StepCodegen(instruction, fast)
     source = generator.step_source()
     namespace = {"_EE": EmulationError, "_ME": MemoryError_}
     for register in generator.hoisted:
         namespace[f"_K_{register.name}"] = register
+    if fast is not None:
+        namespace.update(fast.constants)
     exec(compile(source, f"<step {instruction}>", "exec"), namespace)
     factory = namespace["_make"]
     factory.__source__ = source  # debugging: dump what actually runs

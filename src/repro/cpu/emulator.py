@@ -38,8 +38,9 @@ in the evaluation grid bottoms out here):
 * **Hooked loop** — with hooks installed, :meth:`run` fuses nothing and
   runs one step per instruction; the specialized hook transfer
   (:class:`SpecializedHook`, the DSE shadow's entry point) is bound into
-  each decode entry's step, so the hooked path pays one call per
-  instruction.
+  each decode entry's step, with a guarded transfer's concrete guard and
+  kill effects inlined into the step's source, so the hooked path pays one
+  call per instruction and a second only when the guard fails.
 * **O(1) snapshots** — :meth:`Emulator.snapshot` / :meth:`Emulator.restore`
   fork the complete execution context (registers, flags, memory COW, host
   state) so the attack engines can rewind to a saved point instead of
@@ -56,7 +57,7 @@ from repro.binary.loader import LoadedProgram
 from repro.binary.sections import HOST_FUNCTION_LIMIT
 from repro.cpu.host import EXIT_ADDRESS, HostEnvironment, is_host_address
 from repro.cpu.state import CpuState, EmulationError, SIGN_BITS, SIZE_MASKS
-from repro.cpu.codegen import compile_step, compile_trace
+from repro.cpu.codegen import GuardedTransfer, compile_step, compile_trace
 from repro.cpu.trace import Trace, build_trace
 from repro.isa.encoding import DecodeError, decode_instruction
 from repro.isa.instructions import Instruction
@@ -127,11 +128,17 @@ class SpecializedHook:
 
     ``specialize(instruction)`` returns a *transfer* called as
     ``transfer(owner, emulator, address)`` right before the instruction
-    executes, or None when the instruction needs no work.  The run loop
-    binds each instruction's transfer into the compiled step its
-    decode entry caches, so the specialization is paid once per decoded
-    instruction and stays warm across runs, rewinds and owners that share
-    ``specialize``.  Calling the hook directly specializes on the fly.
+    executes, or None when the instruction needs no work.  A
+    :class:`~repro.cpu.codegen.GuardedTransfer` carries its concrete fast
+    path as source: a guard, the kill effects to run when it holds, and the
+    transfer to call when it fails.  The run loop binds each instruction's
+    transfer into the compiled step its decode entry caches, splicing a
+    guarded one's fast path into the step's source, so the specialization
+    is paid once per decoded instruction and stays warm across runs,
+    rewinds and owners that share ``specialize``, and an instruction whose
+    guard holds makes no Python call beyond its step.  Calling the hook
+    directly specializes on the fly and runs the transfer (a guarded one
+    through a function compiled once from the same source).
     """
 
     __slots__ = ("owner", "specialize")
@@ -249,8 +256,11 @@ class Emulator:
         except DecodeError as exc:
             raise EmulationError(f"undecodable instruction at {address:#x}: {exc}") from exc
         specialize = self._specialize
-        step = compile_step(instruction)(
-            None if specialize is None else specialize(instruction))
+        transfer = None if specialize is None else specialize(instruction)
+        if type(transfer) is GuardedTransfer:
+            step = compile_step(instruction, transfer.fast)(transfer.transfer)
+        else:
+            step = compile_step(instruction)(transfer)
         entry = (instruction, length, region, region.generation, step)
         self._decode_cache[address] = entry
         return entry

@@ -22,6 +22,7 @@ from repro.cpu import Emulator
 from repro.cpu.state import EmulationError, SIZE_MASKS
 from repro.isa import Imm, Mem, Reg
 from repro.isa.instructions import Mnemonic, make
+from repro.isa.operands import Label
 from repro.isa.registers import ARG_REGISTERS, Register
 from repro.service.requests import AttackRequest, _prepared_image
 from tests.cpu.test_codegen_tiers import (_BLOB, _BLOB_SIZE, _program_case,
@@ -284,6 +285,49 @@ def test_push_through_a_symbolic_rsp_moves_its_shadow():
         constraints = tracker.path_constraints()
         assert [record.kind for record in tracker.branches] == ["pointer"]
         assert all(constraint.holds({"x": value}) for constraint in constraints)
+
+
+def test_a_store_drops_every_entry_it_overlaps():
+    """``mov [r15+4], edi; mov qword [r15], 0; mov eax, [r15+4]``: the
+    qword store overwrites the symbolic dword, so the reload is concrete,
+    as the machine's ``eax`` (0) is."""
+    body = [make("mov", Mem(base=Register.R15, disp=4, size=4),
+                 Reg(Register.RDI, 4)),
+            make("mov", Mem(base=Register.R15, size=8), Imm(0, 8)),
+            make("mov", Reg(Register.RAX, 4),
+                 Mem(base=Register.R15, disp=4, size=4))]
+    emulator, tracker = _run_symbolic_rdi(body, 5)
+    assert emulator.state.regs[Register.RAX] == 0
+    assert Register.RAX not in tracker.register_exprs
+    assert tracker.memory_exprs == {}
+    assert not tracker.repair_exact
+
+
+def test_call_and_ret_move_a_symbolic_rsp():
+    """With rsp's shadow symbolic (``rsp + (x - x)``), ``call`` moves it one
+    slot down and ``ret`` one slot up, as the machine moves rsp, and a
+    ``ret`` through it ends ``constraints_exact``: the slot its target
+    comes from is input-dependent."""
+    body = [make("mov", Reg(Register.RBX), Reg(Register.RDI)),
+            make("sub", Reg(Register.RBX), Reg(Register.RDI)),
+            make("lea", Reg(Register.RSP),
+                 Mem(base=Register.RSP, index=Register.RBX, scale=1, size=8)),
+            make("call", Label("callee")),
+            make("mov", Reg(Register.RDX), Reg(Register.RSP)),
+            make("jmp", Label("done")),
+            "callee",
+            make("mov", Reg(Register.RCX), Reg(Register.RSP)),
+            make("ret"),
+            "done"]
+    for value in (5, 9):
+        emulator, tracker = _run_symbolic_rdi(body, value)
+        regs = emulator.state.regs
+        for register in (Register.RCX, Register.RDX, Register.RSP):
+            expression = tracker.register_exprs[register]
+            assert expression.evaluate({"x": value}) & _MASK64 \
+                == regs[register], register
+        assert regs[Register.RDX] == regs[Register.RCX] + 8
+        assert not tracker.constraints_exact
 
 
 def test_only_nop_and_hlt_are_inert():

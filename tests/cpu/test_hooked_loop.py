@@ -6,12 +6,15 @@ compiled step with, for a :class:`SpecializedHook`, its specialized
 transfer bound in.  These tests pin the
 loop's contract: every hook sees every instruction in list order, a
 transfer is specialized once per decoded instruction and kept across runs
-and owners, and rewriting the code under a cached transfer re-specializes
-it from the new bytes.
+and owners, rewriting the code under a cached transfer re-specializes it
+from the new bytes, and a guarded transfer's fast path runs inside the
+step, calling the transfer only when its guard fails.
 """
 
 from repro.cpu import Emulator
+from repro.cpu.codegen import GuardedTransfer
 from repro.cpu.emulator import SpecializedHook
+from repro.cpu.reference import run as reference_run
 from repro.isa import Imm, Reg, assemble
 from repro.isa.instructions import make
 from repro.isa.operands import Label
@@ -142,3 +145,78 @@ def test_specialized_hook_called_directly_runs_its_transfer():
                            _counting_specializer(calls, specializations))
     hook(None, 0x1234, make("ret"))
     assert calls == [("owner", "transfer", 0x1234)]
+
+
+class _Owner:
+    """Owner of a guarded transfer: the guard reads ``holds``, the kill
+    counts, the transfer records ``(address, rdi)``."""
+
+    def __init__(self, holds):
+        self.holds = holds
+        self.kills = 0
+        self.calls = []
+
+
+def _guarded_specializer(guard="_O.holds"):
+    def specialize(instruction):
+        def transfer(owner, emulator, address):
+            owner.calls.append((address, emulator.state.regs[Register.RDI]))
+
+        return GuardedTransfer(guard, "_O.kills += 1",
+                               {"_K_RDI": Register.RDI}, transfer)
+
+    return specialize
+
+
+def _run_guarded(owner, specialize, reference=False):
+    """Run the loop under ``owner``'s guarded transfers (after a plain
+    hook recording every executed address); return those addresses."""
+    program = build_program(_LOOP)
+    emulator = Emulator(program.memory)
+    executed = []
+    emulator.pre_hooks = [
+        lambda emu, address, instruction: executed.append(address),
+        SpecializedHook(owner, specialize)]
+    start_call(emulator, program, [5])
+    if reference:
+        reference_run(emulator, emulator.max_steps)
+    else:
+        emulator.run()
+    assert emulator.state.read_reg(Register.RAX) == 15
+    assert len(executed) == emulator.steps
+    return executed
+
+
+def test_a_guarded_transfer_runs_only_when_its_guard_fails():
+    """A guard that holds runs the kill inside the step and never calls
+    the transfer; one that fails calls the transfer once per executed
+    instruction and skips the kill."""
+    specialize = _guarded_specializer()
+    holds = _Owner(True)
+    executed = _run_guarded(holds, specialize)
+    assert holds.calls == [] and holds.kills == len(executed)
+    fails = _Owner(False)
+    executed = _run_guarded(fails, specialize)
+    assert [address for address, _ in fails.calls] == executed
+    assert fails.kills == 0
+
+
+def test_a_guarded_transfer_called_as_a_plain_hook_has_the_same_effects():
+    """The plain-hook path (the reference interpreter, or a called hook)
+    runs the same guard and kill: a guard over the machine's registers
+    splits the instructions the same way in both."""
+    specialize = _guarded_specializer("_R[_K_RDI] % 2 == 0")
+    stepped, plain = _Owner(None), _Owner(None)
+    _run_guarded(stepped, specialize)
+    _run_guarded(plain, specialize, reference=True)
+    assert stepped.calls and stepped.kills
+    assert all(rdi % 2 for _, rdi in stepped.calls)
+    assert (plain.calls, plain.kills) == (stepped.calls, stepped.kills)
+    owner = _Owner(True)
+    hook = SpecializedHook(owner, _guarded_specializer())
+    emulator = Emulator(build_program(_LOOP).memory)
+    emulator.state.write_reg(Register.RDI, 7)
+    hook(emulator, 0x1234, make("ret"))
+    owner.holds = False
+    hook(emulator, 0x1234, make("ret"))
+    assert (owner.kills, owner.calls) == (1, [(0x1234, 7)])
