@@ -17,15 +17,19 @@ on the same events.  One attack is never split across workers: a DSE
 exploration runs in the process that executes its unit, and the pool knows
 nothing about what a unit does.
 
-One pool, two modes.  A *parallel* pool (``workers > 1`` and
+One pool, two modes, one queue.  Submitted units wait in one FIFO of
+dispatch ids.  A *parallel* pool (``workers > 1`` and
 :func:`fork_available`) forks persistent workers lazily on the first
 ``submit`` and keeps them across calls, so worker-local caches (benchmark
-measurements, preloaded images, reachable-probe samples) keep paying off;
-units are claimed dynamically, so cheap and expensive cells balance.  A
-pool at one worker — or one that cannot fork — runs *inline*: ``pump``
-executes queued units in-process, oldest first, and returns the same
-events.  Serial execution is therefore the pool at one worker, not a
-second driver beside it.
+measurements, preloaded images, reachable-probe samples) keep paying off.
+Each worker owns one duplex pipe to the coordinator, which sends the
+queue's head to whichever worker is idle — cheap and expensive cells
+balance — and reads that unit's result on the same pipe.  A worker holds
+at most one unit, so the unit a death or a deadline belongs to is the one
+the coordinator sent it, and a deadline runs from the send.  A pool at one
+worker — or one that cannot fork — runs *inline*: ``pump`` executes the
+queue's head in-process and returns the same events.  Serial execution is
+therefore the pool at one worker, not a second driver beside it.
 
 Determinism: every unit measures in deterministic quantities (instruction
 counts, execution counts bounded by deterministic caps, gadget statistics),
@@ -64,15 +68,17 @@ import dataclasses
 import hashlib
 import json
 import multiprocessing
-import queue as queue_module
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from multiprocessing import connection
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro import knobs
 from repro.faults import inject_fault, parse_fault_spec, unit_retries, unit_timeout
 
-#: Seconds between liveness checks while waiting on worker results.
+#: Longest one supervision round blocks when no result, death, deadline
+#: or retry is due.
 _POLL_SECONDS = 1.0
 
 
@@ -158,9 +164,9 @@ class PoolEvent:
     error string).  ``kind`` says how the last attempt ended: ``"result"``
     (the worker reported back), ``"deadline"`` (the ``REPRO_UNIT_TIMEOUT``
     expired and its worker was killed) or ``"death"`` (the worker died
-    mid-unit; ``exitcode`` carries how).  Exactly one event is emitted per
-    dispatch id — the pool forgets the unit before emitting, so a result
-    racing a kill is never double-reported.
+    mid-unit; the payload states its exit code).  Exactly one event is
+    emitted per dispatch id — the pool forgets the unit before emitting,
+    so a result racing a kill is never double-reported.
     """
 
     kind: str
@@ -168,7 +174,6 @@ class PoolEvent:
     status: str
     payload: object
     worker: int
-    exitcode: Optional[int] = None
 
 
 @dataclass
@@ -228,33 +233,51 @@ def _run_unit(dispatch_id: int, attempt: int, unit: object, fault_spec,
 
 # -- the worker pool ----------------------------------------------------------
 
-def _worker_main(worker_index: int, task_queue, result_writer, result_lock,
-                 claim_cell) -> None:
-    """Worker loop: claim units until the ``None`` sentinel arrives.
+def _worker_main(conn, inherited) -> None:
+    """Worker loop: run each unit received on ``conn`` and answer on it.
 
-    Every claimed unit is announced in ``claim_cell`` — a shared int the
-    supervisor reads to attribute a worker death or a deadline expiry to
-    the exact unit it must retry.  Claims and results are both written
-    synchronously, so neither can die with the worker: results go straight
-    into the shared result pipe (under ``result_lock``) instead of through
-    a ``multiprocessing.Queue``, whose background feeder thread would still
-    hold a finished unit's result when the worker dies on its next claim —
-    the supervisor would then retry the claimed unit and wait forever for
-    the finished one.
+    The coordinator sends a unit only while the worker is idle, so the
+    worker answers every unit before it reads the next.  The result is
+    sent synchronously: a worker that dies on a unit has delivered every
+    earlier result, and one killed while sending leaves a torn frame that
+    reads as EOF on its own pipe only.  ``inherited`` are the coordinator's
+    ends of this and the older workers' pipes, copied by the fork; closing
+    them lets each worker see EOF — and exit — as soon as the coordinator
+    closes its end or dies, even while a younger sibling is still busy.
     """
+    for end in inherited:
+        end.close()
     fault_spec = parse_fault_spec()
     while True:
-        task = task_queue.get()
-        if task is None:
-            break
-        dispatch_id, attempt, unit = task
-        claim_cell.value = dispatch_id
+        try:
+            dispatch_id, attempt, unit = conn.recv()
+        except (EOFError, OSError):  # the coordinator closed its end or died
+            return
         outcome = _run_unit(dispatch_id, attempt, unit, fault_spec)
-        with result_lock:
-            result_writer.send((worker_index, dispatch_id, *outcome))
-        # cleared only after the result is sent: a death in between leaves
-        # a stale claim, which the supervisor's drain-first recovery ignores
-        claim_cell.value = -1
+        try:
+            conn.send(outcome)
+        except OSError:  # the coordinator is gone
+            return
+
+
+@dataclass
+class _Worker:
+    """One forked worker and the coordinator's end of its pipe."""
+
+    process: multiprocessing.process.BaseProcess
+    conn: connection.Connection
+    #: dispatch id of the unit sent and not yet answered (``None`` = idle)
+    unit: Optional[int] = None
+    #: monotonic time ``unit`` was sent; its deadline runs from here
+    sent_at: float = 0.0
+
+
+def _reap(process: multiprocessing.process.BaseProcess) -> None:
+    """Wait for a worker that is exiting; kill it if it lingers."""
+    process.join(timeout=5.0)
+    if process.is_alive():
+        process.kill()
+        process.join()
 
 
 class WorkerPool:
@@ -271,7 +294,7 @@ class WorkerPool:
     The recovery policy (see the module docstring) is set here once:
     ``retries`` (default ``REPRO_UNIT_RETRIES``), ``backoff`` (base delay
     in seconds before a retry; 0 re-dispatches at once), ``deadline``
-    (seconds per claimed unit, default ``REPRO_UNIT_TIMEOUT``; ``<= 0``
+    (seconds per sent unit, default ``REPRO_UNIT_TIMEOUT``; ``<= 0``
     disables) and ``respawn_limit`` (default
     ``max(8, workers * (retries + 2))``).
     """
@@ -284,21 +307,15 @@ class WorkerPool:
         self.backoff = backoff
         self.deadline = (unit_timeout() if deadline is None
                          else deadline if deadline > 0 else None)
-        # a worker that keeps dying before even claiming a unit (e.g. a crash
+        # a worker that keeps dying before it answers a unit (e.g. a crash
         # in the fork prologue) must not respawn forever
         self.respawn_limit = (max(8, self.workers * (self.retries + 2))
                               if respawn_limit is None else respawn_limit)
         self.stats = FaultStats()
-        self._processes: List = []
-        #: pending ``(dispatch id, attempt, unit)`` tasks: a fork-context
-        #: queue the workers claim from, or the inline FIFO :meth:`pump` runs
-        self._task_queue = None
-        #: the workers' shared result pipe and its write lock
-        self._result_reader = None
-        self._result_writer = None
-        self._result_lock = None
-        #: per-slot shared claim cells (-1 = idle); see :func:`_worker_main`
-        self._claim_cells: List = []
+        #: the forked workers by slot (empty while inline or not started)
+        self._workers: List[_Worker] = []
+        #: dispatch ids waiting for a worker (or, inline, for :meth:`pump`)
+        self._queue: Deque[int] = deque()
         #: global dispatch sequence across the pool's lifetime — the index
         #: space ``REPRO_FAULT_INJECT`` directives target (deterministic:
         #: units are numbered in submit order, not completion order).
@@ -308,75 +325,77 @@ class WorkerPool:
         self._units: Dict[int, _Outstanding] = {}
         #: dispatch id -> monotonic time its backing-off retry is due
         self._backoff: Dict[int, float] = {}
-        #: slot -> (claimed dispatch id, first observed) — the supervisor's
-        #: view of the shared claim cells; deadlines run from observation
-        self._observed: Dict[int, Optional[Tuple[int, float]]] = {}
 
     @property
     def parallel(self) -> bool:
         return (self.workers > 1 and fork_available()
                 and not self.stats.degraded)
 
-    def _spawn(self, worker_index: int):
+    def _spawn(self) -> _Worker:
         context = multiprocessing.get_context("fork")
+        # made right before its fork, so no other worker inherits the
+        # worker's end: the worker's death is EOF on the coordinator's end
+        mine, theirs = context.Pipe()
         process = context.Process(
             target=_worker_main,
-            args=(worker_index, self._task_queue, self._result_writer,
-                  self._result_lock, self._claim_cells[worker_index]),
+            args=(theirs, [mine, *(worker.conn for worker in self._workers)]),
             daemon=True)
         process.start()
-        return process
+        theirs.close()
+        return _Worker(process, mine)
 
     def _ensure_started(self) -> None:
-        if self._task_queue is not None:
-            return
-        if not self.parallel:
-            self._task_queue = queue_module.SimpleQueue()
-            return
-        context = multiprocessing.get_context("fork")
-        self._task_queue = context.Queue()
-        self._result_reader, self._result_writer = context.Pipe(duplex=False)
-        self._result_lock = context.Lock()
-        self._claim_cells = [context.Value("q", -1, lock=False)
-                             for _ in range(self.workers)]
-        self._observed = {slot: None for slot in range(self.workers)}
-        self._processes = [self._spawn(worker_index)
-                           for worker_index in range(self.workers)]
+        if self.parallel and not self._workers:
+            for _ in range(self.workers):
+                self._workers.append(self._spawn())
 
     def _respawn(self, slot: int) -> None:
         """Replace a dead/killed worker in place, keeping its slot index."""
-        self._claim_cells[slot].value = -1
-        self._observed[slot] = None
-        self._processes[slot] = self._spawn(slot)
+        old = self._workers[slot]
+        _reap(old.process)
+        old.conn.close()
+        self._workers[slot] = self._spawn()
         self.stats.respawns += 1
 
     # -- the recovery policy ---------------------------------------------------
 
-    def _dispatch(self, dispatch_id: int) -> None:
-        entry = self._units[dispatch_id]
-        self._task_queue.put((dispatch_id, entry.attempt, entry.unit))
+    def _enqueue(self, dispatch_id: int) -> None:
+        self._queue.append(dispatch_id)
+        self._feed()
 
-    def _running(self, dispatch_id: int) -> bool:
-        """Whether ``dispatch_id`` is queued or claimed (not backing off)."""
-        return dispatch_id in self._units and dispatch_id not in self._backoff
+    def _feed(self) -> None:
+        """Send the queue's oldest units to the idle workers."""
+        for worker in self._workers:
+            if not self._queue:
+                return
+            if worker.unit is not None:
+                continue
+            dispatch_id = self._queue.popleft()
+            entry = self._units[dispatch_id]
+            try:
+                worker.conn.send((dispatch_id, entry.attempt, entry.unit))
+            except OSError:  # died idle: the unit waits for a live worker
+                self._queue.appendleft(dispatch_id)
+                continue
+            worker.unit = dispatch_id
+            worker.sent_at = time.monotonic()  # lint: allow-wallclock — worker-liveness deadline, not row content
 
     def _release_due(self) -> None:
-        """Dispatch every backing-off retry whose delay has passed."""
+        """Queue every backing-off retry whose delay has passed."""
         if not self._backoff:
             return
         now = time.monotonic()  # lint: allow-wallclock — retry-backoff schedule, not row content
         for dispatch_id, ready_at in list(self._backoff.items()):
             if ready_at <= now:
                 del self._backoff[dispatch_id]
-                self._dispatch(dispatch_id)
+                self._enqueue(dispatch_id)
 
     def _settle(self, outcomes: List[Tuple[PoolEvent, _Outstanding]],
                 ) -> List[PoolEvent]:
         """Retry failed outcomes with attempts left; return the terminal.
 
         Each outcome's unit was already taken out of the outstanding set
-        while its round was supervised, so a stale claim of the same id
-        cannot be reported twice in that round.
+        when its attempt ended.
         """
         terminal: List[PoolEvent] = []
         for event, entry in outcomes:
@@ -394,7 +413,7 @@ class WorkerPool:
             if delay > 0:
                 self._backoff[event.dispatch_id] = time.monotonic() + delay  # lint: allow-wallclock — retry-backoff schedule, not row content
             else:
-                self._dispatch(event.dispatch_id)
+                self._enqueue(event.dispatch_id)
         return terminal
 
     def _degrade(self) -> None:
@@ -407,10 +426,8 @@ class WorkerPool:
         """
         self.stats.degraded = 1
         self._terminate()
-        self._task_queue = queue_module.SimpleQueue()
-        for dispatch_id in sorted(self._units):
-            if dispatch_id not in self._backoff:
-                self._dispatch(dispatch_id)
+        self._queue = deque(sorted(dispatch_id for dispatch_id in self._units
+                                   if dispatch_id not in self._backoff))
 
     # -- incremental supervision API ------------------------------------------
 
@@ -420,7 +437,7 @@ class WorkerPool:
         self._units_dispatched += 1
         self._ensure_started()
         self._units[dispatch_id] = _Outstanding(unit)
-        self._dispatch(dispatch_id)
+        self._enqueue(dispatch_id)
         return dispatch_id
 
     def pump(self, timeout: float = _POLL_SECONDS) -> List[PoolEvent]:
@@ -432,42 +449,45 @@ class WorkerPool:
         (after their backoff) and surface nothing.  Returns ``[]`` at once
         when nothing is outstanding.
 
-        A forked pool polls the claim cells, waits (briefly) on the result
-        pipe, enforces the deadline per claimed unit (kill + respawn on
+        A forked pool waits on the busy workers' pipes and on every
+        worker's process sentinel, so a result or a death ends the wait at
+        once.  It enforces the deadline per sent unit (kill + respawn on
         expiry) and recovers dead workers — any premature exit counts,
-        clean code 0 included.  Results drained while recovering a kill or
-        a death win over the deadline/death outcome — the unit finished, so
-        it is reported finished.  An inline pool runs queued units
-        in-process until one is terminal; with only backing-off work it
-        waits for the nearest retry, up to ``timeout``.
+        clean code 0 included.  A result that reached the pipe before its
+        worker died or was killed wins over the death or deadline outcome —
+        the unit finished, so it is reported finished; a torn result is EOF
+        on the dead worker's pipe.  Freed workers then take the queue's
+        head.  An inline pool runs queued units in-process until one is
+        terminal; with only backing-off work it waits for the nearest
+        retry, up to ``timeout``.
         """
         if not self._units:
             return []
-        self._ensure_started()
         if not self.parallel:
             return self._pump_inline(timeout)
         self._release_due()
         terminal = self._settle(self._supervise(timeout))
         if self.stats.respawns > self.respawn_limit:
             self._degrade()
+        self._feed()
         return terminal
 
     def _pump_inline(self, timeout: float) -> List[PoolEvent]:
         give_up = time.monotonic() + timeout  # lint: allow-wallclock — retry-backoff schedule, not row content
         while True:
             self._release_due()
-            try:
-                dispatch_id, attempt, unit = self._task_queue.get_nowait()
-            except queue_module.Empty:
+            if not self._queue:
                 now = time.monotonic()  # lint: allow-wallclock — retry-backoff schedule, not row content
                 if not self._backoff or now >= give_up:
                     return []
                 time.sleep(max(0.0, min(min(self._backoff.values()),
                                         give_up) - now))
                 continue
+            dispatch_id = self._queue.popleft()
             entry = self._units.pop(dispatch_id)
-            status, payload = _run_unit(dispatch_id, attempt, unit,
-                                        parse_fault_spec(), inline=True)
+            status, payload = _run_unit(dispatch_id, entry.attempt,
+                                        entry.unit, parse_fault_spec(),
+                                        inline=True)
             terminal = self._settle([(PoolEvent(
                 kind="result", dispatch_id=dispatch_id, status=status,
                 payload=payload, worker=0), entry)])
@@ -477,84 +497,55 @@ class WorkerPool:
     def _supervise(self, timeout: float,
                    ) -> List[Tuple[PoolEvent, _Outstanding]]:
         """One forked supervision round: every outcome, failed or not."""
-        outcomes: List[Tuple[PoolEvent, _Outstanding]] = []
-
-        def outcome(event: PoolEvent) -> None:
-            outcomes.append((event, self._units.pop(event.dispatch_id)))
-
-        def handle(message) -> None:
-            worker, dispatch_id, status, payload = message
-            if not self._running(dispatch_id):
-                return  # stale duplicate drained around a worker death
-            outcome(PoolEvent(kind="result", dispatch_id=dispatch_id,
-                              status=status, payload=payload, worker=worker))
-
-        def drain() -> None:
-            while self._result_reader.poll():
-                handle(self._result_reader.recv())
-
-        now = time.monotonic()  # lint: allow-wallclock — worker-liveness deadline, not row content
-        for slot, cell in enumerate(self._claim_cells):
-            value = cell.value
-            observed = self._observed.get(slot)
-            if value < 0:
-                self._observed[slot] = None
-            elif observed is None or observed[0] != value:
-                self._observed[slot] = (value, now)
-
+        busy = [worker for worker in self._workers if worker.unit is not None]
         # wake early enough to enforce the nearest unit deadline and to
         # dispatch the nearest backing-off retry
+        now = time.monotonic()  # lint: allow-wallclock — worker-liveness deadline, not row content
         wake = timeout
         if self.deadline is not None:
-            for claim in self._observed.values():
-                if claim is not None and self._running(claim[0]):
-                    remaining = self.deadline - (now - claim[1])
-                    wake = max(0.05, min(wake, remaining))
+            for worker in busy:
+                wake = min(wake, worker.sent_at + self.deadline - now)
         if self._backoff:
-            wake = max(0.0, min(wake, min(self._backoff.values()) - now))
-        if self._result_reader.poll(wake):
-            drain()
-            return outcomes
+            wake = min(wake, min(self._backoff.values()) - now)
+        ready = set(connection.wait(
+            [worker.conn for worker in busy]
+            + [worker.process.sentinel for worker in self._workers],
+            max(0.0, wake)))
 
-        # per-unit deadline: kill the worker hosting an expired unit, then
-        # record the expiry and refill the slot
-        if self.deadline is not None:
-            now = time.monotonic()  # lint: allow-wallclock — worker-liveness deadline, not row content
-            for slot, claim in list(self._observed.items()):
-                if claim is None or not self._running(claim[0]) \
-                        or now - claim[1] <= self.deadline:
-                    continue
-                process = self._processes[slot]
-                if process.is_alive():
-                    process.kill()
-                    process.join(timeout=5.0)
+        outcomes: List[Tuple[PoolEvent, _Outstanding]] = []
+        now = time.monotonic()  # lint: allow-wallclock — worker-liveness deadline, not row content
+        for slot, worker in enumerate(self._workers):
+            process, dispatch_id = worker.process, worker.unit
+            # ANY exit is a death, a clean exit code 0 included: only the
+            # coordinator closing the pipe lets a worker exit on purpose
+            dead = process.sentinel in ready
+            expired = (dispatch_id is not None and not dead
+                       and worker.conn not in ready
+                       and self.deadline is not None
+                       and now - worker.sent_at >= self.deadline)
+            if expired:
+                process.kill()
                 self.stats.timeouts += 1
-                drain()  # a result that raced the kill wins over a retry
-                if self._running(claim[0]):
-                    outcome(PoolEvent(
-                        kind="deadline", dispatch_id=claim[0],
-                        status="error",
-                        payload=(f"unit deadline exceeded "
-                                 f"(REPRO_UNIT_TIMEOUT={self.deadline:g}s)"),
-                        worker=slot))
+                dead = True
+            if dispatch_id is not None and (dead or worker.conn in ready):
+                worker.unit = None
+                try:
+                    status, payload = worker.conn.recv()
+                    kind = "result"
+                except (EOFError, OSError):  # torn or never sent
+                    _reap(process)
+                    dead, status = True, "error"
+                    kind = "deadline" if expired else "death"
+                    payload = (f"unit deadline exceeded (REPRO_UNIT_TIMEOUT="
+                               f"{self.deadline:g}s)" if expired else
+                               f"worker died mid-unit (exit code "
+                               f"{process.exitcode})")
+                outcomes.append((PoolEvent(
+                    kind=kind, dispatch_id=dispatch_id, status=status,
+                    payload=payload, worker=slot),
+                    self._units.pop(dispatch_id)))
+            if dead:
                 self._respawn(slot)
-
-        # supervise: ANY dead worker with work outstanding is a fault —
-        # including a clean exit code 0, which the close() sentinel
-        # handshake alone may legitimately produce, but a mid-unit exit
-        # never can
-        for slot, process in enumerate(self._processes):
-            if process.is_alive():
-                continue
-            drain()
-            value = self._claim_cells[slot].value
-            if value >= 0 and self._running(value):
-                outcome(PoolEvent(
-                    kind="death", dispatch_id=value, status="error",
-                    payload=(f"worker died mid-unit (exit code "
-                             f"{process.exitcode})"),
-                    worker=slot, exitcode=process.exitcode))
-            self._respawn(slot)
         return outcomes
 
     def map(self, units: Sequence[object],
@@ -562,10 +553,11 @@ class WorkerPool:
             ) -> Tuple[List[dict], List[int]]:
         """Execute every unit; return ``(results, worker_ids)`` unit-ordered.
 
-        Units are claimed dynamically, so expensive cells (Table II attacks)
-        and cheap ones (Table III statistics) balance across workers; the
-        returned lists are nevertheless in input order, which is what makes
-        the downstream merge order-independent of the execution schedule.
+        Idle workers take units as they free up, so expensive cells (Table
+        II attacks) and cheap ones (Table III statistics) balance across
+        workers; the returned lists are nevertheless in input order, which
+        is what makes the downstream merge order-independent of the
+        execution schedule.
 
         A unit the pool surfaces as failed (see the module docstring) is
         recorded as a :func:`quarantine_row` instead of aborting the run.
@@ -595,45 +587,38 @@ class WorkerPool:
         return results, worker_ids
 
     def _terminate(self) -> None:
-        """Kill every worker at once, skipping the sentinel handshake."""
-        for process in self._processes:
-            if process.is_alive():
-                process.terminate()
-        for process in self._processes:
-            process.join(timeout=2.0)
-            if process.is_alive():
-                process.kill()
-                process.join(timeout=2.0)
-        if self._processes:  # an inline FIFO has no feeder thread to cancel
-            self._task_queue.cancel_join_thread()
-        if self._result_reader is not None:
-            self._result_reader.close()
-            self._result_writer.close()
-        self._processes = []
-        self._result_reader = self._result_writer = self._result_lock = None
-        self._claim_cells = []
-        self._observed = {}
+        """Kill every worker at once, skipping the EOF handshake."""
+        for worker in self._workers:
+            if worker.process.is_alive():
+                worker.process.terminate()
+        for worker in self._workers:
+            worker.process.join(timeout=2.0)
+            if worker.process.is_alive():
+                worker.process.kill()
+                worker.process.join(timeout=2.0)
+            worker.conn.close()
+        self._workers = []
 
     def abort(self) -> None:
-        """Tear the pool down immediately, skipping the sentinel handshake.
+        """Tear the pool down immediately, skipping the EOF handshake.
 
-        The close() handshake waits on workers draining the task queue; a
-        pool being abandoned on an error path must not wait on them.
+        close() waits on workers finishing the unit they hold; a pool
+        being abandoned on an error path must not wait on them.
         """
         self._terminate()
-        self._task_queue = None
+        self._queue.clear()
         self._units = {}
         self._backoff = {}
 
     def close(self) -> None:
-        """Stop the workers after the sentinel handshake; safe to call twice."""
-        for _ in self._processes:
-            try:
-                self._task_queue.put(None)
-            except (OSError, ValueError):
-                break
-        for process in self._processes:
-            process.join(timeout=5.0)
+        """Stop the workers: each exits on EOF once its unit is answered.
+
+        Safe to call twice.
+        """
+        for worker in self._workers:
+            worker.conn.close()
+        for worker in self._workers:
+            worker.process.join(timeout=5.0)
         self.abort()
 
     def __enter__(self) -> "WorkerPool":

@@ -13,7 +13,7 @@ drive each recovery path deliberately instead of hoping for it.
 
 * ``index`` — the dispatch sequence number the fault targets.  The grid
   pool numbers units globally across the pool's lifetime in enqueue order
-  (so the index is deterministic regardless of which worker claims what).
+  (so the index is deterministic regardless of which worker runs what).
   The pool retries a unit under its original id, so a ``count`` limits
   how often the same unit is sabotaged.
 * ``mode`` — ``raise`` (the unit errors), ``hang`` (the worker sleeps past
@@ -36,8 +36,9 @@ never crash a worker that would otherwise run fine.
 This module is also the home of the pool's fault-tolerance knobs, shared
 by both of its clients:
 
-* ``REPRO_UNIT_TIMEOUT`` — per-unit wall-clock deadline in seconds; a
-  worker whose claimed unit exceeds it is killed and the unit retried.
+* ``REPRO_UNIT_TIMEOUT`` — per-unit wall-clock deadline in seconds, from
+  the unit's send to its worker; a worker whose unit exceeds it is killed
+  and the unit retried.
   Unset, empty or ``<= 0`` disables the deadline (the default).
 * ``REPRO_UNIT_RETRIES`` — how many times a failed/timed-out/orphaned unit
   is retried before being quarantined (default 2).
@@ -118,11 +119,11 @@ def inject_fault(index: int, attempt: int = 0,
                  inline: bool = False) -> None:
     """Fire the configured fault for ``(index, attempt)``, if any.
 
-    Called by the worker loops right after claiming a unit (so the parent
-    already knows which unit the dying worker held).  ``inline`` marks
-    in-process (non-forked) execution, where only ``raise`` and ``slow``
-    are honoured — ``exit0``/``kill``/``hang`` would take down or stall
-    the driver itself.
+    Called by the worker loop right after it receives a unit (the
+    coordinator sent it, so it knows which unit a dying worker held).
+    ``inline`` marks in-process (non-forked) execution, where only
+    ``raise`` and ``slow`` are honoured — ``exit0``/``kill``/``hang`` would
+    take down or stall the driver itself.
     """
     directives = parse_fault_spec() if spec is None else spec
     directive = directives.get(index)

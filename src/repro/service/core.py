@@ -41,9 +41,6 @@ from repro.evaluation.parallel import FaultStats, WorkerPool
 from repro.service.journal import Journal
 from repro.service.requests import AttackRequest, request_fingerprint
 
-#: Seconds one blocking supervision round waits for pool events.
-_POLL_SECONDS = 1.0
-
 
 def service_workers() -> int:
     """Resolve ``REPRO_SERVICE_WORKERS`` (default 1 = in-process serial)."""
@@ -174,7 +171,7 @@ class AttackService:
         restarted service should retry it.
         """
         rows: List[dict] = []
-        for event in self._pool.pump(timeout=_POLL_SECONDS):
+        for event in self._pool.pump():
             request, fingerprint = self._inflight.pop(event.dispatch_id)
             if event.status == "ok":
                 self.stats.completed += 1

@@ -7,8 +7,8 @@ budget caps.  Requests are validated on admission (:func:`parse_request`
 raises ``ValueError`` with the reason, which becomes a ``rejected`` terminal
 row) and executed inside pool workers by :func:`execute_request`, which is
 registered with the grid pool's unit-executor registry
-(:func:`repro.evaluation.parallel.register_unit_executor`) so the existing
-fork/claim/supervision machinery dispatches requests like any grid unit.
+(:func:`repro.evaluation.parallel.register_unit_executor`), so the pool
+sends requests to its idle workers and supervises them like any grid unit.
 
 Reuse across requests is what makes the service worth running long-lived:
 each worker keeps small LRU caches of prepared images and attack engines.

@@ -164,8 +164,8 @@ def test_worker_death_is_detected_respawned_and_unit_retried(monkeypatch, mode):
 
 @needs_fork
 def test_more_workers_than_cores_deliver_every_result_once(monkeypatch):
-    """Four workers (more than CI's two cores) contend for the shared result
-    pipe while three of them exit mid-run: every unit still resolves exactly
+    """Four workers (more than CI's two cores) each answer on their own pipe
+    while three of them exit mid-run: every unit still resolves exactly
     once, to its inline row."""
     units = _units() * 4
     reference, _ = WorkerPool(1).map(units)
