@@ -4,7 +4,8 @@ The attacker's goal here is not a secret but full path coverage of the
 original code (e.g. to collect traces for later analysis).  The script runs
 the same CUPA-driven DSE attack against the native binary and against ROP
 configurations of increasing strength and reports how much of the reachable
-code each attempt covered.
+code each attempt covered (``outcome.covered_probes``) and the work it spent,
+read from the exploration counters the outcome carries (``outcome.stats``).
 
 Run with ``python examples/coverage_attack.py``.
 """
@@ -74,8 +75,9 @@ def main() -> None:
         covered = len(outcome.covered_probes & target)
         status = "FULL" if outcome.success else "partial"
         print(f"{label:>22}: {status} coverage {covered}/{len(target)} "
-              f"after {outcome.executions} executions "
-              f"({outcome.instructions} instructions, {outcome.paths} paths)")
+              f"after {outcome.stats.executions} executions "
+              f"({outcome.stats.instructions} instructions, "
+              f"{outcome.stats.paths_seen} paths)")
 
 
 if __name__ == "__main__":

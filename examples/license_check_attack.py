@@ -2,7 +2,9 @@
 
 Reproduces the paper's core claim at example scale: the same DSE attack that
 cracks the native check in a handful of executions needs far more work (or
-fails within the budget) once the check is a hardened ROP chain.
+fails within the budget) once the check is a hardened ROP chain.  The work
+each attempt spent is read from the exploration counters the outcome carries
+(``outcome.stats``); a recovered secret comes with its ``witness`` input.
 
 Run with ``python examples/license_check_attack.py``.
 """
@@ -34,8 +36,9 @@ def attack(image, label: str) -> None:
     outcome = secret_finding_attack(image, "validate", InputSpec(argument_sizes=[2]),
                                     budget)
     status = "RECOVERED" if outcome.success else "not found"
-    print(f"{label:>22}: secret {status} | executions={outcome.executions} "
-          f"instructions={outcome.instructions} solver_queries={outcome.solver_queries} "
+    print(f"{label:>22}: secret {status} | executions={outcome.stats.executions} "
+          f"instructions={outcome.stats.instructions} "
+          f"solver_queries={outcome.stats.solver_queries} "
           f"time={outcome.time_to_success:.2f}s")
     if outcome.witness:
         print(f"{'':>22}  witness input: {outcome.witness}")

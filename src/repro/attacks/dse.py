@@ -240,6 +240,9 @@ class DseEngine(SnapshotEngine):
         the CUPA RNG stream, the solver's model cache, the cumulative
         :class:`EngineStats` — is rebuilt here, which is exactly what makes
         a served request byte-identical to a one-shot run at the same seed.
+        The rebuilt solver keeps its per-query evaluation budget: that is
+        set by the engine kind (the static engine raises it), not by a
+        request.
         The mid-path snapshot pool lives for one exploration (``explore``
         already emptied it); it is cleared here too for callers that drive
         :meth:`execute` alone.  The *entry* snapshot is deliberately kept:
@@ -250,7 +253,9 @@ class DseEngine(SnapshotEngine):
             self.input_spec = input_spec
             self.symbols = self.input_spec.symbol_table()
         self.random = random.Random(seed)
-        self.solver = ConstraintSolver(self.symbols, seed=seed)
+        self.solver = ConstraintSolver(
+            self.symbols, seed=seed,
+            max_evaluations=self.solver.max_evaluations)
         self.stats = EngineStats()
         self._pool.clear()
 

@@ -1,18 +1,24 @@
 """Attack goal drivers: G1 secret finding and G2 code coverage (§III).
 
-Both drivers wrap an exploration engine (DSE by default) with a budget and a
-success criterion, returning an :class:`AttackOutcome` with the measurements
-Table II reports: whether the goal was reached, how long it took, and how
-much work (executions, instructions, solver queries) was spent.
+Both goals run one driver over an exploration engine (DSE by default): it
+explores within an :class:`AttackBudget` until the goal's "reached"
+predicate holds, and returns an :class:`AttackOutcome` with what Table II
+reports: whether the goal was reached, when, and the exploration's own
+:class:`~repro.attacks.engine.EngineStats` (executions, instructions,
+solver queries, paths, snapshot restores).  The goals differ only in that
+predicate: G1 is reached by an execution returning the accepting value,
+G2 once the executions' probes cover the target set.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.attacks.dse import DseEngine, ExecutionResult, InputSpec
+from repro.attacks.engine import EngineStats
 from repro.binary.image import BinaryImage
 
 
@@ -42,46 +48,62 @@ class AttackOutcome:
 
     Attributes:
         success: whether the goal was reached within the budget.
-        time_to_success: seconds elapsed when the goal was reached (or the
-            full budget when it was not).
-        executions: concrete executions performed.
-        instructions: total emulated instructions (rerun-from-entry
-            accounting; see :class:`repro.attacks.engine.EngineStats`).
-        solver_queries: solver invocations.
-        paths: distinct paths observed.
-        witness: for secret finding, the input assignment that reached the
-            accepting path.
-        covered_probes: for coverage, the set of probe identifiers observed.
-        branch_restores: executions resumed from a mid-path branch snapshot
-            (backtracking DSE).
-        instructions_replayed: instructions skipped by those restores.
+        time_to_success: seconds into the exploration at which the goal
+            was reached (the full budget when it was not).
+        stats: a copy of the exploration's
+            :class:`~repro.attacks.engine.EngineStats` (executions,
+            instructions in rerun-from-entry accounting, solver queries,
+            ``paths_seen``, branch restores, instructions replayed...); a
+            copy, so reusing the engine cannot change a returned outcome.
+        witness: on success, the input assignment of the execution that
+            reached the goal (for secret finding, the accepting input).
+        covered_probes: the union of the probes every execution observed.
     """
 
     success: bool
     time_to_success: float
-    executions: int
-    instructions: int
-    solver_queries: int
-    paths: int
+    stats: EngineStats
     witness: Optional[Dict[str, int]] = None
     covered_probes: Set[int] = field(default_factory=set)
-    branch_restores: int = 0
-    instructions_replayed: int = 0
 
 
-def _make_engine(image: BinaryImage, function: str, input_spec: InputSpec,
-                 budget: AttackBudget, engine: str, seed: int,
-                 memory_model: str) -> DseEngine:
+def _make_engine(image: BinaryImage, function: str,
+                 input_spec: Optional[InputSpec], max_instructions: int,
+                 engine: str = "dse", seed: int = 0,
+                 memory_model: str = "concretize") -> DseEngine:
+    """Build the exploration engine of one goal: ``"dse"`` or ``"se"``."""
     if engine == "dse":
         return DseEngine(image, function, input_spec, strategy="cupa",
                          memory_model=memory_model, seed=seed,
-                         max_instructions=budget.max_instructions_per_run)
+                         max_instructions=max_instructions)
     if engine == "se":
         from repro.attacks.symbolic import SymbolicExecutionEngine
 
         return SymbolicExecutionEngine(image, function, input_spec, seed=seed,
-                                       max_instructions=budget.max_instructions_per_run)
+                                       max_instructions=max_instructions)
     raise ValueError(f"unknown engine {engine!r}")
+
+
+def _attack(driver: DseEngine, budget: AttackBudget,
+            reached: Callable[[ExecutionResult, Set[int]], bool]) -> AttackOutcome:
+    """Explore until ``reached(result, probes covered so far)`` holds."""
+    start = time.monotonic()
+    covered: Set[int] = set()
+    hit: List[Tuple[float, Dict[str, int]]] = []
+
+    def stop(result: ExecutionResult) -> bool:
+        covered.update(result.probes)
+        if reached(result, covered):
+            hit.append((time.monotonic() - start, dict(result.assignment)))
+        return bool(hit)
+
+    _, stats = driver.explore(time_budget=budget.seconds,
+                              max_executions=budget.max_executions,
+                              stop_condition=stop,
+                              max_solver_queries=budget.max_solver_queries)
+    when, witness = hit[0] if hit else (budget.seconds, None)
+    return AttackOutcome(bool(hit), when, dataclasses.replace(stats), witness,
+                         covered)
 
 
 def secret_finding_attack(image: BinaryImage, function: str,
@@ -99,38 +121,11 @@ def secret_finding_attack(image: BinaryImage, function: str,
     ``seed`` and ``input_spec``.
     """
     budget = budget or AttackBudget()
-    input_spec = input_spec or InputSpec()
-    if driver is None:
-        driver = _make_engine(image, function, input_spec, budget, engine,
-                              seed, memory_model)
-
-    start = time.monotonic()
-    found: Dict[str, int] = {}
-
-    def stop(result: ExecutionResult) -> bool:
-        if not result.faulted and result.return_value == accept_value:
-            found.update(result.assignment)
-            return True
-        return False
-
-    results, stats = driver.explore(time_budget=budget.seconds,
-                                    max_executions=budget.max_executions,
-                                    stop_condition=stop,
-                                    max_solver_queries=budget.max_solver_queries)
-    elapsed = time.monotonic() - start
-    success = bool(found)
-    return AttackOutcome(
-        success=success,
-        time_to_success=elapsed if success else budget.seconds,
-        executions=stats.executions,
-        instructions=stats.instructions,
-        solver_queries=stats.solver_queries,
-        paths=stats.paths_seen,
-        witness=dict(found) if success else None,
-        covered_probes={p for r in results for p in r.probes},
-        branch_restores=stats.branch_restores,
-        instructions_replayed=stats.instructions_replayed,
-    )
+    driver = driver or _make_engine(image, function, input_spec,
+                                    budget.max_instructions_per_run, engine,
+                                    seed, memory_model)
+    return _attack(driver, budget, lambda result, _: not result.faulted
+                   and result.return_value == accept_value)
 
 
 def coverage_attack(image: BinaryImage, function: str, target_probes: Iterable[int],
@@ -139,34 +134,9 @@ def coverage_attack(image: BinaryImage, function: str, target_probes: Iterable[i
                     memory_model: str = "concretize", seed: int = 0) -> AttackOutcome:
     """G2: exercise enough paths to hit every reachable coverage probe."""
     budget = budget or AttackBudget()
-    input_spec = input_spec or InputSpec()
     target = set(target_probes)
-    driver = _make_engine(image, function, input_spec, budget, engine, seed, memory_model)
-
-    covered: Set[int] = set()
-    start = time.monotonic()
-    reached_at = {"time": budget.seconds}
-
-    def stop(result: ExecutionResult) -> bool:
-        covered.update(result.probes)
-        if target and covered >= target:
-            reached_at["time"] = time.monotonic() - start
-            return True
-        return False
-
-    _, stats = driver.explore(time_budget=budget.seconds,
-                              max_executions=budget.max_executions,
-                              stop_condition=stop,
-                              max_solver_queries=budget.max_solver_queries)
-    success = bool(target) and covered >= target
-    return AttackOutcome(
-        success=success,
-        time_to_success=reached_at["time"] if success else budget.seconds,
-        executions=stats.executions,
-        instructions=stats.instructions,
-        solver_queries=stats.solver_queries,
-        paths=stats.paths_seen,
-        covered_probes=covered,
-        branch_restores=stats.branch_restores,
-        instructions_replayed=stats.instructions_replayed,
-    )
+    driver = _make_engine(image, function, input_spec,
+                          budget.max_instructions_per_run, engine, seed,
+                          memory_model)
+    return _attack(driver, budget,
+                   lambda _, covered: bool(target) and covered >= target)

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence
 
-from repro.attacks import AttackBudget, coverage_attack, secret_finding_attack
+from repro.attacks import (AttackBudget, AttackOutcome, coverage_attack,
+                           secret_finding_attack)
 from repro.attacks.dse import InputSpec
 from repro.evaluation.configurations import (
     ObfuscationConfig,
@@ -73,7 +74,29 @@ def table2_units(configurations, specs, budget: AttackBudget,
 
 #: spec -> reachable probe set.  The set is a property of the *native*
 #: function, so it is sampled once per spec, not once per cell.
-_REACHABLE: Dict[Tuple, set] = {}
+_REACHABLE: Dict[RandomFunSpec, set] = {}
+
+
+def _attack_variant(unit: Table2Unit, counters: Dict[str, int],
+                    point_test: bool) -> AttackOutcome:
+    """Attack the secret (``point_test``) or coverage variant of the cell's
+    function under its configuration; add its work to ``counters``."""
+    spec = replace(unit.spec, point_test=point_test)
+    program, _, probe_count = generate_random_function(spec)
+    image = apply_configuration(program, [spec.name], unit.configuration,
+                                seed=unit.seed)
+    input_spec = InputSpec(argument_sizes=[spec.input_size])
+    if point_test:
+        outcome = secret_finding_attack(image, spec.name, input_spec,
+                                        unit.budget, seed=unit.seed)
+    else:
+        if spec not in _REACHABLE:
+            _REACHABLE[spec] = _reachable_probes(program, spec, probe_count)
+        outcome = coverage_attack(image, spec.name, _REACHABLE[spec],
+                                  input_spec, unit.budget, seed=unit.seed)
+    for counter in counters:
+        counters[counter] += getattr(outcome.stats, counter)
+    return outcome
 
 
 def execute_table2(unit: Table2Unit) -> dict:
@@ -81,50 +104,15 @@ def execute_table2(unit: Table2Unit) -> dict:
 
     Returns the cell's counters; :func:`merge_table2` folds cells into rows.
     """
-    spec = unit.spec
-    secret_spec = RandomFunSpec(structure=spec.structure,
-                                input_size=spec.input_size, seed=spec.seed,
-                                point_test=True,
-                                loop_iterations=spec.loop_iterations)
-    program, _, _ = generate_random_function(secret_spec)
-    image = apply_configuration(program, [secret_spec.name],
-                                unit.configuration, seed=unit.seed)
-    input_spec = InputSpec(argument_sizes=[spec.input_size])
-    outcome = secret_finding_attack(image, secret_spec.name, input_spec,
-                                    unit.budget, seed=unit.seed)
-    cell = {
-        "configuration": unit.configuration.name,
-        "secret_found": outcome.success,
-        "time_to_success": outcome.time_to_success,
-        "coverage_full": False,
-        "executions": outcome.executions,
-        "instructions": outcome.instructions,
-        "branch_restores": outcome.branch_restores,
-    }
-
-    if unit.include_coverage:
-        coverage_spec = RandomFunSpec(structure=spec.structure,
-                                      input_size=spec.input_size,
-                                      seed=spec.seed, point_test=False,
-                                      loop_iterations=spec.loop_iterations)
-        cov_program, _, probe_count = generate_random_function(coverage_spec)
-        cov_image = apply_configuration(cov_program, [coverage_spec.name],
-                                        unit.configuration, seed=unit.seed)
-        spec_key = (spec.structure, spec.input_size, spec.seed,
-                    spec.loop_iterations)
-        reachable = _REACHABLE.get(spec_key)
-        if reachable is None:
-            reachable = _reachable_probes(cov_program, coverage_spec,
-                                          probe_count)
-            _REACHABLE[spec_key] = reachable
-        cov_outcome = coverage_attack(cov_image, coverage_spec.name,
-                                      reachable, input_spec, unit.budget,
-                                      seed=unit.seed)
-        cell["coverage_full"] = cov_outcome.success
-        cell["executions"] += cov_outcome.executions
-        cell["instructions"] += cov_outcome.instructions
-        cell["branch_restores"] += cov_outcome.branch_restores
-    return cell
+    counters = dict.fromkeys(("executions", "instructions",
+                              "branch_restores"), 0)
+    secret = _attack_variant(unit, counters, point_test=True)
+    coverage_full = unit.include_coverage and _attack_variant(
+        unit, counters, point_test=False).success
+    return {"configuration": unit.configuration.name,
+            "secret_found": secret.success,
+            "time_to_success": secret.time_to_success,
+            "coverage_full": coverage_full, **counters}
 
 
 register_unit_executor(Table2Unit, execute_table2)

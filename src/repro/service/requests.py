@@ -36,6 +36,7 @@ from typing import Optional, Tuple
 
 from repro.attacks import AttackBudget, secret_finding_attack
 from repro.attacks.dse import DseEngine, InputSpec
+from repro.attacks.goals import _make_engine
 from repro.evaluation.parallel import register_unit_executor, unit_fingerprint
 from repro.obfuscation.configs import TABLE2_CONFIGURATIONS
 from repro.workloads.randomfuns import (CONTROL_STRUCTURES,
@@ -215,10 +216,9 @@ def _prepared_engine(request: AttackRequest, image, symbol: str) -> DseEngine:
     input_spec = InputSpec(argument_sizes=[request.input_size])
     engine = _cache_get(_ENGINES, key)
     if engine is None:
-        engine = DseEngine(image, symbol, input_spec, strategy="cupa",
-                           memory_model="concretize",
-                           seed=request.effective_attack_seed,
-                           max_instructions=request.max_instructions)
+        engine = _make_engine(image, symbol, input_spec,
+                              request.max_instructions,
+                              seed=request.effective_attack_seed)
         _cache_put(_ENGINES, key, engine)
     engine.retarget(symbol)
     engine.reset(input_spec=input_spec, seed=request.effective_attack_seed)
@@ -253,12 +253,12 @@ def execute_request(request: AttackRequest) -> dict:
         "engine": request.engine,
         "secret_found": outcome.success,
         "witness": outcome.witness,
-        "executions": outcome.executions,
-        "instructions": outcome.instructions,
-        "solver_queries": outcome.solver_queries,
-        "paths": outcome.paths,
-        "branch_restores": outcome.branch_restores,
-        "instructions_replayed": outcome.instructions_replayed,
+        "executions": outcome.stats.executions,
+        "instructions": outcome.stats.instructions,
+        "solver_queries": outcome.stats.solver_queries,
+        "paths": outcome.stats.paths_seen,
+        "branch_restores": outcome.stats.branch_restores,
+        "instructions_replayed": outcome.stats.instructions_replayed,
     }
 
 

@@ -1,11 +1,14 @@
 """Tests for the attack engines: solver, DSE, SE, TDS, ROP-aware tools."""
 
 
+import pytest
+
 from repro.attacks import AttackBudget, coverage_attack, secret_finding_attack
 from repro.attacks.dse import DseEngine, InputSpec
 from repro.attacks.ropaware import RopDissector, RopMemuExplorer
 from repro.attacks.solver.expr import BinExpr, ConstExpr, SymExpr, simplify
 from repro.attacks.solver.solver import ConstraintSolver, PathConstraint
+from repro.attacks.symbolic import SymbolicExecutionEngine
 from repro.attacks.tds import TaintDrivenSimplifier
 from repro.compiler import compile_program
 from repro.core import RopConfig, rop_obfuscate
@@ -68,20 +71,73 @@ def test_solver_reports_unsat_within_budget():
 
 
 # -- DSE on native code ------------------------------------------------------------
-def test_dse_finds_secret_in_native_code():
-    image = compile_program(license_check_program())
-    outcome = secret_finding_attack(image, "check", InputSpec(argument_sizes=[1]),
-                                    AttackBudget(seconds=5, max_executions=60))
-    assert outcome.success
-    assert outcome.witness is not None
+def _recorded_attack(monkeypatch, attack, *args):
+    """Run a goal; return its outcome, its engine and the engine's
+    execution results."""
+    explore = DseEngine.explore
+    seen = {}
+
+    def recording_explore(engine, *explore_args, **explore_kwargs):
+        results, stats = explore(engine, *explore_args, **explore_kwargs)
+        seen.update(engine=engine, results=results)
+        return results, stats
+
+    monkeypatch.setattr(DseEngine, "explore", recording_explore)
+    return attack(*args), seen["engine"], seen["results"]
 
 
-def test_dse_reaches_full_coverage_on_native_code():
+def _assert_driver_contract(outcome, engine, results, budget):
+    """What both goals' outcomes promise, reached or not."""
+    # a copy of the exploration's own counters, which reusing the engine
+    # cannot change
+    assert outcome.stats == engine.stats
+    assert outcome.stats is not engine.stats
+    assert outcome.stats.executions == len(results) > 0
+    assert outcome.covered_probes == {probe for result in results
+                                      for probe in result.probes}
+    assert (outcome.witness is not None) is outcome.success
+    if not outcome.success:
+        assert outcome.time_to_success == budget.seconds
+    executions = outcome.stats.executions
+    engine.reset()
+    assert outcome.stats.executions == executions
+
+
+# one execution runs only the all-zero input, which the check rejects
+@pytest.mark.parametrize("max_executions, succeeds", [(60, True), (1, False)])
+def test_dse_finds_secret_in_native_code(monkeypatch, max_executions,
+                                         succeeds):
     image = compile_program(license_check_program())
-    outcome = coverage_attack(image, "check", target_probes={1, 2, 3},
-                              input_spec=InputSpec(argument_sizes=[1]),
-                              budget=AttackBudget(seconds=5, max_executions=60))
-    assert outcome.success
+    budget = AttackBudget(seconds=5, max_executions=max_executions)
+    outcome, engine, results = _recorded_attack(
+        monkeypatch, secret_finding_attack, image, "check",
+        InputSpec(argument_sizes=[1]), budget)
+    assert outcome.success is succeeds
+    _assert_driver_contract(outcome, engine, results, budget)
+    if succeeds:
+        assert ((outcome.witness["arg0"] * 13) ^ 0x27) & 0xFF == 0x5A
+
+
+# probe 99 does not exist, so that target can only be partly covered
+@pytest.mark.parametrize("target, succeeds", [({1, 2, 3}, True),
+                                              ({1, 2, 3, 99}, False)])
+def test_dse_reaches_full_coverage_on_native_code(monkeypatch, target,
+                                                  succeeds):
+    image = compile_program(license_check_program())
+    budget = AttackBudget(seconds=5, max_executions=60)
+    outcome, engine, results = _recorded_attack(
+        monkeypatch, coverage_attack, image, "check", target,
+        InputSpec(argument_sizes=[1]), budget)
+    assert outcome.success is succeeds
+    _assert_driver_contract(outcome, engine, results, budget)
+
+
+def test_reset_keeps_the_solver_evaluation_budget():
+    engine = SymbolicExecutionEngine(compile_program(license_check_program()),
+                                     "check", InputSpec(argument_sizes=[1]))
+    assert engine.solver.max_evaluations == 20_000
+    engine.reset(seed=3)
+    assert engine.solver.max_evaluations == 20_000
 
 
 def test_dse_explores_multiple_paths():

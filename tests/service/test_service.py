@@ -289,6 +289,21 @@ def test_pooled_rows_equal_serial_rows_without_faults(tmp_path, monkeypatch):
     assert {row["id"]: row for row in rows} == reference
 
 
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
+def test_se_request_serves_like_its_one_shot_row(tmp_path, monkeypatch,
+                                                  workers):
+    """The static engine is built per request (only DSE engines are cached);
+    served inline or pooled, its row is still the one-shot row."""
+    monkeypatch.delenv("REPRO_FAULT_INJECT", raising=False)
+    request = _request("se", engine="se", configuration="ROP0.25",
+                       max_executions=3)
+    reference = execute_request(request)
+    assert reference["engine"] == "se" and reference["executions"] <= 3
+    with AttackService(tmp_path, workers=workers) as service:
+        rows = service.submit(request) + service.drain()
+    assert rows == [reference]
+
+
 # -- knobs and the CLI --------------------------------------------------------
 
 def test_service_knob_resolution(monkeypatch, tmp_path):
