@@ -345,7 +345,7 @@ def measure_grid_parallel(workers=GRID_PARALLEL_WORKERS, cell_seeds=8):
     work and the ratio is a pure scheduling measurement.
     """
     from repro.attacks import AttackBudget
-    from repro.evaluation.configurations import ropk
+    from repro.obfuscation.configs import ropk
     from repro.evaluation.parallel import WorkerPool, fork_available
     from repro.evaluation.table2 import table2_units
     from repro.workloads.randomfuns import RandomFunSpec

@@ -11,7 +11,7 @@ import sys
 from repro.binary import load_image
 from repro.compiler import compile_program
 from repro.cpu import call_function
-from repro.evaluation.configurations import apply_configuration, nvm, ropk
+from repro.obfuscation.configs import apply_configuration, nvm, ropk
 from repro.workloads.clbg import CLBG_BENCHMARKS, build_clbg_program
 
 

@@ -8,12 +8,11 @@ that the concurrency-sensitive layers keep their determinism discipline.
 Contract checks (driven by the tier registrations each tier module makes
 at import time):
 
-* **Coverage** — every dispatch-table mnemonic is either covered by a tier
-  or on that tier's explicit decline list, and every tier the checker
-  expects has registered at all.  (The partition itself is validated by
-  ``register_tier`` at import; the checker surfaces violations as findings
-  instead of an import-time stack trace.)
-* **Flag slots** — for each covered mnemonic, the flag slots the tier's
+* **Coverage** — every tier the checker expects has registered, and each
+  maps every mnemonic to a function that exists.  (Completeness itself is
+  validated by ``register_tier`` at import; the checker surfaces
+  violations as findings instead of an import-time stack trace.)
+* **Flag slots** — for each mnemonic, the flag slots the tier's
   source actually assigns (``state.cf = …`` attribute stores, or ``cf = …``
   assignments inside the codegen tier's emitted source text) are computed
   transitively through same-module helper calls (and, for attribute-style
@@ -277,7 +276,7 @@ def check_tiers(root: Path) -> List[Finding]:
 
     Importing :mod:`repro.cpu.semantics` pulls in the whole ``repro.cpu``
     package, whose tier modules call ``register_tier`` at import time — so
-    a partition error in any registration surfaces right at the guarded
+    a coverage error in any registration surfaces right at the guarded
     import below, and becomes a reported finding rather than a checker
     stack trace.
     """
@@ -285,7 +284,7 @@ def check_tiers(root: Path) -> List[Finding]:
         from repro.cpu import semantics
     except Exception as exc:  # lint: allow-broad-except — any import-time
         # failure of the registry or a registering tier (including a
-        # register_tier partition ValueError) must become a finding, not a
+        # register_tier coverage ValueError) must become a finding, not a
         # checker crash.
         return [Finding(
             "src/repro/cpu/semantics.py", 1, "tier-import",
@@ -301,7 +300,7 @@ def check_tiers(root: Path) -> List[Finding]:
         try:
             importlib.import_module(module_name)
         except Exception as exc:  # lint: allow-broad-except — a tier whose
-            # import fails (including a register_tier partition error) must
+            # import fails (including a register_tier coverage error) must
             # become a finding, not a checker crash.
             findings.append(Finding(module_name.replace(".", "/") + ".py", 1,
                                     "tier-import",
@@ -331,46 +330,35 @@ def check_tiers(root: Path) -> List[Finding]:
              for source in paths],
             emitted=registration.flag_style == "emitted")
         rel = _relative(path, root)
-        for mnemonic, functions in sorted(registration.covered.items(),
-                                          key=lambda item: item[0].name):
-            if not functions:
+        for mnemonic, function_name in sorted(registration.covered.items(),
+                                              key=lambda item: item[0].name):
+            facts = table.get(function_name)
+            if facts is None:
+                findings.append(Finding(
+                    rel, 1, "tier-function",
+                    f"tier {registration.name!r} maps {mnemonic.name} to "
+                    f"{function_name!r}, which does not exist in "
+                    f"{registration.module}"))
                 continue
             contract = semantics.SEMANTICS[mnemonic]
             allowed = contract.flags_written | contract.flags_preserved
-            assigned: Set[str] = set()
-            guarded = False
-            for function_name in functions:
-                facts = table.get(function_name)
-                if facts is None:
-                    findings.append(Finding(
-                        rel, 1, "tier-function",
-                        f"tier {registration.name!r} maps "
-                        f"{mnemonic.name} to {function_name!r}, which does "
-                        f"not exist in {registration.module}"))
-                    continue
-                assigned |= facts.flags
-                guarded = guarded or facts.guarded
-            extra = assigned - allowed
+            extra = facts.flags - allowed
             if extra and check_flags:
                 findings.append(Finding(
-                    rel, table[functions[0]].line if functions[0] in table
-                    else 1, "flag-contract",
+                    rel, facts.line, "flag-contract",
                     f"tier {registration.name!r} assigns flag(s) "
                     f"{sorted(extra)} for {mnemonic.name}, but the registry "
                     f"declares writes={sorted(contract.flags_written)} "
                     f"preserved={sorted(contract.flags_preserved)}"))
-            missing = contract.flags_written - assigned
-            if missing and check_flags \
-                    and all(f in table for f in functions):
+            missing = contract.flags_written - facts.flags
+            if missing and check_flags:
                 findings.append(Finding(
-                    rel, table[functions[0]].line, "flag-contract",
+                    rel, facts.line, "flag-contract",
                     f"tier {registration.name!r} never assigns flag(s) "
                     f"{sorted(missing)} required for {mnemonic.name}"))
-            if "zero_count_noop" in contract.specials and functions and \
-                    any(f in table for f in functions) and not guarded:
+            if "zero_count_noop" in contract.specials and not facts.guarded:
                 findings.append(Finding(
-                    rel, table[functions[0]].line if functions[0] in table
-                    else 1, "zero-count-guard",
+                    rel, facts.line, "zero-count-guard",
                     f"tier {registration.name!r} covers {mnemonic.name} but "
                     f"has no reachable 'count == 0' early-out — a masked "
                     f"zero count must modify neither flags nor destination"))

@@ -1442,4 +1442,4 @@ _semantics.register_tier(
     "shadow", __name__,
     covered={mnemonic: builder.__name__
              for mnemonic, builder in _BUILDERS.items()},
-    declined=(), flag_style="none")
+    flag_style="none")

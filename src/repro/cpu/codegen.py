@@ -28,13 +28,16 @@ The generated function is shaped as one ``while True`` block whose ``break``
 statements converge on a single register/flag writeback tail (early exits —
 failed ret guards, mid-trace self-modification — set the executed-step count
 ``ex`` first), so the source stays compact enough that ``compile()`` is a
-once-per-trace cost of well under a millisecond.
+once-per-trace cost of well under a millisecond.  A trace ends on its
+``exit`` step: the control transfer, emitted by the same emitter as any
+other instruction, then the ``break``.
 
 Semantics are bit-for-bit those of single-step dispatch: fused ``ret``
 guards, mid-trace self-modification checks after every store, and fault
 repair (``rip`` and ``steps`` exactly as single-stepping would have left
-them) are all emitted inline.  Every step is native code.  Each mnemonic
-has one emitter (:data:`_EMITTERS`), written in the reference handler's
+them) are all emitted inline.  Every step is native code.  Each of the 35
+mnemonics has one emitter (:data:`_EMITTERS`; control flow's is
+:meth:`_Codegen._op_control`), written in the reference handler's
 (:mod:`repro.cpu.reference`) order: load the destination, load the
 source, set the flags, then store or fault.  The shared operand helpers
 tell the operand shapes apart: immediates and masks fold into literals, a
@@ -69,7 +72,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.cpu import semantics as _semantics
 from repro.cpu.state import BIT_WIDTHS, EmulationError, SIGN_BITS, SIZE_MASKS
-from repro.cpu.trace import TraceStep
+from repro.cpu.trace import _OPERAND_MINIMUM, TraceStep
 from repro.isa.instructions import Mnemonic
 from repro.isa.operands import Imm, Mem, Reg
 from repro.isa.registers import Register
@@ -126,9 +129,7 @@ def _signed(value: str, size: int) -> str:
 
 #: Mnemonic -> the :class:`_Codegen` method that emits it.  It is both
 #: :meth:`_Codegen.emit_op`'s dispatch and the codegen tier's coverage, so
-#: the contract lint checks the method that runs.  Control flow has no
-#: entry: the trace step kinds (:meth:`_Codegen.emit_step`) and
-#: :meth:`_StepCodegen.emit_control` emit it.
+#: the contract lint checks the method that runs.
 _EMITTERS: Dict[Mnemonic, str] = {
     Mnemonic.MOV: "_op_mov",
     Mnemonic.MOVZX: "_op_mov",
@@ -160,6 +161,11 @@ _EMITTERS: Dict[Mnemonic, str] = {
     Mnemonic.SET: "_op_set",
     Mnemonic.CQO: "_op_cqo",
     Mnemonic.NOP: "_op_nop",
+    Mnemonic.RET: "_op_control",
+    Mnemonic.JMP: "_op_control",
+    Mnemonic.JCC: "_op_control",
+    Mnemonic.CALL: "_op_control",
+    Mnemonic.HLT: "_op_control",
 }
 
 
@@ -172,6 +178,11 @@ class _Codegen:
     helpers (:meth:`load`, :meth:`_load_at`, :meth:`rhs`, :meth:`store`),
     which fold immediates and masks into literals where the shape allows.
     """
+
+    #: Whether ``_S.rip`` already holds the fall-through ``post`` when an
+    #: instruction's semantics start: a step installs it first, a trace
+    #: does not.
+    rip_holds_post = False
 
     def __init__(self, trace) -> None:
         self.trace = trace
@@ -641,64 +652,56 @@ class _Codegen:
     def _op_nop(self, index: int, step) -> None:
         return
 
-    # -- control-flow / special step kinds --------------------------------------
+    def _op_control(self, index: int, step) -> None:
+        """``ret``/``jmp``/``jcc``/``call``/``hlt``, in the reference
+        handlers' order (a ``call`` reads its target before the push).
+        ``post`` is stored only where the transfer keeps it, on a not-taken
+        ``jcc`` and ``hlt``, and only when ``rip`` does not hold it yet."""
+        instruction = step.instruction
+        mnemonic = instruction.mnemonic
+        if mnemonic is Mnemonic.HLT:
+            if not self.rip_holds_post:
+                self.emit(f"_S.rip = {step.post}")
+            self.emit("_E.halted = True")
+            return
+        if mnemonic is Mnemonic.RET:
+            self.pop(index, "_S.rip")
+            return
+        operand = instruction.operands[0]
+        target = self.load(index, operand)
+        if mnemonic is Mnemonic.CALL:
+            if type(operand) is not Imm:
+                self.emit(f"t = {target}")
+                target = "t"
+            self.push(index, str(step.post))
+        elif mnemonic is Mnemonic.JCC:
+            condition = _COND_EXPR[instruction.condition]
+            if self.rip_holds_post:
+                self.emit(f"if {condition}:")
+                self.emit(f"    _S.rip = {target}")
+                return
+            target = f"{target} if {condition} else {step.post}"
+        self.emit(f"_S.rip = {target}")
+
+    # -- trace step kinds -------------------------------------------------------
     def emit_step(self, index: int, step) -> None:
+        """Emit one trace step: an ``op``, a transfer the trace fuses
+        (``ret_guard``, ``jmp_fused``, ``call_fused``), or the ``exit``
+        transfer, which then breaks to the writeback."""
         self.bound = None
         kind = step.kind
-        if kind == "op":
-            self.emit_op(index, step)
-            return
-        if kind == "jmp_fused":
-            return
         if kind == "ret_guard":
             self.pop(index, "t")
             self.emit(f"if t != {step.target}:")
             self.emit("    _S.rip = t")
             self.early_exit(index + 1)
-            return
-        if kind == "ret_final":
-            self.pop(index, "t")
-            self.emit("_S.rip = t")
-            self.emit("break")
-            return
-        if kind == "call_fused" or kind == "call_term":
+        elif kind == "call_fused":
             self.push(index, str(step.post))
-            if kind == "call_fused":
-                self.gen_check(index, step.target)
-            else:
-                self.emit(f"_S.rip = {step.target}")
+            self.gen_check(index, step.target)
+        elif kind != "jmp_fused":
+            self.emit_op(index, step)
+            if kind == "exit":
                 self.emit("break")
-            return
-        if kind == "jmp_imm":
-            self.emit(f"_S.rip = {step.target}")
-            self.emit("break")
-            return
-        if kind == "jcc_imm":
-            condition = _COND_EXPR[step.instruction.condition]
-            self.emit(f"_S.rip = {step.target} if {condition} else {step.post}")
-            self.emit("break")
-            return
-        if kind == "jmp_ind":
-            target = self.load(index, step.instruction.operands[0])
-            if step.instruction.mnemonic is Mnemonic.JCC:
-                condition = _COND_EXPR[step.instruction.condition]
-                target = f"{target} if {condition} else {step.post}"
-            self.emit(f"_S.rip = {target}")
-            self.emit("break")
-            return
-        if kind == "call_ind":
-            # the target is read before the push, as the handler does
-            self.emit(f"t = {self.load(index, step.instruction.operands[0])}")
-            self.push(index, str(step.post))
-            self.emit("_S.rip = t")
-            self.emit("break")
-            return
-        if kind == "hlt":
-            self.emit(f"_S.rip = {step.post}")
-            self.emit("_E.halted = True")
-            self.emit("break")
-            return
-        raise ValueError(f"unknown trace step kind {kind!r}")
 
     # -- assembly ---------------------------------------------------------------
     def _writeback_lines(self) -> List[str]:
@@ -862,11 +865,6 @@ _ACCESSORS = {"_RQ": "read_qword", "_RD": "read_int", "_WQ": "write_qword",
 #: Source fragments of an emitted line that may fault.
 _FAULTING = tuple(f"{name}(" for name in _ACCESSORS) + ("raise ",)
 
-_OPERAND_MINIMUM = _semantics.operand_minimums()
-
-_CONTROL = (Mnemonic.RET, Mnemonic.JMP, Mnemonic.JCC, Mnemonic.CALL,
-            Mnemonic.HLT)
-
 
 class _StepCodegen(_Codegen):
     """Builds the source of one instruction's hooked-loop step.
@@ -878,11 +876,14 @@ class _StepCodegen(_Codegen):
     made before it, as the trace tier's writeback does.  Flags live in
     locals, loaded and stored only when the instruction touches them.  A
     fault needs no step index ``n``: it leaves ``rip`` past the instruction
-    and ``steps`` unadvanced, with nothing to repair.  A store needs no SMC
-    check, because the run loop checks the region generation at the next
-    fetch.  A :class:`FastPath` goes ahead of the semantics
-    (:func:`_guarded_lines`).
+    and ``steps`` unadvanced, with nothing to repair, because the step
+    sets ``rip`` to its ``post`` argument first; so a control transfer
+    stores only the ``rip`` it jumps to.  A store needs no SMC check,
+    because the run loop checks the region generation at the next fetch.
+    A :class:`FastPath` goes ahead of the semantics (:func:`_guarded_lines`).
     """
+
+    rip_holds_post = True
 
     def __init__(self, instruction, fast: Optional[FastPath]) -> None:
         super().__init__(None)
@@ -903,38 +904,15 @@ class _StepCodegen(_Codegen):
                    index: int) -> None:
         self.emit(f"{result_var} = _RQ({address_var})")
 
-    def emit_control(self) -> None:
-        """Control transfers, in the reference handlers' order (``rip``
-        already holds the fall-through ``post``)."""
-        instruction = self.instruction
-        mnemonic = instruction.mnemonic
-        if mnemonic is Mnemonic.HLT:
-            self.emit("_E.halted = True")
-            return
-        if mnemonic is Mnemonic.RET:
-            self.pop(0, "_S.rip")
-            return
-        target = self.load(0, instruction.operands[0])
-        if mnemonic is Mnemonic.CALL:
-            self.emit(f"t = {target}")
-            self.push(0, "post")
-            self.emit("_S.rip = t")
-        elif mnemonic is Mnemonic.JCC:
-            self.emit(f"if {_COND_EXPR[instruction.condition]}:")
-            self.emit(f"    _S.rip = {target}")
-        else:
-            self.emit(f"_S.rip = {target}")
-
     def step_source(self) -> str:
         instruction = self.instruction
         if len(instruction.operands) < _OPERAND_MINIMUM[instruction.mnemonic]:
             # a decode missing an operand its mnemonic needs
             message = f"unimplemented instruction {instruction}"
             self.emit(f"raise _EE({message!r})")
-        elif instruction.mnemonic in _CONTROL:
-            self.emit_control()
         else:
-            self.emit_op(0, TraceStep("op", 0, instruction, 0))
+            # ``post`` is the step's argument of that name
+            self.emit_op(0, TraceStep("op", 0, instruction, "post"))
         body = self.lines
         # a flag is loaded when it is read before an unconditional
         # assignment, or assigned only conditionally; it is stored when
@@ -1034,15 +1012,11 @@ def compile_step(instruction, fast: Optional[FastPath] = None
 
 
 # -- semantic-contract registration -------------------------------------------
-# The compiled tier's coverage (see repro.cpu.semantics): every mnemonic,
-# through the emitter table emit_op dispatches on, so the lint checks the
-# *emitted* flag assignments of the method that runs (flag_style="emitted":
-# the checker parses the source-text string literals passed to emit()).
-# Control flow maps to no method: the step kinds of emit_step and
-# _StepCodegen.emit_control emit it.  A trace whose source cannot be
-# generated is declined whole, and keeps its single-step warm-up path.
-_semantics.register_tier(
-    "codegen", __name__,
-    covered={**_EMITTERS, **dict.fromkeys(_CONTROL)},
-    declined=(),
-    flag_style="emitted")
+# The compiled tier's coverage (see repro.cpu.semantics) is the emitter table
+# emit_op dispatches on, so the lint checks the *emitted* flag assignments
+# of the method that runs (flag_style="emitted": the checker parses the
+# source-text string literals passed to emit()).  A trace whose source
+# cannot be generated is declined whole, and keeps its single-step warm-up
+# path.
+_semantics.register_tier("codegen", __name__, covered=_EMITTERS,
+                         flag_style="emitted")

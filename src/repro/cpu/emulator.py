@@ -163,19 +163,17 @@ class EmulatorSnapshot:
     flags and host state are shallow-copied, so taking and restoring
     snapshots is O(regions), not O(bytes).
 
-    ``source_memory`` remembers which live :class:`Memory` the snapshot was
-    taken from.  As long as the restoring emulator still runs on that same
-    object, :meth:`Emulator.restore` can rewind the regions *in place* and
-    keep its decode/trace caches warm for every region the execution never
-    wrote — the common case for the attack engines, which rewind thousands
-    of times per second over read-only code.
+    ``source_memory`` is the live :class:`Memory` the snapshot was taken
+    from, the only one :meth:`Emulator.restore` rewinds it into: in place,
+    keeping the decode/trace caches warm for every region the execution
+    never wrote, which is what lets the attack engines rewind thousands of
+    times per second over read-only code.
     """
 
     __slots__ = ("state", "memory", "host", "steps", "halted", "source_memory")
 
     def __init__(self, state: CpuState, memory: Memory, host: HostEnvironment,
-                 steps: int, halted: bool,
-                 source_memory: Optional[Memory] = None) -> None:
+                 steps: int, halted: bool, source_memory: Memory) -> None:
         self.state = state
         self.memory = memory
         self.host = host
@@ -531,31 +529,26 @@ class Emulator:
                                 source_memory=self.memory)
 
     def restore(self, snap: EmulatorSnapshot) -> None:
-        """Rewind this emulator to ``snap``.
+        """Rewind this emulator to ``snap``, in place.
 
         Registers, flags, memory and host state all revert to their values at
-        snapshot time.  When the emulator still runs on the memory object the
-        snapshot was taken from, regions rewind in place: untouched regions
-        are left alone (their cached decodes and traces stay valid) and
-        written regions re-share the snapshot's backing with a generation
-        bump, which invalidates exactly the cache entries that went stale.
-        Otherwise the memory is replaced wholesale and the caches dropped,
-        because their entries reference the replaced memory's regions.
+        snapshot time.  Untouched regions are left alone (their cached
+        decodes and traces stay valid) and written regions re-share the
+        snapshot's backing with a generation bump, which invalidates exactly
+        the cache entries that went stale.  The ``CpuState`` and its
+        register dict keep their identity, because compiled traces bind
+        them directly.
+
+        Raises:
+            ValueError: if ``snap`` was taken from another memory.
         """
+        if snap.source_memory is not self.memory:
+            raise ValueError("snapshot was taken from another memory")
         self.host = snap.host.fork()
         self.steps = snap.steps
         self.halted = snap.halted
-        if self.memory is snap.source_memory \
-                and self.memory.restore_from(snap.memory):
-            # keep the CpuState (and its regs dict) identity: compiled
-            # traces bind them directly
-            self.state.restore_from(snap.state)
-            return
-        self.state = snap.state.fork()
-        self.memory = snap.memory.snapshot()
-        self._decode_cache.clear()
-        self._trace_cache.clear()
-        self._trace_heat.clear()
+        self.memory.restore_from(snap.memory)
+        self.state.restore_from(snap.state)
 
     def _run_host_function(self, address: int) -> None:
         name = self.host_handlers.get(address)

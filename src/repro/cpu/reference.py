@@ -430,9 +430,9 @@ DISPATCH: Dict[Mnemonic, Callable[[Emulator, Instruction], None]] = {
 #: Mnemonic -> the fewest decoded operands it runs with.
 _OPERAND_MINIMUM = _semantics.operand_minimums()
 
-#: The reference covers every mnemonic and declines nothing.  Registration
-#: validates the split at import and feeds the static contract checker.
+#: The reference covers every mnemonic through its handler table.
+#: Registration validates that at import and feeds the static contract
+#: checker.
 _semantics.register_tier(
     "reference", __name__,
-    covered=_semantics.handler_table(),
-    declined=(), flag_style="attributes")
+    covered=_semantics.handler_table(), flag_style="attributes")

@@ -15,12 +15,12 @@ to the architectural flag slots, which operand counts it accepts, and which
 special-case rules every implementation must honour (width-masked shift
 counts, the masked-zero-count no-op, OF defined only for 1-bit shifts, the
 sub-register width merge).  Each tier *registers* against it at import time
-(:func:`register_tier`) with an explicit covered/declined split, and the
-static checker (``python -m repro.analysis.lint``) verifies — without
-executing anything — that the flag slots a tier's code actually assigns
-match the contract, and that the zero-count guard exists wherever a tier
-claims shift coverage.  A future native tier registers the same way and
-inherits the same gate.
+(:func:`register_tier`), mapping every mnemonic to the one function that
+implements it: no tier declines any.  The static checker (``python -m
+repro.analysis.lint``) verifies, without executing anything, that the flag
+slots each of those functions actually assigns match the contract, and
+that the zero-count guard exists wherever a tier covers a shift.  A future
+native tier registers the same way and inherits the same gate.
 
 Everything here is plain data built once at import; the hot loops never
 consult the registry (:func:`trim_operands` runs once per compiled step or
@@ -30,7 +30,7 @@ shadow transfer, not per executed instruction).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 from repro.isa.instructions import Instruction, Mnemonic
 
@@ -192,68 +192,43 @@ def trim_operands(instruction: Instruction) -> Instruction:
 #: statically checked and the dynamic differentials carry the rest.
 FLAG_STYLES: Tuple[str, ...] = ("attributes", "emitted", "none")
 
-CoverageSpec = Mapping[Mnemonic, Union[None, str, Tuple[str, ...]]]
-
-
 @dataclass(frozen=True)
 class TierRegistration:
-    """One tier's declared relationship to the contract registry."""
+    """One tier's declared relationship to the contract registry: it
+    covers every mnemonic, each through one named function."""
 
     name: str
     #: The implementing module (``__name__`` at the registration site);
     #: the checker locates the tier's source through ``sys.modules``.
     module: str
-    #: Mnemonic -> implementing function/method names.  An empty tuple
-    #: means "covered inline" (e.g. trace-terminal control flow): the
-    #: coverage claim stands but no dedicated function is flag-checked.
-    covered: Mapping[Mnemonic, Tuple[str, ...]]
-    #: Mnemonics this tier deliberately leaves to the tier below.
-    declined: FrozenSet[Mnemonic]
+    #: Mnemonic -> the function or method that implements it, which the
+    #: checker flag-checks.
+    covered: Mapping[Mnemonic, str]
     flag_style: str
 
 
 TIERS: Dict[str, TierRegistration] = {}
 
 
-def register_tier(name: str, module: str, covered: CoverageSpec,
-                  declined: Iterable[Mnemonic] = (),
-                  flag_style: str = "attributes") -> TierRegistration:
-    """Register one tier's covered/declined split; validates completeness.
+def register_tier(name: str, module: str, covered: Mapping[Mnemonic, str],
+                  flag_style: str) -> TierRegistration:
+    """Register one tier's coverage; validates that it is complete.
 
-    Raises ``ValueError`` when the split does not partition the dispatch
-    mnemonic set — so an incomplete tier fails at import, before any test
-    or workload runs.  Re-registration under the same name replaces the
-    previous record (module reloads in tests).
+    Raises ``ValueError`` unless ``covered`` maps every mnemonic, and only
+    mnemonics, to one function name — so an incomplete tier fails at
+    import, before any test or workload runs.  Re-registration under the
+    same name replaces the previous record (module reloads in tests).
     """
     if flag_style not in FLAG_STYLES:
         raise ValueError(f"tier {name}: unknown flag style {flag_style!r}")
-    normalized: Dict[Mnemonic, Tuple[str, ...]] = {}
-    for mnemonic, functions in covered.items():
-        if mnemonic not in SEMANTICS:
-            raise ValueError(f"tier {name}: unknown mnemonic {mnemonic!r}")
-        if functions is None:
-            normalized[mnemonic] = ()
-        elif isinstance(functions, str):
-            normalized[mnemonic] = (functions,)
-        else:
-            normalized[mnemonic] = tuple(functions)
-    declined_set = frozenset(declined)
-    unknown = declined_set - frozenset(SEMANTICS)
-    if unknown:
-        raise ValueError(f"tier {name}: unknown declined mnemonic(s) "
-                         f"{sorted(m.name for m in unknown)}")
-    overlap = declined_set & frozenset(normalized)
-    if overlap:
-        raise ValueError(f"tier {name}: mnemonic(s) both covered and "
-                         f"declined: {sorted(m.name for m in overlap)}")
-    missing = frozenset(SEMANTICS) - frozenset(normalized) - declined_set
-    if missing:
-        raise ValueError(
-            f"tier {name}: mnemonic(s) neither covered nor on the decline "
-            f"list: {sorted(m.name for m in missing)}")
+    unnamed = sorted(mnemonic.name for mnemonic in SEMANTICS
+                     if not isinstance(covered.get(mnemonic), str))
+    if unnamed or len(covered) != len(SEMANTICS):
+        raise ValueError(f"tier {name}: every mnemonic, and nothing else, "
+                         f"must map to one function name; not mapped: "
+                         f"{unnamed}")
     registration = TierRegistration(name=name, module=module,
-                                    covered=normalized,
-                                    declined=declined_set,
+                                    covered=dict(covered),
                                     flag_style=flag_style)
     TIERS[name] = registration
     return registration

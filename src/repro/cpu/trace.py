@@ -21,8 +21,10 @@ Peeked targets are never trusted: the fused ``ret`` executes its real
 semantics and then *guards* on the recorded target.  A mismatching pop (a
 rewritten chain slot, a data-dependent branch) simply ends the fused run with
 the architectural state fully consistent, and the run loop carries on from
-the actual ``rip``.  Conditional branches and indirect jumps end a trace the
-same way, so no fused step is ever speculative.
+the actual ``rip``.  Every other control transfer (a ``ret`` that cannot be
+peeked, conditional branches, indirect and out-of-trace jumps and calls,
+``hlt``) ends the trace as its ``"exit"`` step, so no fused step is ever
+speculative.
 
 Correctness keying mirrors the decode cache: a trace records its code
 region's write ``generation`` and is rebuilt when the region changes
@@ -55,6 +57,10 @@ _RSP = Register.RSP
 #: an unimplemented instruction, which the trace leaves to single-step.
 _OPERAND_MINIMUM = operand_minimums()
 
+#: Mnemonics that transfer control: a trace fuses or exits on each.
+_CONTROL = frozenset((Mnemonic.RET, Mnemonic.JMP, Mnemonic.JCC, Mnemonic.CALL,
+                      Mnemonic.HLT))
+
 #: Mnemonics whose first operand being a plain register means that register
 #: is (potentially) written.  Used for the static rsp-delta tracking.
 _REG_WRITERS = frozenset(m for m in Mnemonic) - frozenset(
@@ -66,19 +72,15 @@ _REG_WRITERS = frozenset(m for m in Mnemonic) - frozenset(
 class TraceStep:
     """The recorded form of one fused instruction.
 
-    ``kind`` distinguishes the shapes the builder special-cases:
+    ``kind`` names the shapes that exist only in traces:
 
     * ``"op"`` — straight-line instruction.
     * ``"ret_guard"`` — fused ``ret`` guarding on the peeked ``target``.
-    * ``"ret_final"`` — terminal ``ret`` (no peeked continuation).
-    * ``"jmp_fused"`` — immediate ``jmp`` swallowed by the trace (``target``
-      is the next fused address).
-    * ``"jmp_imm"`` / ``"jcc_imm"`` / ``"call_fused"`` / ``"call_term"`` —
-      immediate-target control transfers (``target`` holds the destination).
-    * ``"jmp_ind"`` / ``"call_ind"`` — trace-terminal control transfers
-      through a register or memory operand (``jmp_ind`` also carries a
-      conditional jump through one).
-    * ``"hlt"`` — halt.
+    * ``"jmp_fused"`` / ``"call_fused"`` — immediate ``jmp``/``call`` the
+      trace swallows (``target`` is the next fused address).
+    * ``"exit"`` — the control transfer that ends the trace: ``ret``,
+      ``jmp``, ``jcc``, ``call`` or ``hlt``, emitted by the same control
+      emitter as a one-instruction step.
 
     ``post`` is the ``rip`` after the instruction (the fused target for
     ``"jmp_fused"``), which is where a fault inside it leaves ``rip``.
@@ -215,46 +217,29 @@ def build_trace(emulator, entry: int, cap: int = TRACE_CAP) -> Optional[Trace]:
         mnemonic = instruction.mnemonic
         post = (address + length) & _M
 
-        if mnemonic is Mnemonic.RET:
-            target = None
-            if delta is not None:
-                target = memory.peek_int(entry_rsp + delta)
+        if mnemonic is Mnemonic.RET and delta is not None:
+            target = memory.peek_int(entry_rsp + delta)
             if target is not None and continues(target):
                 steps.append(TraceStep("ret_guard", address, instruction, post,
                                        target))
                 delta += 8
                 address = target
                 continue
-            steps.append(TraceStep("ret_final", address, instruction, post))
-            break
-
-        if mnemonic in (Mnemonic.JMP, Mnemonic.JCC, Mnemonic.CALL):
-            operand = instruction.operands[0]
-            if type(operand) is not Imm:
-                kind = "call_ind" if mnemonic is Mnemonic.CALL else "jmp_ind"
-                steps.append(TraceStep(kind, address, instruction, post))
-                break
-            target = _imm_value(operand)
-            if mnemonic is Mnemonic.JCC:
-                steps.append(TraceStep("jcc_imm", address, instruction, post,
-                                       target))
-                break
+        elif mnemonic in (Mnemonic.JMP, Mnemonic.CALL) \
+                and type(instruction.operands[0]) is Imm:
+            target = _imm_value(instruction.operands[0])
             if continues(target):
-                if mnemonic is Mnemonic.JMP:
-                    steps.append(TraceStep("jmp_fused", address, instruction,
-                                           target, target))
-                else:
+                if mnemonic is Mnemonic.CALL:
                     steps.append(TraceStep("call_fused", address, instruction,
                                            post, target))
                     delta = None if delta is None else delta - 8
+                else:
+                    steps.append(TraceStep("jmp_fused", address, instruction,
+                                           target))
                 address = target
                 continue
-            kind = "jmp_imm" if mnemonic is Mnemonic.JMP else "call_term"
-            steps.append(TraceStep(kind, address, instruction, post, target))
-            break
-
-        if mnemonic is Mnemonic.HLT:
-            steps.append(TraceStep("hlt", address, instruction, post))
+        if mnemonic in _CONTROL:
+            steps.append(TraceStep("exit", address, instruction, post))
             break
 
         steps.append(TraceStep("op", address, instruction, post))

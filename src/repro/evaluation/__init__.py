@@ -1,6 +1,6 @@
 """Evaluation harness regenerating every table and figure of §VII."""
 
-from repro.evaluation.configurations import TABLE2_CONFIGURATIONS, ROPK_SWEEP, NATIVE
+from repro.obfuscation.configs import TABLE2_CONFIGURATIONS, ROPK_SWEEP, NATIVE
 from repro.evaluation.table2 import Table2Row, run_table2
 from repro.evaluation.table3 import Table3Row, run_table3
 from repro.evaluation.figure5 import Figure5Bar, run_figure5

@@ -9,7 +9,7 @@ from repro.attacks import AttackBudget, secret_finding_attack
 from repro.attacks.dse import InputSpec
 from repro.binary import load_image
 from repro.cpu import call_function
-from repro.evaluation.configurations import ObfuscationConfig, apply_configuration, nvm, ropk, NATIVE
+from repro.obfuscation.configs import ObfuscationConfig, apply_configuration, nvm, ropk, NATIVE
 from repro.workloads.base64_ref import base64_check_program
 
 

@@ -9,8 +9,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.attacks.engine import preloaded_fork
 from repro.compiler import compile_program
 from repro.cpu import call_function
-from repro.evaluation.configurations import (ROPK_SWEEP, ObfuscationConfig,
-                                             apply_configuration, nvm, ropk)
+from repro.obfuscation.configs import (ROPK_SWEEP, ObfuscationConfig,
+                                       apply_configuration, nvm, ropk)
 from repro.evaluation.parallel import register_unit_executor
 from repro.workloads.clbg import CLBG_BENCHMARKS, build_clbg_program
 

@@ -54,7 +54,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.attacks import AttackBudget
 from repro.evaluation import parallel
-from repro.evaluation.configurations import TABLE2_CONFIGURATIONS, nvm
+from repro.obfuscation.configs import TABLE2_CONFIGURATIONS, nvm
 from repro.evaluation.figure5 import figure5_units
 from repro.evaluation.table2 import merge_table2, table2_units
 from repro.evaluation.table3 import table3_units

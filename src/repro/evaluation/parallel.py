@@ -68,6 +68,8 @@ import dataclasses
 import hashlib
 import json
 import multiprocessing
+import os
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -233,7 +235,16 @@ def _run_unit(dispatch_id: int, attempt: int, unit: object, fault_spec,
 
 # -- the worker pool ----------------------------------------------------------
 
-def _worker_main(conn, inherited) -> None:
+def _exit_with(coordinator: int) -> None:
+    """End this worker process once its parent is no longer the process
+    ``coordinator``, i.e. the coordinator died and the worker was
+    re-parented; checked every 0.2 s."""
+    while os.getppid() == coordinator:
+        time.sleep(0.2)
+    os._exit(1)
+
+
+def _worker_main(conn, inherited, coordinator: int) -> None:
     """Worker loop: run each unit received on ``conn`` and answer on it.
 
     The coordinator sends a unit only while the worker is idle, so the
@@ -243,10 +254,15 @@ def _worker_main(conn, inherited) -> None:
     reads as EOF on its own pipe only.  ``inherited`` are the coordinator's
     ends of this and the older workers' pipes, copied by the fork; closing
     them lets each worker see EOF — and exit — as soon as the coordinator
-    closes its end or dies, even while a younger sibling is still busy.
+    closes its end or dies, even while a younger sibling is still busy.  A
+    worker busy on a unit when the coordinator (pid ``coordinator``) dies
+    reads no EOF until the unit ends, so a daemon thread ends the process
+    within about a second of the death (:func:`_exit_with`).
     """
     for end in inherited:
         end.close()
+    threading.Thread(target=_exit_with, args=(coordinator,),
+                     daemon=True).start()
     fault_spec = parse_fault_spec()
     while True:
         try:
@@ -338,7 +354,8 @@ class WorkerPool:
         mine, theirs = context.Pipe()
         process = context.Process(
             target=_worker_main,
-            args=(theirs, [mine, *(worker.conn for worker in self._workers)]),
+            args=(theirs, [mine, *(worker.conn for worker in self._workers)],
+                  os.getpid()),
             daemon=True)
         process.start()
         theirs.close()

@@ -8,7 +8,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.attacks import (AttackBudget, AttackOutcome, coverage_attack,
                            secret_finding_attack)
 from repro.attacks.dse import InputSpec
-from repro.evaluation.configurations import (
+from repro.obfuscation.configs import (
     ObfuscationConfig,
     TABLE2_CONFIGURATIONS,
     apply_configuration,

@@ -8,7 +8,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.compiler import compile_program
 from repro.core import RopConfig, rop_obfuscate
-from repro.evaluation.configurations import ROPK_SWEEP
+from repro.obfuscation.configs import ROPK_SWEEP
 from repro.evaluation.parallel import register_unit_executor
 from repro.workloads.clbg import CLBG_BENCHMARKS, build_clbg_program
 

@@ -278,27 +278,19 @@ class Memory:
         clone._starts = list(self._starts)
         return clone
 
-    def restore_from(self, frozen: "Memory") -> bool:
-        """Rewind this memory's region contents to ``frozen``, in place.
+    def restore_from(self, frozen: "Memory") -> None:
+        """Rewind this memory's region contents to ``frozen``, a
+        :meth:`snapshot` of it, in place.
 
-        Returns False (having changed nothing) when the region layout
-        diverged, in which case the caller must fall back to replacing the
-        memory with ``frozen.snapshot()``.  A region whose backing is still
-        shared with ``frozen`` was never written by either side, so its
-        contents — and every consumer view keyed on its generation (the
-        emulator's decode/trace caches) — are still exact and it is left
-        untouched.  A diverged region re-shares the frozen backing
-        copy-on-write and bumps its generation so stale cached views
-        invalidate.
+        A region whose backing is still shared with ``frozen`` was never
+        written by either side, so its contents — and every consumer view
+        keyed on its generation (the emulator's decode/trace caches) — are
+        still exact and it is left untouched.  A diverged region re-shares
+        the frozen backing copy-on-write and bumps its generation so stale
+        cached views invalidate.  Regions are mapped only while an image
+        loads, before any snapshot, so both sides have the same layout.
         """
-        live_regions = self._regions
-        saved_regions = frozen._regions
-        if len(live_regions) != len(saved_regions):
-            return False
-        for live, saved in zip(live_regions, saved_regions):
-            if live.start != saved.start or len(live.data) != len(saved.data):
-                return False
-        for live, saved in zip(live_regions, saved_regions):
+        for live, saved in zip(self._regions, frozen._regions):
             if live.data is saved.data:
                 continue  # untouched since the snapshot
             live.data = saved.data
@@ -307,4 +299,3 @@ class Memory:
             # generations are monotonic: never reuse a value an older content
             # revision was cached under, or stale views would revalidate
             live.generation += 1
-        return True

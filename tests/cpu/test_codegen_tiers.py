@@ -413,7 +413,7 @@ def test_warm_up_leaves_the_recorded_path_on_a_rewritten_ret():
     trace = emulator._trace_cache[g1]
     assert trace.compiled is None and trace.runs == 2
     assert [step.kind for step in trace.steps] == [
-        "op", "ret_guard", "op", "op", "ret_final"]
+        "op", "ret_guard", "op", "op", "exit"]
     stats = emulator.jit_stats
     assert (stats.traces_built, stats.closure_runs,
             stats.traces_compiled) == (1, 2, 0)
@@ -729,6 +729,78 @@ def test_native_emitters_compile_full_length(transfer):
     assert trace.compiled is not None
     assert trace.length == body.index(jump) + 1
     assert emulator.jit_stats.compile_declined == 0
+
+
+def _step_shape(step):
+    """``(kind, mnemonic, first operand type)`` of a recorded trace step."""
+    operands = step.instruction.operands
+    return (step.kind, step.instruction.mnemonic.name,
+            type(operands[0]).__name__ if operands else "")
+
+
+def test_every_trace_step_kind_compiles(monkeypatch):
+    """Traces fuse a ret, a jmp and a call and exit on every control
+    transfer; each compiles (a generation failure would only show as a
+    decline, the trace warming up with correct results) and agrees with
+    the reference and single-step."""
+    import repro.cpu.emulator as emulator_module
+
+    # a transfer after 63 nops is a trace's 64th step, so it cannot fuse
+    nops = [make("nop")] * 63
+    body = [
+        make("jmp", Label("a")),             # jmp_fused
+        "a",
+        make("call", Label("sub1")),         # call_fused, ret_guard in sub1
+        make("mov", Reg(Register.RBX), Label("sub2")),
+        make("call", Reg(Register.RBX)),     # exit: call reg
+        make("cmp", Reg(Register.RDI), Imm(0)),
+        make("jne", Label("far")),           # exit: jcc
+        make("mov", Reg(Register.RAX), Imm(0)),
+        "far",
+        *nops,
+        make("jmp", Label("near")),          # exit: jmp imm at the cap
+        "near",
+        *nops,
+        make("call", Label("sub2")),         # exit: call imm at the cap
+        make("mov", Reg(Register.RBX), Label("end")),
+        make("jmp", Reg(Register.RBX)),      # exit: jmp reg
+        "end",
+        make("hlt"),                         # exit: hlt
+        "sub1",
+        make("add", Reg(Register.RAX), Imm(1)),
+        make("ret"),
+        "sub2",
+        make("push", Reg(Register.RBP)),
+        make("mov", Reg(Register.RBP), Reg(Register.RSP)),
+        make("add", Reg(Register.RAX), Imm(3)),
+        make("leave"),
+        make("ret"),                         # exit: ret (rsp not tracked)
+    ]
+    seeds = [(Register.RDI, 1)]
+    assert_tiers_agree(body, seeds, rounds=4)
+
+    compiled = set()
+
+    def spy(emulator, trace):
+        function = compile_trace(emulator, trace)
+        if function is not None:
+            compiled.update(_step_shape(step) for step in trace.steps)
+        return function
+
+    monkeypatch.setattr(emulator_module, "compile_trace", spy)
+    program = build_program(body)
+    emulator = Emulator(program.memory, trace_cache=True)
+    emulator.trace_compile_threshold = 0
+    for _ in range(4):
+        start_call(emulator, program, seeds)
+        emulator.run()
+    assert emulator.jit_stats.compile_declined == 0
+    assert {shape for shape in compiled if shape[0] != "op"} == {
+        ("ret_guard", "RET", ""), ("jmp_fused", "JMP", "Imm"),
+        ("call_fused", "CALL", "Imm"), ("exit", "RET", ""),
+        ("exit", "JMP", "Imm"), ("exit", "JMP", "Reg"),
+        ("exit", "JCC", "Imm"), ("exit", "CALL", "Imm"),
+        ("exit", "CALL", "Reg"), ("exit", "HLT", "")}
 
 
 def test_mixed_width_ops_agree_across_tiers():

@@ -354,6 +354,26 @@ def test_snapshot_restore_rewinds_full_context():
     assert snap.state.read_reg(Register.RDI) == 41
 
 
+def test_restore_rejects_a_snapshot_of_another_memory():
+    """A snapshot rewinds the memory it was taken from, in place; restoring
+    it into an emulator on another memory raises and changes nothing."""
+    program = build_program([make("mov", Reg(Register.RAX), Imm(1)),
+                             make("ret")])
+    address = program.image.function("f").address
+    first = Emulator(program.memory)
+    _start_call(first, program, address)
+    snap = first.snapshot()
+    other = Emulator(program.memory.snapshot())
+    state, memory = other.state, other.memory
+    with pytest.raises(ValueError, match="another memory"):
+        other.restore(snap)
+    assert other.state is state and other.memory is memory
+    assert other.steps == 0 and other.state.rip == 0
+    first.run()
+    first.restore(snap)
+    assert first.state.rip == address and first.steps == 0
+
+
 def test_snapshot_is_isolated_from_later_host_output():
     program = build_program([
         make("mov", Reg(Register.RDI), Imm(65)),

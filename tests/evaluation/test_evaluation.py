@@ -9,7 +9,7 @@ from repro.evaluation import (
     run_table2,
     run_table3,
 )
-from repro.evaluation.configurations import NATIVE, ropk
+from repro.obfuscation.configs import NATIVE, ropk
 from repro.workloads.randomfuns import RandomFunSpec
 
 

@@ -10,7 +10,7 @@ import pytest
 from repro.attacks import AttackBudget
 from repro.attacks.dse import DseEngine
 from repro.compiler import compile_program
-from repro.evaluation.configurations import NATIVE, nvm, ropk
+from repro.obfuscation.configs import NATIVE, nvm, ropk
 from repro.evaluation.figure5 import figure5_units
 from repro.evaluation.grid import (
     _config_aggregates,

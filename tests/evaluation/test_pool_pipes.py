@@ -141,9 +141,10 @@ time.sleep(600)
 
 @pytest.mark.parametrize("sibling", ["idle", "busy"])
 def test_idle_workers_exit_when_their_coordinator_is_killed(sibling):
-    """A SIGKILLed coordinator leaves no idle worker behind: each sees EOF
-    on its pipe and exits, even while a younger sibling, which inherited
-    the coordinator's end of the older worker's pipe, is still busy."""
+    """A SIGKILLed coordinator leaves no worker behind: each idle worker
+    sees EOF on its pipe and exits, even while a younger sibling, which
+    inherited the coordinator's end of the older worker's pipe, is still
+    busy, and the busy one exits mid-unit (its nap lasts 600 s)."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     coordinator = subprocess.Popen(
         [sys.executable, "-c", _COORDINATOR, sibling],
@@ -157,10 +158,10 @@ def test_idle_workers_exit_when_their_coordinator_is_killed(sibling):
         coordinator.kill()
         coordinator.wait()
         give_up = time.monotonic() + 5
-        while any(_alive(pid) for pid in idle) \
+        while any(_alive(pid) for pid in workers) \
                 and time.monotonic() < give_up:
             time.sleep(0.05)
-        assert not [pid for pid in idle if _alive(pid)]
+        assert not [pid for pid in workers if _alive(pid)]
     finally:
         coordinator.kill()
         coordinator.wait()
