@@ -59,8 +59,6 @@ from repro.cpu.state import EmulationError
 from repro.memory import MemoryError_
 from repro.isa.registers import ARG_REGISTERS, Register
 
-_MASK64 = (1 << 64) - 1
-
 #: Mid-path snapshots one exploration keeps resident.
 SNAPSHOT_CAPACITY = 16
 #: Snapshots captured per execution, so loop-heavy paths do not monopolize
@@ -227,16 +225,12 @@ class DseEngine(SnapshotEngine):
         self.backtracking = (backtracking and use_snapshots
                              and memory_model == "concretize")
 
-    def invalidate_snapshots(self) -> None:
-        super().invalidate_snapshots()
-        self._pool.clear()
-
-    def reset(self, input_spec: Optional[InputSpec] = None,
-              seed: int = 0) -> None:
+    def reset(self, seed: int = 0) -> None:
         """Restore the engine to freshly-constructed exploration state.
 
         The long-lived attack service reuses one engine per image across
-        requests; everything a previous request could leak into the next —
+        requests that attack the same function with the same input spec;
+        everything a previous request could leak into the next —
         the CUPA RNG stream, the solver's model cache, the cumulative
         :class:`EngineStats` — is rebuilt here, which is exactly what makes
         a served request byte-identical to a one-shot run at the same seed.
@@ -246,12 +240,9 @@ class DseEngine(SnapshotEngine):
         The mid-path snapshot pool lives for one exploration (``explore``
         already emptied it); it is cleared here too for callers that drive
         :meth:`execute` alone.  The *entry* snapshot is deliberately kept:
-        it depends only on the image and the attacked symbol, and reusing it
-        across requests is the service's whole point.
+        it depends only on the image and the attacked function, and reusing
+        it across requests is the service's whole point.
         """
-        if input_spec is not None:
-            self.input_spec = input_spec
-            self.symbols = self.input_spec.symbol_table()
         self.random = random.Random(seed)
         self.solver = ConstraintSolver(
             self.symbols, seed=seed,
@@ -288,12 +279,9 @@ class DseEngine(SnapshotEngine):
             if key in self._pool:
                 self._pool.touch(key)
                 return
-            fork = tracker.fork()
-            evicted = self._pool.evictions
-            self._pool.put(key, (emulator.snapshot(), fork))
+            self._pool.put(key, (emulator.snapshot(), tracker.fork()))
             state["taken"] += 1
             self.stats.snapshots_taken += 1
-            self.stats.snapshots_evicted += self._pool.evictions - evicted
 
         return observer
 
@@ -303,10 +291,8 @@ class DseEngine(SnapshotEngine):
 
         Returns ``(emulator, tracker, depth)`` ready to run, or None when no
         usable snapshot exists (the caller falls back to the entry rewind).
+        Only a backtracking exploration fills the pool.
         """
-        if not self.backtracking or self._entry_snapshot is None \
-                or self._entry_symbol != self.function:
-            return None
         hit = self._pool.nearest_ancestor(resume_key)
         if hit is None:
             return None
@@ -336,6 +322,7 @@ class DseEngine(SnapshotEngine):
         resumed = self._resume(resume_key, assignment) if resume_key is not None else None
         if resumed is not None:
             emulator, tracker, resumed_depth = resumed
+            arguments: List[int] = []
             self.stats.branch_restores += 1
             self.stats.instructions_replayed += emulator.steps
         else:
@@ -344,12 +331,9 @@ class DseEngine(SnapshotEngine):
             tracker = ShadowTracker(
                 memory_model=self.memory_model,
                 stable_ranges=self.image.metadata.get("rop_stable_ranges", ()))
-
-            arguments: List[int] = []
-            for index, size in enumerate(self.input_spec.argument_sizes):
-                name = f"arg{index}"
-                value = assignment.get(name, 0) & ((1 << (8 * size)) - 1)
-                arguments.append(value)
+            sizes = self.input_spec.argument_sizes
+            arguments = [assignment.get(f"arg{index}", 0) & ((1 << (8 * size)) - 1)
+                         for index, size in enumerate(sizes)]
             if self.input_spec.buffer_symbols:
                 buffer_address = self._heap_base + 0x100
                 for index in range(self.input_spec.buffer_symbols):
@@ -358,35 +342,19 @@ class DseEngine(SnapshotEngine):
                     emulator.memory.write_int(buffer_address + index, value, 1)
                     tracker.set_memory_symbol(buffer_address + index, 1, SymExpr(name, 1))
                 arguments.append(buffer_address)
-
-            for register, value in zip(ARG_REGISTERS, arguments):
-                emulator.state.write_reg(register, value & _MASK64)
-            for index, size in enumerate(self.input_spec.argument_sizes):
+            for index, size in enumerate(sizes):
                 tracker.set_register_symbol(ARG_REGISTERS[index], SymExpr(f"arg{index}", size))
 
         if self.backtracking:
             tracker.branch_observer = self._branch_observer(emulator, tracker)
-        emulator.pre_hooks = [tracker.hook]
-        host = emulator.host
-
-        faulted = False
-        try:
-            emulator.run()
-        except EmulationError:
-            faulted = True
-        finally:
-            # detach: the observer closes over the tracker, the emulator and
-            # the engine, so a tracker left holding it (or an emulator left
-            # holding the hook) is a cycle only a full collection would free
-            tracker.branch_observer = None
-            emulator.pre_hooks = []
-
-        self.stats.executions += 1
-        self.stats.instructions += emulator.steps
+        faulted = self._run_input(emulator, arguments, [tracker.hook])
+        # the observer closes over the tracker, the emulator and the engine:
+        # a tracker left holding it is a cycle only a full collection frees
+        tracker.branch_observer = None
         return ExecutionResult(
             assignment=dict(assignment),
             return_value=emulator.state.read_reg(Register.RAX),
-            probes=tuple(host.probes),
+            probes=tuple(emulator.host.probes),
             constraints=tracker.path_constraints(),
             branch_addresses=[record.address for record in tracker.branches],
             instructions=emulator.steps,
@@ -480,7 +448,6 @@ class DseEngine(SnapshotEngine):
                 pending.append((result.branch_addresses[position], solution,
                                 result.decision_keys[:position]))
 
-        self.stats.elapsed = time.monotonic() - start
         return results, self.stats
 
     def _pick(self, pending: List[Tuple]) -> int:

@@ -6,18 +6,17 @@ thousands of times.  This module centralizes the machinery that makes those
 re-executions cheap:
 
 * :class:`SnapshotEngine` — owns one emulator per engine instance, prepares
-  it once (load, stack, return-to-exit sentinel, ``rip`` at the attacked
-  function's entry) and snapshots the prepared context; every subsequent
-  execution rewinds with :meth:`repro.cpu.Emulator.restore` instead of
-  paying ``load_image``/``LoadedProgram.fork`` plus a fresh emulator.  The
-  entry snapshot is keyed on the attacked symbol and invalidated when the
-  engine is retargeted, so one engine instance can attack several functions
-  without leaking the previous target's context.
+  it once (:func:`repro.cpu.emulator.prepare_call`, the entry recipe
+  :func:`~repro.cpu.emulator.call_function` uses) and snapshots the prepared
+  context; every subsequent execution rewinds with
+  :meth:`repro.cpu.Emulator.restore` instead of paying ``load_image`` plus a
+  fresh emulator.  An engine attacks the one function it was built for, and
+  every engine runs each input through :meth:`SnapshotEngine._run_input`.
 * :class:`EngineStats` — per-run statistics shared by the three engines and
   consumed by the attack goal drivers and the evaluation grid.
 * :func:`preloaded_fork` — a process-wide pristine-load cache used by the
   evaluation drivers (Figure 5 overhead sweeps, Table II probe sampling)
-  for the hook-free executions that do not go through an engine.
+  and by the engines' fork-per-execution path.
 
 The backtracking DSE explorer keeps its mid-path snapshots in its own
 bounded pool (:class:`repro.attacks.dse.SnapshotPool`), sized by a constant
@@ -27,19 +26,22 @@ of one exploration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, List, Optional, Sequence
 from weakref import WeakKeyDictionary
 
 from repro.binary.image import BinaryImage
 from repro.binary.loader import LoadedProgram, load_image
-from repro.cpu.emulator import Emulator, EmulatorSnapshot
-from repro.cpu.host import EXIT_ADDRESS, HostEnvironment
-from repro.isa.registers import Register
+from repro.cpu.emulator import (Emulator, EmulatorSnapshot, prepare_call,
+                                write_arguments)
+from repro.cpu.state import EmulationError
 
 
 @dataclass
 class EngineStats:
     """Aggregate statistics of one engine run.
+
+    Every field is a deterministic count: the same input sequence gives the
+    same stats on any machine.
 
     Attributes:
         executions: concrete executions performed.
@@ -48,29 +50,22 @@ class EngineStats:
             the number is comparable across exploration modes).
         instructions_replayed: instructions *not* actually executed because a
             mid-path snapshot restore skipped the path prefix.
-        entry_restores: executions started by rewinding to the entry
-            snapshot.
         branch_restores: executions resumed from a mid-path branch snapshot.
         snapshots_taken: mid-path snapshots captured into the pool.
-        snapshots_evicted: pool entries dropped by the LRU-by-depth bound.
         repair_fallbacks: restores abandoned because the state repair raised
             (the execution reran from the entry instead).
         solver_queries: solver invocations (DSE only).
         paths_seen: distinct path signatures observed (DSE only).
-        elapsed: wall-clock seconds of the run.
     """
 
     executions: int = 0
     instructions: int = 0
     instructions_replayed: int = 0
-    entry_restores: int = 0
     branch_restores: int = 0
     snapshots_taken: int = 0
-    snapshots_evicted: int = 0
     repair_fallbacks: int = 0
     solver_queries: int = 0
     paths_seen: int = 0
-    elapsed: float = 0.0
 
 
 class SnapshotEngine:
@@ -78,11 +73,12 @@ class SnapshotEngine:
 
     Args:
         image: the (possibly obfuscated) binary image under attack.
-        function: name of the attacked function.
+        function: name of the attacked function; fixed for the engine's life.
         max_instructions: per-execution instruction budget.
-        use_snapshots: when False, fall back to the legacy per-execution
-            ``LoadedProgram.fork()`` + fresh-emulator path (the A/B lever the
-            throughput benchmark and the differential tests use).
+        use_snapshots: when False, every execution forks
+            :func:`preloaded_fork` and builds a fresh emulator instead of
+            rewinding one (the A/B lever the throughput benchmark and the
+            differential tests use).
     """
 
     def __init__(self, image: BinaryImage, function: str,
@@ -95,76 +91,52 @@ class SnapshotEngine:
         self.stats = EngineStats()
         self._emulator: Optional[Emulator] = None
         self._entry_snapshot: Optional[EmulatorSnapshot] = None
-        self._entry_symbol: Optional[str] = None
-        self._pristine: Optional[LoadedProgram] = None
         self._heap_base = 0
 
-    # -- snapshot lifecycle --------------------------------------------------
-    def retarget(self, function: str) -> None:
-        """Point the engine at a different function of the same image.
-
-        Cheap by design: only the target symbol changes here, and
-        :meth:`_fork_emulator` lazily invalidates the entry snapshot when it
-        notices the mismatch — so retargeting back and forth costs nothing
-        until the next execution actually needs the new entry context.  The
-        long-lived attack service retargets one cached engine per image
-        across requests instead of rebuilding engines.
-        """
-        self.function = function
-
-    def invalidate_snapshots(self) -> None:
-        """Drop the prepared emulator and every snapshot derived from it.
-
-        Called automatically when the attacked symbol changes; subclasses
-        that keep additional snapshots (the DSE branch pool) extend this.
-        """
-        self._emulator = None
-        self._entry_snapshot = None
-        self._entry_symbol = None
-
     def _fork_emulator(self) -> Emulator:
-        """Rewind the engine's emulator to the attacked function's entry.
+        """An emulator at the attacked function's entry.
 
-        The first call loads the image once and snapshots the fully prepared
-        emulator (stack, return-to-exit sentinel, ``rip`` at the function
-        entry); every later call restores that snapshot copy-on-write, so
+        The first call loads the image once and snapshots the prepared
+        emulator; every later call restores that snapshot copy-on-write, so
         each execution starts from the entry in O(regions) instead of paying
-        ``load_image`` and a fresh run from ``main``.  The snapshot is bound
-        to the attacked symbol: retargeting the engine to a different
-        function invalidates it rather than leaking the stale entry context.
+        ``load_image`` and a fresh emulator.
         """
         if not self.use_snapshots:
-            return self._legacy_emulator()
-        if self._entry_snapshot is not None and self._entry_symbol != self.function:
-            self.invalidate_snapshots()
+            return self._prepare_emulator(preloaded_fork(self.image))
         if self._entry_snapshot is None:
-            emulator = self._prepare_emulator(load_image(self.image))
-            self._emulator = emulator
-            self._entry_snapshot = emulator.snapshot()
-            self._entry_symbol = self.function
+            self._emulator = self._prepare_emulator(load_image(self.image))
+            self._entry_snapshot = self._emulator.snapshot()
         self._emulator.restore(self._entry_snapshot)
-        self._emulator.pre_hooks = []
-        self.stats.entry_restores += 1
         return self._emulator
 
     def _prepare_emulator(self, program: LoadedProgram) -> Emulator:
-        """Build an emulator positioned at the attacked function's entry:
-        stack pointers set, return-to-exit sentinel pushed, ``rip`` at the
-        symbol — the one entry-context recipe both execution paths share."""
-        emulator = Emulator(program.memory, host=HostEnvironment(),
-                            max_steps=self.max_instructions)
-        emulator.state.write_reg(Register.RSP, program.stack_top)
-        emulator.state.write_reg(Register.RBP, program.stack_top)
-        emulator.push(EXIT_ADDRESS)
-        emulator.state.rip = self.image.function(self.function).address
         self._heap_base = program.heap_base
-        return emulator
+        return prepare_call(program, self.function,
+                            max_steps=self.max_instructions)
 
-    def _legacy_emulator(self) -> Emulator:
-        """The pre-snapshot path: COW-fork the image and build an emulator."""
-        if self._pristine is None:
-            self._pristine = load_image(self.image)
-        return self._prepare_emulator(self._pristine.fork())
+    def _run_input(self, emulator: Emulator, arguments: Sequence[int],
+                   hooks: List[Callable]) -> bool:
+        """Run one input to its end and return whether it faulted.
+
+        Writes ``arguments`` (none on a resumed path, whose snapshot repair
+        already wrote them), runs with ``hooks`` as the emulator's
+        ``pre_hooks`` and detaches them afterwards, so nothing a hook
+        recorded outlives the run through the engine's emulator.  Counts the
+        execution and its instructions (``emulator.steps``, which a resumed
+        run inherits from its snapshot).
+        """
+        write_arguments(emulator, arguments)
+        emulator.pre_hooks = hooks
+        faulted = False
+        try:
+            emulator.run()
+        except EmulationError:
+            faulted = True
+        finally:
+            emulator.pre_hooks = []
+        self.stats.executions += 1
+        self.stats.instructions += emulator.steps
+        return faulted
 
 
 #: image -> pristine ``(memory, stack_top, heap_base)`` triple, so repeated

@@ -115,9 +115,10 @@ def secret_finding_attack(image: BinaryImage, function: str,
                           driver: Optional[DseEngine] = None) -> AttackOutcome:
     """G1: find an input that drives the function to its accepting return value.
 
-    ``driver`` lets a caller supply an already-prepared engine (retargeted
-    and reset by the attack service) instead of constructing one per call;
-    the caller is then responsible for the engine matching ``function``,
+    ``driver`` lets a caller supply an already-prepared engine (the attack
+    service's cached engine, reset per request) instead of constructing one
+    per call.  An engine attacks the one function it was built for, so the
+    caller is then responsible for the engine matching ``function``,
     ``seed`` and ``input_spec``.
     """
     budget = budget or AttackBudget()

@@ -19,14 +19,11 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.attacks.engine import SnapshotEngine
 from repro.binary.image import BinaryImage
-from repro.cpu.state import EmulationError
 from repro.cpu.tracing import TraceRecorder
 from repro.gadgets.finder import gadget_at
 from repro.isa.instructions import Mnemonic
 from repro.isa.operands import Reg
-from repro.isa.registers import ARG_REGISTERS, Register
-
-_MASK64 = (1 << 64) - 1
+from repro.isa.registers import Register
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +78,7 @@ class RopMemuExplorer(SnapshotEngine):
     def _run(self, arguments: Sequence[int], flip_index: Optional[int] = None
              ) -> Tuple[bool, Set[int], List]:
         emulator = self._fork_emulator()
-        host = emulator.host
-        recorder = TraceRecorder(capture_registers=False).attach(emulator)
+        recorder = TraceRecorder(capture_registers=False)
 
         flips = {"remaining": flip_index}
 
@@ -97,17 +93,8 @@ class RopMemuExplorer(SnapshotEngine):
                     emu.state.write_flag(flag, 1 - emu.state.read_flag(flag))
                 flips["remaining"] = None
 
-        emulator.pre_hooks.append(flipper)
-        for register, value in zip(ARG_REGISTERS, arguments):
-            emulator.state.write_reg(register, value & _MASK64)
-        survived = True
-        try:
-            emulator.run()
-        except EmulationError:
-            survived = False
-        self.stats.executions += 1
-        self.stats.instructions += emulator.steps
-        return survived, set(host.probes), recorder.entries
+        faulted = self._run_input(emulator, arguments, [recorder._hook, flipper])
+        return not faulted, set(emulator.host.probes), recorder.entries
 
     def flag_leak_points(self, trace) -> List[int]:
         """Trace indices of flag-leaking instructions inside the chain."""

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.attacks.engine import SnapshotEngine
-from repro.binary.image import BinaryImage
-from repro.cpu.state import EmulationError
 from repro.cpu.tracing import TraceEntry, TraceRecorder
 from repro.isa.instructions import Mnemonic
 from repro.isa.operands import Mem, Reg
@@ -64,25 +62,12 @@ class TaintDrivenSimplifier(SnapshotEngine):
     makes sweeping TDS over a configuration grid tractable.
     """
 
-    def __init__(self, image: BinaryImage, function: str,
-                 max_instructions: int = 2_000_000,
-                 use_snapshots: bool = True) -> None:
-        super().__init__(image, function, max_instructions=max_instructions,
-                         use_snapshots=use_snapshots)
-
     # -- trace recording -----------------------------------------------------------
     def record(self, arguments: Sequence[int]) -> Tuple[List[TraceEntry], int]:
         """Execute the function concretely and return ``(trace, return_value)``."""
         emulator = self._fork_emulator()
-        recorder = TraceRecorder(capture_registers=True).attach(emulator)
-        for register, value in zip(ARG_REGISTERS, arguments):
-            emulator.state.write_reg(register, value & _MASK64)
-        try:
-            emulator.run()
-        except EmulationError:
-            pass
-        self.stats.executions += 1
-        self.stats.instructions += emulator.steps
+        recorder = TraceRecorder(capture_registers=True)
+        self._run_input(emulator, arguments, [recorder._hook])
         return recorder.entries, emulator.state.read_reg(Register.RAX)
 
     # -- taint propagation over the trace ----------------------------------------------

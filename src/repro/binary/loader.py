@@ -29,9 +29,9 @@ class LoadedProgram:
         """Return a copy-on-write fork of this program.
 
         The fork shares all region backing storage with this program until
-        either side writes (see :meth:`repro.memory.Memory.snapshot`).  The
-        attack engines call this once per execution instead of re-running
-        :func:`load_image`, which made every fork deep-copy the stack.
+        either side writes (see :meth:`repro.memory.Memory.snapshot`), so a
+        fork costs O(regions) where re-running :func:`load_image` deep-copies
+        the stack.
         """
         return LoadedProgram(image=self.image, memory=self.memory.snapshot(),
                              stack_top=self.stack_top, heap_base=self.heap_base)

@@ -565,6 +565,36 @@ class Emulator:
         self.state.rip = self.pop()
 
 
+def write_arguments(emulator: Emulator, args: Sequence[int]) -> None:
+    """Pass up to six integer ``args`` in the argument registers."""
+    for reg, value in zip(ARG_REGISTERS, args):
+        emulator.state.write_reg(reg, value & _MASK64)
+
+
+def prepare_call(program: LoadedProgram, name_or_address,
+                 args: Sequence[int] = (),
+                 host: Optional[HostEnvironment] = None,
+                 max_steps: int = 2_000_000) -> Emulator:
+    """Build an emulator positioned at a function's entry, ready to run.
+
+    The one entry recipe of :func:`call_function` and the attack engines:
+    ``rsp``/``rbp`` at the stack top, the :data:`EXIT_ADDRESS` sentinel
+    pushed as the return address, ``rip`` at the entry and ``args`` in the
+    argument registers.
+    """
+    if isinstance(name_or_address, str):
+        address = program.image.function(name_or_address).address
+    else:
+        address = int(name_or_address)
+    emulator = Emulator(program.memory, host=host, max_steps=max_steps)
+    emulator.state.write_reg(Register.RSP, program.stack_top)
+    emulator.state.write_reg(Register.RBP, program.stack_top)
+    write_arguments(emulator, args)
+    emulator.push(EXIT_ADDRESS)
+    emulator.state.rip = address
+    return emulator
+
+
 def call_function(program: LoadedProgram, name_or_address, args: Sequence[int] = (),
                   host: Optional[HostEnvironment] = None,
                   max_steps: int = 2_000_000) -> tuple:
@@ -581,16 +611,6 @@ def call_function(program: LoadedProgram, name_or_address, args: Sequence[int] =
         ``(return_value, emulator)`` — the emulator is returned so callers can
         inspect output, probes, traces or final memory.
     """
-    if isinstance(name_or_address, str):
-        address = program.image.function(name_or_address).address
-    else:
-        address = int(name_or_address)
-    emulator = Emulator(program.memory, host=host, max_steps=max_steps)
-    emulator.state.write_reg(Register.RSP, program.stack_top)
-    emulator.state.write_reg(Register.RBP, program.stack_top)
-    for reg, value in zip(ARG_REGISTERS, args):
-        emulator.state.write_reg(reg, value & _MASK64)
-    emulator.push(EXIT_ADDRESS)
-    emulator.state.rip = address
+    emulator = prepare_call(program, name_or_address, args, host, max_steps)
     emulator.run()
     return emulator.state.read_reg(Register.RAX), emulator

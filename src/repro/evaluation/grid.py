@@ -419,8 +419,7 @@ def write_artifacts(results: Dict[str, List[dict]], out_dir: Path,
             "branch_restores": sum(row["branch_restores"] for row in table2),
             "executions_by_worker": executions_by_worker or {},
         },
-        "faults": faults or {"failed_units": 0, "retries": 0, "respawns": 0,
-                             "timeouts": 0},
+        "faults": faults or parallel.FaultStats().as_dict(),
         # per-config aggregates: what --compare diffs between two runs
         "table2_configs": _config_aggregates(table2),
         "figure5_overheads": _overhead_aggregates(results.get("figure5", [])),

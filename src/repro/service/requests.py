@@ -12,13 +12,14 @@ sends requests to its idle workers and supervises them like any grid unit.
 
 Reuse across requests is what makes the service worth running long-lived:
 each worker keeps small LRU caches of prepared images and attack engines.
-Requests naming the same image share its compiled/obfuscated form and —
-through :meth:`repro.attacks.engine.SnapshotEngine.retarget` plus
-:meth:`repro.attacks.dse.DseEngine.reset` — the engine's prepared emulator
-and entry snapshot, while every piece of cross-request exploration state
-(RNG, solver, stats) is rebuilt per request.  The mid-path snapshot pool
-does not outlive its exploration, so a cached engine between requests holds
-only its entry snapshot.  That reset discipline is exactly why a served
+Requests naming the same image share its compiled/obfuscated form and, with
+the same instruction cap, one DSE engine: the image fixes the attacked
+function and its input spec, so the engine's prepared emulator and entry
+snapshot serve every such request, while
+:meth:`repro.attacks.dse.DseEngine.reset` rebuilds every piece of
+cross-request exploration state (RNG, solver, stats) per request.  The
+mid-path snapshot pool does not outlive its exploration, so a cached engine
+between requests holds only its entry snapshot.  That reset discipline is exactly why a served
 result is byte-identical to a one-shot run at the same seed, which the
 differential tests assert.
 
@@ -205,23 +206,29 @@ def _prepared_image(request: AttackRequest):
 def _prepared_engine(request: AttackRequest, image, symbol: str) -> DseEngine:
     """A reset DSE engine for ``request``, reusing a cached one if possible.
 
-    The cache key includes ``max_instructions`` because the cap is baked
-    into the prepared emulator (``max_steps``); everything else a previous
-    request could leak is rebuilt by :meth:`DseEngine.reset`, while the
-    entry snapshot stays warm across requests attacking the same symbol and
-    is lazily invalidated by :meth:`~repro.attacks.engine.SnapshotEngine.
-    retarget` when the symbol changes.
+    The cache key is the image key plus ``max_instructions``, the cap baked
+    into the prepared emulator (``max_steps``).  The image key fixes the
+    attacked function (``spec.name``) and the input spec
+    (``InputSpec([input_size])``), so a cached engine always attacks the
+    request's function; everything else a previous request could leak is
+    rebuilt by :meth:`DseEngine.reset`, and the entry snapshot stays warm.
+
+    Raises:
+        RuntimeError: a cached engine attacks another function, which only
+            an image key that no longer fixes the image could cause.
     """
     key = _image_key(request) + (request.max_instructions,)
-    input_spec = InputSpec(argument_sizes=[request.input_size])
     engine = _cache_get(_ENGINES, key)
     if engine is None:
-        engine = _make_engine(image, symbol, input_spec,
+        engine = _make_engine(image, symbol,
+                              InputSpec(argument_sizes=[request.input_size]),
                               request.max_instructions,
                               seed=request.effective_attack_seed)
         _cache_put(_ENGINES, key, engine)
-    engine.retarget(symbol)
-    engine.reset(input_spec=input_spec, seed=request.effective_attack_seed)
+    elif engine.function != symbol:
+        raise RuntimeError(f"cached engine attacks {engine.function!r}, "
+                           f"not {symbol!r}: _image_key must fix the image")
+    engine.reset(seed=request.effective_attack_seed)
     return engine
 
 

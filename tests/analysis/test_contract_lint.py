@@ -129,9 +129,9 @@ def test_missing_shadow_zero_count_guard_is_detected(tmp_path):
 def test_incomplete_tier_registration_is_detected(tmp_path):
     """Dropping a mnemonic from a tier's coverage map fails at import.
 
-    ``register_tier`` requires covered ∪ declined to partition the full
-    mnemonic set, so a dispatch-table entry silently dropped from one tier
-    is an import-time error the checker reports rather than swallows.
+    ``register_tier`` requires every mnemonic to map to one function, so a
+    dispatch-table entry silently dropped from one tier is an import-time
+    error the checker reports rather than swallows.
     """
     def plant(copy):
         path = copy / "repro" / "cpu" / "codegen.py"

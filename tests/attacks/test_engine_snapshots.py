@@ -1,5 +1,5 @@
 """Snapshot-engine tests: backtracking DSE differentials, the snapshot pool,
-entry-snapshot retargeting, and TDS/ROPMEMU snapshot-vs-legacy parity."""
+TDS/ROPMEMU snapshot-vs-legacy parity, and hooks detached after each run."""
 
 import pytest
 
@@ -60,13 +60,6 @@ def license_check_program(secret=0x5A):
            [Probe(2), Return(Const(1))],
            [Probe(3), Return(Const(0))]),
     ])])
-
-
-def two_function_program():
-    return Program([
-        Function("first", ["x"], [Probe(11), Return(Const(111))]),
-        Function("second", ["x"], [Probe(22), Return(Const(222))]),
-    ])
 
 
 def _explore(image, function, backtracking, seed=3, max_executions=60):
@@ -253,47 +246,6 @@ def test_bounded_pool_still_explores_identically():
            [_result_key(r) for r in results]
 
 
-# -- entry snapshot lifecycle --------------------------------------------------
-def test_entry_snapshot_invalidated_when_function_changes():
-    """Regression: retargeting an engine must not leak the previous symbol's
-    prepared entry context."""
-    image = compile_program(two_function_program())
-    engine = DseEngine(image, "first", InputSpec(argument_sizes=[1]))
-    first = engine.execute({"arg0": 0})
-    assert first.return_value == 111 and first.probes == (11,)
-
-    engine.function = "second"
-    second = engine.execute({"arg0": 0})
-    assert second.return_value == 222 and second.probes == (22,)
-    # and back again, exercising the rebuilt snapshot rather than a stale one
-    engine.function = "first"
-    again = engine.execute({"arg0": 0})
-    assert again.return_value == 111 and again.probes == (11,)
-
-
-def test_retargeting_clears_branch_snapshot_pool():
-    image = compile_program(branchy_program())
-    engine = DseEngine(image, "f", InputSpec(argument_sizes=[8]), seed=3,
-                       backtracking=True)
-    engine.explore(time_budget=_NO_WALL_CLOCK, max_executions=20,
-                   max_solver_queries=_QUERY_CAP)
-    assert len(engine._pool) == 0  # the pool lives for one exploration
-    engine.function = "f"  # same symbol: nothing dropped
-    engine.execute({"arg0": 1})
-    assert len(engine._pool) > 0
-    engine.invalidate_snapshots()
-    assert len(engine._pool) == 0 and engine._entry_snapshot is None
-
-
-def test_tds_entry_snapshot_tracks_function_switch():
-    image = compile_program(two_function_program())
-    simplifier = TaintDrivenSimplifier(image, "first")
-    _, first_value = simplifier.record([0])
-    simplifier.function = "second"
-    _, second_value = simplifier.record([0])
-    assert (first_value, second_value) == (111, 222)
-
-
 # -- TDS / ROPMEMU parity ------------------------------------------------------
 def test_tds_snapshot_path_matches_legacy():
     image = compile_program(license_check_program())
@@ -340,3 +292,24 @@ def test_host_state_never_leaks_across_rewinds():
     first = engine.execute({"arg0": 7})
     second = engine.execute({"arg0": 7})
     assert first.probes == second.probes
+
+
+def test_runs_leave_no_hooks_on_the_engine_emulator():
+    """A recorded trace, the ROPMEMU flipper and the DSE tracker must not
+    outlive their run through the engine emulator's hooks, also when the
+    run faults."""
+    image = compile_program(license_check_program())
+    hardened, _ = rop_obfuscate(image, ["check"], RopConfig.ropk(0.0))
+    # a one-instruction budget makes every run fault
+    for max_instructions in (1_000_000, 1):
+        simplifier = TaintDrivenSimplifier(hardened, "check",
+                                           max_instructions=max_instructions)
+        simplifier.record([7])
+        explorer = RopMemuExplorer(hardened, "check",
+                                   max_instructions=max_instructions)
+        explorer.explore([7], max_flips=6)
+        engine = DseEngine(hardened, "check", InputSpec(argument_sizes=[1]),
+                           max_instructions=max_instructions)
+        assert engine.execute({"arg0": 7}).faulted == (max_instructions == 1)
+        for attacker in (simplifier, explorer, engine):
+            assert attacker._emulator.pre_hooks == []

@@ -421,7 +421,7 @@ def test_write_artifacts_excludes_quarantined_rows_from_aggregates(tmp_path):
                           elapsed=1.0)
     summary = json.loads((out / "summary.json").read_text())
     assert summary["faults"] == {"failed_units": 0, "retries": 0,
-                                 "respawns": 0, "timeouts": 0}
+                                 "respawns": 0, "timeouts": 0, "degraded": 0}
 
 
 def test_compare_flags_runs_with_quarantined_cells():

@@ -36,7 +36,7 @@ def test_golden_rows_one_shot_and_served(tmp_path):
     assert one_shot == golden
 
     # the caches are warm now: the served batch reuses every image and
-    # engine (retarget + reset) instead of rebuilding them
+    # engine (reset per request) instead of rebuilding them
     service = AttackService(tmp_path, workers=1)
     try:
         for request in _requests():

@@ -84,8 +84,8 @@ def test_request_fingerprint_is_deterministic_and_parameter_sensitive():
 # -- execution: determinism and engine reuse ----------------------------------
 
 def test_execute_request_is_deterministic_across_cached_engine_reuse():
-    """The second run reuses the prepared engine through retarget()+reset();
-    its row must still be byte-identical to the cold run."""
+    """The second run reuses the cached engine through reset(); its row
+    must still be byte-identical to the cold run."""
     request = _request("det", seed=1)
     first = execute_request(request)
     second = execute_request(request)
