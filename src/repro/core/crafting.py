@@ -43,6 +43,7 @@ from repro.core.predicates.p3_state import emit_p3
 from repro.core.roplets import Roplet, RopletKind
 from repro.core.translation import TranslatedFunction
 from repro.gadgets.gadget import Gadget
+from repro.gadgets.kinds import ALU_KINDS, KINDS
 from repro.gadgets.pool import GadgetPool, GadgetPoolError
 from repro.isa.instructions import Mnemonic
 from repro.isa.operands import Imm, Mem, Reg
@@ -80,6 +81,9 @@ class ChainCrafter:
         self._pair_counter = 0
         self._p3_instances = 0
         self._branch_ordinal = 0
+        #: the label a branch's displacement is relative to, placed right
+        #: after the branch's ``add rsp`` gadget
+        self._pending_anchor = ""
         #: registers pinned across nested lowerings (instruction hiding
         #: reserves its guard here); scratch() and emit_gadget() honor it
         self._reserved: frozenset = frozenset()
@@ -102,6 +106,16 @@ class ChainCrafter:
         """The chain label of the block starting at ``address``."""
         return f"blk_{address:#x}"
 
+    def free_registers(self, avoid, exclude: Sequence[Register] = ()) -> List[Register]:
+        """Registers usable as scratch without spilling, in preference order.
+
+        A register is free unless it is in ``avoid`` or ``exclude``, reserved
+        across a nested lowering, or ``rsp``/``rbp``.
+        """
+        blocked = set(avoid) | set(exclude) | set(self._reserved) \
+            | {Register.RSP, Register.RBP}
+        return [r for r in _SCRATCH_ORDER if r not in blocked]
+
     def scratch(self, avoid: Set[Register], count: int,
                 exclude: Sequence[Register] = ()) -> Tuple[List[Register], List[Register]]:
         """Pick ``count`` scratch registers not in ``avoid``/``exclude``.
@@ -114,9 +128,7 @@ class ChainCrafter:
             RewriteError: when the registers cannot be provided even with the
                 single spill slot (the paper's register-pressure failure).
         """
-        blocked = set(avoid) | set(exclude) | set(self._reserved) \
-            | {Register.RSP, Register.RBP}
-        free = [r for r in _SCRATCH_ORDER if r not in blocked]
+        free = self.free_registers(avoid, exclude)
         if len(free) >= count:
             return free[:count], []
         # spill fallback: one slot only
@@ -126,8 +138,7 @@ class ChainCrafter:
                 f"register pressure: need {count} scratch registers, "
                 f"{len(free)} free and only one spill slot available"
             )
-        victims = [r for r in _SCRATCH_ORDER
-                   if r in avoid and r not in exclude and r not in (Register.RSP, Register.RBP)]
+        victims = [r for r in _SCRATCH_ORDER if r in avoid and r not in exclude]
         if not victims:
             raise RewriteError("register pressure: no spillable register available")
         victim = victims[-1]
@@ -160,11 +171,10 @@ class ChainCrafter:
         if self._opaque_gadget_pending and not self._in_opaque \
                 and kind not in ("spill", "unspill"):
             self._opaque_gadget_pending = False
+            # the operands, implicit ones included, the materializer must
+            # not clobber
             param_regs = frozenset(v for v in params.values()
-                                   if isinstance(v, Register))
-            if kind in ("cqo", "idiv"):
-                # implicit operands the materializer must not clobber
-                param_regs = param_regs | {Register.RAX, Register.RDX}
+                                   if isinstance(v, Register)) | KINDS[kind].implicit
             emitted_opaque = emit_opaque_gadget(self, gadget,
                                                 avoid | param_regs)
         if not emitted_opaque:
@@ -207,12 +217,10 @@ class ChainCrafter:
             return
         use_disguise = (
             self.config.gadget_confusion and allow_disguise
-            and self.pool.addresses() and self.rng.random() < 0.4
+            and len(self.pool) and self.rng.random() < 0.4
         )
         if use_disguise:
-            free = [r for r in _SCRATCH_ORDER
-                    if r not in avoid and r is not dst and r not in self._reserved
-                    and r not in (Register.RSP, Register.RBP)]
+            free = self.free_registers(avoid, exclude=[dst])
             if free:
                 helper = free[0]
                 self._pair_counter += 1
@@ -265,9 +273,7 @@ class ChainCrafter:
     def _maybe_insert_p3(self, roplet: Roplet) -> None:
         if not self.config.p3_enabled or self.config.p3_fraction <= 0:
             return
-        if roplet.flags_live_after or roplet.instruction.reads_flags():
-            return
-        if not roplet.symbolic_registers:
+        if not self._flag_safe(roplet) or not roplet.symbolic_registers:
             return
         if self.rng.random() >= self.config.p3_fraction:
             return
@@ -342,9 +348,7 @@ class ChainCrafter:
             return False
 
     def _maybe_insert_unaligned_update(self, roplet: Roplet) -> None:
-        if not self.config.gadget_confusion:
-            return
-        if roplet.flags_live_after or roplet.instruction.reads_flags():
+        if not self.config.gadget_confusion or not self._flag_safe(roplet):
             return
         if self.rng.random() >= 0.08:
             return
@@ -611,14 +615,6 @@ class ChainCrafter:
         self.restore(spilled)
 
     # -- data movement and ALU -----------------------------------------------------
-    _ALU_KINDS = {
-        Mnemonic.ADD: "add_rr", Mnemonic.SUB: "sub_rr", Mnemonic.AND: "and_rr",
-        Mnemonic.OR: "or_rr", Mnemonic.XOR: "xor_rr", Mnemonic.ADC: "adc_rr",
-        Mnemonic.SBB: "sbb_rr", Mnemonic.IMUL: "imul_rr", Mnemonic.SHL: "shl_rr",
-        Mnemonic.SHR: "shr_rr", Mnemonic.SAR: "sar_rr", Mnemonic.CMP: "cmp_rr",
-        Mnemonic.TEST: "test_rr",
-    }
-
     def _lower_generic(self, roplet: Roplet) -> None:
         avoid = roplet.avoid_set()
         instruction = roplet.instruction
@@ -692,9 +688,9 @@ class ChainCrafter:
             self.emit_gadget(kind, avoid, dst=ops[0].reg, src=regs[0])
             self.restore(spilled)
             return
-        if m in self._ALU_KINDS and isinstance(ops[0], Reg):
+        if m in ALU_KINDS and isinstance(ops[0], Reg):
             if isinstance(ops[1], Reg):
-                self.emit_gadget(self._ALU_KINDS[m], avoid, dst=ops[0].reg, src=ops[1].reg)
+                self.emit_gadget(ALU_KINDS[m], avoid, dst=ops[0].reg, src=ops[1].reg)
                 return
             if isinstance(ops[1], Imm):
                 regs, spilled = self.scratch(avoid, 1, exclude=[ops[0].reg])
@@ -704,13 +700,13 @@ class ChainCrafter:
                                    allow_disguise=False,
                                    allow_opaque=m not in (Mnemonic.ADC,
                                                           Mnemonic.SBB))
-                self.emit_gadget(self._ALU_KINDS[m], avoid, dst=ops[0].reg, src=regs[0])
+                self.emit_gadget(ALU_KINDS[m], avoid, dst=ops[0].reg, src=regs[0])
                 self.restore(spilled)
                 return
             if isinstance(ops[1], Mem):
                 regs, spilled = self.scratch(avoid, 1, exclude=[ops[0].reg])
                 self._emit_memory_load(regs[0], ops[1], avoid | {ops[0].reg}, False)
-                self.emit_gadget(self._ALU_KINDS[m], avoid, dst=ops[0].reg, src=regs[0])
+                self.emit_gadget(ALU_KINDS[m], avoid, dst=ops[0].reg, src=regs[0])
                 self.restore(spilled)
                 return
         raise RewriteError(f"unsupported instruction {instruction} at {roplet.address:#x}")

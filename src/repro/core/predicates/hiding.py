@@ -24,35 +24,11 @@ configuration axis added by the protection profiles
 
 from __future__ import annotations
 
-from typing import Callable, Set
+from typing import Callable
 
+from repro.analysis.liveness import instruction_uses_defs
 from repro.core.chain import ValueSlot
-from repro.core.predicates.opaque import free_scratch
 from repro.core.predicates.p2_datadep import PERTURBATION_SCALE_SHIFT
-from repro.isa.instructions import Mnemonic
-from repro.isa.operands import Mem, Reg
-from repro.isa.registers import Register
-
-
-def _touched_registers(instruction) -> Set[Register]:
-    """Every register the instruction may read or write.
-
-    The roplet's ``avoid_set`` only covers *live* registers; a destination
-    that is dead afterwards is not in it, yet the body's lowering writes it —
-    the guard must not alias any such register.
-    """
-    registers: Set[Register] = set()
-    for operand in instruction.operands:
-        if isinstance(operand, Reg):
-            registers.add(operand.reg)
-        elif isinstance(operand, Mem):
-            if operand.base is not None:
-                registers.add(operand.base)
-            if operand.index is not None:
-                registers.add(operand.index)
-    if instruction.mnemonic in (Mnemonic.CQO, Mnemonic.IDIV):
-        registers |= {Register.RAX, Register.RDX}
-    return registers
 
 
 def emit_hidden(crafter, roplet, lower: Callable[[], None]) -> None:
@@ -69,11 +45,14 @@ def emit_hidden(crafter, roplet, lower: Callable[[], None]) -> None:
     array = crafter.opaque_array
     if array is None or array.address is None:
         raise RewriteError("instruction hiding requires the opaque array")
-    avoid = frozenset(roplet.avoid_set()
-                      | _touched_registers(roplet.instruction))
+    # the roplet's avoid_set only covers *live* registers; a destination
+    # that is dead afterwards is not in it, yet the body's lowering writes
+    # it: the guard must not alias any register the instruction touches
+    uses, defs = instruction_uses_defs(roplet.instruction)
+    avoid = frozenset(roplet.avoid_set() | uses | defs)
     # guard + helper + the extraction's internal helper, without spilling
-    free = free_scratch(crafter, avoid, 3)
-    if free is None:
+    free = crafter.free_registers(avoid)
+    if len(free) < 3:
         raise RewriteError("not enough scratch registers for instruction hiding")
     guard, helper = free[:2]
     work = frozenset(avoid) | {guard, helper}

@@ -29,29 +29,11 @@ configuration axis added by the protection profiles
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.chain import LabelAddressSlot, OpaqueGadgetSlot, ValueSlot
 from repro.gadgets.gadget import Gadget
 from repro.isa.registers import Register
 
 _MASK64 = (1 << 64) - 1
-
-
-def free_scratch(crafter, avoid, count: int) -> Optional[list]:
-    """``count`` truly-free scratch registers, or None when unavailable.
-
-    Unlike :meth:`ChainCrafter.scratch` this never spills: the opaque layers
-    are opportunistic and fall back to literal slots under register pressure
-    rather than emitting a spill that could fail half-way.
-    """
-    from repro.core.crafting import _SCRATCH_ORDER
-
-    blocked = set(avoid) | set(crafter._reserved) | {Register.RSP, Register.RBP}
-    free = [r for r in _SCRATCH_ORDER if r not in blocked]
-    if len(free) < count:
-        return None
-    return free[:count]
 
 
 def emit_opaque_value(crafter, dst: Register, element: ValueSlot,
@@ -66,9 +48,10 @@ def emit_opaque_value(crafter, dst: Register, element: ValueSlot,
     array = crafter.opaque_array
     if array is None or array.address is None:
         return False
-    # dst + remainder + the extraction's internal helper must all be free
-    free = free_scratch(crafter, set(avoid) | {dst}, 2)
-    if free is None:
+    # dst + remainder + the extraction's internal helper must all be free;
+    # the opaque layers never spill (they fall back to literal slots)
+    free = crafter.free_registers(avoid, exclude=[dst])
+    if len(free) < 2:
         return False
     remainder_reg = free[0]
     work = frozenset(avoid) | {dst, remainder_reg}
@@ -105,8 +88,8 @@ def emit_opaque_gadget(crafter, gadget: Gadget, avoid) -> bool:
     if crafter.config.read_only_chains:
         return False
     # address + value + remainder + the extraction's internal helper
-    free = free_scratch(crafter, avoid, 4)
-    if free is None:
+    free = crafter.free_registers(avoid)
+    if len(free) < 4:
         return False
     addr_reg, value_reg, remainder_reg = free[:3]
     work = frozenset(avoid) | {addr_reg, value_reg, remainder_reg}

@@ -28,6 +28,8 @@ from repro.core.materialization import (
 )
 from repro.core.predicates.p1_array import OpaqueArray
 from repro.core.translation import TranslatedFunction, TranslationError, translate_function
+from repro.gadgets.classify import classify_gadget
+from repro.gadgets.finder import find_gadgets_in_image
 from repro.gadgets.pool import GadgetPool
 
 __all__ = ["RopRewriter", "RewriteReport", "FunctionResult", "RewriteError", "rop_obfuscate"]
@@ -158,8 +160,7 @@ class RopRewriter:
         exclude_ranges = [(self.image.function(n).address, self.image.function(n).end)
                           for n in candidates]
         self._pool = GadgetPool(self.image, seed=self.config.seed,
-                                diversify=self.config.diversify_gadgets,
-                                seed_from_text=False)
+                                diversify=self.config.diversify_gadgets)
         self._seed_pool(exclude_ranges)
 
         for name in candidates:
@@ -168,9 +169,6 @@ class RopRewriter:
 
     # -- internals -------------------------------------------------------------
     def _seed_pool(self, exclude_ranges: List[Tuple[int, int]]) -> None:
-        from repro.gadgets.classify import classify_gadget
-        from repro.gadgets.finder import find_gadgets_in_image
-
         for gadget in find_gadgets_in_image(self.image, ".text"):
             if any(start <= gadget.address < end for start, end in exclude_ranges):
                 continue

@@ -1,8 +1,10 @@
 """Semantic classification of discovered gadgets.
 
-Only "clean" single-effect gadgets are classified (one useful instruction
-followed by ``ret``); everything else stays unclassified and is only useful
-to the diversification machinery or to an attacker's pattern matching.
+A gadget found by scanning is classified as a kind of
+:data:`repro.gadgets.kinds.KINDS` only when that kind's template reproduces
+its body exactly: the same template the pool synthesizes from.  Everything
+else (extra instructions, sub-64-bit forms, other addressing modes) stays
+unclassified and is only useful to an attacker's pattern matching.
 """
 
 from __future__ import annotations
@@ -10,70 +12,18 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.gadgets.gadget import Gadget
-from repro.isa.instructions import Mnemonic
-from repro.isa.operands import Mem, Reg
-from repro.isa.registers import Register
-
-#: Binary register-register ALU kinds and their mnemonics.
-_ALU_RR = {
-    Mnemonic.ADD: "add_rr",
-    Mnemonic.SUB: "sub_rr",
-    Mnemonic.AND: "and_rr",
-    Mnemonic.OR: "or_rr",
-    Mnemonic.XOR: "xor_rr",
-    Mnemonic.ADC: "adc_rr",
-    Mnemonic.SBB: "sbb_rr",
-    Mnemonic.IMUL: "imul_rr",
-    Mnemonic.SHL: "shl_rr",
-    Mnemonic.SHR: "shr_rr",
-    Mnemonic.SAR: "sar_rr",
-    Mnemonic.CMP: "cmp_rr",
-    Mnemonic.TEST: "test_rr",
-}
+from repro.gadgets.kinds import KINDS
 
 
 def classify_gadget(gadget: Gadget) -> Optional[Tuple[str, dict]]:
-    """Return ``(kind, params)`` for a clean gadget, or None.
+    """Return ``(kind, params)`` for a gadget a kind's template reproduces,
+    or None.
 
-    The kinds returned here are the same the synthesizer produces, so gadgets
+    The kinds returned here are the ones the synthesizer produces, so gadgets
     found in unobfuscated program parts can transparently join the pool.
     """
-    instructions = gadget.instructions
-    if len(instructions) != 2 or instructions[-1].mnemonic is not Mnemonic.RET:
-        return None
-    ins = instructions[0]
-    ops = ins.operands
-
-    if ins.mnemonic is Mnemonic.POP and isinstance(ops[0], Reg):
-        return "pop", {"dst": ops[0].reg}
-    if ins.mnemonic is Mnemonic.MOV and len(ops) == 2:
-        if isinstance(ops[0], Reg) and isinstance(ops[1], Reg) and ops[0].size == 8:
-            return "mov_rr", {"dst": ops[0].reg, "src": ops[1].reg}
-        if isinstance(ops[0], Reg) and isinstance(ops[1], Mem) and ops[1].base is not None \
-                and ops[1].index is None and ops[1].disp == 0:
-            return f"load{ops[1].size}", {"dst": ops[0].reg, "src": ops[1].base}
-        if isinstance(ops[0], Mem) and isinstance(ops[1], Reg) and ops[0].base is not None \
-                and ops[0].index is None and ops[0].disp == 0:
-            return f"store{ops[0].size}", {"dst": ops[0].base, "src": ops[1].reg}
-    if ins.mnemonic is Mnemonic.MOVZX and len(ops) == 2 and isinstance(ops[0], Reg) \
-            and isinstance(ops[1], Mem) and ops[1].base is not None and ops[1].index is None \
-            and ops[1].disp == 0:
-        return f"load{ops[1].size}", {"dst": ops[0].reg, "src": ops[1].base}
-    if ins.mnemonic in _ALU_RR and len(ops) == 2 and isinstance(ops[0], Reg) \
-            and isinstance(ops[1], Reg):
-        if ins.mnemonic is Mnemonic.ADD and ops[0].reg is Register.RSP:
-            return "add_rsp_r", {"src": ops[1].reg}
-        return _ALU_RR[ins.mnemonic], {"dst": ops[0].reg, "src": ops[1].reg}
-    if ins.mnemonic is Mnemonic.NEG and isinstance(ops[0], Reg):
-        return "neg", {"dst": ops[0].reg}
-    if ins.mnemonic is Mnemonic.NOT and isinstance(ops[0], Reg):
-        return "not", {"dst": ops[0].reg}
-    if ins.mnemonic is Mnemonic.CMOV and isinstance(ops[0], Reg) and isinstance(ops[1], Reg):
-        return "cmov", {"cc": ins.condition, "dst": ops[0].reg, "src": ops[1].reg}
-    if ins.mnemonic is Mnemonic.SET and isinstance(ops[0], Reg):
-        return "set", {"cc": ins.condition, "dst": ops[0].reg}
-    if ins.mnemonic is Mnemonic.CQO:
-        return "cqo", {}
-    if ins.mnemonic is Mnemonic.IDIV and isinstance(ops[0], Reg):
-        return "idiv", {"src": ops[0].reg}
+    for name, kind in KINDS.items():
+        params = kind.match(gadget.instructions)
+        if params is not None:
+            return name, params
     return None

@@ -1,12 +1,14 @@
 """The diversified gadget pool backing the chain crafter.
 
-Gadget sources follow §IV-A1: the pool is seeded with whatever usable gadgets
-already exist in program parts left unobfuscated, and missing gadgets are
-synthesized on demand as dead code appended to ``.text``.  Synthesis can
-produce several *diversified* variants of the same semantic operation (extra
-junk pops, harmless padding instructions) and the pool hands out a random
-compatible variant each time, which is what gives different program points
-different byte patterns for the same purpose (§V-D).
+Gadget sources follow §IV-A1: the rewriter registers whatever gadgets in
+program parts left unobfuscated match a kind of
+:data:`repro.gadgets.kinds.KINDS` exactly, and missing gadgets are
+synthesized on demand from the same kind's template as dead code appended
+to ``.text``.  Synthesis can produce several *diversified* variants of the
+same semantic operation (extra junk pops, harmless padding instructions)
+and the pool hands out a random compatible variant each time, which is what
+gives different program points different byte patterns for the same
+purpose (§V-D).
 """
 
 from __future__ import annotations
@@ -15,12 +17,11 @@ import random
 from typing import Dict, FrozenSet, List, Tuple
 
 from repro.binary.image import BinaryImage
-from repro.gadgets.classify import classify_gadget
-from repro.gadgets.finder import find_gadgets_in_image
 from repro.gadgets.gadget import Gadget, analyze_side_effects
+from repro.gadgets.kinds import KINDS, GadgetKind
 from repro.isa.assembler import assemble
-from repro.isa.instructions import Instruction, make
-from repro.isa.operands import Imm, Mem, Reg
+from repro.isa.instructions import make
+from repro.isa.operands import Reg
 from repro.isa.registers import Register
 
 
@@ -41,9 +42,6 @@ class GadgetPool:
         seed: RNG seed controlling variant selection and diversification.
         diversify: when True, synthesis sometimes produces variants with
             dynamically dead instructions and junk pops.
-        seed_from_text: when True, the existing ``.text`` is scanned and any
-            classifiable gadget joins the pool (gadget reuse from
-            unobfuscated program parts).
     """
 
     #: registers that junk pops may clobber when diversifying (never the
@@ -53,16 +51,12 @@ class GadgetPool:
         Register.R10, Register.R11,
     )
 
-    def __init__(self, image: BinaryImage, seed: int = 0, diversify: bool = True,
-                 seed_from_text: bool = True) -> None:
+    def __init__(self, image: BinaryImage, seed: int = 0, diversify: bool = True) -> None:
         self.image = image
         self.random = random.Random(seed)
         self.diversify = diversify
         self._by_key: Dict[Tuple, List[Gadget]] = {}
         self._all: List[Gadget] = []
-        self.synthesized_bytes = 0
-        if seed_from_text:
-            self.seed_from_image()
 
     # -- registration --------------------------------------------------------
     def register(self, gadget: Gadget) -> Gadget:
@@ -72,23 +66,9 @@ class GadgetPool:
             self._by_key.setdefault(_key(gadget.kind, gadget.params), []).append(gadget)
         return gadget
 
-    def seed_from_image(self) -> int:
-        """Scan ``.text`` for classifiable gadgets and register them."""
-        count = 0
-        for gadget in find_gadgets_in_image(self.image, ".text"):
-            classified = classify_gadget(gadget)
-            if classified is None:
-                continue
-            gadget.kind, gadget.params = classified
-            self.register(gadget)
-            count += 1
-        return count
-
     # -- queries --------------------------------------------------------------
-    @property
-    def gadgets(self) -> List[Gadget]:
-        """All registered gadgets."""
-        return list(self._all)
+    def __len__(self) -> int:
+        return len(self._all)
 
     def addresses(self) -> List[int]:
         """Addresses of all registered gadgets (used by gadget confusion)."""
@@ -103,123 +83,42 @@ class GadgetPool:
         chosen at random; otherwise a new gadget is synthesized, possibly as a
         diversified variant whose junk side effects stay clear of ``avoid``.
         """
+        gadget_kind = KINDS.get(kind)
+        if gadget_kind is None:
+            raise GadgetPoolError(f"no synthesis template for gadget kind {kind!r}")
+        effect = gadget_kind.effect(params)
         candidates = [
             g for g in self._by_key.get(_key(kind, params), [])
-            if not (g.clobbers - self._own_effect(kind, params)) & set(avoid)
+            if not (g.clobbers - effect) & set(avoid)
         ]
         if candidates:
             return self.random.choice(candidates)
-        return self._synthesize(kind, params, avoid)
-
-    def _own_effect(self, kind: str, params: Dict[str, object]) -> set:
-        own = set()
-        for name in ("dst",):
-            value = params.get(name)
-            if isinstance(value, Register):
-                own.add(value)
-        if kind in ("cqo", "idiv"):
-            own |= {Register.RAX, Register.RDX}
-        if kind in ("add_rsp_r", "mov_rsp_mem", "xchg_rsp_mem_jmp", "func_ret"):
-            own.add(Register.RSP)
-        return own
+        return self._synthesize(gadget_kind, params, avoid)
 
     # -- synthesis -------------------------------------------------------------
-    def _template(self, kind: str, params: Dict[str, object]) -> List[Instruction]:
-        dst = params.get("dst")
-        src = params.get("src")
-        cc = params.get("cc")
-        alu = {
-            "add_rr": "add", "sub_rr": "sub", "and_rr": "and", "or_rr": "or",
-            "xor_rr": "xor", "adc_rr": "adc", "sbb_rr": "sbb", "imul_rr": "imul",
-            "shl_rr": "shl", "shr_rr": "shr", "sar_rr": "sar",
-            "cmp_rr": "cmp", "test_rr": "test",
-        }
-        if kind == "pop":
-            return [make("pop", Reg(dst))]
-        if kind == "ret":
-            return []
-        if kind == "mov_rr":
-            return [make("mov", Reg(dst), Reg(src))]
-        if kind in alu:
-            return [make(alu[kind], Reg(dst), Reg(src))]
-        if kind == "neg":
-            return [make("neg", Reg(dst))]
-        if kind == "not":
-            return [make("not", Reg(dst))]
-        if kind in ("load1", "load2", "load4", "load8"):
-            size = int(kind[4:])
-            mem = Mem(base=src, size=size)
-            return [make("mov" if size == 8 else "movzx", Reg(dst), mem)]
-        if kind in ("store1", "store2", "store4", "store8"):
-            size = int(kind[5:])
-            return [make("mov", Mem(base=dst, size=size), Reg(src, size))]
-        if kind == "movzx_rr1":
-            return [make("movzx", Reg(dst), Reg(src, 1))]
-        if kind == "movsx_rr1":
-            return [make("movsx", Reg(dst), Reg(src, 1))]
-        if kind == "cmov":
-            return [make(f"cmov{cc}", Reg(dst), Reg(src))]
-        if kind == "set":
-            return [make(f"set{cc}", Reg(dst, 1))]
-        if kind == "add_rsp_r":
-            return [make("add", Reg(Register.RSP), Reg(src))]
-        if kind == "add_r_mem":
-            return [make("add", Reg(dst), Mem(base=dst))]
-        if kind == "sub_mem_r":
-            return [make("sub", Mem(base=dst), Reg(src))]
-        if kind == "mov_rsp_mem":
-            return [make("mov", Reg(Register.RSP), Mem(base=src))]
-        if kind == "cqo":
-            return [make("cqo")]
-        if kind == "idiv":
-            return [make("idiv", Reg(src))]
-        if kind == "spill":
-            return [make("mov", Mem(disp=params["slot"], size=8), Reg(src))]
-        if kind == "unspill":
-            return [make("mov", Reg(dst), Mem(disp=params["slot"], size=8))]
-        if kind == "xchg_rsp_mem_jmp":
-            return [make("xchg", Reg(Register.RSP), Mem(base=params["mem"])),
-                    make("jmp", Reg(params["target"]))]
-        if kind == "func_ret":
-            scratch = params.get("scratch", Register.R11)
-            return [
-                make("mov", Reg(scratch), Imm(params["ss"], 4)),
-                make("add", Reg(scratch), Mem(base=scratch)),
-                make("xchg", Reg(Register.RSP), Mem(base=scratch)),
-            ]
-        raise GadgetPoolError(f"no synthesis template for gadget kind {kind!r}")
-
-    def _synthesize(self, kind: str, params: Dict[str, object],
+    def _synthesize(self, kind: GadgetKind, params: Dict[str, object],
                     avoid: FrozenSet[Register]) -> Gadget:
-        body = self._template(kind, params)
-        terminator = [] if kind == "xchg_rsp_mem_jmp" else [make("ret")]
-        instructions = list(body)
+        instructions = kind.instructions(params)
 
         # never append junk pops to gadgets that redirect the chain pointer:
         # anything popped after an rsp update would be consumed at the branch
         # target instead of from this gadget's own chain slots
-        rsp_redirecting = ("add_rsp_r", "mov_rsp_mem", "xchg_rsp_mem_jmp", "func_ret")
-        if self.diversify and kind not in rsp_redirecting:
-            blocked = set(avoid) | self._own_effect(kind, params) | set(self._params_registers(params))
+        if self.diversify and not kind.redirects_rsp:
+            blocked = set(avoid) | kind.effect(params) \
+                | {v for v in params.values() if isinstance(v, Register)}
             junk_options = [r for r in self._JUNK_CANDIDATES if r not in blocked]
             if junk_options and self.random.random() < 0.5:
                 junk = self.random.choice(junk_options)
                 # a dynamically dead pop: consumes a junk chain slot
-                instructions.append(make("pop", Reg(junk)))
+                instructions.insert(len(kind.body), make("pop", Reg(junk)))
             if junk_options and self.random.random() < 0.3:
                 junk = self.random.choice(junk_options)
                 instructions.insert(0, make("mov", Reg(junk), Reg(junk)))
-        instructions += terminator
 
         code, _ = assemble(instructions, base_address=self.image.text.end)
         address = self.image.text.append(code)
-        self.synthesized_bytes += len(code)
         clobbers, pops, flags = analyze_side_effects(instructions)
-        gadget = Gadget(address=address, instructions=instructions, kind=kind,
+        gadget = Gadget(address=address, instructions=instructions, kind=kind.name,
                         params=dict(params), clobbers=clobbers, pops=pops,
                         writes_flags=flags)
         return self.register(gadget)
-
-    @staticmethod
-    def _params_registers(params: Dict[str, object]) -> List[Register]:
-        return [v for v in params.values() if isinstance(v, Register)]

@@ -5,7 +5,11 @@ import pytest
 from repro.binary import load_image
 from repro.compiler import compile_program
 from repro.core import RopConfig, rop_obfuscate
+from repro.core.rewriter import RopRewriter
 from repro.cpu import call_function
+from repro.isa import Reg, assemble
+from repro.isa.instructions import make
+from repro.isa.registers import Register
 from repro.lang import (
     Assign,
     BinOp,
@@ -181,3 +185,31 @@ def test_different_seeds_diversify_chains():
     a, _ = rop_obfuscate(image, ["f"], RopConfig(seed=1))
     b, _ = rop_obfuscate(image, ["f"], RopConfig(seed=2))
     assert bytes(a.ropchains.data) != bytes(b.ropchains.data)
+
+
+def test_pool_reuses_only_gadgets_the_kind_templates_reproduce():
+    # unobfuscated .text holds an exact `pop rdi ; ret` and 32-bit lookalikes
+    # of the `add_rr` gadgets; a chain that reused `add eax, ecx` for the
+    # function's `add rax, rcx` would truncate the sum
+    program = Program([Function("f", ["a", "b"], [
+        Return(BinOp("+", Var("a"), BinOp("*", Var("b"), Const(3)))),
+    ])])
+    image = compile_program(program)
+    found = {}
+    for name, operands in (("pop", (Reg(Register.RDI),)),
+                           ("add", (Reg(Register.RAX, 4), Reg(Register.RBX, 4))),
+                           ("add", (Reg(Register.RAX, 4), Reg(Register.RCX, 4)))):
+        code, _ = assemble([make(name, *operands), make("ret")],
+                           base_address=image.text.end)
+        found[str(make(name, *operands))] = image.text.append(code)
+    args = [0x1_0000_0005, 0x2_0000_0001]
+    native, _ = call_function(load_image(image), "f", args)
+
+    rewriter = RopRewriter(image.clone(), RopConfig.plain())
+    assert rewriter.rewrite(["f"]).coverage == 1.0
+    registered = rewriter._pool.addresses()
+    assert found["pop rdi"] in registered
+    assert found["add raxd, rbxd"] not in registered
+    assert found["add raxd, rcxd"] not in registered
+    rewritten, _ = call_function(load_image(rewriter.image), "f", args)
+    assert rewritten == native == 0x1_0000_0005 + 3 * 0x2_0000_0001
