@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Set
 
 from repro.analysis.cfg_recovery import FunctionCFG
+from repro.isa.effects import EFFECTS, Role
 from repro.isa.instructions import Instruction, Mnemonic
 from repro.isa.operands import Imm, Mem, Reg
 from repro.isa.registers import ARG_REGISTERS, CALLER_SAVED, Register
@@ -45,15 +46,12 @@ def _operand_tainted(operand, state: TaintState) -> bool:
 
 
 def _transfer(instruction: Instruction, state: TaintState) -> TaintState:
+    """The taint state after ``instruction``, by its destination's role: a
+    read leaves the state alone, a write gives the destination its sources'
+    taint and a read-modify-write its own taint or theirs."""
     registers = set(state.registers)
     slots = set(state.slots)
-    m = instruction.mnemonic
-    ops = instruction.operands
-
-    def taint_of_sources(sources) -> bool:
-        return any(_operand_tainted(s, state) for s in sources)
-
-    if m is Mnemonic.CALL:
+    if instruction.mnemonic is Mnemonic.CALL:
         # conservatively: the return value is tainted if any argument register is
         tainted_args = any(r in registers for r in ARG_REGISTERS)
         for reg in CALLER_SAVED:
@@ -61,29 +59,15 @@ def _transfer(instruction: Instruction, state: TaintState) -> TaintState:
         if tainted_args:
             registers.add(Register.RAX)
         return TaintState(frozenset(registers), frozenset(slots))
-    if m in (Mnemonic.RET, Mnemonic.LEAVE, Mnemonic.JMP, Mnemonic.JCC,
-             Mnemonic.CMP, Mnemonic.TEST, Mnemonic.NOP, Mnemonic.HLT,
-             Mnemonic.PUSH, Mnemonic.CQO):
-        return state
-    if not ops:
+    roles = EFFECTS[instruction.mnemonic].roles
+    ops = instruction.operands
+    if not ops or not roles or roles[0] is Role.READ:
         return state
 
     destination = ops[0]
-    if m is Mnemonic.POP:
-        if isinstance(destination, Reg):
-            registers.discard(destination.reg)
-        return TaintState(frozenset(registers), frozenset(slots))
-
-    if m in (Mnemonic.MOV, Mnemonic.MOVZX, Mnemonic.MOVSX):
-        tainted = taint_of_sources(ops[1:])
-    elif m in (Mnemonic.SET,):
-        tainted = False
-    elif m is Mnemonic.LEA:
-        tainted = taint_of_sources(ops[1:])
-    elif m in (Mnemonic.NEG, Mnemonic.NOT, Mnemonic.INC, Mnemonic.DEC):
-        tainted = _operand_tainted(destination, state)
-    else:
-        tainted = _operand_tainted(destination, state) or taint_of_sources(ops[1:])
+    tainted = any(_operand_tainted(source, state) for source in ops[1:len(roles)])
+    if roles[0] is Role.MODIFY:
+        tainted = tainted or _operand_tainted(destination, state)
 
     if isinstance(destination, Reg):
         if tainted:

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
 from repro.analysis.cfg_recovery import FunctionCFG
-from repro.isa.instructions import Instruction, Mnemonic
-from repro.isa.operands import Mem, Reg
-from repro.isa.registers import ARG_REGISTERS, CALLER_SAVED, Register
+from repro.isa.effects import instruction_uses_defs
+from repro.isa.registers import Register
 
 
 @dataclass
@@ -37,107 +36,6 @@ class LivenessResult:
         live = self.live_after.get(address, set())
         reserved = {Register.RSP, Register.RBP, *exclude}
         return [reg for reg in Register if reg not in live and reg not in reserved]
-
-
-def _operand_registers(operand) -> Set[Register]:
-    if isinstance(operand, Reg):
-        return {operand.reg}
-    if isinstance(operand, Mem):
-        out = set()
-        if operand.base is not None:
-            out.add(operand.base)
-        if operand.index is not None:
-            out.add(operand.index)
-        return out
-    return set()
-
-
-def instruction_uses_defs(instruction: Instruction) -> Tuple[Set[Register], Set[Register]]:
-    """Return ``(uses, defs)`` register sets of ``instruction``.
-
-    Calls are treated conservatively: they use all argument registers and
-    define every caller-saved register (matching the footnote-1 definition of
-    liveness in the paper).
-    """
-    m = instruction.mnemonic
-    ops = instruction.operands
-    uses: Set[Register] = set()
-    defs: Set[Register] = set()
-
-    if m is Mnemonic.CALL:
-        uses |= set(ARG_REGISTERS)
-        uses |= _operand_registers(ops[0]) if ops else set()
-        defs |= set(CALLER_SAVED)
-        uses.add(Register.RSP)
-        defs.add(Register.RSP)
-        return uses, defs
-    if m is Mnemonic.RET:
-        uses |= {Register.RAX, Register.RSP}
-        defs |= {Register.RSP}
-        return uses, defs
-    if m is Mnemonic.LEAVE:
-        uses |= {Register.RBP, Register.RSP}
-        defs |= {Register.RBP, Register.RSP}
-        return uses, defs
-    if m is Mnemonic.PUSH:
-        uses |= _operand_registers(ops[0])
-        uses.add(Register.RSP)
-        defs.add(Register.RSP)
-        return uses, defs
-    if m is Mnemonic.POP:
-        uses.add(Register.RSP)
-        defs.add(Register.RSP)
-        if isinstance(ops[0], Reg):
-            defs.add(ops[0].reg)
-        else:
-            uses |= _operand_registers(ops[0])
-        return uses, defs
-    if m in (Mnemonic.CQO,):
-        uses.add(Register.RAX)
-        defs.add(Register.RDX)
-        return uses, defs
-    if m is Mnemonic.IDIV:
-        uses |= {Register.RAX, Register.RDX}
-        uses |= _operand_registers(ops[0])
-        defs |= {Register.RAX, Register.RDX}
-        return uses, defs
-    if m in (Mnemonic.JMP, Mnemonic.JCC):
-        uses |= _operand_registers(ops[0]) if ops else set()
-        return uses, defs
-
-    if not ops:
-        return uses, defs
-
-    destination = ops[0]
-    sources = ops[1:]
-    # destination semantics
-    if isinstance(destination, Reg):
-        if m in (Mnemonic.MOV, Mnemonic.MOVZX, Mnemonic.MOVSX, Mnemonic.LEA,
-                 Mnemonic.SET, Mnemonic.POP):
-            defs.add(destination.reg)
-            if m is Mnemonic.SET or (isinstance(destination, Reg) and destination.size < 4):
-                uses.add(destination.reg)  # partial write preserves upper bytes
-        else:
-            defs.add(destination.reg)
-            uses.add(destination.reg)
-        if m is Mnemonic.XCHG:
-            uses.add(destination.reg)
-    else:
-        uses |= _operand_registers(destination)
-        if m in (Mnemonic.CMP, Mnemonic.TEST):
-            pass
-    if m in (Mnemonic.CMP, Mnemonic.TEST):
-        # comparisons do not define their "destination"
-        defs.discard(destination.reg if isinstance(destination, Reg) else None)
-        defs = {d for d in defs if d is not None}
-        uses |= _operand_registers(destination)
-    if m is Mnemonic.CMOV and isinstance(destination, Reg):
-        uses.add(destination.reg)  # may keep the old value
-    for source in sources:
-        uses |= _operand_registers(source)
-        if m is Mnemonic.XCHG and isinstance(source, Reg):
-            defs.add(source.reg)
-    return uses, defs
 
 
 def compute_liveness(cfg: FunctionCFG) -> LivenessResult:

@@ -100,8 +100,9 @@ class RopMemuExplorer(SnapshotEngine):
         """Trace indices of flag-leaking instructions inside the chain."""
         points = []
         for entry in trace:
-            mnemonic = entry.instruction.mnemonic
-            if mnemonic in (Mnemonic.SET, Mnemonic.CMOV, Mnemonic.ADC, Mnemonic.SBB):
+            instruction = entry.instruction
+            # a flag read that does not transfer control: setcc, cmovcc, adc, sbb
+            if instruction.reads_flags() and not instruction.is_control_flow():
                 points.append(entry.index)
         return points
 

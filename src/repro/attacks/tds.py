@@ -18,6 +18,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.attacks.engine import SnapshotEngine
 from repro.cpu.tracing import TraceEntry, TraceRecorder
+from repro.isa.effects import EFFECTS, Role, operand_registers
 from repro.isa.instructions import Mnemonic
 from repro.isa.operands import Mem, Reg
 from repro.isa.registers import ARG_REGISTERS, Register
@@ -71,14 +72,6 @@ class TaintDrivenSimplifier(SnapshotEngine):
         return recorder.entries, emulator.state.read_reg(Register.RAX)
 
     # -- taint propagation over the trace ----------------------------------------------
-    @staticmethod
-    def _operand_registers(operand) -> Set[Register]:
-        if isinstance(operand, Reg):
-            return {operand.reg}
-        if isinstance(operand, Mem):
-            return {r for r in (operand.base, operand.index) if r is not None}
-        return set()
-
     def simplify(self, arguments: Sequence[int],
                  tainted_arguments: Optional[Sequence[int]] = None) -> SimplificationReport:
         """Record a trace for ``arguments`` and simplify it.
@@ -101,6 +94,9 @@ class TaintDrivenSimplifier(SnapshotEngine):
             instruction = entry.instruction
             m = instruction.mnemonic
             ops = instruction.operands
+            roles = EFFECTS[m].roles
+            # a written destination (mov's, pop's) takes only its sources' taint
+            overwritten = bool(roles) and roles[0] is Role.WRITE
             regs = entry.regs or {}
 
             def memory_address(operand: Mem) -> int:
@@ -113,15 +109,13 @@ class TaintDrivenSimplifier(SnapshotEngine):
 
             source_tainted = False
             for operand in ops[1:] if len(ops) > 1 else ops:
-                source_tainted |= bool(self._operand_registers(operand) & tainted_regs)
+                source_tainted |= bool(operand_registers(operand) & tainted_regs)
                 if isinstance(operand, Mem) and memory_address(operand) in tainted_memory:
                     source_tainted = True
             if ops and isinstance(ops[0], Mem):
                 if memory_address(ops[0]) in tainted_memory:
                     source_tainted = True
-            if ops and isinstance(ops[0], Reg) and m not in (Mnemonic.MOV, Mnemonic.POP,
-                                                             Mnemonic.MOVZX, Mnemonic.MOVSX,
-                                                             Mnemonic.LEA, Mnemonic.SET):
+            if ops and isinstance(ops[0], Reg) and not overwritten:
                 source_tainted |= ops[0].reg in tainted_regs
 
             # propagate taint
@@ -137,8 +131,7 @@ class TaintDrivenSimplifier(SnapshotEngine):
                             tainted_regs.discard(destination.reg)
                     elif source_tainted:
                         tainted_regs.add(destination.reg)
-                    elif m in (Mnemonic.MOV, Mnemonic.MOVZX, Mnemonic.MOVSX,
-                               Mnemonic.LEA, Mnemonic.SET):
+                    elif overwritten:
                         tainted_regs.discard(destination.reg)
                 elif isinstance(destination, Mem):
                     address = memory_address(destination)
@@ -148,7 +141,7 @@ class TaintDrivenSimplifier(SnapshotEngine):
                         tainted_memory.discard(address)
             if m is Mnemonic.PUSH and ops:
                 address = (regs.get(Register.RSP, 0) - 8) & _MASK64
-                if self._operand_registers(ops[0]) & tainted_regs:
+                if operand_registers(ops[0]) & tainted_regs:
                     tainted_memory.add(address)
                 else:
                     tainted_memory.discard(address)

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Union
 from repro.compiler.errors import CompileError
 from repro.compiler.frame import Frame
 from repro.cpu.host import HOST_FUNCTION_NAMES, host_function_address
-from repro.isa.instructions import Instruction, make
+from repro.isa.instructions import NEGATED_CONDITION, Instruction, make
 from repro.isa.operands import Imm, Label, Mem, Reg
 from repro.isa.registers import ARG_REGISTERS, Register
 from repro.lang.ast import (
@@ -226,8 +226,7 @@ class FunctionCodegen:
             self._gen_expr(condition.left, 0)
             self._gen_expr(condition.right, 1)
             self._emit(make("cmp", left, right))
-            negated = {"e": "ne", "ne": "e", "l": "ge", "ge": "l",
-                       "le": "g", "g": "le"}[_COMPARISONS[condition.op]]
+            negated = NEGATED_CONDITION[_COMPARISONS[condition.op]]
             self._emit(make(f"j{negated}", Label(false_label)))
             return
         self._gen_expr(condition, 0)

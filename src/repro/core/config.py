@@ -3,8 +3,8 @@
 Beyond the paper's own ``ROPk`` family this module also defines the
 ROPfuscator-style *protection profiles*: named bundles of the two
 opaque-predicate layers (opaque-constant materialization and instruction
-hiding) with a qualitative robustness/overhead rank, applied on top of a base
-:class:`RopConfig` either whole-program or per function.
+hiding), applied on top of a base :class:`RopConfig` either whole-program or
+per function.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ class RopConfig:
         p1_repetitions: ``p`` — number of repetitions stored in the array.
         p1_modulus: ``m`` — residue modulus (power of two so the chain can
             reduce with a mask; the paper only requires ``m > n``).
-        diversify_gadgets: draw diversified gadget variants from the pool.
         seed: RNG seed for all obfuscation-time random choices.
         read_only_chains: if True, P3's array-update variant is disabled so
             the generated chains never write to themselves or to the opaque
@@ -65,7 +64,6 @@ class RopConfig:
     p1_period: int = 4
     p1_repetitions: int = 32
     p1_modulus: int = 16
-    diversify_gadgets: bool = True
     seed: int = 1
     read_only_chains: bool = False
     opaque_constants: bool = False
@@ -113,14 +111,15 @@ class ProtectionProfile:
     via the ``profiles`` mapping of :func:`repro.core.rewriter.rop_obfuscate`
     — so different functions of one binary can trade robustness against
     overhead independently, mirroring ROPfuscator's per-function annotation.
+    ROPfuscator ranks its profiles from 1 to 3 on both axes, robustness
+    against automated deobfuscation and size/run-time overhead: ``baseline``
+    1 and 1, ``opaque`` and ``hidden`` 2 and 2, ``full`` 3 and 3.
 
     Attributes:
         name: profile name (the key in :data:`PROTECTION_PROFILES`).
         suffix: appended to configuration display names (``"ROP1.00+OC+IH"``).
         opaque_constants/opaque_fraction: see :class:`RopConfig`.
         instruction_hiding/hiding_fraction: see :class:`RopConfig`.
-        robustness: qualitative rank (0-3) against automated deobfuscation.
-        overhead: qualitative rank (0-3) of the size/run-time cost.
     """
 
     name: str
@@ -129,8 +128,6 @@ class ProtectionProfile:
     opaque_fraction: float = 0.0
     instruction_hiding: bool = False
     hiding_fraction: float = 0.0
-    robustness: int = 1
-    overhead: int = 1
 
     def apply(self, config: RopConfig) -> RopConfig:
         """Return ``config`` with this profile's layers switched on.
@@ -157,16 +154,14 @@ class ProtectionProfile:
 #: materialization (+OC); ``hidden`` adds instruction hiding (+IH); ``full``
 #: stacks both — ROPfuscator's strongest row.
 PROTECTION_PROFILES: Dict[str, ProtectionProfile] = {
-    "baseline": ProtectionProfile(
-        name="baseline", suffix="", robustness=1, overhead=1),
+    "baseline": ProtectionProfile(name="baseline", suffix=""),
     "opaque": ProtectionProfile(
         name="opaque", suffix="+OC", opaque_constants=True,
-        opaque_fraction=0.5, robustness=2, overhead=2),
+        opaque_fraction=0.5),
     "hidden": ProtectionProfile(
         name="hidden", suffix="+IH", instruction_hiding=True,
-        hiding_fraction=0.35, robustness=2, overhead=2),
+        hiding_fraction=0.35),
     "full": ProtectionProfile(
         name="full", suffix="+OC+IH", opaque_constants=True,
-        opaque_fraction=0.5, instruction_hiding=True, hiding_fraction=0.35,
-        robustness=3, overhead=3),
+        opaque_fraction=0.5, instruction_hiding=True, hiding_fraction=0.35),
 }

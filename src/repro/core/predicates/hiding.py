@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.analysis.liveness import instruction_uses_defs
+from repro.isa.effects import instruction_uses_defs
 from repro.core.chain import ValueSlot
 from repro.core.predicates.p2_datadep import PERTURBATION_SCALE_SHIFT
 

@@ -159,8 +159,7 @@ class RopRewriter:
         # unobfuscated (never from bytes that are about to be wiped)
         exclude_ranges = [(self.image.function(n).address, self.image.function(n).end)
                           for n in candidates]
-        self._pool = GadgetPool(self.image, seed=self.config.seed,
-                                diversify=self.config.diversify_gadgets)
+        self._pool = GadgetPool(self.image, seed=self.config.seed)
         self._seed_pool(exclude_ranges)
 
         for name in candidates:

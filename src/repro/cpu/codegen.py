@@ -72,7 +72,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.cpu import semantics as _semantics
 from repro.cpu.state import BIT_WIDTHS, EmulationError, SIGN_BITS, SIZE_MASKS
-from repro.cpu.trace import _OPERAND_MINIMUM, TraceStep
+from repro.cpu.trace import TraceStep
+from repro.isa.effects import ARITY
 from repro.isa.instructions import Mnemonic
 from repro.isa.operands import Imm, Mem, Reg
 from repro.isa.registers import Register
@@ -906,7 +907,7 @@ class _StepCodegen(_Codegen):
 
     def step_source(self) -> str:
         instruction = self.instruction
-        if len(instruction.operands) < _OPERAND_MINIMUM[instruction.mnemonic]:
+        if len(instruction.operands) < ARITY[instruction.mnemonic]:
             # a decode missing an operand its mnemonic needs
             message = f"unimplemented instruction {instruction}"
             self.emit(f"raise _EE({message!r})")

@@ -28,6 +28,7 @@ from repro.cpu.state import (
     SIZE_MASKS,
     to_signed,
 )
+from repro.isa.effects import ARITY
 from repro.isa.instructions import Instruction, Mnemonic
 from repro.isa.operands import Mem, Reg
 from repro.isa.registers import Register
@@ -93,7 +94,7 @@ def _resolve(emulator: Emulator, address: int) -> tuple:
     instruction, length, region, generation = \
         emulator.decode_entry(address)[:4]
     handler = DISPATCH[instruction.mnemonic]
-    if len(instruction.operands) < _OPERAND_MINIMUM[instruction.mnemonic]:
+    if len(instruction.operands) < ARITY[instruction.mnemonic]:
         handler = None
     return (region, generation, length, instruction,
             _semantics.trim_operands(instruction), handler)
@@ -427,8 +428,6 @@ DISPATCH: Dict[Mnemonic, Callable[[Emulator, Instruction], None]] = {
     mnemonic: globals()[name]
     for mnemonic, name in _semantics.handler_table().items()}
 
-#: Mnemonic -> the fewest decoded operands it runs with.
-_OPERAND_MINIMUM = _semantics.operand_minimums()
 
 #: The reference covers every mnemonic through its handler table.
 #: Registration validates that at import and feeds the static contract

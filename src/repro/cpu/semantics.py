@@ -10,10 +10,13 @@ redundancy has failed before: the x86 shift-flag corner cases drifted
 between tiers and were only caught dynamically, by hypothesis
 differentials, after the fact.
 
-This module is the single declarative statement of what each mnemonic does
-to the architectural flag slots, which operand counts it accepts, and which
-special-case rules every implementation must honour (width-masked shift
-counts, the masked-zero-count no-op, OF defined only for 1-bit shifts, the
+This module is the contract every tier is checked against.  What each
+mnemonic does to the architectural flag slots and how many operands it
+takes come from the one effect table, :data:`repro.isa.effects.EFFECTS`,
+which the rewriter's analyses read too; the registry adds the reference
+handler, the flags an implementation may restore, and the special-case
+rules every implementation must honour (width-masked shift counts, the
+masked-zero-count no-op, OF defined only for 1-bit shifts, the
 sub-register width merge).  Each tier *registers* against it at import time
 (:func:`register_tier`), mapping every mnemonic to the one function that
 implements it: no tier declines any.  The static checker (``python -m
@@ -32,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
+from repro.isa.effects import ARITY, EFFECTS
 from repro.isa.instructions import Instruction, Mnemonic
 
 #: Architectural flag slots every tier models (``CpuState.cf`` …).
@@ -65,12 +69,12 @@ class MnemonicSemantics:
     #: this field (:func:`handler_table`), so registry and dispatch cannot
     #: drift.
     handler: str
-    #: Operand counts the decoder can deliver for this mnemonic.
-    operand_counts: Tuple[int, ...]
     #: Flag slots the instruction defines (a tier implementing it must
-    #: assign exactly these, modulo ``flags_preserved``).
+    #: assign exactly these, modulo ``flags_preserved``); from
+    #: :data:`repro.isa.effects.EFFECTS`.
     flags_written: FrozenSet[str]
-    #: Flag slots the instruction's behaviour depends on.
+    #: Flag slots the instruction's behaviour depends on; from the effect
+    #: table.
     flags_read: FrozenSet[str]
     #: Flag slots the instruction leaves untouched but an implementation
     #: may legitimately assign in order to restore them (INC/DEC save and
@@ -82,70 +86,59 @@ class MnemonicSemantics:
 
 SEMANTICS: Dict[Mnemonic, MnemonicSemantics] = {}
 
-_ALL_FLAGS = frozenset(FLAGS)
-_CONDITION_FLAGS = frozenset(FLAGS)  # condition codes may consult any flag
 _NONE: FrozenSet[str] = frozenset()
+_SHIFT = ("count_masked", "zero_count_noop", "of_one_bit_only")
 
 
-def _sem(mnemonic: Mnemonic, handler: str, operand_counts: Tuple[int, ...],
-         writes: FrozenSet[str] = _NONE, reads: FrozenSet[str] = _NONE,
-         preserves: FrozenSet[str] = _NONE,
+def _sem(mnemonic: Mnemonic, handler: str, preserves: FrozenSet[str] = _NONE,
          specials: Iterable[str] = ()) -> None:
     special_set = frozenset(specials)
     unknown = special_set - frozenset(SPECIAL_RULES)
     if unknown:
         raise ValueError(f"unknown special rule(s) {sorted(unknown)} "
                          f"for {mnemonic.name}")
+    effect = EFFECTS[mnemonic]
     SEMANTICS[mnemonic] = MnemonicSemantics(
-        mnemonic=mnemonic, handler=handler, operand_counts=operand_counts,
-        flags_written=writes, flags_read=reads, flags_preserved=preserves,
-        specials=special_set)
+        mnemonic=mnemonic, handler=handler,
+        flags_written=effect.flags_written, flags_read=effect.flags_read,
+        flags_preserved=preserves, specials=special_set)
 
 
-_sem(Mnemonic.NOP, "_op_nop", (0,))
-_sem(Mnemonic.HLT, "_op_hlt", (0,))
-_sem(Mnemonic.MOV, "_op_mov", (2,), specials=("width_merge",))
-_sem(Mnemonic.MOVZX, "_op_mov", (2,), specials=("width_merge",))
-_sem(Mnemonic.MOVSX, "_op_movsx", (2,), specials=("width_merge",))
-_sem(Mnemonic.LEA, "_op_lea", (2,))
-_sem(Mnemonic.XCHG, "_op_xchg", (2,), specials=("width_merge",))
-_sem(Mnemonic.PUSH, "_op_push", (1,))
-_sem(Mnemonic.POP, "_op_pop", (1,), specials=("width_merge",))
-_sem(Mnemonic.ADD, "_op_add", (2,), writes=_ALL_FLAGS)
-_sem(Mnemonic.ADC, "_op_adc", (2,), writes=_ALL_FLAGS,
-     reads=frozenset({"cf"}))
-_sem(Mnemonic.SUB, "_op_sub", (2,), writes=_ALL_FLAGS)
-_sem(Mnemonic.SBB, "_op_sbb", (2,), writes=_ALL_FLAGS,
-     reads=frozenset({"cf"}))
-_sem(Mnemonic.CMP, "_op_cmp", (2,), writes=_ALL_FLAGS)
-_sem(Mnemonic.TEST, "_op_test", (2,), writes=_ALL_FLAGS)
-_sem(Mnemonic.AND, "_op_and", (2,), writes=_ALL_FLAGS)
-_sem(Mnemonic.OR, "_op_or", (2,), writes=_ALL_FLAGS)
-_sem(Mnemonic.XOR, "_op_xor", (2,), writes=_ALL_FLAGS)
-_sem(Mnemonic.NEG, "_op_neg", (1,), writes=_ALL_FLAGS)
-_sem(Mnemonic.NOT, "_op_not", (1,))
-_sem(Mnemonic.SHL, "_op_shl", (2,), writes=_ALL_FLAGS,
-     specials=("count_masked", "zero_count_noop", "of_one_bit_only"))
-_sem(Mnemonic.SHR, "_op_shr", (2,), writes=_ALL_FLAGS,
-     specials=("count_masked", "zero_count_noop", "of_one_bit_only"))
-_sem(Mnemonic.SAR, "_op_sar", (2,), writes=_ALL_FLAGS,
-     specials=("count_masked", "zero_count_noop", "of_one_bit_only"))
-_sem(Mnemonic.IMUL, "_op_imul", (2,), writes=_ALL_FLAGS,
-     specials=("zf_sf_pinned",))
-_sem(Mnemonic.CQO, "_op_cqo", (0,))
-_sem(Mnemonic.IDIV, "_op_idiv", (1,))
-_sem(Mnemonic.INC, "_op_inc", (1,),
-     writes=frozenset({"of", "zf", "sf"}), preserves=frozenset({"cf"}))
-_sem(Mnemonic.DEC, "_op_dec", (1,),
-     writes=frozenset({"of", "zf", "sf"}), preserves=frozenset({"cf"}))
-_sem(Mnemonic.CMOV, "_op_cmov", (2,), reads=_CONDITION_FLAGS,
-     specials=("width_merge",))
-_sem(Mnemonic.SET, "_op_set", (1,), reads=_CONDITION_FLAGS)
-_sem(Mnemonic.JMP, "_op_jmp", (1,))
-_sem(Mnemonic.JCC, "_op_jcc", (1,), reads=_CONDITION_FLAGS)
-_sem(Mnemonic.CALL, "_op_call", (1,))
-_sem(Mnemonic.RET, "_op_ret", (0,))
-_sem(Mnemonic.LEAVE, "_op_leave", (0,))
+_sem(Mnemonic.NOP, "_op_nop")
+_sem(Mnemonic.HLT, "_op_hlt")
+_sem(Mnemonic.MOV, "_op_mov", specials=("width_merge",))
+_sem(Mnemonic.MOVZX, "_op_mov", specials=("width_merge",))
+_sem(Mnemonic.MOVSX, "_op_movsx", specials=("width_merge",))
+_sem(Mnemonic.LEA, "_op_lea")
+_sem(Mnemonic.XCHG, "_op_xchg", specials=("width_merge",))
+_sem(Mnemonic.PUSH, "_op_push")
+_sem(Mnemonic.POP, "_op_pop", specials=("width_merge",))
+_sem(Mnemonic.ADD, "_op_add")
+_sem(Mnemonic.ADC, "_op_adc")
+_sem(Mnemonic.SUB, "_op_sub")
+_sem(Mnemonic.SBB, "_op_sbb")
+_sem(Mnemonic.CMP, "_op_cmp")
+_sem(Mnemonic.TEST, "_op_test")
+_sem(Mnemonic.AND, "_op_and")
+_sem(Mnemonic.OR, "_op_or")
+_sem(Mnemonic.XOR, "_op_xor")
+_sem(Mnemonic.NEG, "_op_neg")
+_sem(Mnemonic.NOT, "_op_not")
+_sem(Mnemonic.SHL, "_op_shl", specials=_SHIFT)
+_sem(Mnemonic.SHR, "_op_shr", specials=_SHIFT)
+_sem(Mnemonic.SAR, "_op_sar", specials=_SHIFT)
+_sem(Mnemonic.IMUL, "_op_imul", specials=("zf_sf_pinned",))
+_sem(Mnemonic.CQO, "_op_cqo")
+_sem(Mnemonic.IDIV, "_op_idiv")
+_sem(Mnemonic.INC, "_op_inc", preserves=frozenset({"cf"}))
+_sem(Mnemonic.DEC, "_op_dec", preserves=frozenset({"cf"}))
+_sem(Mnemonic.CMOV, "_op_cmov", specials=("width_merge",))
+_sem(Mnemonic.SET, "_op_set")
+_sem(Mnemonic.JMP, "_op_jmp")
+_sem(Mnemonic.JCC, "_op_jcc")
+_sem(Mnemonic.CALL, "_op_call")
+_sem(Mnemonic.RET, "_op_ret")
+_sem(Mnemonic.LEAVE, "_op_leave")
 
 if frozenset(SEMANTICS) != frozenset(Mnemonic):
     _missing = sorted(m.name for m in frozenset(Mnemonic) - frozenset(SEMANTICS))
@@ -157,25 +150,13 @@ def handler_table() -> Dict[Mnemonic, str]:
     return {mnemonic: sem.handler for mnemonic, sem in SEMANTICS.items()}
 
 
-def operand_minimums() -> Dict[Mnemonic, int]:
-    """Mnemonic -> the fewest operands its semantics can run with.  The
-    decoder accepts any count; a decode with fewer is unimplemented in
-    every tier."""
-    return {mnemonic: min(sem.operand_counts)
-            for mnemonic, sem in SEMANTICS.items()}
-
-
-#: Mnemonic -> the most operands its semantics read.
-_OPERAND_LIMIT = {mnemonic: max(sem.operand_counts)
-                  for mnemonic, sem in SEMANTICS.items()}
-
-
 def trim_operands(instruction: Instruction) -> Instruction:
-    """``instruction`` without the decoded operands past the most its
-    mnemonic reads.  The machine ignores them, so every tier executes (and
-    the shadow mirrors) the trimmed form; ``instruction`` itself when there
-    is nothing to drop."""
-    limit = _OPERAND_LIMIT[instruction.mnemonic]
+    """``instruction`` without the decoded operands past its mnemonic's
+    arity.  The machine ignores them, so every tier executes (and the
+    shadow mirrors) the trimmed form; ``instruction`` itself when there is
+    nothing to drop.  A decode with fewer operands than the arity is
+    unimplemented in every tier."""
+    limit = ARITY[instruction.mnemonic]
     if len(instruction.operands) <= limit:
         return instruction
     return Instruction(instruction.mnemonic, instruction.operands[:limit],

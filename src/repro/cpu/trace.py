@@ -38,8 +38,8 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.binary.sections import HOST_FUNCTION_LIMIT
-from repro.cpu.semantics import operand_minimums
 from repro.cpu.state import EmulationError, SIZE_MASKS, to_signed
+from repro.isa.effects import EFFECTS, Role
 from repro.isa.instructions import Mnemonic
 from repro.isa.operands import Imm, Reg
 from repro.isa.registers import Register
@@ -52,21 +52,6 @@ _M = (1 << 64) - 1
 TRACE_CAP = 64
 
 _RSP = Register.RSP
-
-#: Mnemonic -> the fewest decoded operands it runs with; a shorter decode is
-#: an unimplemented instruction, which the trace leaves to single-step.
-_OPERAND_MINIMUM = operand_minimums()
-
-#: Mnemonics that transfer control: a trace fuses or exits on each.
-_CONTROL = frozenset((Mnemonic.RET, Mnemonic.JMP, Mnemonic.JCC, Mnemonic.CALL,
-                      Mnemonic.HLT))
-
-#: Mnemonics whose first operand being a plain register means that register
-#: is (potentially) written.  Used for the static rsp-delta tracking.
-_REG_WRITERS = frozenset(m for m in Mnemonic) - frozenset(
-    (Mnemonic.CMP, Mnemonic.TEST, Mnemonic.PUSH, Mnemonic.JMP, Mnemonic.JCC,
-     Mnemonic.NOP, Mnemonic.HLT, Mnemonic.RET)
-)
 
 
 class TraceStep:
@@ -144,8 +129,9 @@ def _imm_value(operand: Imm) -> int:
     return operand.value & SIZE_MASKS[operand.size]
 
 
-def _rsp_delta(instruction, delta: Optional[int]) -> Optional[int]:
-    """Track the static stack-pointer offset across a fused instruction.
+def _rsp_delta(instruction, roles, delta: Optional[int]) -> Optional[int]:
+    """Track the static stack-pointer offset across a fused instruction
+    whose operands play ``roles``.
 
     Returns the new byte delta relative to the trace entry's ``rsp``, or None
     once the offset is no longer statically known (the builder then stops
@@ -164,16 +150,15 @@ def _rsp_delta(instruction, delta: Optional[int]) -> Optional[int]:
         return delta + 8
     if mnemonic is Mnemonic.LEAVE:
         return None
-    if operands and isinstance(operands[0], Reg) and operands[0].reg is _RSP \
-            and mnemonic in _REG_WRITERS:
-        if mnemonic in (Mnemonic.ADD, Mnemonic.SUB) and len(operands) == 2 \
-                and isinstance(operands[1], Imm) and operands[0].size == 8:
-            adjust = to_signed(_imm_value(operands[1]), 8)
-            return delta + adjust if mnemonic is Mnemonic.ADD else delta - adjust
-        return None
-    if mnemonic is Mnemonic.XCHG and any(
-            isinstance(op, Reg) and op.reg is _RSP for op in operands):
-        return None
+    for role, operand in zip(roles, operands):
+        if role is not Role.READ and type(operand) is Reg and operand.reg is _RSP:
+            # only ``add``/``sub rsp, imm`` keeps the offset known
+            if mnemonic in (Mnemonic.ADD, Mnemonic.SUB) \
+                    and len(operands) == 2 and type(operands[1]) is Imm \
+                    and operand.size == 8:
+                adjust = to_signed(_imm_value(operands[1]), 8)
+                return delta + adjust if mnemonic is Mnemonic.ADD else delta - adjust
+            return None
     return delta
 
 
@@ -211,10 +196,12 @@ def build_trace(emulator, entry: int, cap: int = TRACE_CAP) -> Optional[Trace]:
         except EmulationError:
             final_rip = address
             break
-        if len(instruction.operands) < _OPERAND_MINIMUM[instruction.mnemonic]:
+        mnemonic = instruction.mnemonic
+        effect = EFFECTS[mnemonic]
+        if len(instruction.operands) < len(effect.roles):
+            # a decode missing an operand: single-step reports the fault
             final_rip = address
             break
-        mnemonic = instruction.mnemonic
         post = (address + length) & _M
 
         if mnemonic is Mnemonic.RET and delta is not None:
@@ -238,12 +225,12 @@ def build_trace(emulator, entry: int, cap: int = TRACE_CAP) -> Optional[Trace]:
                                            target))
                 address = target
                 continue
-        if mnemonic in _CONTROL:
+        if effect.control:
             steps.append(TraceStep("exit", address, instruction, post))
             break
 
         steps.append(TraceStep("op", address, instruction, post))
-        delta = _rsp_delta(instruction, delta)
+        delta = _rsp_delta(instruction, effect.roles, delta)
         address = post
     else:
         # cap reached on a straight-line tail: resume at the next address

@@ -47,35 +47,19 @@ def gadget_at(data: bytes, offset: int, base_address: int,
     return None
 
 
-def find_gadgets(data: bytes, base_address: int = 0, max_instructions: int = 6,
-                 aligned_only: bool = False) -> List[Gadget]:
-    """Scan ``data`` and return every discoverable ret-terminated gadget.
+def find_gadgets(data: bytes, base_address: int = 0,
+                 max_instructions: int = 6) -> List[Gadget]:
+    """Scan every byte offset of ``data`` and return each ret-terminated
+    gadget found; unaligned starts are what make unintended gadgets possible.
 
     Args:
         data: raw code bytes.
         base_address: load address of ``data[0]`` (gadget addresses are
             absolute).
         max_instructions: bound on gadget length.
-        aligned_only: if True only offsets that start an intended instruction
-            (as found by a linear sweep from offset 0) are considered; the
-            default scans every byte offset, which is what makes unintended
-            gadgets possible.
     """
     gadgets: List[Gadget] = []
-    if aligned_only:
-        offsets = []
-        cursor = 0
-        while cursor < len(data):
-            try:
-                _, length = decode_instruction(data, cursor)
-            except DecodeError:
-                cursor += 1
-                continue
-            offsets.append(cursor)
-            cursor += length
-    else:
-        offsets = range(len(data))
-    for offset in offsets:
+    for offset in range(len(data)):
         gadget = gadget_at(data, offset, base_address, max_instructions)
         if gadget is not None:
             gadgets.append(gadget)

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set, Tuple
 
+from repro.isa.effects import instruction_uses_defs
 from repro.isa.instructions import Instruction, Mnemonic
 from repro.isa.operands import Reg
 from repro.isa.registers import Register
@@ -53,30 +54,20 @@ class Gadget:
 def analyze_side_effects(instructions: List[Instruction]) -> Tuple[frozenset, Tuple[Register, ...], bool]:
     """Compute ``(clobbers, pops, writes_flags)`` for an instruction sequence.
 
-    Used both by the synthesizer (to annotate artificial gadgets) and by the
-    classifier (to annotate gadgets found in existing code).
+    The clobbers are the registers the sequence defines
+    (:func:`repro.isa.effects.instruction_uses_defs`) other than ``rsp``,
+    the chain pointer.  Used both by the synthesizer (to annotate artificial
+    gadgets) and by the classifier (to annotate gadgets found in existing
+    code).
     """
-    clobbers = set()
+    clobbers: Set[Register] = set()
     pops: List[Register] = []
     writes_flags = False
     for instruction in instructions:
-        if instruction.writes_flags():
-            writes_flags = True
-        if instruction.mnemonic is Mnemonic.POP and isinstance(instruction.operands[0], Reg):
-            pops.append(instruction.operands[0].reg)
-            clobbers.add(instruction.operands[0].reg)
-            continue
-        if instruction.mnemonic in (Mnemonic.RET, Mnemonic.JMP, Mnemonic.JCC,
-                                    Mnemonic.NOP, Mnemonic.CMP, Mnemonic.TEST,
-                                    Mnemonic.PUSH, Mnemonic.HLT):
-            continue
-        if instruction.operands and isinstance(instruction.operands[0], Reg):
-            clobbers.add(instruction.operands[0].reg)
-        if instruction.mnemonic is Mnemonic.XCHG and len(instruction.operands) > 1:
-            second = instruction.operands[1]
-            if isinstance(second, Reg):
-                clobbers.add(second.reg)
-        if instruction.mnemonic in (Mnemonic.CQO, Mnemonic.IDIV):
-            clobbers.add(Register.RDX)
-            clobbers.add(Register.RAX)
+        writes_flags = writes_flags or instruction.writes_flags()
+        operands = instruction.operands
+        if instruction.mnemonic is Mnemonic.POP and operands and isinstance(operands[0], Reg):
+            pops.append(operands[0].reg)
+        clobbers |= instruction_uses_defs(instruction)[1]
+    clobbers.discard(Register.RSP)
     return frozenset(clobbers), tuple(pops), writes_flags

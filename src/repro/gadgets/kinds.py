@@ -2,8 +2,9 @@
 
 Each :class:`GadgetKind` holds the instruction template of one semantic
 operation, with :class:`Hole` operands filled from the kind's parameters
-(``dst``, ``src``, ``cc``, ...), plus the registers the operation touches
-implicitly and whether it redirects ``rsp``.  The same template serves both
+(``dst``, ``src``, ``cc``, ...), and whether it redirects ``rsp``; the
+registers it touches implicitly are read off the template's mnemonics in
+:data:`repro.isa.effects.EFFECTS`.  The same template serves both
 gadget sources of §IV-A1: :class:`repro.gadgets.pool.GadgetPool`
 synthesizes a missing gadget by filling it in, and
 :func:`repro.gadgets.classify.classify_gadget` lets a gadget found in
@@ -16,9 +17,10 @@ therefore never reused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Literal, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.isa.effects import EFFECTS
 from repro.isa.instructions import Instruction, Mnemonic
 from repro.isa.operands import Imm, Mem, Operand, Reg
 from repro.isa.registers import Register
@@ -79,7 +81,9 @@ class GadgetKind:
         name: the kind's name (``"pop"``, ``"add_rr"``, ``"load8"``, ...).
         body: the template, terminator excluded.
         implicit: registers the operation reads or writes without naming
-            them (``cqo``/``idiv``: ``rax`` and ``rdx``).
+            them, other than ``rsp``: the template's implicit registers in
+            :data:`repro.isa.effects.EFFECTS` (``cqo``/``idiv``: ``rax``
+            and ``rdx``).
         redirects_rsp: True when the operation moves the chain pointer, so
             nothing may be popped after it.
         returns: True when the gadget ends in ``ret`` (False for the
@@ -88,9 +92,14 @@ class GadgetKind:
 
     name: str
     body: Tuple[Shape, ...]
-    implicit: FrozenSet[Register] = frozenset()
     redirects_rsp: bool = False
     returns: bool = True
+    implicit: FrozenSet[Register] = field(init=False)
+
+    def __post_init__(self) -> None:
+        implicit = {register for mnemonic, _ in self.body
+                    for register in EFFECTS[mnemonic].uses | EFFECTS[mnemonic].defs}
+        object.__setattr__(self, "implicit", frozenset(implicit - {Register.RSP}))
 
     def instructions(self, params: Params) -> List[Instruction]:
         """The gadget for ``params``, terminator included."""
@@ -182,10 +191,8 @@ _TABLE: Tuple[GadgetKind, ...] = (
     GadgetKind("set", ((Mnemonic.SET, (_reg("dst", 1),)),)),
     GadgetKind("add_r_mem", ((Mnemonic.ADD, (_reg("dst"), _mem("dst"))),)),
     GadgetKind("sub_mem_r", ((Mnemonic.SUB, (_mem("dst"), _reg("src"))),)),
-    GadgetKind("cqo", ((Mnemonic.CQO, ()),),
-               implicit=frozenset({Register.RAX, Register.RDX})),
-    GadgetKind("idiv", ((Mnemonic.IDIV, (_reg("src"),)),),
-               implicit=frozenset({Register.RAX, Register.RDX})),
+    GadgetKind("cqo", ((Mnemonic.CQO, ()),)),
+    GadgetKind("idiv", ((Mnemonic.IDIV, (_reg("src"),)),)),
     GadgetKind("spill", ((Mnemonic.MOV, (Hole("slot", "abs"), _reg("src"))),)),
     GadgetKind("unspill", ((Mnemonic.MOV, (_reg("dst"), Hole("slot", "abs"))),)),
     # the call gadget: swap in the callee frame's stack and jump to it

@@ -11,7 +11,9 @@ relies on:
   arbitrary (including unaligned) offsets — the property gadget finding and
   gadget confusion build on,
 * an assembler and disassembler used by the compiler, the gadget finder and
-  the deobfuscation attack engines.
+  the deobfuscation attack engines,
+* one table of each mnemonic's effects (:mod:`repro.isa.effects`): operand
+  roles, implicit registers, flags and control transfer.
 """
 
 from repro.isa.registers import Register, REGISTERS, CALLEE_SAVED, CALLER_SAVED, ARG_REGISTERS
@@ -20,7 +22,7 @@ from repro.isa.operands import Reg, Imm, Mem, Label, Operand
 from repro.isa.instructions import Instruction, Mnemonic, CONDITION_CODES
 from repro.isa.encoding import encode_instruction, decode_instruction, DecodeError
 from repro.isa.assembler import Assembler, assemble
-from repro.isa.disassembler import disassemble, disassemble_range, linear_sweep
+from repro.isa.disassembler import disassemble_range
 
 __all__ = [
     "Register",
@@ -43,7 +45,5 @@ __all__ = [
     "DecodeError",
     "Assembler",
     "assemble",
-    "disassemble",
     "disassemble_range",
-    "linear_sweep",
 ]

@@ -1,30 +1,22 @@
-"""Disassembly helpers built on :mod:`repro.isa.encoding`.
+"""Sequential disassembly built on :mod:`repro.isa.encoding`.
 
-Three disassembly styles are offered, mirroring the tools the paper's
-pipeline depends on:
-
-* :func:`disassemble` — decode a single instruction at an address;
-* :func:`disassemble_range` — sequential decoding of a byte range (the
-  building block of linear-sweep CFG recovery in :mod:`repro.analysis`);
-* :func:`linear_sweep` — tolerant sweep that skips undecodable bytes, used by
-  the gadget finder to scan ``.text`` including dead artificial gadget code.
+:func:`disassemble_range` decodes a byte range instruction by instruction,
+the building block of linear-sweep CFG recovery in :mod:`repro.analysis`.
+Gadget discovery (:func:`repro.gadgets.finder.gadget_at`, which the
+ROP-aware attacks' gadget guessing calls too) decodes from every byte offset
+with :func:`repro.isa.encoding.decode_instruction` instead.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import List, Optional, Tuple
 
-from repro.isa.encoding import DecodeError, decode_instruction
+from repro.isa.encoding import decode_instruction
 from repro.isa.instructions import Instruction
 
 
-def disassemble(data: bytes, offset: int = 0) -> Tuple[Instruction, int]:
-    """Decode one instruction; alias of :func:`decode_instruction`."""
-    return decode_instruction(data, offset)
-
-
 def disassemble_range(
-    data: bytes, start: int = 0, end: int = None
+    data: bytes, start: int = 0, end: Optional[int] = None
 ) -> List[Tuple[int, Instruction]]:
     """Sequentially decode ``data[start:end]``.
 
@@ -40,39 +32,3 @@ def disassemble_range(
         out.append((cursor, instruction))
         cursor += length
     return out
-
-
-def linear_sweep(data: bytes, start: int = 0, end: int = None) -> Dict[int, Instruction]:
-    """Decode as much of ``data`` as possible, skipping undecodable bytes.
-
-    Unlike :func:`disassemble_range` this never raises: offsets that do not
-    start a valid instruction are skipped one byte at a time.  The result maps
-    offsets to instructions and is the raw material of gadget discovery.
-    """
-    if end is None:
-        end = len(data)
-    out: Dict[int, Instruction] = {}
-    cursor = start
-    while cursor < end:
-        try:
-            instruction, length = decode_instruction(data, cursor)
-        except DecodeError:
-            cursor += 1
-            continue
-        out[cursor] = instruction
-        cursor += length
-    return out
-
-
-def iter_all_offsets(data: bytes) -> Iterator[Tuple[int, Instruction, int]]:
-    """Yield ``(offset, instruction, length)`` for every decodable offset.
-
-    Every byte offset is tried independently (superset disassembly), which is
-    what speculative gadget guessing needs.
-    """
-    for offset in range(len(data)):
-        try:
-            instruction, length = decode_instruction(data, offset)
-        except DecodeError:
-            continue
-        yield offset, instruction, length

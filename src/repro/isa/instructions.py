@@ -112,23 +112,15 @@ class Instruction:
 
     def is_control_flow(self) -> bool:
         """True for instructions that may divert the instruction pointer."""
-        return self.mnemonic in (
-            Mnemonic.JMP, Mnemonic.JCC, Mnemonic.CALL, Mnemonic.RET, Mnemonic.HLT,
-        )
+        return EFFECTS[self.mnemonic].control
 
     def reads_flags(self) -> bool:
         """True when the instruction's behaviour depends on condition flags."""
-        return self.mnemonic in (Mnemonic.JCC, Mnemonic.CMOV, Mnemonic.SET,
-                                 Mnemonic.ADC, Mnemonic.SBB)
+        return bool(EFFECTS[self.mnemonic].flags_read)
 
     def writes_flags(self) -> bool:
         """True when the instruction updates condition flags."""
-        return self.mnemonic in (
-            Mnemonic.ADD, Mnemonic.SUB, Mnemonic.ADC, Mnemonic.SBB,
-            Mnemonic.AND, Mnemonic.OR, Mnemonic.XOR, Mnemonic.NEG,
-            Mnemonic.SHL, Mnemonic.SHR, Mnemonic.SAR, Mnemonic.IMUL,
-            Mnemonic.INC, Mnemonic.DEC, Mnemonic.CMP, Mnemonic.TEST,
-        )
+        return bool(EFFECTS[self.mnemonic].flags_written)
 
     def __str__(self) -> str:
         if not self.operands:
@@ -163,3 +155,7 @@ def make(name: str, *operands: Operand) -> Instruction:
 def has_label(instruction: Instruction) -> bool:
     """Return True if any operand is an unresolved :class:`Label`."""
     return any(isinstance(op, Label) for op in instruction.operands)
+
+
+# the effect table keys on Mnemonic, so it is imported once that exists
+from repro.isa.effects import EFFECTS  # noqa: E402

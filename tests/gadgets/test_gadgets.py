@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.binary import BinaryImage
 from repro.gadgets import GadgetPool, classify_gadget, find_gadgets
 from repro.gadgets.finder import find_gadgets_in_image
+from repro.gadgets.gadget import analyze_side_effects
 from repro.gadgets.kinds import KINDS, Hole
 from repro.gadgets.pool import GadgetPoolError
 from repro.isa import Mem, Reg, assemble
@@ -171,3 +172,30 @@ def test_diversified_variants_classify_as_no_kind(name):
         else:
             assert classify_gadget(gadget) == (name, params)
     assert variants
+
+
+def test_idiv_gadget_clobbers_only_the_dividend():
+    """``idiv rcx`` reads its divisor and writes ``rax``/``rdx``: the divisor
+    is not a clobber."""
+    clobbers, pops, _ = analyze_side_effects([make("idiv", Reg(Register.RCX)),
+                                              make("ret")])
+    assert clobbers == {Register.RAX, Register.RDX}
+    assert pops == ()
+
+
+def test_pool_reuses_an_idiv_gadget_while_the_divisor_is_live():
+    image = BinaryImage()
+    image.text.append(b"")
+    pool = GadgetPool(image, seed=1)
+    live = frozenset({Register.RCX})
+    first = pool.ensure("idiv", avoid=live, src=Register.RCX)
+    assert pool.ensure("idiv", avoid=live, src=Register.RCX) is first
+
+
+def test_operand_less_pop_in_a_scanned_gadget_is_not_a_pop():
+    """A ``pop`` decoded without its operand (an unaligned start) pops no
+    register and clobbers nothing but ``rsp``, which is never a clobber."""
+    code = bytes([0x16, 0x00]) + assemble([make("ret")])[0]
+    (gadget,) = [g for g in find_gadgets(code) if g.address == 0]
+    assert gadget.pops == ()
+    assert gadget.clobbers == frozenset()

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.isa import Imm, Label, Reg, assemble, disassemble_range, linear_sweep
+from repro.isa import Imm, Label, Reg, assemble, disassemble_range
 from repro.isa.assembler import Assembler
-from repro.isa.disassembler import iter_all_offsets
 from repro.isa.instructions import make
 from repro.isa.registers import Register
 
@@ -68,17 +67,3 @@ def test_disassemble_range_matches_input():
     code, _ = assemble(instructions)
     listing = [ins for _, ins in disassemble_range(code)]
     assert listing == instructions
-
-
-def test_linear_sweep_skips_garbage():
-    code, _ = assemble([make("mov", Reg(Register.RAX), Imm(7)), make("ret")])
-    blob = b"\x00\x01\x02" + code
-    swept = linear_sweep(blob)
-    names = [ins.name for ins in swept.values()]
-    assert "mov" in names and "ret" in names
-
-
-def test_iter_all_offsets_superset_contains_aligned_decodes():
-    code, _ = assemble([make("mov", Reg(Register.RAX), Imm(7)), make("ret")])
-    offsets = {offset for offset, _, _ in iter_all_offsets(code)}
-    assert 0 in offsets
