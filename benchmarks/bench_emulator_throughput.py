@@ -11,7 +11,9 @@ reports:
   the default two-tier pipeline and single-step dispatch of the compiled
   steps (``REPRO_TRACE_CACHE=0``), plus the JIT pipeline counters of the
   default run (traces compiled, warm-up and compiled runs, compiled-trace
-  hit rate), and of the reference interpreter
+  hit rate, stack-window misses) with its un-gated ``compile()`` seconds
+  and mean emitted source lines per compiled trace, and of the reference
+  interpreter
   (:func:`repro.cpu.reference.run`), the handler dispatch the
   compiled-over-single-step ratio gate divides by,
 * **forks/sec** of :meth:`repro.memory.Memory.snapshot`-based program
@@ -135,17 +137,34 @@ def measure_throughput(pristine, entry, argument, rounds=3, trace_cache=None,
     warm-up cost of the requested tier (decode and — with fusion on —
     trace recording, warm-up runs and ``compile()`` of every hot trace).
     ``reference`` runs the reference interpreter instead of
-    :meth:`Emulator.run`.
+    :meth:`Emulator.run`.  With fusion on, the report's ``jit`` also
+    carries the last round's seconds in
+    :func:`repro.cpu.codegen.compile_trace` and the mean source lines of
+    the traces it compiled.
     """
+    from repro.cpu import emulator as emulator_module
     from repro.cpu import reference as reference_interpreter
     from repro.cpu.emulator import Emulator
     from repro.cpu.host import EXIT_ADDRESS, HostEnvironment
     from repro.isa.registers import ARG_REGISTERS, Register
 
+    compile_trace = emulator_module.compile_trace
+    compiles = {"seconds": 0.0, "traces": 0, "lines": 0}
+
+    def timed_compile(emulator, trace):
+        start = time.perf_counter()
+        function = compile_trace(emulator, trace)
+        compiles["seconds"] += time.perf_counter() - start
+        if function is not None:
+            compiles["traces"] += 1
+            compiles["lines"] += function.__source__.count("\n")
+        return function
+
     best_ips = 0.0
     steps = 0
     jit = None
     for _ in range(rounds):
+        compiles.update(seconds=0.0, traces=0, lines=0)
         program = pristine.fork()
         emulator = Emulator(program.memory, host=HostEnvironment(),
                             max_steps=5_000_000, trace_cache=trace_cache)
@@ -158,7 +177,11 @@ def measure_throughput(pristine, entry, argument, rounds=3, trace_cache=None,
         if reference:
             reference_interpreter.run(emulator, emulator.max_steps)
         else:
-            emulator.run()
+            emulator_module.compile_trace = timed_compile
+            try:
+                emulator.run()
+            finally:
+                emulator_module.compile_trace = compile_trace
         elapsed = time.perf_counter() - start
         steps = emulator.steps
         jit = emulator.jit_stats
@@ -172,6 +195,11 @@ def measure_throughput(pristine, entry, argument, rounds=3, trace_cache=None,
             "compiled_runs": jit.compiled_runs,
             "closure_runs": jit.closure_runs,
             "compiled_hit_rate": round(jit.compiled_hit_rate, 4),
+            "window_misses": jit.window_misses,
+            # un-gated: the cold cost of the compiled tier, last round
+            "compile_sec": round(compiles["seconds"], 4),
+            "source_lines_per_trace": round(
+                compiles["lines"] / max(1, compiles["traces"]), 1),
         }
     return report
 
@@ -465,7 +493,10 @@ def test_emulator_throughput_and_fork_rate():
     if jit:
         print(f"  JIT pipeline         : {jit['traces_compiled']}/"
               f"{jit['traces_built']} traces compiled, "
-              f"{jit['compiled_hit_rate']:.1%} compiled-trace hit rate")
+              f"{jit['compiled_hit_rate']:.1%} compiled-trace hit rate, "
+              f"{jit['window_misses']} stack-window misses")
+        print(f"  JIT compile()        : {jit['compile_sec']:.3f} s, "
+              f"{jit['source_lines_per_trace']} source lines per trace")
     print(f"COW fork rate          : {forking['forks_per_sec']:>12,} forks/sec "
           f"({forking['fork_speedup']}x over deep load_image)")
     print(f"emulator snapshot rate : "

@@ -19,18 +19,34 @@ What the generated source buys over single-step dispatch:
 * **Operands are constant-folded.**  Immediates, size masks, sign-extension
   constants, effective-address arithmetic, peeked ``ret`` targets and region
   generations are baked into the expressions as literals.
-* **Width-specialized memory traffic.**  Stack loads go through a pinned
-  ``struct.Struct("<Q").unpack_from`` (no slice allocation); other qword
-  traffic binds the stable :meth:`repro.memory.Memory.read_qword` /
+* **Stack traffic against a window checked once.**  The trace builder
+  records ``rsp``'s offset from the trace entry on every step while it is
+  statically known.  At such an offset a pop, a ``ret`` guard or an exit
+  ``ret`` is one constant-offset load from the stack region's bytes,
+  ``_UQ(_STK.data, o + d)[0]`` through a pinned
+  ``struct.Struct("<Q").unpack_from``, followed by ``r_rsp = o + <const>``,
+  where ``o`` is the entry ``rsp``'s offset into the region.  The
+  prologue tests once that ``o`` keeps the lowest and highest of these
+  offsets inside the region; when it does not, the function returns True
+  before touching any state and the run loop single-steps the instruction
+  (:attr:`~repro.cpu.emulator.JitStats.window_misses`).  Such a load
+  cannot fault and leaves ``rsp`` exact, so early exits and fault repair
+  see single-step's state.  Loads at unknown offsets (after ``leave``,
+  ``pop rsp`` or a computed write of ``rsp``) test their bounds one by
+  one.  Other qword traffic binds the stable
+  :meth:`repro.memory.Memory.read_qword` /
   :meth:`~repro.memory.Memory.write_qword` accessors.
 
 The generated function is shaped as one ``while True`` block whose ``break``
 statements converge on a single register/flag writeback tail (early exits —
 failed ret guards, mid-trace self-modification — set the executed-step count
-``ex`` first), so the source stays compact enough that ``compile()`` is a
-once-per-trace cost of well under a millisecond.  A trace ends on its
-``exit`` step: the control transfer, emitted by the same emitter as any
-other instruction, then the ``break``.
+``ex`` first); the one fault handler writes back too.  ``compile()`` is
+still the cold cost of a trace: over one round of the end-to-end
+``overhead`` workload (~1,390 traces, a 2-CPU x86-64 container) it took
+~1.7 ms per trace with the per-load bounds test on every pop and ``ret``
+(244 source lines per trace) and ~1.2 ms with the window (150 lines).  A
+trace ends on its ``exit`` step: the control transfer, emitted by the same
+emitter as any other instruction, then the ``break``.
 
 Semantics are bit-for-bit those of single-step dispatch: fused ``ret``
 guards, mid-trace self-modification checks after every store, and fault
@@ -59,7 +75,8 @@ semantics and calls the transfer only when the guard fails.
 The generated function is self-contained: it advances ``emulator.steps``,
 installs the final ``rip`` and re-raises faults as
 :class:`~repro.cpu.state.EmulationError` itself, so executing a compiled
-trace from the run loop is a single call.
+trace from the run loop is a single call, whose result is True only on a
+window miss.
 """
 
 from __future__ import annotations
@@ -86,8 +103,9 @@ _M = (1 << 64) - 1
 _M_LIT = "0xFFFFFFFFFFFFFFFF"
 _H_LIT = "0x8000000000000000"
 
-#: Allocation-free little-endian qword load (bounds are pre-checked by the
-#: emitted code, so the struct error path never triggers).
+#: Allocation-free little-endian qword load (bounds are checked by the
+#: emitted code, once per trace or per load, so the struct error path
+#: never triggers).
 _UNPACK_QWORD = struct.Struct("<Q").unpack_from
 
 #: Condition code -> Python expression over the local flag variables; the
@@ -197,6 +215,9 @@ class _Codegen:
         #: the memory operand whose address ``p`` holds (see
         #: :meth:`load_rmw`)
         self.bound: Optional[Mem] = None
+        #: the ``rsp`` offsets the trace pops from inside its stack window
+        #: (see :meth:`pop`)
+        self.window: Set[int] = set()
 
     # -- small emission helpers -------------------------------------------------
     def reg(self, register: Register) -> str:
@@ -256,7 +277,8 @@ class _Codegen:
         self.early_exit(index + 1)
 
     def stack_load(self, address_var: str, result_var: str, index: int) -> None:
-        """Qword stack load with the pinned-region fast path (pop/ret)."""
+        """Qword stack load at an ``rsp`` of unknown offset (pop/ret): a
+        bounds test per load, the generic memory path behind it."""
         stack = self.trace.stack_region
         self.fault_index(index)
         if stack is None:
@@ -268,9 +290,33 @@ class _Codegen:
         self.emit("else:")
         self.emit(f"    {result_var} = _RQ({address_var})")
 
-    def pop(self, index: int, result_var: str) -> None:
-        """Pop a qword into ``result_var`` (the stack load, then ``rsp``)."""
+    def in_window(self, delta: Optional[int]) -> bool:
+        """Whether a qword at ``rsp`` offset ``delta`` from the trace entry
+        lay inside the stack region when the trace was built."""
+        trace = self.trace
+        return delta is not None and trace.stack_region is not None \
+            and 0 <= trace.stack_offset + delta \
+            <= len(trace.stack_region.data) - 8
+
+    def pop(self, index: int, result_var: str, delta: Optional[int]) -> None:
+        """Pop a qword into ``result_var`` (the stack load, then ``rsp``).
+
+        ``delta`` is ``rsp``'s offset from the trace entry, or None when it
+        is unknown.  A known offset :meth:`in_window` reads the stack
+        region at ``o + delta``, where ``o`` is the entry ``rsp``'s offset
+        into it, which the prologue has checked keeps every such read
+        inside the region: the load cannot fault, and ``rsp`` follows from
+        ``o``.  The region's ``data`` is read live, because a store may
+        have detached it from a copy-on-write snapshot."""
         rsp = self.reg(Register.RSP)
+        if self.in_window(delta):
+            self.window.add(delta)
+            offset = f"o + {delta}" if delta > 0 \
+                else f"o - {-delta}" if delta else "o"
+            self.emit(f"{result_var} = _UQ(_STK.data, {offset})[0]")
+            self.emit(f"{rsp} = o + "
+                      f"{self.trace.stack_region.start + delta + 8}")
+            return
         self.emit(f"rsp = {rsp}")
         self.stack_load("rsp", result_var, index)
         self.emit(f"{rsp} = (rsp + 8) & {_M_LIT}")
@@ -398,7 +444,7 @@ class _Codegen:
         trimmed = _semantics.trim_operands(instruction)
         if trimmed is not instruction:
             step = TraceStep(step.kind, step.address, trimmed, step.post,
-                             step.target)
+                             step.target, step.rsp)
         getattr(self, _EMITTERS[instruction.mnemonic])(index, step)
 
     def _op_mov(self, index: int, step) -> None:
@@ -614,10 +660,16 @@ class _Codegen:
         self.store(index, dst, self.ea(src), 8, step.post)
 
     def _op_pop(self, index: int, step) -> None:
-        self.pop(index, "v")
+        dst = step.instruction.operands[0]
+        if type(dst) is Reg and dst.size == 8 and dst.reg is not Register.RSP:
+            # the load lands in the register at once: nothing else reads
+            # it before the rsp update
+            self.pop(index, self.reg(dst.reg), step.rsp)
+            return
+        self.pop(index, "v", step.rsp)
         # as in the handler, a memory destination's address is derived
         # from the popped rsp
-        self.store(index, step.instruction.operands[0], "v", 8, step.post)
+        self.store(index, dst, "v", 8, step.post)
 
     def _op_push(self, index: int, step) -> None:
         src = step.instruction.operands[0]
@@ -632,7 +684,7 @@ class _Codegen:
     def _op_leave(self, index: int, step) -> None:
         rsp, rbp = self.reg(Register.RSP), self.reg(Register.RBP)
         self.emit(f"{rsp} = {rbp}")
-        self.pop(index, "v")
+        self.pop(index, "v", None)  # rsp's offset is rbp's, unknown
         self.emit(f"{rbp} = v")
 
     def _op_cmov(self, index: int, step) -> None:
@@ -666,7 +718,7 @@ class _Codegen:
             self.emit("_E.halted = True")
             return
         if mnemonic is Mnemonic.RET:
-            self.pop(index, "_S.rip")
+            self.pop(index, "_S.rip", step.rsp)
             return
         operand = instruction.operands[0]
         target = self.load(index, operand)
@@ -692,7 +744,7 @@ class _Codegen:
         self.bound = None
         kind = step.kind
         if kind == "ret_guard":
-            self.pop(index, "t")
+            self.pop(index, "t", step.rsp)
             self.emit(f"if t != {step.target}:")
             self.emit("    _S.rip = t")
             self.early_exit(index + 1)
@@ -727,24 +779,33 @@ class _Codegen:
                        for reg in sorted(self.hoisted)]
 
         prologue = ["def _trace(" + ", ".join(parameters) + "):"]
-        prologue += ["    " + entry for entry in _FLAG_LOADS]
         prologue += [f"    r_{reg.name.lower()} = _R[_K_{reg.name}]"
                      for reg in sorted(self.hoisted)]
+        if self.window:
+            # the stack window: every constant-offset pop reads inside the
+            # stack region, or the trace makes no progress
+            stack = trace.stack_region
+            low = -min(self.window)
+            high = len(stack.data) - 8 - max(self.window)
+            prologue += [f"    o = r_rsp - {stack.start}",
+                         f"    if not {low} <= o <= {high}:",
+                         "        return True"]
+        prologue += ["    " + entry for entry in _FLAG_LOADS]
         prologue += ["    n = 0",
                      f"    ex = {trace.length}",
                      "    try:",
                      "        while True:"]
         body = ["            " + line for line in self.lines]
 
-        repair = []
-        for exception, raise_lines in ((" _ME as exc",
-                                        ["raise _EE(str(exc)) from exc"]),
-                                       (" _EE", ["raise"])):
-            repair.append(f"    except{exception}:")
-            repair.extend("        " + entry for entry in writeback)
-            repair.append("        _E.steps += n")
-            repair.append("        _S.rip = _PST[n]")
-            repair.extend("        " + entry for entry in raise_lines)
+        # a fault: write back, repair rip and steps, and raise memory
+        # faults as EmulationError
+        repair = ["    except (_ME, _EE) as exc:"]
+        repair += ["        " + entry for entry in writeback]
+        repair += ["        _E.steps += n",
+                   "        _S.rip = _PST[n]",
+                   "        if isinstance(exc, _EE):",
+                   "            raise",
+                   "        raise _EE(str(exc)) from exc"]
 
         tail = ["    " + entry for entry in writeback]
         tail += ["    _E.steps += ex", "    return"]
@@ -755,8 +816,10 @@ class _Codegen:
 def compile_trace(emulator, trace) -> Optional[object]:
     """Compile ``trace`` to an exec'd Python function, or None to decline.
 
-    Declines when a step has no native emitter for its shape (the trace
-    then keeps its single-step warm-up path).
+    The function takes no arguments.  It runs the trace and returns None,
+    or returns True having changed nothing when ``rsp`` is outside the
+    trace's stack window.  Declines when a step has no native emitter for
+    its shape (the trace then keeps its single-step warm-up path).
     """
     generator = _Codegen(trace)
     try:

@@ -29,7 +29,10 @@ in the evaluation grid bottoms out here):
   :mod:`repro.cpu.codegen`), which runs the whole trace without
   per-instruction dispatch.  Registers and flags are hoisted into locals,
   operands and effective addresses are constant-folded, and ret guards and
-  mid-trace SMC checks are inline.  Execution is thus two-tiered —
+  mid-trace SMC checks are inline.  Pops and rets at a statically known
+  ``rsp`` offset read the stack at constant offsets, after one entry check
+  that ``rsp`` keeps them inside the stack region; a dispatch that fails
+  it single-steps instead.  Execution is thus two-tiered —
   single-step -> compiled trace — with one set of emitters behind both.
   Traces key on the code region's write generation like the decode cache
   and fall back to single-step whenever hooks are installed or the step
@@ -100,7 +103,12 @@ class JitStats:
         traces_compiled: traces promoted to exec-compiled source.
         compile_declined: promotions declined by the codegen (the trace
             keeps its warm-up path until its code region changes).
-        compiled_runs: fused executions served by compiled functions.
+        compiled_runs: fused executions served by compiled functions (a
+            run that faults ends the run loop uncounted).
+        window_misses: dispatches to a compiled trace whose ``rsp`` fell
+            outside the trace's stack window; the trace made no progress
+            and the instruction was single-stepped instead (not counted
+            under ``compiled_runs``).
         closure_runs: warm-up runs of uncompiled traces (single-stepped
             along the recorded path); the end-to-end benchmark reports them
             under this name.
@@ -113,6 +121,7 @@ class JitStats:
     traces_compiled: int = 0
     compile_declined: int = 0
     compiled_runs: int = 0
+    window_misses: int = 0
     closure_runs: int = 0
     superblock_runs: int = 0
 
@@ -429,15 +438,19 @@ class Emulator:
                 if trace is not None:
                     if self.steps + trace.length <= limit:
                         compiled = trace.compiled
-                        if compiled is not None:
-                            # steady state: call the exec-compiled function
-                            # directly, skipping the promotion bookkeeping
-                            jit.compiled_runs += 1
-                            compiled()
-                        else:
+                        if compiled is None:
                             self._execute_trace(trace)
-                        continue
-                    # budget nearly exhausted: single-step to the exact cap
+                            continue
+                        # steady state: call the exec-compiled function
+                        # directly, skipping the promotion bookkeeping.  It
+                        # returns True, having changed nothing, when rsp is
+                        # outside its stack window: single-step instead
+                        if not compiled():
+                            jit.compiled_runs += 1
+                            continue
+                        jit.window_misses += 1
+                    # a window miss, or a budget too small for the trace:
+                    # single-step this instruction
                 else:
                     count = heat_get(address, 0) + 1
                     if count >= _TRACE_HEAT_THRESHOLD:
@@ -465,8 +478,9 @@ class Emulator:
 
         A trace's first :attr:`trace_compile_threshold` dispatches are
         warm-up runs; the next one compiles it
-        (:func:`repro.cpu.codegen.compile_trace`) and runs the compiled
-        function, which handles its own step accounting, ``rip``
+        (:func:`repro.cpu.codegen.compile_trace`) and returns without
+        executing anything, so the run loop's next dispatch calls the
+        compiled function, which handles its own step accounting, ``rip``
         installation and fault repair.  A trace the codegen declines keeps
         warming up until its code region changes.  The caller has already
         verified the region generation and that the remaining step budget
@@ -496,8 +510,6 @@ class Emulator:
                     # emulators keep one form per trace, not two
                     trace.steps = []
                     stats.traces_compiled += 1
-                    stats.compiled_runs += 1
-                    compiled()
                     return
         stats.closure_runs += 1
         state = self.state

@@ -69,17 +69,23 @@ class TraceStep:
 
     ``post`` is the ``rip`` after the instruction (the fused target for
     ``"jmp_fused"``), which is where a fault inside it leaves ``rip``.
+    ``rsp`` is ``rsp``'s byte offset from its value at the trace entry
+    when the instruction starts, or None once it is not statically known
+    (after ``leave``, ``pop rsp`` or a write of ``rsp`` other than
+    ``add``/``sub`` of an immediate).
     """
 
-    __slots__ = ("kind", "address", "instruction", "post", "target")
+    __slots__ = ("kind", "address", "instruction", "post", "target", "rsp")
 
     def __init__(self, kind: str, address: int, instruction, post: int,
-                 target: Optional[int] = None) -> None:
+                 target: Optional[int] = None,
+                 rsp: Optional[int] = None) -> None:
         self.kind = kind
         self.address = address
         self.instruction = instruction
         self.post = post
         self.target = target
+        self.rsp = rsp
 
 
 class Trace:
@@ -96,8 +102,13 @@ class Trace:
         final_rip: ``rip`` to install after a complete run when the last
             fused instruction does not set it itself (straight-line tail);
             None when the last instruction is a control transfer.
-        stack_region: the region ``rsp`` pointed into at build time (the
-            pop/ret fast-path target), or None.
+        stack_region: the region ``rsp`` pointed into at build time, or
+            None.  A compiled trace reads its pops and ret targets at known
+            ``rsp`` offsets straight from this region's bytes, after one
+            entry check that every such offset falls inside it (see
+            :mod:`repro.cpu.codegen`).
+        stack_offset: the entry ``rsp``'s offset into ``stack_region`` at
+            build time (None with it).
         runs: dispatches so far while uncompiled (promotion counter).
         compiled: the exec-compiled function once the trace is promoted,
             else None.
@@ -106,12 +117,13 @@ class Trace:
     """
 
     __slots__ = ("entry", "steps", "length", "region", "generation",
-                 "final_rip", "stack_region", "runs", "compiled",
-                 "compile_failed")
+                 "final_rip", "stack_region", "stack_offset", "runs",
+                 "compiled", "compile_failed")
 
     def __init__(self, entry: int, steps: List[TraceStep], region,
                  generation: int, final_rip: Optional[int],
-                 stack_region=None) -> None:
+                 stack_region=None, stack_offset: Optional[int] = None
+                 ) -> None:
         self.entry = entry
         self.steps = steps
         self.length = len(steps)
@@ -119,6 +131,7 @@ class Trace:
         self.generation = generation
         self.final_rip = final_rip
         self.stack_region = stack_region
+        self.stack_offset = stack_offset
         self.runs = 0
         self.compiled = None
         self.compile_failed = False
@@ -208,7 +221,7 @@ def build_trace(emulator, entry: int, cap: int = TRACE_CAP) -> Optional[Trace]:
             target = memory.peek_int(entry_rsp + delta)
             if target is not None and continues(target):
                 steps.append(TraceStep("ret_guard", address, instruction, post,
-                                       target))
+                                       target, rsp=delta))
                 delta += 8
                 address = target
                 continue
@@ -218,18 +231,19 @@ def build_trace(emulator, entry: int, cap: int = TRACE_CAP) -> Optional[Trace]:
             if continues(target):
                 if mnemonic is Mnemonic.CALL:
                     steps.append(TraceStep("call_fused", address, instruction,
-                                           post, target))
+                                           post, target, rsp=delta))
                     delta = None if delta is None else delta - 8
                 else:
                     steps.append(TraceStep("jmp_fused", address, instruction,
-                                           target))
+                                           target, rsp=delta))
                 address = target
                 continue
         if effect.control:
-            steps.append(TraceStep("exit", address, instruction, post))
+            steps.append(TraceStep("exit", address, instruction, post,
+                                   rsp=delta))
             break
 
-        steps.append(TraceStep("op", address, instruction, post))
+        steps.append(TraceStep("op", address, instruction, post, rsp=delta))
         delta = _rsp_delta(instruction, effect.roles, delta)
         address = post
     else:
@@ -240,8 +254,14 @@ def build_trace(emulator, entry: int, cap: int = TRACE_CAP) -> Optional[Trace]:
         return None
     emulator.jit_stats.traces_built += 1
     #: the region rsp currently points into (the chain section during ROP
-    #: dispatch); compiled pop/ret loads inline against it and fall back to
-    #: the generic memory path whenever rsp has wandered elsewhere
+    #: dispatch).  The compiled trace reads every pop and ret at a known
+    #: offset straight from it, once its entry check has found those
+    #: offsets inside the region; there is no per-load fallback, so a
+    #: dispatch whose rsp fails the check single-steps instead.  Only loads
+    #: at unknown offsets (after leave, pop rsp, ...) test their bounds
+    #: one by one.
     stack_region = memory.region_at(entry_rsp)
+    stack_offset = None if stack_region is None \
+        else entry_rsp - stack_region.start
     return Trace(entry, steps, region, region.generation, final_rip,
-                 stack_region=stack_region)
+                 stack_region=stack_region, stack_offset=stack_offset)

@@ -9,13 +9,18 @@ code.  The property-based test drives randomly generated instruction
 sequences — including sub-width operands, flag consumers, memory traffic,
 exact division with its faults, indirect control transfers and stack
 frames torn down by ``leave``, all of which the codegen emits as native code — through all three tiers and requires
-identical registers, flags, memory, step counts and fault outcomes.
+identical registers, flags, memory, step counts and fault outcomes.  The
+stack-window tests re-enter compiled traces with ``rsp`` where their
+constant-offset pops cannot read.
 """
+
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.binary import BinaryImage, load_image
+from repro.binary.sections import STACK_SIZE, STACK_TOP
 from repro.cpu import Emulator, TraceRecorder
 from repro.cpu.codegen import compile_trace
 from repro.cpu.reference import run as reference_run
@@ -77,6 +82,23 @@ def _run(emulator, tier):
         emulator.run()
 
 
+def _outcome(emulator, tier):
+    """Run ``emulator`` to completion on ``tier``; return what it left."""
+    fault = None
+    try:
+        _run(emulator, tier)
+    except EmulationError as exc:
+        fault = str(exc)
+    return {
+        "steps": emulator.steps,
+        "rip": emulator.state.rip,
+        "regs": dict(emulator.state.regs),
+        "flags": emulator.state.flags_tuple(),
+        "fault": fault,
+        "blob": bytes(emulator.memory.read(_BLOB, _BLOB_SIZE)),
+    }
+
+
 def run_tier(body, seeds, tier, data=bytes(_BLOB_SIZE), rounds=3,
              max_steps=20_000):
     """Run ``body`` ``rounds`` times on one tier; return per-round outcomes."""
@@ -86,19 +108,7 @@ def run_tier(body, seeds, tier, data=bytes(_BLOB_SIZE), rounds=3,
     outcomes = []
     for index in range(rounds):
         start_call(emulator, program, seeds)
-        fault = None
-        try:
-            _run(emulator, tier)
-        except EmulationError as exc:
-            fault = str(exc)
-        outcomes.append({
-            "steps": emulator.steps,
-            "rip": emulator.state.rip,
-            "regs": dict(emulator.state.regs),
-            "flags": emulator.state.flags_tuple(),
-            "fault": fault,
-            "blob": bytes(emulator.memory.read(_BLOB, _BLOB_SIZE)),
-        })
+        outcomes.append(_outcome(emulator, tier))
     return outcomes
 
 
@@ -445,6 +455,8 @@ def test_bench_workload_jit_counters_are_pinned():
     assert emulator.steps == 1_121_460
     assert (stats.traces_built, stats.traces_compiled,
             stats.compile_declined, stats.closure_runs) == (38, 28, 0, 66)
+    # one dispatch found rsp outside its trace's stack window
+    assert stats.window_misses == 1
 
 
 def test_compiled_trace_invalidated_by_self_modification():
@@ -884,3 +896,175 @@ def test_xchg_through_its_own_register_agrees_across_tiers(register_first,
     assert single["regs"][Register.RAX] == int.from_bytes(data[16:24],
                                                           "little")
     assert_tiers_agree(body, [], data=data)
+
+
+# -- the compiled trace's stack window ---------------------------------------------
+
+#: ``rsp`` of a frame well inside the stack region.
+_FRAME = STACK_TOP - 0x100
+
+
+def run_frames(body, frames, tier, data=bytes(_BLOB_SIZE), snapshot=False):
+    """Run ``body`` once per frame on one tier; return the per-round
+    outcomes and the emulator.
+
+    A frame is ``(rsp, qwords, seeds)``: the qwords are written upward from
+    ``rsp``, which the run starts with, at ``f``.  With ``snapshot``, each
+    round first takes an :meth:`Emulator.snapshot`, so every region is
+    shared copy-on-write when the round starts.  An outcome also holds the
+    top of the stack.
+    """
+    program = build_program(body, data=data)
+    emulator = Emulator(program.memory, max_steps=20_000, **_TIERS[tier])
+    emulator.trace_compile_threshold = 0
+    outcomes = []
+    for rsp, qwords, seeds in frames:
+        emulator.halted = False
+        for offset, value in enumerate(qwords):
+            emulator.memory.write_int(rsp + 8 * offset, value, 8)
+        for register, value in seeds:
+            emulator.state.write_reg(register, value)
+        emulator.state.write_reg(Register.RSP, rsp)
+        emulator.state.rip = program.image.function("f").address
+        if snapshot:
+            emulator.snapshot()
+        outcome = _outcome(emulator, tier)
+        outcome["stack"] = emulator.memory.read(STACK_TOP - 0x200, 0x200)
+        outcomes.append(outcome)
+    return outcomes, emulator
+
+
+def assert_frames_agree(body, frames, **kwargs):
+    """Reference, single-step and compiled agree on every frame; returns the
+    compiled tier's outcomes and emulator."""
+    expected, _ = run_frames(body, frames, "reference", **kwargs)
+    single, _ = run_frames(body, frames, "single", **kwargs)
+    assert single == expected
+    compiled, emulator = run_frames(body, frames, "compiled", **kwargs)
+    assert compiled == expected
+    return compiled, emulator
+
+
+def _entry_source(emulator):
+    """The source of the compiled trace at ``f``, the lowest address."""
+    return emulator._trace_cache[min(emulator._trace_cache)] \
+        .compiled.__source__
+
+
+#: Three pops and a ret: the trace reads rsp offsets 0, 8, 16 and 24.
+_POPS = [make("pop", Reg(Register.RAX)), make("pop", Reg(Register.RBX)),
+         make("pop", Reg(Register.RCX)),
+         make("add", Reg(Register.RAX), Reg(Register.RBX)),
+         make("add", Reg(Register.RAX), Reg(Register.RCX)),
+         make("ret")]
+
+
+def _chain(rsp, *values):
+    """A frame popping ``values`` and returning to the exit sentinel."""
+    return rsp, [*values, EXIT_ADDRESS], []
+
+
+def test_window_miss_near_the_stack_end_single_steps_and_faults():
+    """A trace compiled deep in the stack, re-entered with ``rsp`` so near
+    the region's end that its last reads fall outside: the dispatch misses
+    the window and single-steps, and a pop or ret past the end faults as in
+    single-step.  A frame that just fits runs compiled."""
+    end = STACK_TOP
+    frames = [_chain(_FRAME, 1, 2, 3)] * 3 + [
+        _chain(end - 32, 4, 5, 6),            # the last slot: fits exactly
+        (end - 24, [7, 8, 9], []),            # ret past the end faults
+        (end - 8, [10], []),                  # second pop faults
+        _chain(_FRAME, 11, 12, 13),
+    ]
+    _, emulator = assert_frames_agree(_POPS, frames)
+    # the trace at f misses twice.  Its first miss single-steps ``pop rax``
+    # and heats ``pop rbx`` into a trace of its own, built 16 bytes below
+    # the end: its pops read the window, but its ret (past the end at
+    # build time) tests its bounds, and faults.  The second miss ends
+    # with rsp at the end, so that trace misses too.
+    stats = emulator.jit_stats
+    assert (stats.window_misses, stats.traces_compiled) == (3, 2)
+    source = _entry_source(emulator)
+    assert "off = " not in source  # every read is in the window
+    assert f"if not 0 <= o <= {STACK_SIZE - 32}:" in source
+    inner = emulator._trace_cache[max(emulator._trace_cache)]
+    assert inner.compiled.__source__.count("off = rsp - ") == 1
+
+
+def test_window_miss_with_rsp_in_another_region():
+    """Re-entered with ``rsp`` in the data blob, a trace compiled against
+    the stack misses its window and runs single-stepped from the blob."""
+    frames = [_chain(_FRAME, 1, 2, 3)] * 3 + [
+        _chain(_BLOB + 8, 4, 5, 6), _chain(_FRAME, 7, 8, 9),
+        _chain(_BLOB + 8, 10, 11, 12)]
+    _, emulator = assert_frames_agree(_POPS, frames)
+    assert emulator.jit_stats.window_misses >= 1
+    assert emulator.state.read_reg(Register.RAX) == 33
+
+
+def test_static_pop_reads_the_slot_a_detaching_push_wrote():
+    """After ``emulator.snapshot()`` every region is shared, so the push
+    detaches the stack's backing; the pop that follows must read the new
+    backing, not the one the trace saw at entry."""
+    body = [make("push", Reg(Register.RDI)), make("pop", Reg(Register.RAX)),
+            make("push", Reg(Register.RSI)), make("pop", Reg(Register.RBX)),
+            make("ret")]
+    frames = [(_FRAME, [EXIT_ADDRESS], [(Register.RDI, value),
+                                        (Register.RSI, value * 3)])
+              for value in (1, 2, 3, 4, 5)]
+    _, emulator = assert_frames_agree(body, frames, snapshot=True)
+    assert emulator.jit_stats.compiled_runs >= 2
+    assert (emulator.state.read_reg(Register.RAX),
+            emulator.state.read_reg(Register.RBX)) == (5, 15)
+
+
+def test_fault_after_static_pops_repairs_like_single_step():
+    """A memory fault after three constant-offset pops leaves ``rsp``,
+    ``rip`` and ``steps`` exactly as single-step does."""
+    body = [make("pop", Reg(Register.RAX)), make("pop", Reg(Register.RBX)),
+            make("pop", Reg(Register.RCX)),
+            make("mov", Reg(Register.RDX), Mem(base=Register.RSI)),
+            make("ret")]
+    seeds = [(Register.RSI, _BLOB)]
+    frames = [(_FRAME, [1, 2, 3, EXIT_ADDRESS], seeds)] * 3 + [
+        (_FRAME, [4, 5, 6, EXIT_ADDRESS], [(Register.RSI, 0x1234_5678_9ABC)])]
+    compiled, emulator = assert_frames_agree(body, frames)
+    assert emulator.jit_stats.compiled_runs >= 2
+    last = compiled[-1]
+    assert last["fault"] is not None
+    assert last["regs"][Register.RSP] == _FRAME + 24
+
+
+@pytest.mark.parametrize("switch", ["leave", "pop rsp", "add rsp, rcx"])
+def test_unknown_rsp_offsets_take_the_dynamic_load(switch):
+    """Once ``leave``, ``pop rsp`` or ``add rsp, rcx`` makes ``rsp``'s
+    offset unknown mid-trace, the pops after it test their bounds one by
+    one; the pops before it read the window."""
+    head = [make("pop", Reg(Register.RAX))]
+    tail = [make("pop", Reg(Register.RBX)), make("ret")]
+    if switch == "leave":
+        middle = [make("push", Reg(Register.RBP)),
+                  make("mov", Reg(Register.RBP), Reg(Register.RSP)),
+                  make("sub", Reg(Register.RSP), Imm(16)),
+                  make("leave")]
+        qwords = [1, 2, EXIT_ADDRESS]
+        seeds = []
+    elif switch == "pop rsp":
+        middle = [make("pop", Reg(Register.RSP))]
+        # the popped rsp skips one slot
+        qwords = [1, _FRAME + 24, 0xBAD, 2, EXIT_ADDRESS]
+        seeds = []
+    else:
+        middle = [make("add", Reg(Register.RSP), Reg(Register.RCX))]
+        qwords = [1, 0xBAD, 2, EXIT_ADDRESS]
+        seeds = [(Register.RCX, 8)]
+    body = head + middle + tail
+    frames = [(_FRAME, qwords, seeds)] * 4
+    _, emulator = assert_frames_agree(body, frames)
+    assert (emulator.state.read_reg(Register.RAX),
+            emulator.state.read_reg(Register.RBX)) == (1, 2)
+    source = _entry_source(emulator)
+    static = re.findall(r"_UQ\(_STK\.data, o(?: [+-] \d+)?\)", source)
+    assert len(static) == 1 + (switch == "pop rsp")
+    # pop rbx and the ret, and leave's own pop, which follows rsp = rbp
+    assert source.count("off = rsp - ") == 2 + (switch == "leave")
