@@ -12,9 +12,9 @@ The mirror runs as *specialized transfers* (:func:`specialize`): one per
 decoded instruction, built by the builder registered for its mnemonic, that
 the emulator binds into the instruction's compiled step.  Most transfers
 carry a concrete guard (nothing the instruction reads is symbolic) and the
-kill effects that are all an instruction passing it needs, as Python source
-the step inlines; only when the guard fails does the step call the
-instruction's symbolic transfer.  So the instructions that read no symbolic
+kill effects that are all an instruction passing it needs, both derived
+from the effect table, as Python source the step inlines; only when the
+guard fails does the step call the instruction's symbolic transfer.  So the instructions that read no symbolic
 state, most of them, make no call into this module.  The memory shadow is
 indexed by 8-byte word, so a guard's probe of the bytes an access reads is
 a dict lookup or two.
@@ -47,6 +47,8 @@ from repro.cpu.codegen import GuardedTransfer
 from repro.cpu.emulator import SpecializedHook
 from repro.cpu.host import host_function_address, is_host_address
 from repro.cpu.state import EmulationError, SIZE_MASKS
+from repro.isa.effects import ARITY, EFFECTS, WRITTEN, Role
+from repro.isa.flags import Flag
 from repro.isa.instructions import Instruction, Mnemonic
 from repro.isa.operands import Imm, Mem, Reg
 from repro.isa.registers import CALLER_SAVED, Register
@@ -77,6 +79,9 @@ _ALU_OPERATORS = {
 #: Addresses of the host functions that read or write guest memory directly.
 _MEMORY_TOUCHING_HOSTS = frozenset(
     host_function_address(name) for name in ("memcpy", "memset", "strlen", "puts"))
+
+#: The flags of an instruction that reads CF alone (adc/sbb).
+_CF = frozenset({Flag.CF.value})
 
 _ONE = ConstExpr(1)
 _ZERO = ConstExpr(0)
@@ -473,21 +478,23 @@ class ShadowTracker:
 # the builder registered for its mnemonic, with operands, widths,
 # effective-address arithmetic and masked immediate shift counts already
 # resolved (as :mod:`repro.cpu.codegen` folds them into source).  Most
-# builders split it at a *concrete guard*: no register it reads (source or
-# address) has a shadow expression, no byte it reads has a ``memory_exprs``
-# entry, and the flags or carry it consumes are concrete.  The guard and the
-# *kill effects*, all that an instruction passing it needs (destination
-# shadows dropped, stable ranges retired by stores, the narrow-merge rule on
-# ``repair_exact``, the concrete flag record), are Python source
+# builders split it at a *concrete guard* that :func:`_guard` derives from
+# the effect table (:data:`repro.isa.effects.EFFECTS`): no register the
+# machine reads has a shadow expression, no byte of a memory operand or of
+# the implicit stack slot has a ``memory_exprs`` entry, and the flags it
+# reads are concrete.  The guard and the *kill effects*, all that an
+# instruction passing it needs (the shadows of the registers it writes
+# dropped, with the narrow-merge rule on ``repair_exact``, stable ranges
+# retired by its stores, the concrete flag record), are Python source
 # (:class:`_Fast`) that the emulator splices into the instruction's compiled
-# step, so most hooked instructions make no call into this module.  When the
-# guard fails, the step calls the instruction's symbolic transfer, which
-# builds its expressions, path constraints, observer calls and exactness
-# updates; its memory traffic goes through the tracker's one load and one
-# store path.  A symbolic transfer is exact on concrete inputs too, so a
-# guard may be stricter than the fast path needs.  Transfers take the
-# tracker as an argument, so one serves every tracker running on the same
-# emulator.
+# step, so most hooked instructions make no call into this module.  A
+# builder writes the symbolic transfer the step calls when the guard fails
+# (expressions, path constraints, observer calls and exactness updates, with
+# memory traffic through the tracker's one load and one store path) and
+# only the special cases the table cannot state, each with its reason.  A
+# symbolic transfer is exact on concrete inputs too, so a guard may be
+# stricter than the fast path needs.  Transfers take the tracker as an
+# argument, so one serves every tracker running on the same emulator.
 
 #: ``transfer(tracker, emulator, address)``: one instruction's shadow update,
 #: called right before the emulator executes it.
@@ -513,9 +520,12 @@ def specialize(instruction: Instruction) -> Optional[Transfer]:
     the same gadget at many chain positions, or in many images — share one
     (the emulator additionally caches it per decoded address).  Decoded
     operands past the ones the mnemonic reads are dropped first, as the
-    machine ignores them.
+    machine ignores them; a decode missing an operand, which the machine
+    does not execute, gets None.
     """
     instruction = _semantics.trim_operands(instruction)
+    if len(instruction.operands) < ARITY[instruction.mnemonic]:
+        return None
     return _BUILDERS[instruction.mnemonic](instruction)
 
 
@@ -554,6 +564,7 @@ class _Fast:
     Guard clauses (joined by ``and``), kill lines and the constants they
     name, in the vocabulary of :class:`repro.cpu.codegen.FastPath`: the
     tracker is ``_O``, the emulator ``_E``, its register dict ``_R``.
+    :func:`_guard` fills one from the effect table.
     """
 
     def __init__(self) -> None:
@@ -594,26 +605,6 @@ class _Fast:
             parts.append(str(disp))
         return f"({' + '.join(parts)}) & {_MASK64:#x}"
 
-    def reads(self, *operands) -> None:
-        """Guard: no operand is symbolic.  A register operand reads its
-        register; a memory operand its address registers and its bytes.
-        (Pass a store destination too: a fast store assumes a concrete
-        address and shadow-free bytes.)  None operands are skipped."""
-        registers: List[Register] = []
-        memories = []
-        for operand in operands:
-            if type(operand) is Reg:
-                registers.append(operand.reg)
-            elif type(operand) is Mem:
-                registers.extend(r for r in (operand.base, operand.index)
-                                 if r is not None)
-                memories.append(operand)
-        for register in dict.fromkeys(registers):
-            self.clauses.append(
-                f"{self.reg(register)} not in _O.register_exprs")
-        for operand in memories:
-            self.unshadowed(self.address(operand), operand.size)
-
     def unshadowed(self, address: str, size: int) -> None:
         """Guard: no shadow entry covers ``[address, address+size)``.  A
         word-index probe per word the access spans, so a miss costs a dict
@@ -625,40 +616,11 @@ class _Fast:
         self.name("_unshadowed", _unshadowed)
         self.clauses.append(f"({probe} or _unshadowed(_O, {bound}, {size}))")
 
-    def flags_concrete(self) -> None:
-        """Guard: the last flag write had no symbolic input."""
-        self.clauses.append(
-            f"_O.flags is {self.name('_CONCRETE_FLAGS', _CONCRETE_FLAGS)}")
-
-    def drop(self, destination) -> List[str]:
-        """Kill lines of a concrete write to ``destination``: drop a
-        register's shadow (a narrow write merging into the dropped symbolic
-        upper bits ends ``repair_exact``), or retire the stable ranges a
-        store hits."""
-        if type(destination) is Reg:
-            pop = f"_O.register_exprs.pop({self.reg(destination.reg)}, None)"
-            if destination.size < 4:
-                return [f"if {pop} is not None:", "    _O.repair_exact = False"]
-            return [pop]
-        if type(destination) is Mem:
-            return self.retire(self.address(destination), destination.size)
-        return []
-
     def retire(self, address: str, size: int) -> List[str]:
         """Kill lines retiring the stable ranges a store hits."""
         address = self._bound.get(address, address)
         return ["if _O._stable_ranges:",
                 f"    _O._invalidate_stable({address}, {size})"]
-
-    def concrete_result(self, destination) -> None:
-        """Kill of a flag-setting op with no symbolic input: the (guarded,
-        hence shadow-free) destination stays concrete and the flags get
-        the concrete record."""
-        if type(destination) is Mem:
-            self.kills += self.drop(destination)
-        self.kills += [
-            f"_O.flags = {self.name('_CONCRETE_FLAGS', _CONCRETE_FLAGS)}",
-            "_O.carry_expr = None"]
 
     def build(self, symbolic: Transfer) -> Optional[Transfer]:
         """The guarded transfer, or None when no guard or kill was added."""
@@ -668,9 +630,67 @@ class _Fast:
                                "\n".join(self.kills), self.constants, symbolic)
 
 
-def _store(operand):
-    """``operand`` when it is a memory destination (to guard), else None."""
-    return operand if type(operand) is Mem else None
+def _guard(instruction: Instruction) -> _Fast:
+    """The concrete guard and kill of ``instruction``, from :data:`EFFECTS`.
+
+    The guard: no register the machine reads (a register operand in a
+    reading role, a memory operand's address registers, the implicit uses)
+    has a shadow; no byte of a memory operand, a store's too (a fast store
+    assumes shadow-free bytes), or of the implicit stack slot is shadowed;
+    the flags read are concrete.  CF has a shadow of its own,
+    ``carry_expr``, so an instruction that reads CF alone checks that
+    instead of the flag record.  The kill: the registers written that the
+    guard did not check lose their shadows (a narrow write merging into the
+    dropped symbolic upper bits ends ``repair_exact``); the stable ranges
+    the stores hit retire; a flag write sets the concrete flag record, and
+    clears ``carry_expr`` when it writes CF.  The calling-convention
+    registers are left to the builders: the machine touches none of them.
+    """
+    effect = EFFECTS[instruction.mnemonic]
+    fast = _Fast()
+    if effect.flags_read == _CF:
+        fast.clauses.append("_O.carry_expr is None")
+    elif effect.flags_read:
+        fast.clauses.append(
+            f"_O.flags is {fast.name('_CONCRETE_FLAGS', _CONCRETE_FLAGS)}")
+    read = [register for register in Register if register in effect.uses]
+    written = [Reg(register) for register in Register if register in effect.defs]
+    accesses = []
+    operands = list(zip(effect.roles, instruction.operands))
+    if effect.slot is not None:
+        operands.append((effect.slot.role, effect.slot.operand))
+    for role, operand in operands:
+        if type(operand) is Reg:
+            if role is not Role.WRITE:
+                read.append(operand.reg)
+            if role in WRITTEN:
+                written.append(operand)
+        elif type(operand) is Mem:
+            read += [r for r in (operand.base, operand.index) if r is not None]
+            if role is not Role.ADDRESS:
+                accesses.append((fast.address(operand), operand.size, role))
+    read = list(dict.fromkeys(read))
+    for register in read:
+        fast.clauses.append(f"{fast.reg(register)} not in _O.register_exprs")
+    for address, size, _ in accesses:
+        fast.unshadowed(address, size)
+    for destination in written:
+        if destination.reg in read:
+            continue  # the guard found no shadow to drop
+        pop = f"_O.register_exprs.pop({fast.reg(destination.reg)}, None)"
+        if destination.size < 4:
+            fast.kills += [f"if {pop} is not None:", "    _O.repair_exact = False"]
+        else:
+            fast.kills.append(pop)
+    for address, size, role in accesses:
+        if role in WRITTEN:
+            fast.kills += fast.retire(address, size)
+    if effect.flags_written:
+        fast.kills.append(
+            f"_O.flags = {fast.name('_CONCRETE_FLAGS', _CONCRETE_FLAGS)}")
+        if Flag.CF.value in effect.flags_written:
+            fast.kills.append("_O.carry_expr = None")
+    return fast
 
 
 def _reader(operand):
@@ -775,8 +795,6 @@ def _build_inert(instruction: Instruction) -> Optional[Transfer]:
 
 @_builds(Mnemonic.MOV, Mnemonic.MOVZX, Mnemonic.MOVSX)
 def _build_move(instruction: Instruction) -> Optional[Transfer]:
-    if len(instruction.operands) != 2:
-        return None
     destination, source = instruction.operands
     read, write = _reader(source), _writer(destination)
     width = getattr(source, "size", 8)
@@ -798,35 +816,24 @@ def _build_move(instruction: Instruction) -> Optional[Transfer]:
                                          sign)
         write(t, emulator, expression)
 
-    fast = _Fast()
-    fast.reads(source, _store(destination))
-    fast.kills += fast.drop(destination)
-    return fast.build(symbolic)
+    return _guard(instruction).build(symbolic)
 
 
 @_builds(Mnemonic.LEA)
 def _build_lea(instruction: Instruction) -> Optional[Transfer]:
-    operands = instruction.operands
-    if len(operands) != 2 or type(operands[1]) is not Mem:
-        return None
-    destination, source = operands
+    destination, source = instruction.operands
+    if type(source) is not Mem:
+        return None  # no address to take: the machine faults
     write = _writer(destination)
 
     def symbolic(t, emulator, address) -> None:
         write(t, emulator, t._address_expr(emulator, source))
 
-    fast = _Fast()
-    # lea reads only the address registers, never the addressed bytes
-    fast.reads(*(Reg(r) for r in (source.base, source.index) if r is not None),
-               _store(destination))
-    fast.kills += fast.drop(destination)
-    return fast.build(symbolic)
+    return _guard(instruction).build(symbolic)
 
 
 @_builds(Mnemonic.XCHG)
 def _build_xchg(instruction: Instruction) -> Optional[Transfer]:
-    if len(instruction.operands) != 2:
-        return None
     first, second = instruction.operands
     read_first, read_second = _reader(first), _reader(second)
     write_first, write_second = _writer(first), _writer(second)
@@ -845,13 +852,7 @@ def _build_xchg(instruction: Instruction) -> Optional[Transfer]:
             write_first(t, emulator, second_expr)
             write_second(t, emulator, first_expr)
 
-    fast = _Fast()
-    fast.reads(first, second)
-    # guarded register operands carry no shadow to drop
-    for operand in (first, second):
-        if type(operand) is Mem:
-            fast.kills += fast.drop(operand)
-    return fast.build(symbolic)
+    return _guard(instruction).build(symbolic)
 
 
 _WRITE_RSP, _WRITE_RBP = _writer(Reg(Register.RSP)), _writer(Reg(Register.RBP))
@@ -859,10 +860,7 @@ _WRITE_RSP, _WRITE_RBP = _writer(Reg(Register.RSP)), _writer(Reg(Register.RBP))
 
 @_builds(Mnemonic.PUSH)
 def _build_push(instruction: Instruction) -> Optional[Transfer]:
-    if not instruction.operands:
-        return None
-    source = instruction.operands[0]
-    read = _reader(source)
+    read = _reader(instruction.operands[0])
 
     def symbolic(t, emulator, address) -> None:
         # a symbolic rsp makes the concrete slot address input-dependent,
@@ -873,18 +871,11 @@ def _build_push(instruction: Instruction) -> Optional[Transfer]:
         if stack is not None:
             _WRITE_RSP(t, emulator, BinExpr("sub", stack, _EIGHT))
 
-    fast = _Fast()
-    fast.reads(Reg(Register.RSP), source)
-    slot = f"{fast.value(Register.RSP)} - 8"
-    fast.unshadowed(slot, 8)
-    fast.kills += fast.retire(slot, 8)
-    return fast.build(symbolic)
+    return _guard(instruction).build(symbolic)
 
 
 @_builds(Mnemonic.POP)
 def _build_pop(instruction: Instruction) -> Optional[Transfer]:
-    if not instruction.operands:
-        return None
     destination = instruction.operands[0]
     write = _writer(destination)
 
@@ -898,22 +889,15 @@ def _build_pop(instruction: Instruction) -> Optional[Transfer]:
         write(t, emulator, value)
 
     if type(destination) is not Reg:
+        # a memory destination is addressed after rsp moves, so a guard
+        # over the pre-instruction registers would probe the wrong bytes
         return symbolic
-    fast = _Fast()
-    fast.reads(Reg(Register.RSP))
-    fast.unshadowed(fast.value(Register.RSP), 8)
-    fast.kills += fast.drop(destination)
-    return fast.build(symbolic)
+    return _guard(instruction).build(symbolic)
 
 
 @_builds(Mnemonic.LEAVE)
 def _build_leave(instruction: Instruction) -> Optional[Transfer]:
-    fast = _Fast()
-    fast.reads(Reg(Register.RBP))
-    fast.unshadowed(fast.value(Register.RBP), 8)
-    # the guarded rbp has no shadow, and the one it reloads is concrete
-    fast.kills += fast.drop(Reg(Register.RSP))
-    return fast.build(_leave)
+    return _guard(instruction).build(_leave)
 
 
 def _leave(t: ShadowTracker, emulator, address: int) -> None:
@@ -927,8 +911,6 @@ def _leave(t: ShadowTracker, emulator, address: int) -> None:
 
 @_builds(Mnemonic.CMP, Mnemonic.TEST)
 def _build_compare(instruction: Instruction) -> Optional[Transfer]:
-    if len(instruction.operands) != 2:
-        return None
     left, right = instruction.operands
     read_left, read_right = _reader(left), _reader(right)
     left_value, right_value = _valuer(left), _valuer(right)
@@ -945,14 +927,11 @@ def _build_compare(instruction: Instruction) -> Optional[Transfer]:
             t.flags = ("logic", BinExpr("and", a, b), None, None, size)
             t.carry_expr = None
 
-    fast = _Fast()
-    fast.reads(left, right)
-    for operand in (left, right):
-        if type(operand) is Mem:
-            # the symbolic path loads its operands too, so an unmapped
-            # operand faults here, before rip advances, either way
-            fast.kills.append(f"_E.read_operand({fast.operand(operand)})")
-    fast.concrete_result(None)
+    fast = _guard(instruction)
+    # the symbolic path loads its operands before it sets the flags, so an
+    # unmapped operand faults with the flag record untouched either way
+    fast.kills[:0] = [f"_E.read_operand({fast.operand(operand)})"
+                      for operand in (left, right) if type(operand) is Mem]
     return fast.build(symbolic)
 
 
@@ -1036,42 +1015,28 @@ def _alu_symbolic(instruction: Instruction) -> Transfer:
 @_builds(Mnemonic.ADD, Mnemonic.SUB, Mnemonic.AND, Mnemonic.OR, Mnemonic.XOR,
          Mnemonic.IMUL)
 def _build_alu(instruction: Instruction) -> Optional[Transfer]:
-    if len(instruction.operands) != 2:
-        return None
-    destination, source = instruction.operands
-    fast = _Fast()
-    fast.reads(destination, source)
-    fast.concrete_result(destination)
-    return fast.build(_alu_symbolic(instruction))
+    return _guard(instruction).build(_alu_symbolic(instruction))
 
 
 @_builds(Mnemonic.SHL, Mnemonic.SHR, Mnemonic.SAR)
 def _build_shift(instruction: Instruction) -> Optional[Transfer]:
-    if len(instruction.operands) != 2:
-        return None
     destination, count_operand = instruction.operands
     # x86 masks the count by the operand width, and a masked count of zero
     # modifies neither the destination nor any flag
     width_mask = 0x3F if getattr(destination, "size", 8) == 8 else 0x1F
-    fast = _Fast()
+    fast = _guard(instruction)
     if type(count_operand) is Imm:
-        count = count_operand.value & SIZE_MASKS[count_operand.size] & width_mask
-        if count == 0:
+        if not count_operand.value & SIZE_MASKS[count_operand.size] & width_mask:
             return None
-        fast.reads(destination)
     else:
-        fast.reads(destination, count_operand)
         # a zero count takes the symbolic transfer's no-op early-out
         fast.clauses.append(
             f"_E.read_operand({fast.operand(count_operand)}) & {width_mask}")
-    fast.concrete_result(destination)
     return fast.build(_alu_symbolic(instruction))
 
 
 @_builds(Mnemonic.ADC, Mnemonic.SBB)
 def _build_carry(instruction: Instruction) -> Optional[Transfer]:
-    if len(instruction.operands) != 2:
-        return None
     destination, source = instruction.operands
     read_left, read_right = _reader(destination), _reader(source)
     left_value, right_value = _valuer(destination), _valuer(source)
@@ -1099,18 +1064,11 @@ def _build_carry(instruction: Instruction) -> Optional[Transfer]:
         t.flags = (None, expression, None, None, 8)
         t.carry_expr = _UNMODELED_CARRY
 
-    fast = _Fast()
-    # any carry shadow, even a concrete one, takes the symbolic transfer
-    fast.clauses.append("_O.carry_expr is None")
-    fast.reads(destination, source)
-    fast.concrete_result(destination)
-    return fast.build(symbolic)
+    return _guard(instruction).build(symbolic)
 
 
 @_builds(Mnemonic.NEG, Mnemonic.NOT)
 def _build_unary(instruction: Instruction) -> Optional[Transfer]:
-    if not instruction.operands:
-        return None
     destination = instruction.operands[0]
     read, write = _reader(destination), _writer(destination)
     negate = instruction.mnemonic is Mnemonic.NEG
@@ -1128,13 +1086,7 @@ def _build_unary(instruction: Instruction) -> Optional[Transfer]:
             t.flags = (None, result, None, None, 8)
             t.carry_expr = BinExpr("ne", expression, _ZERO)
 
-    fast = _Fast()
-    fast.reads(destination)
-    if negate:
-        fast.concrete_result(destination)
-    else:
-        fast.kills += fast.drop(_store(destination))
-    return fast.build(symbolic)
+    return _guard(instruction).build(symbolic)
 
 
 def _step_flags(t: ShadowTracker) -> None:
@@ -1152,8 +1104,6 @@ def _step_flags(t: ShadowTracker) -> None:
 
 @_builds(Mnemonic.INC, Mnemonic.DEC)
 def _build_step(instruction: Instruction) -> Optional[Transfer]:
-    if not instruction.operands:
-        return None
     destination = instruction.operands[0]
     read, write = _reader(destination), _writer(destination)
     operator = "add" if instruction.mnemonic is Mnemonic.INC else "sub"
@@ -1168,23 +1118,17 @@ def _build_step(instruction: Instruction) -> Optional[Transfer]:
         write(t, emulator, result)
         t.flags = (None, result, None, None, 8)
 
-    fast = _Fast()
-    fast.reads(destination)
-    # inc/dec keep CF: any carry shadow takes the symbolic transfer
+    fast = _guard(instruction)
+    # inc/dec keep CF, so the concrete flag record the kill sets is exact
+    # only while CF has no shadow
     fast.clauses.append("_O.carry_expr is None")
-    fast.kills += fast.drop(_store(destination))
-    fast.kills.append(
-        f"_O.flags = {fast.name('_CONCRETE_FLAGS', _CONCRETE_FLAGS)}")
     return fast.build(symbolic)
 
 
 @_builds(Mnemonic.SET)
 def _build_set(instruction: Instruction) -> Optional[Transfer]:
-    if not instruction.operands:
-        return None
-    destination = instruction.operands[0]
     condition = instruction.condition
-    write = _writer(destination)
+    write = _writer(instruction.operands[0])
 
     def symbolic(t, emulator, address) -> None:
         expression = None
@@ -1196,17 +1140,11 @@ def _build_set(instruction: Instruction) -> Optional[Transfer]:
                 t.repair_exact = False
         write(t, emulator, expression)
 
-    fast = _Fast()
-    fast.flags_concrete()
-    fast.reads(_store(destination))
-    fast.kills += fast.drop(destination)
-    return fast.build(symbolic)
+    return _guard(instruction).build(symbolic)
 
 
 @_builds(Mnemonic.CMOV)
 def _build_cmov(instruction: Instruction) -> Optional[Transfer]:
-    if len(instruction.operands) != 2:
-        return None
     destination, source = instruction.operands
     condition = instruction.condition
     read, write = _reader(source), _writer(destination)
@@ -1229,20 +1167,16 @@ def _build_cmov(instruction: Instruction) -> Optional[Transfer]:
         if emulator.state.condition(condition):
             write(t, emulator, read(t, emulator))
 
-    fast = _Fast()
-    fast.flags_concrete()
-    fast.reads(source, _store(destination))
-    drop = fast.drop(destination)
-    if drop:
-        fast.kills.append(f"if _S.condition({condition!r}):")
-        fast.kills += ["    " + line for line in drop]
+    fast = _guard(instruction)
+    if fast.kills:
+        # a false cmov stores nothing
+        fast.kills = [f"if _S.condition({condition!r}):",
+                      *("    " + line for line in fast.kills)]
     return fast.build(symbolic)
 
 
 @_builds(Mnemonic.JCC)
 def _build_jcc(instruction: Instruction) -> Optional[Transfer]:
-    if not instruction.operands:
-        return None
     condition = instruction.condition
 
     def symbolic(t, emulator, address) -> None:
@@ -1259,17 +1193,12 @@ def _build_jcc(instruction: Instruction) -> Optional[Transfer]:
             t.constraints_exact = False
         t._record(address, predicate, emulator.state.condition(condition))
 
-    fast = _Fast()
-    fast.flags_concrete()
-    return fast.build(symbolic)
+    return _guard(instruction).build(symbolic)
 
 
 @_builds(Mnemonic.CQO)
 def _build_cqo(instruction: Instruction) -> Optional[Transfer]:
-    fast = _Fast()
-    fast.reads(Reg(Register.RAX))
-    fast.kills += fast.drop(Reg(Register.RDX))
-    return fast.build(_cqo)
+    return _guard(instruction).build(_cqo)
 
 
 def _cqo(t: ShadowTracker, emulator, address: int) -> None:
@@ -1282,8 +1211,8 @@ def _cqo(t: ShadowTracker, emulator, address: int) -> None:
 
 @_builds(Mnemonic.IDIV)
 def _build_idiv(instruction: Instruction) -> Optional[Transfer]:
-    if not instruction.operands:
-        return None
+    # no fast path: the transfer must first learn whether the machine
+    # faults (#DE), which a guard over the shadow cannot tell
     divisor_operand = instruction.operands[0]
     read, value = _reader(divisor_operand), _valuer(divisor_operand)
 
@@ -1318,12 +1247,9 @@ def _build_idiv(instruction: Instruction) -> Optional[Transfer]:
 
 @_builds(Mnemonic.JMP)
 def _build_jmp(instruction: Instruction) -> Optional[Transfer]:
-    operands = instruction.operands
-    if not operands or type(operands[0]) is not Reg:
-        return None
-    fast = _Fast()
-    fast.reads(operands[0])
-    return fast.build(_unpinned_jump)
+    if type(instruction.operands[0]) is not Reg:
+        return None  # only a register target carries a shadow here
+    return _guard(instruction).build(_unpinned_jump)
 
 
 def _unpinned_jump(t: ShadowTracker, emulator, address: int) -> None:
@@ -1334,11 +1260,7 @@ def _unpinned_jump(t: ShadowTracker, emulator, address: int) -> None:
 
 @_builds(Mnemonic.RET)
 def _build_ret(instruction: Instruction) -> Optional[Transfer]:
-    fast = _Fast()
-    fast.reads(Reg(Register.RSP))
-    # only an entry keyed at the slot itself is a symbolic return target
-    fast.clauses.append(f"({fast.value(Register.RSP)}, 8) not in _O.memory_exprs")
-    return fast.build(_ret)
+    return _guard(instruction).build(_ret)
 
 
 def _ret(t: ShadowTracker, emulator, address: int) -> None:
@@ -1368,10 +1290,7 @@ def _ret(t: ShadowTracker, emulator, address: int) -> None:
 
 @_builds(Mnemonic.CALL)
 def _build_call(instruction: Instruction) -> Optional[Transfer]:
-    operands = instruction.operands
-    if not operands:
-        return None
-    target_operand = operands[0]
+    target_operand = instruction.operands[0]
 
     def transfer(t, emulator, address) -> None:
         # calls into host runtime functions are not instrumented: clear the
@@ -1421,13 +1340,10 @@ def _build_call(instruction: Instruction) -> Optional[Transfer]:
             t.register_exprs.pop(reg, None)
 
     if type(target_operand) is not Imm or is_host_address(target_operand.value):
+        # no fast path: a host call's effects depend on the runtime
+        # function, and an indirect call may reach one
         return transfer
-    fast = _Fast()
-    fast.reads(Reg(Register.RSP))
-    slot = f"({fast.value(Register.RSP)} - 8) & {_MASK64:#x}"
-    fast.unshadowed(slot, 8)
-    fast.kills += fast.retire(slot, 8)
-    return fast.build(transfer)
+    return _guard(instruction).build(transfer)
 
 
 # -- semantic-contract registration -------------------------------------------

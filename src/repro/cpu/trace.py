@@ -39,7 +39,7 @@ from typing import List, Optional
 
 from repro.binary.sections import HOST_FUNCTION_LIMIT
 from repro.cpu.state import EmulationError, SIZE_MASKS, to_signed
-from repro.isa.effects import EFFECTS, Role
+from repro.isa.effects import EFFECTS, WRITTEN
 from repro.isa.instructions import Mnemonic
 from repro.isa.operands import Imm, Reg
 from repro.isa.registers import Register
@@ -164,7 +164,7 @@ def _rsp_delta(instruction, roles, delta: Optional[int]) -> Optional[int]:
     if mnemonic is Mnemonic.LEAVE:
         return None
     for role, operand in zip(roles, operands):
-        if role is not Role.READ and type(operand) is Reg and operand.reg is _RSP:
+        if role in WRITTEN and type(operand) is Reg and operand.reg is _RSP:
             # only ``add``/``sub rsp, imm`` keeps the offset known
             if mnemonic in (Mnemonic.ADD, Mnemonic.SUB) \
                     and len(operands) == 2 and type(operands[1]) is Imm \

@@ -9,25 +9,30 @@ reused only when its side effects spare the live registers (§IV-A1).
 * the :class:`Role` of each explicit operand, destination first — the
   number of roles is the mnemonic's arity, and decoded operands past it are
   ignored by the machine (:func:`repro.cpu.semantics.trim_operands`);
-* the registers it uses and defines implicitly: ``rsp`` for the stack
-  operations, ``rbp`` for ``leave``, ``rax``/``rdx`` for ``cqo``/``idiv``,
-  and for ``call`` the argument registers (used) and the caller-saved ones
-  (defined), the conservative footnote-1 liveness of the paper; ``ret``
-  uses the return-value register;
+* the registers the machine reads and writes without their being named:
+  ``rsp`` for the stack operations, ``rbp`` for ``leave``, ``rax``/``rdx``
+  for ``cqo``/``idiv``;
+* apart from those, the calling-convention registers: ``call`` uses the
+  argument registers and defines the caller-saved ones, the conservative
+  footnote-1 liveness of the paper, and ``ret`` uses the return-value
+  register.  The machine touches none of them;
+* the implicit stack slot, the qword ``push``/``call`` store below ``rsp``
+  and ``pop``/``ret``/``leave`` load;
 * the condition flags it reads and writes, as the architectural slot names
   of :data:`repro.cpu.semantics.FLAGS`;
 * whether it transfers control.
 
 Liveness, the P3 taint pass, TDS, gadget side effects, trace ``rsp``
-tracking, the ``Instruction`` flag predicates and the semantics registry all
-read this one table.
+tracking, the ``Instruction`` flag predicates, the semantics registry and
+the DSE shadow's concrete guards and kills
+(:mod:`repro.attacks.shadow`) all read this one table.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.isa.flags import Flag
 from repro.isa.instructions import Instruction, Mnemonic
@@ -44,6 +49,23 @@ class Role(enum.Enum):
     WRITE = "write"
     #: read, then written (``add``'s destination, both ``xchg`` operands)
     MODIFY = "modify"
+    #: only its address is computed: its registers are read, no byte is
+    #: (``lea``'s source)
+    ADDRESS = "address"
+
+
+#: The roles that write their operand.
+WRITTEN = frozenset({Role.WRITE, Role.MODIFY})
+
+
+@dataclass(frozen=True)
+class Slot:
+    """An implicit stack access: the qword ``operand`` addresses with the
+    registers' values before the instruction, loaded (``READ``) or stored
+    (``WRITE``)."""
+
+    operand: Mem
+    role: Role
 
 
 @dataclass(frozen=True)
@@ -52,8 +74,13 @@ class Effect:
 
     Attributes:
         roles: the role of each explicit operand, destination first.
-        uses: registers read without being named.
-        defs: registers written without being named.
+        uses: registers the machine reads without their being named.
+        defs: registers the machine writes without their being named.
+        convention_uses: calling-convention registers liveness counts as
+            used, which the machine does not read.
+        convention_defs: calling-convention registers liveness counts as
+            defined, which the machine does not write.
+        slot: the implicit stack slot loaded or stored, if any.
         flags_read: flag slots the behaviour depends on.
         flags_written: flag slots the instruction defines.
         control: True when it may divert the instruction pointer.
@@ -62,15 +89,20 @@ class Effect:
     roles: Tuple[Role, ...]
     uses: FrozenSet[Register] = frozenset()
     defs: FrozenSet[Register] = frozenset()
+    convention_uses: FrozenSet[Register] = frozenset()
+    convention_defs: FrozenSet[Register] = frozenset()
+    slot: Optional[Slot] = None
     flags_read: FrozenSet[str] = frozenset()
     flags_written: FrozenSet[str] = frozenset()
     control: bool = False
 
 
-_R, _W, _M = Role.READ, Role.WRITE, Role.MODIFY
+_R, _W, _M, _A = Role.READ, Role.WRITE, Role.MODIFY, Role.ADDRESS
 _ALL_FLAGS = frozenset(flag.value for flag in Flag)
 _RSP = frozenset({Register.RSP})
 _DIVIDEND = frozenset({Register.RAX, Register.RDX})
+_PUSHED = Slot(Mem(base=Register.RSP, disp=-8), _W)
+_POPPED = Slot(Mem(base=Register.RSP), _R)
 
 
 def _alu(*roles: Role, reads: FrozenSet[str] = frozenset(),
@@ -83,10 +115,10 @@ EFFECTS: Dict[Mnemonic, Effect] = {
     Mnemonic.MOV: Effect((_W, _R)),
     Mnemonic.MOVZX: Effect((_W, _R)),
     Mnemonic.MOVSX: Effect((_W, _R)),
-    Mnemonic.LEA: Effect((_W, _R)),
+    Mnemonic.LEA: Effect((_W, _A)),
     Mnemonic.XCHG: Effect((_M, _M)),
-    Mnemonic.PUSH: Effect((_R,), uses=_RSP, defs=_RSP),
-    Mnemonic.POP: Effect((_W,), uses=_RSP, defs=_RSP),
+    Mnemonic.PUSH: Effect((_R,), uses=_RSP, defs=_RSP, slot=_PUSHED),
+    Mnemonic.POP: Effect((_W,), uses=_RSP, defs=_RSP, slot=_POPPED),
     **{mnemonic: _alu(_M, _R) for mnemonic in (
         Mnemonic.ADD, Mnemonic.SUB, Mnemonic.AND, Mnemonic.OR, Mnemonic.XOR,
         Mnemonic.SHL, Mnemonic.SHR, Mnemonic.SAR, Mnemonic.IMUL)},
@@ -108,12 +140,17 @@ EFFECTS: Dict[Mnemonic, Effect] = {
     Mnemonic.SET: Effect((_W,), flags_read=_ALL_FLAGS),
     Mnemonic.JMP: Effect((_R,), control=True),
     Mnemonic.JCC: Effect((_R,), flags_read=_ALL_FLAGS, control=True),
-    Mnemonic.CALL: Effect((_R,), uses=frozenset(ARG_REGISTERS) | _RSP,
-                          defs=frozenset(CALLER_SAVED) | _RSP, control=True),
-    Mnemonic.RET: Effect((), uses=frozenset({RETURN_REGISTER}) | _RSP,
-                         defs=_RSP, control=True),
+    Mnemonic.CALL: Effect((_R,), uses=_RSP, defs=_RSP,
+                          convention_uses=frozenset(ARG_REGISTERS),
+                          convention_defs=frozenset(CALLER_SAVED),
+                          slot=_PUSHED, control=True),
+    Mnemonic.RET: Effect((), uses=_RSP, defs=_RSP,
+                         convention_uses=frozenset({RETURN_REGISTER}),
+                         slot=_POPPED, control=True),
+    # ``mov rsp, rbp; pop rbp``: the slot is where rbp points
     Mnemonic.LEAVE: Effect((), uses=frozenset({Register.RBP}) | _RSP,
-                           defs=frozenset({Register.RBP}) | _RSP),
+                           defs=frozenset({Register.RBP}) | _RSP,
+                           slot=Slot(Mem(base=Register.RBP), _R)),
     Mnemonic.NOP: Effect(()),
     Mnemonic.HLT: Effect((), control=True),
 }
@@ -138,7 +175,8 @@ def operand_registers(operand: Operand) -> Set[Register]:
 
 
 def instruction_uses_defs(instruction: Instruction) -> Tuple[Set[Register], Set[Register]]:
-    """Return ``(uses, defs)``, the registers ``instruction`` reads and writes.
+    """Return ``(uses, defs)``, the registers ``instruction`` reads and
+    writes, the calling-convention ones included.
 
     A register operand in a written role is defined, and also used when the
     role reads it or when the write is 1 or 2 bytes wide (it merges into the
@@ -148,11 +186,11 @@ def instruction_uses_defs(instruction: Instruction) -> Tuple[Set[Register], Set[
     operands it has.
     """
     effect = EFFECTS[instruction.mnemonic]
-    uses = set(effect.uses)
-    defs = set(effect.defs)
+    uses = set(effect.uses | effect.convention_uses)
+    defs = set(effect.defs | effect.convention_defs)
     for role, operand in zip(effect.roles, instruction.operands):
         if isinstance(operand, Reg):
-            if role is not Role.READ:
+            if role in WRITTEN:
                 defs.add(operand.reg)
             if role is not Role.WRITE or operand.size < 4:
                 uses.add(operand.reg)

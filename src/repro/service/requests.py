@@ -149,6 +149,9 @@ def parse_request(obj: object) -> AttackRequest:
     if request.seconds <= 0 or request.max_executions < 1 \
             or request.max_instructions < 1:
         raise ValueError("budget caps must be positive")
+    if request.max_solver_queries is not None and request.max_solver_queries < 0:
+        raise ValueError("max_solver_queries must be >= 0 or null, got "
+                         f"{request.max_solver_queries}")
     return request
 
 

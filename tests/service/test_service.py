@@ -64,10 +64,18 @@ def test_parse_request_accepts_defaults_and_normalises_id():
     ({"id": "a", "engine": "fuzzer"}, "unknown engine"),
     ({"id": "a", "loop_iterations": 0}, "loop_iterations"),
     ({"id": "a", "max_executions": 0}, "budget caps must be positive"),
+    ({"id": "a", "max_solver_queries": -3}, "max_solver_queries must be >= 0"),
 ])
 def test_parse_request_rejects_with_the_reason(obj, needle):
     with pytest.raises(ValueError, match=needle):
         parse_request(obj)
+
+
+def test_parse_request_admits_a_zero_or_absent_solver_query_cap():
+    assert parse_request({"id": "a", "max_solver_queries": 0}) \
+        .max_solver_queries == 0
+    assert parse_request({"id": "a", "max_solver_queries": None}) \
+        .max_solver_queries is None
 
 
 def test_request_fingerprint_is_deterministic_and_parameter_sensitive():
